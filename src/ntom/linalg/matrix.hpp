@@ -1,7 +1,7 @@
 // Dense row-major double matrix — the numerical workhorse behind the
-// tomographic equation systems. We implement only what the algorithms
-// need (BLAS-1/2 style operations, transpose products), keeping the code
-// auditable rather than chasing peak FLOPs.
+// tomographic equation systems: BLAS-1/2 style operations, transpose
+// products, and the row_ptr() rows the row-order QR (linalg/qr.hpp)
+// walks, equal (==) to a column-order loop. Auditable, not peak-FLOPs.
 #pragma once
 
 #include <cstddef>

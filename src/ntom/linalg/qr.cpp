@@ -4,30 +4,34 @@
 #include <cassert>
 #include <cmath>
 
+#include "ntom/util/simd/simd.hpp"
+
 namespace ntom {
 
 namespace {
 
-/// Core column-pivoted Householder loop. Writes R, perm, rank, and
-/// tolerance into `out`. The explicit Q is accumulated only when
-/// `want_q` is set; when `rhs` is non-null the transposed reflector
-/// sequence is applied to it in place (rhs <- Q^T rhs). Both consumers
-/// see bit-identical R/perm/rank — the reflector arithmetic on R does
-/// not depend on what Q is used for.
-void factorize_core(const matrix& a, double rel_tol, bool want_q,
-                    std::vector<double>* rhs, qr_decomposition& out) {
+/// Q-free pivoted Householder QR in row order (contract in qr.hpp). When
+/// `rhs` is non-null, also applies the reflectors to it: rhs <- Q^T rhs.
+qr_decomposition factorize_rows(const matrix& a, double rel_tol,
+                                std::vector<double>* rhs) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  if (want_q) out.q = matrix::identity(m);
+  qr_decomposition out;
   out.r = a;
   out.perm.resize(n);
   for (std::size_t j = 0; j < n; ++j) out.perm[j] = j;
 
   // Squared column norms of the trailing submatrix, used for pivoting.
   std::vector<double> col_norm2(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < m; ++i) col_norm2[j] += out.r(i, j) * out.r(i, j);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* row = out.r.row_ptr(i);
+    for (std::size_t j = 0; j < n; ++j) col_norm2[j] += row[j] * row[j];
   }
+
+  // Per-call scratch: grid cells factor concurrently.
+  std::vector<std::size_t> rows;
+  std::vector<double> v;
+  std::vector<double> s(n);
 
   const std::size_t steps = std::min(m, n);
   for (std::size_t k = 0; k < steps; ++k) {
@@ -42,50 +46,57 @@ void factorize_core(const matrix& a, double rel_tol, bool want_q,
       std::swap(out.perm[k], out.perm[pivot]);
     }
 
-    // Householder vector for column k below the diagonal.
+    // Householder vector for column k below the diagonal, kept on row k
+    // and the nonzero rows: a zero v_i adds exact zeros to every sum.
+    rows.clear();
+    v.clear();
     double norm_x = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm_x += out.r(i, k) * out.r(i, k);
+    for (std::size_t i = k; i < m; ++i) {
+      const double x = out.r(i, k);
+      if (x == 0.0 && i != k) continue;
+      rows.push_back(i);
+      v.push_back(x);
+      norm_x += x * x;
+    }
     norm_x = std::sqrt(norm_x);
     if (norm_x == 0.0) continue;
 
     const double alpha = out.r(k, k) >= 0.0 ? -norm_x : norm_x;
-    std::vector<double> v(m - k, 0.0);
     v[0] = out.r(k, k) - alpha;
-    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = out.r(i, k);
     double vnorm2 = 0.0;
     for (const double x : v) vnorm2 += x * x;
     if (vnorm2 == 0.0) continue;
 
-    // Apply H = I - 2 v v^T / (v^T v) to R (columns k..n) ...
-    for (std::size_t j = k; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t i = k; i < m; ++i) s += v[i - k] * out.r(i, j);
-      s = 2.0 * s / vnorm2;
-      for (std::size_t i = k; i < m; ++i) out.r(i, j) -= s * v[i - k];
+    // Apply H = I - 2 v v^T / (v^T v) to R's trailing columns: dot pass
+    // s += v_i R(i, :), then update pass R(i, :) += (-v_i) (2 s / v^T v).
+    const std::size_t first = k + 1;
+    const std::size_t width = n - first;
+    std::fill(s.begin() + first, s.end(), 0.0);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      simd::axpy(s.data() + first, v[t], out.r.row_ptr(rows[t]) + first,
+                 width);
     }
-    // ... accumulate into Q (Q <- Q H, acting on columns k..m of Q) ...
-    if (want_q) {
-      for (std::size_t i = 0; i < m; ++i) {
-        double s = 0.0;
-        for (std::size_t j = k; j < m; ++j) s += out.q(i, j) * v[j - k];
-        s = 2.0 * s / vnorm2;
-        for (std::size_t j = k; j < m; ++j) out.q(i, j) -= s * v[j - k];
-      }
+    for (std::size_t j = first; j < n; ++j) s[j] = 2.0 * s[j] / vnorm2;
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      double* row = out.r.row_ptr(rows[t]);
+      simd::axpy(row + first, -v[t], s.data() + first, width);
+      row[k] = 0.0;
     }
-    // ... and to the right-hand side (rhs <- H rhs, so the finished
-    // vector is H_s ... H_1 rhs = Q^T rhs).
+    out.r(k, k) = alpha;
+
+    // Same reflector on the right-hand side (rhs <- H rhs, so the
+    // finished vector is H_s ... H_1 rhs = Q^T rhs).
     if (rhs != nullptr) {
-      double s = 0.0;
-      for (std::size_t i = k; i < m; ++i) s += v[i - k] * (*rhs)[i];
-      s = 2.0 * s / vnorm2;
-      for (std::size_t i = k; i < m; ++i) (*rhs)[i] -= s * v[i - k];
+      std::vector<double>& b = *rhs;
+      double sb = 0.0;
+      for (std::size_t t = 0; t < rows.size(); ++t) sb += v[t] * b[rows[t]];
+      sb = 2.0 * sb / vnorm2;
+      for (std::size_t t = 0; t < rows.size(); ++t) b[rows[t]] -= sb * v[t];
     }
 
-    // Exact zeros below the diagonal and updated trailing norms.
-    out.r(k, k) = alpha;
-    for (std::size_t i = k + 1; i < m; ++i) out.r(i, k) = 0.0;
-    for (std::size_t j = k + 1; j < n; ++j) {
-      col_norm2[j] -= out.r(k, j) * out.r(k, j);
+    const double* row_k = out.r.row_ptr(k);
+    for (std::size_t j = first; j < n; ++j) {
+      col_norm2[j] -= row_k[j] * row_k[j];
       if (col_norm2[j] < 0.0) col_norm2[j] = 0.0;
     }
   }
@@ -99,29 +110,20 @@ void factorize_core(const matrix& a, double rel_tol, bool want_q,
   for (std::size_t k = 0; k < steps; ++k) {
     if (std::abs(out.r(k, k)) > out.tolerance) ++out.rank;
   }
+  return out;
 }
 
 }  // namespace
 
-qr_decomposition qr_factorize(const matrix& a, double rel_tol) {
-  qr_decomposition out;
-  factorize_core(a, rel_tol, /*want_q=*/true, nullptr, out);
-  return out;
-}
-
 qr_decomposition qr_factorize_apply(const matrix& a, std::vector<double>& rhs,
                                     double rel_tol) {
   assert(rhs.size() == a.rows());
-  qr_decomposition out;
-  factorize_core(a, rel_tol, /*want_q=*/false, &rhs, out);
-  return out;
+  return factorize_rows(a, rel_tol, &rhs);
 }
 
 std::size_t matrix_rank(const matrix& a, double rel_tol) {
   if (a.empty()) return 0;
-  qr_decomposition f;
-  factorize_core(a, rel_tol, /*want_q=*/false, nullptr, f);
-  return f.rank;
+  return factorize_rows(a, rel_tol, nullptr).rank;
 }
 
 matrix null_space_basis(const qr_decomposition& f) {
@@ -164,9 +166,7 @@ matrix null_space_basis(const qr_decomposition& f) {
 matrix null_space_basis(const matrix& a, double rel_tol) {
   const std::size_t n = a.cols();
   if (a.rows() == 0) return matrix::identity(n);
-  qr_decomposition f;
-  factorize_core(a, rel_tol, /*want_q=*/false, nullptr, f);
-  return null_space_basis(f);
+  return null_space_basis(factorize_rows(a, rel_tol, nullptr));
 }
 
 }  // namespace ntom

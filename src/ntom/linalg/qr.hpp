@@ -4,6 +4,15 @@
 // numerical rank, an orthonormal null-space basis (the N matrix of
 // Algorithm 1), and least-squares / minimum-norm solves of the log-domain
 // equation systems.
+//
+// The kernel never forms Q and walks R in row order: per reflector, a
+// dot pass and an update pass over the rows with a nonzero pivot-column
+// entry, each row one simd::axpy. Each element of R and of Q^T b sees
+// the same multiplies and adds in the same order as in the column-order
+// loop kept as the test oracle (tests/linalg/qr_reference.cpp), so the
+// results compare equal (==) to it at every SIMD level; skipped zero
+// terms and the zeros left below the diagonal may differ from it only
+// in the sign of an exact zero.
 #pragma once
 
 #include <cstddef>
@@ -13,37 +22,28 @@
 
 namespace ntom {
 
-/// Result of a column-pivoted Householder QR of an m x n matrix A:
+/// R factor of a column-pivoted Householder QR of an m x n matrix A:
 /// A * P = Q * R with Q (m x m) orthogonal, R (m x n) upper triangular,
 /// and P a column permutation that moves the largest remaining column
-/// first at each step (rank-revealing).
+/// first at each step (rank-revealing). Q itself is never formed.
 struct qr_decomposition {
-  matrix q;                      ///< m x m orthogonal factor.
   matrix r;                      ///< m x n upper-triangular factor.
   std::vector<std::size_t> perm; ///< perm[j] = original column of pivoted col j.
   std::size_t rank = 0;          ///< numerical rank at the given tolerance.
   double tolerance = 0.0;        ///< absolute diagonal threshold used.
 };
 
-/// Factorizes A. `rel_tol` scales the rank threshold relative to the
-/// largest diagonal of R (default suits well-scaled 0/1 systems).
-[[nodiscard]] qr_decomposition qr_factorize(const matrix& a,
-                                            double rel_tol = 1e-10);
-
-/// Factorizes A without accumulating the explicit Q (the returned `q`
-/// is 0 x 0) and instead applies the transposed reflector sequence to
-/// `rhs` in place: rhs <- Q^T rhs. R, perm, rank, and tolerance are
-/// bit-identical to qr_factorize's. The least-squares solve needs Q
-/// only through Q^T b, and for the tall systems the tomography
-/// estimators stage (up to ~10^4 equations over a few hundred unknowns)
-/// the explicit m x m factor dominates both the arithmetic and the
-/// memory of the whole solve — this path is O(m n) space instead of
-/// O(m^2). `rhs.size()` must equal `a.rows()`.
+/// Factorizes A and applies the transposed reflector sequence to `rhs`
+/// in place: rhs <- Q^T rhs, all a least-squares solve needs of Q (an
+/// explicit m x m Q would dominate the time and memory of the ~10^4 x
+/// few-hundred systems the estimators stage). `rel_tol` scales the rank
+/// threshold relative to the largest diagonal of R (default suits
+/// well-scaled 0/1 systems). `rhs.size()` must equal `a.rows()`.
 [[nodiscard]] qr_decomposition qr_factorize_apply(const matrix& a,
                                                   std::vector<double>& rhs,
                                                   double rel_tol = 1e-10);
 
-/// Numerical rank of A (shorthand for qr_factorize(a).rank).
+/// Numerical rank of A (the rank of its factorization).
 [[nodiscard]] std::size_t matrix_rank(const matrix& a, double rel_tol = 1e-10);
 
 /// Orthonormal basis of the null space of A, returned as an n x k matrix
@@ -52,9 +52,8 @@ struct qr_decomposition {
 [[nodiscard]] matrix null_space_basis(const matrix& a, double rel_tol = 1e-10);
 
 /// Same basis from an existing factorization of A (only R, perm, and
-/// rank are read — a Q-free factorization works). Lets one
-/// factorization feed both the minimum-norm solve and the
-/// identifiability analysis instead of factorizing twice.
+/// rank are read). Lets one factorization feed both the minimum-norm
+/// solve and the identifiability analysis instead of factorizing twice.
 [[nodiscard]] matrix null_space_basis(const qr_decomposition& f);
 
 }  // namespace ntom

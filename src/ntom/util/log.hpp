@@ -13,8 +13,8 @@ enum class log_level { debug = 0, info = 1, warn = 2, error = 3 };
 void set_log_level(log_level level) noexcept;
 [[nodiscard]] log_level get_log_level() noexcept;
 
-/// Emits one line to stderr as "[LEVEL] message". Thread-safe enough for
-/// our single-threaded experiment binaries.
+/// Emits one line to stderr as "[LEVEL] message". Safe from any thread:
+/// each line is one stdio call, so concurrent lines never interleave.
 void log_message(log_level level, const std::string& message);
 
 namespace detail {

@@ -21,6 +21,7 @@ struct kernel_table {
   std::size_t (*popcount_andnot)(const std::uint64_t*, const std::uint64_t*,
                                  std::size_t);
   void (*or_accumulate)(std::uint64_t*, const std::uint64_t*, std::size_t);
+  void (*axpy_f64)(double*, double, const double*, std::size_t);
 };
 
 /// Always available: the portable SWAR reference.
@@ -35,6 +36,12 @@ struct kernel_table {
 /// compiler without the -m flag).
 [[nodiscard]] const kernel_table* avx2_table() noexcept;
 [[nodiscard]] const kernel_table* avx512_table() noexcept;
+
+/// The 4-lane float axpy, shared by the avx2 and avx512 tables. Only
+/// defined when avx2_table() is non-null; the avx512 table is only
+/// built in that case.
+void axpy_f64_avx2(double* y, double a, const double* x,
+                   std::size_t n) noexcept;
 
 /// CLMUL-folded CRC-32 core: advances the raw (pre-conditioned) CRC
 /// register over `len` bytes of `data`, where `len` is a non-zero

@@ -2,7 +2,8 @@
 // style). Sixteen 256-bit lanes per iteration feed a carry-save adder
 // network so only one in sixteen vectors pays the VPSHUFB
 // nibble-lookup popcount; the ones/twos/fours/eights residues are
-// folded in after the main loop with their binary weights.
+// folded in after the main loop with their binary weights. The float
+// axpy is a plain 4-lane multiply-then-add loop.
 //
 // Compiled with -mavx2 (set per-file by CMakeLists.txt); selected at
 // runtime only when cpuid reports AVX2, so the rest of the library
@@ -151,9 +152,23 @@ void or_accumulate_avx2(std::uint64_t* dst, const std::uint64_t* src,
 
 constexpr kernel_table table = {popcount_words_avx2, popcount_and2_avx2,
                                 popcount_and3_avx2, popcount_andnot_avx2,
-                                or_accumulate_avx2};
+                                or_accumulate_avx2, axpy_f64_avx2};
 
 }  // namespace
+
+// Separate VMULPD and VADDPD: the file is built with -ffp-contract=off
+// so neither these nor the tail loop fuse into FMAs that would round
+// differently from the scalar reference.
+void axpy_f64_avx2(double* y, double a, const double* x,
+                   std::size_t n) noexcept {
+  const __m256d av = _mm256_set1_pd(a);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
+    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
+  }
+  for (; i < n; ++i) y[i] += a * x[i];
+}
 
 const kernel_table* avx2_table() noexcept { return &table; }
 

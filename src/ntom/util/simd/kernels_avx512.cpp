@@ -2,7 +2,9 @@
 // lanes per cycle, so the kernels are plain vertical accumulate loops —
 // four independent 512-bit accumulators hide the add latency, the AND
 // fusion folds into the loads, and the tail falls back to scalar
-// POPCNT.
+// POPCNT. The float axpy reuses the AVX2 kernel (kernels.hpp): this
+// level is only built alongside AVX2 and only selected on CPUs that
+// report it.
 //
 // Compiled with -mavx512f -mavx512vpopcntdq (set per-file by
 // CMakeLists.txt); selected at runtime only when cpuid reports both
@@ -108,7 +110,7 @@ void or_accumulate_avx512(std::uint64_t* dst, const std::uint64_t* src,
 
 constexpr kernel_table table = {popcount_words_avx512, popcount_and2_avx512,
                                 popcount_and3_avx512, popcount_andnot_avx512,
-                                or_accumulate_avx512};
+                                or_accumulate_avx512, axpy_f64_avx2};
 
 }  // namespace
 

@@ -59,6 +59,12 @@ void plain_or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t w = 0; w < n; ++w) dst[w] |= src[w];
 }
 
+// One multiply and one add per element, each rounded: the reference
+// the vector rungs must match bit for bit.
+void plain_axpy_f64(double* y, double a, const double* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
 // ------------------------------------------------------------- popcnt
 // Four independent accumulators break the POPCNT output-register
 // dependency chain (a false dependency on several x86 generations) and
@@ -167,7 +173,7 @@ bool probe_clmul() noexcept {
 level probe_hardware() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
-  if (detail::avx512_table() != nullptr &&
+  if (detail::avx512_table() != nullptr && __builtin_cpu_supports("avx2") &&
       __builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512vpopcntdq")) {
     return level::avx512;
@@ -227,14 +233,14 @@ namespace detail {
 const kernel_table& scalar_table() noexcept {
   static constexpr kernel_table table = {
       scalar_popcount_words, scalar_popcount_and2, scalar_popcount_and3,
-      scalar_popcount_andnot, plain_or_accumulate};
+      scalar_popcount_andnot, plain_or_accumulate, plain_axpy_f64};
   return table;
 }
 
 const kernel_table& popcnt_table() noexcept {
   static constexpr kernel_table table = {hw_popcount_words, hw_popcount_and2,
                                          hw_popcount_and3, hw_popcount_andnot,
-                                         plain_or_accumulate};
+                                         plain_or_accumulate, plain_axpy_f64};
   return table;
 }
 
@@ -316,6 +322,10 @@ std::size_t andnot_count(const std::uint64_t* a, const std::uint64_t* b,
 void or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t n) noexcept {
   active_table()->or_accumulate(dst, src, n);
+}
+
+void axpy(double* y, double a, const double* x, std::size_t n) noexcept {
+  active_table()->axpy_f64(y, a, x, n);
 }
 
 crc32_fold_fn crc32_fold() noexcept {

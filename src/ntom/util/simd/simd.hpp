@@ -1,7 +1,9 @@
-// Runtime-dispatched SIMD kernels for the packed bit stores.
+// Runtime-dispatched SIMD kernels for the packed bit stores and the
+// least-squares row updates.
 //
 // Every estimator reduces to fused AND+popcount sweeps over bit_matrix
-// rows, so these four kernels bound the whole stack. The dispatch
+// rows, so these four kernels bound the whole stack; the float axpy
+// carries the Householder QR behind every log-domain fit. The dispatch
 // ladder is probed once at startup (cpuid) and selects the widest
 // implementation the hardware supports; every level computes
 // bit-identical results, with the scalar level serving as the reference
@@ -50,8 +52,8 @@ bool set_level(level l) noexcept;
 [[nodiscard]] std::vector<level> available_levels();
 
 // ----------------------------------------------------------- kernels
-// All kernels operate on packed 64-bit word arrays (no alignment
-// requirement) and tolerate n == 0.
+// The bit kernels operate on packed 64-bit word arrays; no kernel has
+// an alignment requirement and all tolerate n == 0.
 
 /// Total set bits in a[0..n).
 [[nodiscard]] std::size_t popcount_words(const std::uint64_t* a,
@@ -79,6 +81,12 @@ bool set_level(level l) noexcept;
 /// dst[i] |= src[i] for i in [0, n) — the OR-reduction kernel.
 void or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t n) noexcept;
+
+/// y[i] += a * x[i] for i in [0, n), the product and the sum each
+/// rounded (never fused), so every level matches the scalar loop bit
+/// for bit — the row kernel of the Householder QR (linalg/qr.cpp).
+/// y and x must not overlap.
+void axpy(double* y, double a, const double* x, std::size_t n) noexcept;
 
 /// CLMUL-folded CRC-32 core used by ntom::crc32 for bulk input:
 /// advances the raw (pre-conditioned) CRC register over `len` bytes,

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "ntom/util/rng.hpp"
+#include "ntom/util/simd/simd.hpp"
+#include "qr_reference.hpp"
 
 namespace ntom {
 namespace {
+
+namespace oracle = testing_oracle;
+namespace simd = ntom::simd;
 
 matrix random_matrix(std::size_t rows, std::size_t cols, rng& r,
                      double density = 1.0) {
@@ -21,9 +29,10 @@ matrix random_matrix(std::size_t rows, std::size_t cols, rng& r,
 }
 
 /// Applies the column permutation to A and compares with Q*R.
-void expect_factorization_valid(const matrix& a, const qr_decomposition& f,
+void expect_factorization_valid(const matrix& a, const oracle::reference_qr& o,
                                 double tol = 1e-9) {
-  const matrix qr = f.q.multiply(f.r);
+  const qr_decomposition& f = o.f;
+  const matrix qr = o.q.multiply(f.r);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) {
       EXPECT_NEAR(qr(i, j), a(i, f.perm[j]), tol)
@@ -31,7 +40,7 @@ void expect_factorization_valid(const matrix& a, const qr_decomposition& f,
     }
   }
   // Q orthogonal: Q^T Q = I.
-  const matrix qtq = f.q.transposed().multiply(f.q);
+  const matrix qtq = o.q.transposed().multiply(o.q);
   for (std::size_t i = 0; i < qtq.rows(); ++i) {
     for (std::size_t j = 0; j < qtq.cols(); ++j) {
       EXPECT_NEAR(qtq(i, j), i == j ? 1.0 : 0.0, tol);
@@ -45,19 +54,55 @@ void expect_factorization_valid(const matrix& a, const qr_decomposition& f,
   }
 }
 
+/// Exact (==) comparison of two factorizations, naming the first
+/// differing element of R.
+void expect_identical(const qr_decomposition& got,
+                      const qr_decomposition& want) {
+  EXPECT_EQ(got.perm, want.perm);
+  EXPECT_EQ(got.rank, want.rank);
+  EXPECT_EQ(got.tolerance, want.tolerance);
+  ASSERT_EQ(got.r.rows(), want.r.rows());
+  ASSERT_EQ(got.r.cols(), want.r.cols());
+  for (std::size_t i = 0; i < want.r.rows(); ++i) {
+    for (std::size_t j = 0; j < want.r.cols(); ++j) {
+      ASSERT_EQ(got.r(i, j), want.r(i, j)) << "R(" << i << "," << j << ")";
+    }
+  }
+}
+
+/// The library's factorization of A (with rhs b) matches the oracle's
+/// exactly: R, perm, rank, tolerance, Q^T b, and the derived rank and
+/// null-space basis.
+void expect_matches_oracle(const matrix& a, const std::vector<double>& b) {
+  std::vector<double> got_qtb = b;
+  std::vector<double> want_qtb = b;
+  const qr_decomposition got = qr_factorize_apply(a, got_qtb);
+  const qr_decomposition want = oracle::qr_factorize_apply(a, want_qtb);
+  expect_identical(got, want);
+  EXPECT_EQ(got_qtb, want_qtb);
+  if (!a.empty()) {
+    EXPECT_EQ(matrix_rank(a), want.rank);
+  }
+  if (a.rows() > 0) {
+    EXPECT_EQ(null_space_basis(a), null_space_basis(want));
+  }
+}
+
 TEST(QrTest, IdentityFactorization) {
   const matrix eye = matrix::identity(4);
-  const auto f = qr_factorize(eye);
-  EXPECT_EQ(f.rank, 4u);
-  expect_factorization_valid(eye, f);
+  const auto o = oracle::qr_factorize(eye);
+  EXPECT_EQ(o.f.rank, 4u);
+  expect_factorization_valid(eye, o);
+  expect_matches_oracle(eye, std::vector<double>(4, 1.0));
 }
 
 TEST(QrTest, KnownRankDeficientMatrix) {
   // Row 3 = row 1 + row 2.
   const matrix a{{1, 0, 1}, {0, 1, 1}, {1, 1, 2}};
-  const auto f = qr_factorize(a);
-  EXPECT_EQ(f.rank, 2u);
-  expect_factorization_valid(a, f);
+  const auto o = oracle::qr_factorize(a);
+  EXPECT_EQ(o.f.rank, 2u);
+  expect_factorization_valid(a, o);
+  expect_matches_oracle(a, {1.0, -2.0, 0.5});
 }
 
 TEST(QrTest, ZeroMatrixHasRankZero) {
@@ -71,8 +116,10 @@ TEST(QrTest, TallAndWideMatrices) {
   const matrix wide = random_matrix(3, 8, r);
   EXPECT_EQ(matrix_rank(tall), 3u);
   EXPECT_EQ(matrix_rank(wide), 3u);
-  expect_factorization_valid(tall, qr_factorize(tall));
-  expect_factorization_valid(wide, qr_factorize(wide));
+  expect_factorization_valid(tall, oracle::qr_factorize(tall));
+  expect_factorization_valid(wide, oracle::qr_factorize(wide));
+  expect_matches_oracle(tall, std::vector<double>(8, -1.0));
+  expect_matches_oracle(wide, std::vector<double>(3, -1.0));
 }
 
 TEST(QrTest, RankOfOuterProduct) {
@@ -116,25 +163,14 @@ TEST(QrApplyTest, MatchesExplicitFactorization) {
   std::vector<double> b(a.rows());
   for (double& x : b) x = r.uniform(-2, 2);
 
-  const auto full = qr_factorize(a);
+  const auto full = oracle::qr_factorize(a);
   std::vector<double> c = b;
   const auto applied = qr_factorize_apply(a, c);
 
   // R, perm, rank come from the identical reflector arithmetic —
   // bit-for-bit equal, not merely close.
-  EXPECT_EQ(applied.rank, full.rank);
-  EXPECT_EQ(applied.perm, full.perm);
-  EXPECT_EQ(applied.tolerance, full.tolerance);
-  ASSERT_EQ(applied.r.rows(), full.r.rows());
-  ASSERT_EQ(applied.r.cols(), full.r.cols());
-  for (std::size_t i = 0; i < full.r.rows(); ++i) {
-    for (std::size_t j = 0; j < full.r.cols(); ++j) {
-      EXPECT_EQ(applied.r(i, j), full.r(i, j));
-    }
-  }
-  // The Q factor is skipped entirely...
-  EXPECT_EQ(applied.q.rows(), 0u);
-  // ... and the rhs came back as Q^T b.
+  expect_identical(applied, full.f);
+  // The rhs came back as Q^T b.
   const matrix qt = full.q.transposed();
   const std::vector<double> qtb = qt.multiply(b);
   ASSERT_EQ(c.size(), qtb.size());
@@ -180,9 +216,11 @@ TEST_P(QrPropertyTest, FactorizationAndNullSpaceInvariants) {
     }
   }
 
-  const auto f = qr_factorize(a);
-  expect_factorization_valid(a, f, 1e-8);
+  const auto o = oracle::qr_factorize(a);
+  const qr_decomposition& f = o.f;
+  expect_factorization_valid(a, o, 1e-8);
   EXPECT_LE(f.rank, std::min(rows, cols));
+  expect_matches_oracle(a, std::vector<double>(rows, -0.5));
 
   const matrix n = null_space_basis(a);
   EXPECT_EQ(n.cols(), cols - f.rank);
@@ -205,6 +243,98 @@ TEST_P(QrPropertyTest, FactorizationAndNullSpaceInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, QrPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 30));
+
+// ------------------------------------------- row-order kernel vs oracle
+
+/// Restores the entry dispatch level on scope exit so a failing sweep
+/// cannot poison later tests.
+struct level_guard {
+  simd::level saved = simd::active_level();
+  ~level_guard() { simd::set_level(saved); }
+};
+
+struct oracle_case {
+  std::string name;
+  matrix a;
+  std::vector<double> b;
+};
+
+/// Weighted 0/1 rows as the estimators stage them: about `per_row` ones
+/// per row, the row scaled by sqrt(count), rhs log(p) * sqrt(count).
+oracle_case weighted_system(std::string name, std::size_t rows,
+                            std::size_t cols, double per_row, rng& r) {
+  oracle_case c{std::move(name), matrix(rows, cols), {}};
+  const double density = cols == 0 ? 0.0 : std::min(1.0, per_row / cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double weight =
+        std::sqrt(static_cast<double>(1 + r.uniform_index(1000)));
+    for (std::size_t j = 0; j < cols; ++j) {
+      if (r.bernoulli(density)) c.a(i, j) = weight;
+    }
+    c.b.push_back(std::log(r.uniform(0.05, 1.0)) * weight);
+  }
+  return c;
+}
+
+std::vector<oracle_case> oracle_cases(std::uint64_t seed) {
+  rng r(seed);
+  std::vector<oracle_case> cases;
+  cases.push_back(weighted_system("tall", 120, 17, 3, r));
+  cases.push_back(weighted_system("wide", 9, 40, 6, r));
+  cases.push_back(weighted_system("tomography", 400, 67, 5, r));
+  cases.push_back(weighted_system("empty", 0, 6, 2, r));
+  cases.push_back(weighted_system("one_row", 1, 9, 4, r));
+  cases.push_back(weighted_system("one_col", 15, 1, 1, r));
+  cases.push_back(weighted_system("dense", 20, 13, 13, r));
+
+  // Rank-deficient: the last third of the rows are sums of two earlier
+  // rows.
+  oracle_case deficient = weighted_system("rank_deficient", 30, 24, 4, r);
+  for (std::size_t i = 20; i < 30; ++i) {
+    const std::size_t p = r.uniform_index(20);
+    const std::size_t q = r.uniform_index(20);
+    for (std::size_t j = 0; j < 24; ++j) {
+      deficient.a(i, j) = deficient.a(p, j) + deficient.a(q, j);
+    }
+  }
+  cases.push_back(std::move(deficient));
+
+  // Every row twice, rhs included.
+  const oracle_case half = weighted_system("", 25, 14, 3, r);
+  oracle_case duplicated{"duplicate_rows", matrix(50, 14), {}};
+  for (std::size_t i = 0; i < 50; ++i) {
+    for (std::size_t j = 0; j < 14; ++j) duplicated.a(i, j) = half.a(i / 2, j);
+    duplicated.b.push_back(half.b[i / 2]);
+  }
+  cases.push_back(std::move(duplicated));
+
+  // All-zero rows and columns scattered through the system.
+  oracle_case zeros = weighted_system("zero_rows_and_cols", 50, 20, 4, r);
+  for (std::size_t i = 0; i < 50; i += 7) {
+    for (std::size_t j = 0; j < 20; ++j) zeros.a(i, j) = 0.0;
+  }
+  for (const std::size_t j : {0u, 3u, 11u, 19u}) {
+    for (std::size_t i = 0; i < 50; ++i) zeros.a(i, j) = 0.0;
+  }
+  cases.push_back(std::move(zeros));
+
+  cases.push_back({"all_zero", matrix(8, 5), std::vector<double>(8, -1.0)});
+  return cases;
+}
+
+TEST(QrOracleTest, RowOrderMatchesOracleAtEveryLevel) {
+  level_guard guard;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    for (const oracle_case& c : oracle_cases(seed)) {
+      for (const simd::level l : simd::available_levels()) {
+        ASSERT_TRUE(simd::set_level(l));
+        SCOPED_TRACE(c.name + " seed=" + std::to_string(seed) +
+                     " level=" + simd::level_name(l));
+        expect_matches_oracle(c.a, c.b);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ntom

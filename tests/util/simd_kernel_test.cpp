@@ -5,7 +5,10 @@
 // Harley–Seal main-loop boundary (64 words per iteration on AVX2).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "ntom/util/bit_matrix.hpp"
@@ -165,6 +168,66 @@ TEST(SimdKernel, OrAccumulateMatchesReferenceAcrossLevels) {
       simd::or_accumulate(dst.data(), src.data(), n);
       EXPECT_EQ(dst, expected)
           << "level=" << simd::level_name(l) << " n=" << n;
+    }
+  }
+}
+
+/// Doubles spanning the float kernel's edge cases: signed zeros,
+/// subnormals, and random mantissas at magnitudes 1e-300 .. 1e300.
+std::vector<double> edge_doubles(std::size_t n, rng& r) {
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             2.5e-310,
+                             -7.0e-320,
+                             std::numeric_limits<double>::min(),
+                             1.0,
+                             -1.0};
+  std::vector<double> out(n);
+  for (double& x : out) {
+    if (r.bernoulli(0.25)) {
+      x = specials[r.uniform_index(std::size(specials))];
+    } else {
+      const double sign = r.bernoulli(0.5) ? -1.0 : 1.0;
+      x = sign * r.uniform(1.0, 10.0) * std::pow(10.0, r.uniform(-300, 300));
+    }
+  }
+  return out;
+}
+
+TEST(SimdKernel, AxpyF64MatchesReferenceAcrossLevels) {
+  level_guard guard;
+  rng r(4242);
+  const double alphas[] = {0.0,     -0.0,   1.0,    -1.0,  0.5,
+                           -3.25e7, 1e-300, -1e300, 5e-324, 1.2345678901234567};
+  // Lengths 0..67 cover every vector-tail shape of the 4-lane rung
+  // many times over; the offsets misalign both arrays against it.
+  for (std::size_t n = 0; n <= 67; ++n) {
+    for (std::size_t y_off = 0; y_off < 3; ++y_off) {
+      const std::size_t x_off = (n + y_off) % 4;
+      const std::vector<double> y0 = edge_doubles(n + y_off, r);
+      const std::vector<double> x = edge_doubles(n + x_off, r);
+      for (const double a : alphas) {
+        // Unfused multiply then add: the contract every rung keeps.
+        std::vector<double> expected = y0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double prod = a * x[x_off + i];
+          expected[y_off + i] = expected[y_off + i] + prod;
+        }
+        for (const simd::level l : simd::available_levels()) {
+          ASSERT_TRUE(simd::set_level(l));
+          std::vector<double> y = y0;
+          simd::axpy(y.data() + y_off, a, x.data() + x_off, n);
+          // memcmp, not ==: the signs of zeros must match too.
+          const bool identical =
+              y.empty() || std::memcmp(y.data(), expected.data(),
+                                       y.size() * sizeof(double)) == 0;
+          EXPECT_TRUE(identical)
+              << "level=" << simd::level_name(l) << " n=" << n
+              << " y_off=" << y_off << " x_off=" << x_off << " a=" << a;
+        }
+      }
     }
   }
 }
