@@ -12,6 +12,7 @@
 // per ISA. The one gated headline cell is identity/identical: every
 // available level must agree bit-for-bit with the scalar reference on
 // ragged sizes, asserted here and exact-checked by tools/bench_check.py.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -129,6 +130,35 @@ bool identity_sweep() {
       auto dst = base;
       simd::or_accumulate(dst.data(), a.data(), n);
       ok &= dst == ref_or;
+    }
+  }
+  // xoshiro256++ lane counts: final states and per-lane counts against
+  // the scalar rung, at probe counts around the sampler's 256 limit.
+  {
+    constexpr std::size_t L = simd::xoshiro_lanes;
+    ntom::rng r(66);
+    for (const std::size_t steps : {0u, 1u, 7u, 200u, 256u, 1000u}) {
+      std::uint64_t state0[4 * L];
+      for (auto& w : state0) w = r.next_u64();
+      std::uint64_t limit[L];
+      for (std::size_t j = 0; j < L; ++j) {
+        limit[j] = j == 0 ? 0 : j == 1 ? std::uint64_t{1} << 53
+                                       : r.next_u64() >> (11 + j % 3);
+      }
+      simd::set_level(simd::level::scalar);
+      std::uint64_t ref_state[4 * L];
+      std::uint64_t ref_counts[L];
+      std::copy(state0, state0 + 4 * L, ref_state);
+      simd::xoshiro_count_below(ref_state, limit, steps, ref_counts);
+      for (const simd::level l : simd::available_levels()) {
+        simd::set_level(l);
+        std::uint64_t state[4 * L];
+        std::uint64_t counts[L];
+        std::copy(state0, state0 + 4 * L, state);
+        simd::xoshiro_count_below(state, limit, steps, counts);
+        ok &= std::equal(state, state + 4 * L, ref_state);
+        ok &= std::equal(counts, counts + L, ref_counts);
+      }
     }
   }
   // CRC-32: the CLMUL folding core (active at any non-scalar level)

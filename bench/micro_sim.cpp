@@ -1,7 +1,11 @@
-// Microbenchmarks for the measurement simulator: interval sampling and
-// whole-experiment throughput (the simulator dominates wall-clock at
-// paper scale — 1500 paths x 1000 intervals x 200 packets).
+// Microbenchmarks for the measurement simulator: interval sampling,
+// probe sampling, and whole-experiment throughput (the simulator
+// dominates wall-clock at paper scale — 1500 paths x 1000 intervals x
+// 200 packets).
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
@@ -35,7 +39,6 @@ void bm_run_experiment(benchmark::State& state) {
       topo, "random_congestion", sp);
   ntom::sim_params sim;
   sim.intervals = static_cast<std::size_t>(state.range(0));
-  sim.packets_per_path = 100;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ntom::run_experiment(topo, model, sim));
   }
@@ -58,6 +61,52 @@ void bm_run_experiment_oracle(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_run_experiment_oracle)->Arg(50)->Arg(200);
+
+/// One interval's path survival rates, sized like a default Brite run
+/// (240 paths); all lie in (0, 1), so every path consumes draws.
+std::vector<double> survival_rates() {
+  ntom::rng r(9);
+  std::vector<double> p(240);
+  for (double& x : p) x = r.uniform(0.6, 1.0);
+  return p;
+}
+
+// The per-path rng::binomial loop binomial_batch replaces; items are
+// Bernoulli draws, so items/s converts to ns per draw.
+void bm_binomial_loop(benchmark::State& state) {
+  const auto packets = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> p = survival_rates();
+  std::vector<std::size_t> out(p.size());
+  ntom::rng r(11);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      out[i] = r.binomial(packets, p[i]);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.size() * packets));
+}
+BENCHMARK(bm_binomial_loop)->Arg(200);
+
+// The same counts through the lane-parallel sampler at the active
+// dispatch level (NTOM_SIMD picks another).
+void bm_binomial_batch(benchmark::State& state) {
+  const auto packets = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> p = survival_rates();
+  std::vector<std::size_t> out(p.size());
+  const ntom::binomial_batch batch(packets);
+  ntom::rng r(11);
+  for (auto _ : state) {
+    batch.draw(r, p.data(), p.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.size() * packets));
+}
+BENCHMARK(bm_binomial_batch)->Arg(200);
 
 }  // namespace
 

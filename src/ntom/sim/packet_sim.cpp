@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 
 namespace ntom {
@@ -53,6 +54,25 @@ void run_experiment_streaming(const topology& t, const congestion_model& model,
   std::vector<double> link_loss(t.num_links(), 0.0);
   measurement_chunk chunk;
 
+  // Probing state, set up once per stream: the per-path congestion limit
+  // and the batched sampler (its jump table) for packets_per_path.
+  std::vector<double> path_limit;
+  std::optional<binomial_batch> probes;
+  std::vector<double> survive;
+  std::vector<std::size_t> delivered;
+  if (!params.oracle_monitor) {
+    path_limit.resize(t.num_paths());
+    for (path_id p = 0; p < t.num_paths(); ++p) {
+      path_limit[p] =
+          params.threshold_margin *
+          path_congestion_threshold(t.get_path(p).length(),
+                                    params.loss_threshold);
+    }
+    probes.emplace(params.packets_per_path);
+    survive.resize(t.num_paths());
+    delivered.resize(t.num_paths());
+  }
+
   for (std::size_t begin = 0; begin < params.intervals;
        begin += chunk_intervals) {
     const std::size_t count =
@@ -68,36 +88,34 @@ void run_experiment_streaming(const topology& t, const congestion_model& model,
       const bitvec congested = sampler.sample_interval(interval);
       chunk.true_links.set_row(i, congested);
 
-      // Loss rates are drawn only for links on monitored paths; others
-      // never carry probes.
-      if (!params.oracle_monitor) {
-        t.covered_links().for_each([&](std::size_t e) {
-          link_loss[e] = sample_link_loss(loss_rand, congested.test(e),
-                                          params.loss_threshold);
-        });
+      if (params.oracle_monitor) {
+        // Separability made exact: congested iff some link is.
+        for (path_id p = 0; p < t.num_paths(); ++p) {
+          if (t.get_path(p).link_set().intersects(congested)) {
+            chunk.congested_paths.set(i, p);
+          }
+        }
+        continue;
       }
 
+      // Loss rates are drawn only for links on monitored paths; others
+      // never carry probes.
+      t.covered_links().for_each([&](std::size_t e) {
+        link_loss[e] = sample_link_loss(loss_rand, congested.test(e),
+                                        params.loss_threshold);
+      });
       for (path_id p = 0; p < t.num_paths(); ++p) {
-        const path& pth = t.get_path(p);
-        bool path_congested;
-        if (params.oracle_monitor) {
-          // Separability made exact: congested iff some link is.
-          path_congested = pth.link_set().intersects(congested);
-        } else {
-          double survive = 1.0;
-          for (const link_id e : pth.links()) survive *= 1.0 - link_loss[e];
-          const std::size_t delivered =
-              packet_rand.binomial(params.packets_per_path, survive);
-          const double observed_loss =
-              1.0 - static_cast<double>(delivered) /
-                        static_cast<double>(params.packets_per_path);
-          path_congested =
-              observed_loss >
-              params.threshold_margin *
-                  path_congestion_threshold(pth.length(),
-                                            params.loss_threshold);
-        }
-        if (path_congested) chunk.congested_paths.set(i, p);
+        double s = 1.0;
+        for (const link_id e : t.get_path(p).links()) s *= 1.0 - link_loss[e];
+        survive[p] = s;
+      }
+      probes->draw(packet_rand, survive.data(), t.num_paths(),
+                   delivered.data());
+      for (path_id p = 0; p < t.num_paths(); ++p) {
+        const double observed_loss =
+            1.0 - static_cast<double>(delivered[p]) /
+                      static_cast<double>(params.packets_per_path);
+        if (observed_loss > path_limit[p]) chunk.congested_paths.set(i, p);
       }
     }
     sink.consume(chunk);

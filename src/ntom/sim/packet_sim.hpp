@@ -13,6 +13,13 @@
 // run_experiment is merely the materializing consumer (materialize_sink)
 // of that stream. Both paths are bit-identical for the same seed at any
 // chunk size — the RNG stream advances per interval, never per chunk.
+//
+// Probes are drawn per interval for all paths at once through
+// binomial_batch (util/rng.hpp): eight paths per call of the dispatched
+// xoshiro lane kernel, with exactly the counts and generator state of a
+// per-path rng::binomial loop, so the stream is the same at every SIMD
+// level. The per-path congestion limit margin * (1-(1-f)^d) is computed
+// once per stream.
 #pragma once
 
 #include <cstdint>

@@ -40,7 +40,14 @@ class log_line {
 
 }  // namespace detail
 
-#define NTOM_LOG(level) ::ntom::detail::log_line(level)
+/// Streams one log line. A line below the current level is skipped
+/// whole: no ostringstream is built and no operand is evaluated. The
+/// if/else form keeps the macro a single statement, safe under an
+/// unbraced if.
+#define NTOM_LOG(level)                          \
+  if ((level) < ::ntom::get_log_level()) {       \
+  } else                                         \
+    ::ntom::detail::log_line(level)
 #define NTOM_DEBUG NTOM_LOG(::ntom::log_level::debug)
 #define NTOM_INFO NTOM_LOG(::ntom::log_level::info)
 #define NTOM_WARN NTOM_LOG(::ntom::log_level::warn)

@@ -22,6 +22,8 @@ struct kernel_table {
                                  std::size_t);
   void (*or_accumulate)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*axpy_f64)(double*, double, const double*, std::size_t);
+  void (*xoshiro_count_below)(std::uint64_t*, const std::uint64_t*,
+                              std::size_t, std::uint64_t*);
 };
 
 /// Always available: the portable SWAR reference.

@@ -3,7 +3,9 @@
 // network so only one in sixteen vectors pays the VPSHUFB
 // nibble-lookup popcount; the ones/twos/fours/eights residues are
 // folded in after the main loop with their binary weights. The float
-// axpy is a plain 4-lane multiply-then-add loop.
+// axpy is a plain 4-lane multiply-then-add loop, and the xoshiro count
+// kernel steps eight generators as two interleaved groups of four
+// 64-bit lanes.
 //
 // Compiled with -mavx2 (set per-file by CMakeLists.txt); selected at
 // runtime only when cpuid reports AVX2, so the rest of the library
@@ -13,6 +15,8 @@
 #if defined(NTOM_SIMD_BUILD_AVX2)
 
 #include <immintrin.h>
+
+#include "ntom/util/simd/simd.hpp"
 
 namespace ntom::simd::detail {
 
@@ -150,9 +154,70 @@ void or_accumulate_avx2(std::uint64_t* dst, const std::uint64_t* src,
   for (; w < n; ++w) dst[w] |= src[w];
 }
 
-constexpr kernel_table table = {popcount_words_avx2, popcount_and2_avx2,
-                                popcount_and3_avx2, popcount_andnot_avx2,
-                                or_accumulate_avx2, axpy_f64_avx2};
+inline __m256i rotl_lanes(__m256i x, int k) noexcept {
+  return _mm256_or_si256(_mm256_slli_epi64(x, k),
+                         _mm256_srli_epi64(x, 64 - k));
+}
+
+/// Four xoshiro256++ generators, one per 64-bit lane, with their limits
+/// and running counts. Lane stride in memory is simd::xoshiro_lanes.
+struct xoshiro4 {
+  __m256i s0, s1, s2, s3, limit, count;
+
+  static xoshiro4 load(const std::uint64_t* state,
+                       const std::uint64_t* limit) noexcept {
+    constexpr std::size_t L = xoshiro_lanes;
+    return {loadu(state),         loadu(state + L), loadu(state + 2 * L),
+            loadu(state + 3 * L), loadu(limit),     _mm256_setzero_si256()};
+  }
+
+  void step() noexcept {
+    const __m256i out =
+        _mm256_add_epi64(rotl_lanes(_mm256_add_epi64(s0, s3), 23), s0);
+    // The compare yields -1 per counted lane.
+    count = _mm256_sub_epi64(
+        count, _mm256_cmpgt_epi64(limit, _mm256_srli_epi64(out, 11)));
+    const __m256i t = _mm256_slli_epi64(s1, 17);
+    s2 = _mm256_xor_si256(s2, s0);
+    s3 = _mm256_xor_si256(s3, s1);
+    s1 = _mm256_xor_si256(s1, s2);
+    s0 = _mm256_xor_si256(s0, s3);
+    s2 = _mm256_xor_si256(s2, t);
+    s3 = rotl_lanes(s3, 45);
+  }
+
+  void store(std::uint64_t* state, std::uint64_t* counts) const noexcept {
+    constexpr std::size_t L = xoshiro_lanes;
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state), s0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + L), s1);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + 2 * L), s2);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + 3 * L), s3);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts), count);
+  }
+};
+
+// Eight generators as two independent groups of four lanes, stepped in
+// one loop so the two dependency chains overlap. AVX2 has only a signed
+// 64-bit compare; x >> 11 is below 2^53 and a limit is at most 2^53, so
+// both are non-negative as signed values.
+void xoshiro_count_below_avx2(std::uint64_t* state,
+                              const std::uint64_t* limit, std::size_t steps,
+                              std::uint64_t* counts) {
+  static_assert(xoshiro_lanes == 8);
+  xoshiro4 lo = xoshiro4::load(state, limit);
+  xoshiro4 hi = xoshiro4::load(state + 4, limit + 4);
+  for (std::size_t k = 0; k < steps; ++k) {
+    lo.step();
+    hi.step();
+  }
+  lo.store(state, counts);
+  hi.store(state + 4, counts + 4);
+}
+
+constexpr kernel_table table = {popcount_words_avx2,  popcount_and2_avx2,
+                                popcount_and3_avx2,   popcount_andnot_avx2,
+                                or_accumulate_avx2,   axpy_f64_avx2,
+                                xoshiro_count_below_avx2};
 
 }  // namespace
 

@@ -2,9 +2,11 @@
 // lanes per cycle, so the kernels are plain vertical accumulate loops —
 // four independent 512-bit accumulators hide the add latency, the AND
 // fusion folds into the loads, and the tail falls back to scalar
-// POPCNT. The float axpy reuses the AVX2 kernel (kernels.hpp): this
-// level is only built alongside AVX2 and only selected on CPUs that
-// report it.
+// POPCNT. The xoshiro count kernel holds its eight generators in one
+// 512-bit vector per state word, with native rotates (VPROLQ) and an
+// unsigned compare into a mask (VPCMPUQ). The float axpy reuses the
+// AVX2 kernel (kernels.hpp): this level is only built alongside AVX2
+// and only selected on CPUs that report it.
 //
 // Compiled with -mavx512f -mavx512vpopcntdq (set per-file by
 // CMakeLists.txt); selected at runtime only when cpuid reports both
@@ -14,6 +16,8 @@
 #if defined(NTOM_SIMD_BUILD_AVX512)
 
 #include <immintrin.h>
+
+#include "ntom/util/simd/simd.hpp"
 
 namespace ntom::simd::detail {
 
@@ -108,9 +112,43 @@ void or_accumulate_avx512(std::uint64_t* dst, const std::uint64_t* src,
   for (; w < n; ++w) dst[w] |= src[w];
 }
 
+// Eight lanes per vector, so one vector per state word.
+void xoshiro_count_below_avx512(std::uint64_t* state,
+                                const std::uint64_t* limit, std::size_t steps,
+                                std::uint64_t* counts) {
+  static_assert(xoshiro_lanes == 8);
+  __m512i s0 = loadu(state);
+  __m512i s1 = loadu(state + 8);
+  __m512i s2 = loadu(state + 16);
+  __m512i s3 = loadu(state + 24);
+  const __m512i lim = loadu(limit);
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i count = _mm512_setzero_si512();
+  for (std::size_t k = 0; k < steps; ++k) {
+    const __m512i out =
+        _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
+    const __mmask8 below =
+        _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), lim);
+    count = _mm512_mask_add_epi64(count, below, count, one);
+    const __m512i t = _mm512_slli_epi64(s1, 17);
+    s2 = _mm512_xor_si512(s2, s0);
+    s3 = _mm512_xor_si512(s3, s1);
+    s1 = _mm512_xor_si512(s1, s2);
+    s0 = _mm512_xor_si512(s0, s3);
+    s2 = _mm512_xor_si512(s2, t);
+    s3 = _mm512_rol_epi64(s3, 45);
+  }
+  _mm512_storeu_si512(state, s0);
+  _mm512_storeu_si512(state + 8, s1);
+  _mm512_storeu_si512(state + 16, s2);
+  _mm512_storeu_si512(state + 24, s3);
+  _mm512_storeu_si512(counts, count);
+}
+
 constexpr kernel_table table = {popcount_words_avx512, popcount_and2_avx512,
                                 popcount_and3_avx512, popcount_andnot_avx512,
-                                or_accumulate_avx512, axpy_f64_avx2};
+                                or_accumulate_avx512, axpy_f64_avx2,
+                                xoshiro_count_below_avx512};
 
 }  // namespace
 

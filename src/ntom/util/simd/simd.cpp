@@ -65,6 +65,37 @@ void plain_axpy_f64(double* y, double a, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
+// One generator at a time, one draw at a time: the reference for the
+// vector rungs. Matches rng::next_u64 and rng::uniform() < p.
+void plain_xoshiro_count_below(std::uint64_t* state,
+                               const std::uint64_t* limit, std::size_t steps,
+                               std::uint64_t* counts) {
+  const auto rotl = [](std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  };
+  constexpr std::size_t L = xoshiro_lanes;
+  for (std::size_t j = 0; j < L; ++j) {
+    std::uint64_t s0 = state[j], s1 = state[L + j], s2 = state[2 * L + j],
+                  s3 = state[3 * L + j];
+    std::uint64_t count = 0;
+    for (std::size_t k = 0; k < steps; ++k) {
+      count += ((rotl(s0 + s3, 23) + s0) >> 11) < limit[j] ? 1 : 0;
+      const std::uint64_t t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = rotl(s3, 45);
+    }
+    state[j] = s0;
+    state[L + j] = s1;
+    state[2 * L + j] = s2;
+    state[3 * L + j] = s3;
+    counts[j] = count;
+  }
+}
+
 // ------------------------------------------------------------- popcnt
 // Four independent accumulators break the POPCNT output-register
 // dependency chain (a false dependency on several x86 generations) and
@@ -233,14 +264,16 @@ namespace detail {
 const kernel_table& scalar_table() noexcept {
   static constexpr kernel_table table = {
       scalar_popcount_words, scalar_popcount_and2, scalar_popcount_and3,
-      scalar_popcount_andnot, plain_or_accumulate, plain_axpy_f64};
+      scalar_popcount_andnot, plain_or_accumulate, plain_axpy_f64,
+      plain_xoshiro_count_below};
   return table;
 }
 
 const kernel_table& popcnt_table() noexcept {
   static constexpr kernel_table table = {hw_popcount_words, hw_popcount_and2,
                                          hw_popcount_and3, hw_popcount_andnot,
-                                         plain_or_accumulate, plain_axpy_f64};
+                                         plain_or_accumulate, plain_axpy_f64,
+                                         plain_xoshiro_count_below};
   return table;
 }
 
@@ -326,6 +359,11 @@ void or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
 
 void axpy(double* y, double a, const double* x, std::size_t n) noexcept {
   active_table()->axpy_f64(y, a, x, n);
+}
+
+void xoshiro_count_below(std::uint64_t* state, const std::uint64_t* limit,
+                         std::size_t steps, std::uint64_t* counts) noexcept {
+  active_table()->xoshiro_count_below(state, limit, steps, counts);
 }
 
 crc32_fold_fn crc32_fold() noexcept {

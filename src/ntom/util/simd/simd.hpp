@@ -1,11 +1,12 @@
-// Runtime-dispatched SIMD kernels for the packed bit stores and the
-// least-squares row updates.
+// Runtime-dispatched SIMD kernels for the packed bit stores, the
+// least-squares row updates and the probe simulation.
 //
 // Every estimator reduces to fused AND+popcount sweeps over bit_matrix
 // rows, so these four kernels bound the whole stack; the float axpy
-// carries the Householder QR behind every log-domain fit. The dispatch
-// ladder is probed once at startup (cpuid) and selects the widest
-// implementation the hardware supports; every level computes
+// carries the Householder QR behind every log-domain fit, and the
+// xoshiro count kernel draws the simulated probes (util/rng.hpp). The
+// dispatch ladder is probed once at startup (cpuid) and selects the
+// widest implementation the hardware supports; every level computes
 // bit-identical results, with the scalar level serving as the reference
 // the tests and benches check the others against. Callers never pick a
 // level — bit_matrix and bitvec route through the dispatched free
@@ -87,6 +88,21 @@ void or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
 /// for bit — the row kernel of the Householder QR (linalg/qr.cpp).
 /// y and x must not overlap.
 void axpy(double* y, double a, const double* x, std::size_t n) noexcept;
+
+/// Generators advanced side by side by xoshiro_count_below.
+inline constexpr std::size_t xoshiro_lanes = 8;
+
+/// Advances xoshiro_lanes xoshiro256++ generators by `steps` draws each
+/// and counts, per lane, the draws whose top 53 bits (x >> 11) are below
+/// that lane's limit — with limit = ceil(p * 2^53) that is the count of
+/// uniform() < p. `state` holds the lanes in SoA layout
+/// (state[xoshiro_lanes * w + j] is word w of lane j) and is advanced in
+/// place; `limit` (each at most 2^53) and `counts` have one entry per
+/// lane. Every level gives the same counts and states as the scalar
+/// loop. The batched binomial sampler's kernel (util/rng.hpp
+/// binomial_batch).
+void xoshiro_count_below(std::uint64_t* state, const std::uint64_t* limit,
+                         std::size_t steps, std::uint64_t* counts) noexcept;
 
 /// CLMUL-folded CRC-32 core used by ntom::crc32 for bulk input:
 /// advances the raw (pre-conditioned) CRC register over `len` bytes,

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "ntom/sim/scenario.hpp"
+#include "ntom/topogen/brite.hpp"
 #include "ntom/topogen/toy.hpp"
+#include "ntom/util/crc32.hpp"
+#include "ntom/util/simd/simd.hpp"
 
 namespace ntom {
 namespace {
@@ -141,6 +147,66 @@ TEST(PacketSimTest, PathObservationFrequencyTracksLinkProbability) {
   // Probing noise: loss drawn just above f may evade the f^d threshold,
   // so allow a modest band around q.
   EXPECT_NEAR(freq, q, 0.06);
+}
+
+/// CRC-32 of a matrix's packed words, row by row.
+std::uint32_t digest(const bit_matrix& m, std::uint32_t crc) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    crc = crc32(m.row_words(r), m.word_stride() * sizeof(std::uint64_t), crc);
+  }
+  return crc;
+}
+
+struct stream_case {
+  const char* scenario;
+  std::size_t packets;
+  bool oracle;
+  std::uint32_t expected;
+};
+
+// Digests of the simulated stream, recorded with the per-path
+// rng::binomial loop the batched sampler replaced. Any change to the
+// RNG stream, the draw order or the classification shows up here (and
+// in every gated accuracy cell downstream). packets = 257 exercises the
+// per-path fallback above the batched sampler's 256-draw limit.
+constexpr stream_case kStreamCases[] = {
+    {"random_congestion", 1, false, 0xbfe43fddu},
+    {"random_congestion", 200, false, 0x85fe5f1du},
+    {"random_congestion", 257, false, 0xbe35f253u},
+    {"srlg", 1, false, 0x968aee34u},
+    {"srlg", 200, false, 0x5d5af2b5u},
+    {"srlg", 257, false, 0x5283a093u},
+    {"gilbert", 1, false, 0x7bba8aeau},
+    {"gilbert", 200, false, 0x32dc81b0u},
+    {"gilbert", 257, false, 0xf625778fu},
+    {"random_congestion", 200, true, 0x44ccf84bu},
+};
+
+TEST(PacketSimTest, StreamMatchesRecordedDigest) {
+  const simd::level saved = simd::active_level();
+  topogen::brite_params bp;
+  bp.seed = 3;
+  const topology t = topogen::generate_brite(bp);
+  for (const stream_case& c : kStreamCases) {
+    scenario_params sp;
+    sp.seed = 5;
+    const congestion_model m = make_scenario(t, c.scenario, sp);
+    sim_params sim;
+    sim.intervals = 300;
+    sim.packets_per_path = c.packets;
+    sim.oracle_monitor = c.oracle;
+    sim.seed = 17;
+    for (const simd::level l : simd::available_levels()) {
+      ASSERT_TRUE(simd::set_level(l));
+      const experiment_data data = run_experiment(t, m, sim);
+      const std::uint32_t got =
+          digest(data.true_links, digest(data.path_good, 0));
+      EXPECT_EQ(got, c.expected)
+          << c.scenario << " packets=" << c.packets << " oracle=" << c.oracle
+          << " level=" << simd::level_name(l);
+    }
+  }
+  simd::set_level(saved);
 }
 
 }  // namespace

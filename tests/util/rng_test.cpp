@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <limits>
 #include <set>
+#include <vector>
+
+#include "ntom/util/simd/simd.hpp"
 
 namespace ntom {
 namespace {
@@ -169,6 +175,85 @@ TEST(RngTest, SampleWithoutReplacementClampsOversizedK) {
 TEST(RngTest, SplitMix64KnownSequenceIsStable) {
   std::uint64_t s1 = 0, s2 = 0;
   for (int i = 0; i < 10; ++i) EXPECT_EQ(splitmix64(s1), splitmix64(s2));
+}
+
+TEST(RngTest, JumpAheadEqualsSteps) {
+  // The xoshiro256 state update, written out here as the oracle.
+  const auto step = [](std::array<std::uint64_t, 4>& s) {
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = (s[3] << 45) | (s[3] >> 19);
+  };
+  for (const std::size_t n : {1u, 63u, 64u, 200u, 256u}) {
+    const rng_jump jump(n);
+    rng words(53 + n);
+    for (int trial = 0; trial < 8; ++trial) {
+      std::array<std::uint64_t, 4> jumped;
+      for (auto& w : jumped) w = words.next_u64();
+      std::array<std::uint64_t, 4> stepped = jumped;
+      jump.apply(jumped);
+      for (std::size_t k = 0; k < n; ++k) step(stepped);
+      EXPECT_EQ(jumped, stepped) << "n=" << n << " trial=" << trial;
+    }
+  }
+}
+
+TEST(RngTest, BinomialBatchMatchesSequential) {
+  namespace simd = ntom::simd;
+  const simd::level saved = simd::active_level();
+  // Non-consuming (<= 0, >= 1), consuming (0 < p < 1, the extremes
+  // included) and NaN, which consumes its draws and never succeeds.
+  const double specials[] = {0.0,
+                             -0.0,
+                             -1.0,
+                             1.0,
+                             1.5,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min(),
+                             1.0 - 0x1p-53,
+                             0.5};
+  constexpr std::size_t kSpecials = std::size(specials);
+  rng pick(59);
+  for (const std::size_t n :
+       {0u, 1u, 2u, 7u, 64u, 200u, 256u, 257u, 300u, 1000u}) {
+    const binomial_batch batch(n);
+    // Lengths 0..67 cover every ragged group of simd::xoshiro_lanes lanes.
+    for (std::size_t len = 0; len <= 67; ++len) {
+      std::vector<double> p(len);
+      for (double& x : p) {
+        const std::size_t k = pick.uniform_index(kSpecials + 3);
+        x = k < kSpecials ? specials[k] : pick.uniform();
+      }
+      const std::uint64_t seed = 1000 * n + len;
+      rng sequential(seed);
+      std::vector<std::size_t> expected(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        expected[i] = sequential.binomial(n, p[i]);
+      }
+      std::uint64_t expected_next[8];
+      for (auto& x : expected_next) x = sequential.next_u64();
+
+      for (const simd::level l : simd::available_levels()) {
+        ASSERT_TRUE(simd::set_level(l));
+        rng r(seed);
+        std::vector<std::size_t> got(len, 12345);
+        batch.draw(r, p.data(), len, got.data());
+        EXPECT_EQ(got, expected)
+            << "level=" << simd::level_name(l) << " n=" << n
+            << " len=" << len;
+        for (const std::uint64_t x : expected_next) {
+          ASSERT_EQ(r.next_u64(), x)
+              << "level=" << simd::level_name(l) << " n=" << n
+              << " len=" << len;
+        }
+      }
+    }
+  }
+  simd::set_level(saved);
 }
 
 }  // namespace

@@ -232,6 +232,45 @@ TEST(SimdKernel, AxpyF64MatchesReferenceAcrossLevels) {
   }
 }
 
+TEST(SimdKernel, XoshiroCountBelowMatchesReferenceAcrossLevels) {
+  level_guard guard;
+  constexpr std::size_t L = simd::xoshiro_lanes;
+  rng r(777);
+  for (const std::size_t steps : {0u, 1u, 2u, 7u, 64u, 200u, 256u, 1000u}) {
+    for (std::size_t trial = 0; trial < 8; ++trial) {
+      std::uint64_t state0[4 * L];
+      for (auto& w : state0) w = r.next_u64();
+      // Limits at the edges of the 53-bit range and inside it.
+      const std::uint64_t edges[] = {0, 1, std::uint64_t{1} << 52,
+                                     std::uint64_t{1} << 53};
+      std::uint64_t limit[L];
+      for (std::size_t j = 0; j < L; ++j) {
+        limit[j] = (trial + j) % 3 == 0 ? edges[(trial + j) % 4]
+                                        : r.next_u64() >> 11;
+      }
+
+      ASSERT_TRUE(simd::set_level(simd::level::scalar));
+      std::uint64_t ref_state[4 * L];
+      std::uint64_t ref_counts[L];
+      std::memcpy(ref_state, state0, sizeof(state0));
+      simd::xoshiro_count_below(ref_state, limit, steps, ref_counts);
+      for (const std::uint64_t c : ref_counts) EXPECT_LE(c, steps);
+
+      for (const simd::level l : simd::available_levels()) {
+        ASSERT_TRUE(simd::set_level(l));
+        std::uint64_t state[4 * L];
+        std::uint64_t counts[L];
+        std::memcpy(state, state0, sizeof(state0));
+        simd::xoshiro_count_below(state, limit, steps, counts);
+        EXPECT_EQ(std::memcmp(state, ref_state, sizeof(state)), 0)
+            << "level=" << simd::level_name(l) << " steps=" << steps;
+        EXPECT_EQ(std::memcmp(counts, ref_counts, sizeof(counts)), 0)
+            << "level=" << simd::level_name(l) << " steps=" << steps;
+      }
+    }
+  }
+}
+
 /// Random matrix with every tail-word shape; bits past cols stay zero
 /// by construction (set via the public API).
 bit_matrix random_matrix(std::size_t rows, std::size_t cols,
