@@ -42,7 +42,7 @@
 //                               a probe policy ("uniform,frac=0.25",
 //                               "round_robin,frac=0.1", "info_gain,
 //                               frac=0.25,horizon=16"); forces streamed
-//                               execution and streaming-capable
+//                               execution and rejects the store-bound
 //                               estimators. --list=policies shows the
 //                               registered planners.
 //

@@ -29,16 +29,43 @@ link_estimates estimator::links() const {
   throw std::logic_error("estimator does not support link estimation");
 }
 
-void estimator::begin_fit(const topology&, std::size_t) {
-  throw std::logic_error("estimator does not support streaming fits");
+void estimator::fit(const topology& t, const experiment_data& data) {
+  // Clear the guard on every exit, so a failed fit leaves the estimator
+  // reusable.
+  struct guard {
+    bool& flag;
+    explicit guard(bool& f) : flag(f) { flag = true; }
+    ~guard() { flag = false; }
+  } replaying(replaying_store_);
+  estimator_fit_sink sink(*this);
+  replay_experiment(t, data, sink);
 }
 
-void estimator::consume(const measurement_chunk&) {
-  throw std::logic_error("estimator does not support streaming fits");
+void estimator::begin_fit(const topology& t, std::size_t intervals) {
+  if (replaying_store_) {
+    // fit() is the default too: neither protocol is implemented.
+    throw std::logic_error(
+        "estimator implements neither fit() nor begin_fit/consume/end_fit");
+  }
+  store_topo_ = &t;
+  materialize_sink(store_.emplace()).begin(t, intervals);
+}
+
+void estimator::consume(const measurement_chunk& chunk) {
+  if (!chunk.fully_observed()) {
+    throw spec_error(
+        "masked measurement streams require chunk-protocol estimators: "
+        "this estimator fits on the materialized store, which has no "
+        "observed-path plane");
+  }
+  materialize_sink(*store_).consume(chunk);
 }
 
 void estimator::end_fit() {
-  throw std::logic_error("estimator does not support streaming fits");
+  materialize_sink(*store_).end();
+  const experiment_data data = std::move(*store_);
+  store_.reset();
+  fit(*store_topo_, data);
 }
 
 void estimator::begin_window(const topology&) {
@@ -64,11 +91,8 @@ class sparsity_estimator final : public estimator {
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = true,
             .link_estimation = false,
-            .streaming = true,
             .windowed = true};
   }
-
-  void fit(const topology& t, const experiment_data&) override { topo_ = &t; }
 
   void begin_fit(const topology& t, std::size_t) override { topo_ = &t; }
   void consume(const measurement_chunk&) override {}
@@ -166,12 +190,7 @@ class bayes_independence_estimator final : public counting_estimator {
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = true,
             .link_estimation = true,
-            .streaming = true,
             .windowed = true};
-  }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    fitted_.emplace(t, data, params_);
   }
 
   [[nodiscard]] bitvec infer(const bitvec& congested_paths) const override {
@@ -246,12 +265,7 @@ class independence_estimator final : public counting_estimator {
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = false,
             .link_estimation = true,
-            .streaming = true,
             .windowed = true};
-  }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    result_ = compute_independence(t, data, params_);
   }
 
   [[nodiscard]] link_estimates links() const override { return result_.links; }
@@ -283,12 +297,7 @@ class correlation_heuristic_estimator final : public counting_estimator {
   [[nodiscard]] estimator_caps caps() const noexcept override {
     return {.boolean_inference = false,
             .link_estimation = true,
-            .streaming = true,
             .windowed = true};
-  }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    result_.emplace(compute_correlation_heuristic(t, data, params_));
   }
 
   [[nodiscard]] link_estimates links() const override {

@@ -7,25 +7,35 @@
 //
 //   boolean_inference — per-interval congested-link sets (Fig. 3).
 //   link_estimation   — per-link congestion probabilities (Fig. 4).
-//   streaming         — the fit can consume the interval stream chunk
-//                       by chunk (begin_fit/consume/end_fit) instead of
-//                       a materialized experiment_data.
+//   windowed          — the sliding-window protocol of the service.
 //
-// Built-ins (canonical name / series label / capabilities):
+// Every estimator accepts both fit protocols, and implements exactly
+// one of them; the base class derives the other:
 //
-//   sparsity        Sparsity          boolean, streaming        (Tomo/SCFS)
-//   bayes-indep     Bayes-Indep       boolean + link, streaming (CLINK)
-//   bayes-corr      Bayes-Corr        boolean + link            ([10])
-//   independence    Independence      link, streaming           (CLINK step 1)
-//   corr-heuristic  Corr-heuristic    link, streaming           (IMC'10 [9])
-//   corr-complete   Corr-complete     link                      (this paper)
+//   chunk    begin_fit/consume/end_fit over the interval stream, with
+//            O(counters) state; fit(t, data) replays the store into it.
+//   store    fit(t, data) over the materialized experiment, for fits
+//            that need every interval at once (Algorithm 1's adaptive
+//            selection); the chunk protocol materializes privately
+//            through materialize_sink and then calls fit.
 //
-// evals.cpp drives any estimator list through this interface, so a new
-// algorithm becomes a registration, not a rewiring of the benches.
+// Built-ins (canonical name / series label / capabilities / protocol /
+// source):
+//
+//   sparsity        Sparsity        boolean, windowed       chunk  Tomo/SCFS
+//   bayes-indep     Bayes-Indep     boolean+link, windowed  chunk  CLINK
+//   bayes-corr      Bayes-Corr      boolean+link            store  [10]
+//   independence    Independence    link, windowed          chunk  CLINK step 1
+//   corr-heuristic  Corr-heuristic  link, windowed          chunk  IMC'10 [9]
+//   corr-complete   Corr-complete   link                    store  this paper
+//
+// evals.cpp drives any estimator list through the chunk protocol, so a
+// new algorithm becomes a registration, not a rewiring of the benches.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "ntom/sim/packet_sim.hpp"
@@ -40,19 +50,11 @@ struct estimator_caps {
   bool boolean_inference = false;  ///< infer() per interval.
   bool link_estimation = false;    ///< links() after fit().
 
-  /// The fit can consume the interval stream chunk by chunk with
-  /// O(counters) state (begin_fit/consume/end_fit) instead of a
-  /// materialized experiment_data. True for fits whose equation family
-  /// is topology-determined (sparsity, the Independence family, the
-  /// flooded correlation heuristic); false for adaptive selections
-  /// (Algorithm 1 / corr-complete), which the drivers materialize for.
-  bool streaming = false;
-
-  /// The streaming fit also supports the sliding-window protocol
+  /// The fit also supports the sliding-window protocol
   /// (begin_window/consume/retire/refit): evidence can be retired as
   /// well as added, and refit() re-solves from the current window
   /// without ending the stream — the contract tomography_service
-  /// requires of its estimators. Implies `streaming`.
+  /// requires of its estimators.
   bool windowed = false;
 };
 
@@ -62,15 +64,20 @@ class estimator {
 
   [[nodiscard]] virtual estimator_caps caps() const noexcept = 0;
 
-  /// One-time model fitting over a finished experiment; must be called
-  /// before infer() / links(). The topology must outlive the estimator.
-  virtual void fit(const topology& t, const experiment_data& data) = 0;
+  /// Store protocol: one-time model fitting over a finished experiment;
+  /// must be called (or the chunk protocol run) before infer() /
+  /// links(). The topology must outlive the estimator. The default
+  /// replays `data` into begin_fit/consume/end_fit.
+  virtual void fit(const topology& t, const experiment_data& data);
 
-  /// Streaming fit protocol — requires caps().streaming; the defaults
-  /// throw std::logic_error. Drivers call begin_fit once, consume per
-  /// interval chunk in order, end_fit once; afterwards the estimator is
-  /// fitted exactly as if fit() had seen the materialized experiment
-  /// (bit-identical outputs for the same seed).
+  /// Chunk protocol: drivers call begin_fit once, consume per interval
+  /// chunk in order, end_fit once; afterwards the estimator is fitted
+  /// exactly as if fit() had seen the materialized experiment
+  /// (bit-identical outputs for the same seed, at any chunk size). The
+  /// defaults collect the chunks into a private store and end_fit
+  /// calls fit() on it; a masked (probe-budget) chunk throws spec_error
+  /// there, as the store has no observed-path plane. An estimator that
+  /// overrides neither protocol throws std::logic_error from begin_fit.
   virtual void begin_fit(const topology& t, std::size_t intervals);
   virtual void consume(const measurement_chunk& chunk);
   virtual void end_fit();
@@ -104,11 +111,19 @@ class estimator {
   /// Per-link congestion-probability estimates.
   /// Default throws std::logic_error; requires caps().link_estimation.
   [[nodiscard]] virtual link_estimates links() const;
+
+ private:
+  // State of the derived protocol side: the private store the default
+  // chunk protocol fills, and the guard that stops the two defaults
+  // from calling each other forever.
+  const topology* store_topo_ = nullptr;
+  std::optional<experiment_data> store_;
+  bool replaying_store_ = false;
 };
 
-/// measurement_sink adapter driving an estimator's streaming fit from a
-/// simulation pass (usable inside a fanout_sink to fit many estimators
-/// in one pass).
+/// measurement_sink adapter driving an estimator's chunk-protocol fit
+/// from a stream pass (usable inside a fanout_sink to fit many
+/// estimators in one pass).
 class estimator_fit_sink final : public measurement_sink {
  public:
   explicit estimator_fit_sink(estimator& est) : est_(&est) {}

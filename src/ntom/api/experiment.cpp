@@ -258,35 +258,6 @@ experiment& experiment::with_partitioning(partition_options part) {
   return *this;
 }
 
-// Deprecated one-knob shims: edit the grouped structs field-wise.
-// (Definitions must not re-trigger the [[deprecated]] diagnostics.)
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-experiment& experiment::streamed(bool on) {
-  stream_.enabled = on;
-  return *this;
-}
-
-experiment& experiment::chunk_intervals(std::size_t intervals) {
-  stream_.chunk_intervals = intervals;
-  return *this;
-}
-
-experiment& experiment::capture_to(std::string dir) {
-  capture_.path = std::move(dir);
-  return *this;
-}
-
-experiment& experiment::capture_truth(bool on) {
-  capture_.truth = on;
-  return *this;
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 experiment& experiment::cache_topologies(bool on) {
   cache_topologies_ = on;
   return *this;

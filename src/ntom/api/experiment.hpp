@@ -84,12 +84,11 @@ class experiment {
   experiment& measure_link_error(bool on);
 
   /// Streamed execution, grouped (mirrors run_config::stream): every
-  /// run replays the interval stream through measurement_sinks in
-  /// fixed-size chunks instead of materializing the observation store —
-  /// O(chunk) memory per in-flight run, so T can reach 10^6. Estimators
-  /// without the streaming capability fall back to one shared
-  /// materialized store per run. Bit-identical aggregates to the
-  /// materialized mode for the same seeds.
+  /// run re-simulates the interval stream on each pass instead of
+  /// replaying a materialized observation store — O(chunk) memory per
+  /// in-flight run, so T can reach 10^6 (store-bound fits such as
+  /// bayes-corr still collect a private store). Bit-identical
+  /// aggregates to the materialized mode for the same seeds.
   experiment& with_streaming(stream_options stream);
 
   /// Trace capture, grouped (mirrors run_config::capture, except
@@ -108,7 +107,8 @@ class experiment {
   /// estimators and scorers see it. Validated eagerly (throws
   /// spec_error). A per-arm scenario `policy='...'` option overrides
   /// this grid-wide default at reconcile time. Policies force streamed
-  /// execution and require streaming-capable estimators. Empty clears.
+  /// execution and reject store-bound estimators (bayes-corr,
+  /// corr-complete) with spec_error. Empty clears.
   experiment& with_policy(std::string policy_spec);
 
   /// Partitioned hierarchical inference (mirrors run_config::part): the
@@ -120,19 +120,6 @@ class experiment {
   /// to the monolithic fit automatically. Validated eagerly (throws
   /// spec_error on a zero max_cell_links).
   experiment& with_partitioning(partition_options part);
-
-  /// Deprecated shims over with_streaming / with_capture — the former
-  /// ad-hoc one-knob setters, kept so existing call sites compile.
-  /// They edit the grouped structs in place, so mixing shims and
-  /// grouped calls composes field-wise (last write to a field wins).
-  [[deprecated("use with_streaming({enabled, chunk_intervals})")]]
-  experiment& streamed(bool on = true);
-  [[deprecated("use with_streaming({enabled, chunk_intervals})")]]
-  experiment& chunk_intervals(std::size_t intervals);
-  [[deprecated("use with_capture({dir, truth})")]]
-  experiment& capture_to(std::string dir);
-  [[deprecated("use with_capture({dir, truth})")]]
-  experiment& capture_truth(bool on);
 
   /// Grid-scheduler knobs (override the batch_params defaults at run
   /// time; results never depend on either):

@@ -24,83 +24,37 @@ std::unique_ptr<estimator> make_run_estimator(
   return make_partitioned_estimator(s, plan);
 }
 
-/// Shared state of one evaluation: the fitted estimators plus whatever
-/// view of the observations the chosen execution mode produced.
+/// The fitted estimators of one evaluation, plus the always-good paths
+/// the link-error metrics need.
 struct fitted_run {
   std::vector<std::unique_ptr<estimator>> estimators;
   bitvec always_good_paths;
-
-  /// Materialized store; absent when every fit streamed.
-  std::optional<experiment_data> data;
 };
 
-/// Fits every estimator on the materialized store (the default mode —
-/// exact pre-streaming behavior).
-fitted_run fit_materialized(const std::vector<estimator_spec>& specs,
-                            const run_artifacts& run,
-                            const std::shared_ptr<const partition_plan>& plan) {
-  fitted_run out;
-  for (const estimator_spec& s : specs) {
-    out.estimators.push_back(make_run_estimator(s, plan));
-    out.estimators.back()->fit(run.topo(), run.data);
-  }
-  out.always_good_paths = run.data.always_good_paths;
-  return out;
-}
-
-/// Fits every estimator from ONE replay of the interval stream:
-/// streaming-capable fits consume chunks through their counters; if any
-/// estimator needs the full store, a single shared materialize_sink
-/// rides the same pass and those estimators fit conventionally after
-/// it. A pathset_counter with an empty family tracks always-good paths
-/// for the link-error metrics either way.
-fitted_run fit_streamed(const std::vector<estimator_spec>& specs,
-                        const run_config& config, const run_artifacts& run,
-                        const std::shared_ptr<const partition_plan>& plan) {
+/// Fits every estimator from ONE pass of the run's interval stream
+/// through the chunk protocol (store-bound fits materialize privately
+/// behind it). A pathset_counter with an empty family tracks the
+/// always-good paths. `record` attaches the run's capture to the pass.
+fitted_run fit_run(const std::vector<estimator_spec>& specs,
+                   const run_config& config, const run_artifacts& run,
+                   const std::shared_ptr<const partition_plan>& plan,
+                   bool record) {
   fitted_run out;
   std::vector<estimator_fit_sink> fit_sinks;
   fit_sinks.reserve(specs.size());
   fanout_sink fanout;
-  bool need_store = false;
   for (const estimator_spec& s : specs) {
     out.estimators.push_back(make_run_estimator(s, plan));
-    estimator& est = *out.estimators.back();
-    if (est.caps().streaming) {
-      fit_sinks.emplace_back(est);
-      fanout.add(&fit_sinks.back());
-    } else {
-      need_store = true;
-    }
-  }
-
-  const bool masked =
-      !config.plan.policy.empty() ||
-      (run.source != nullptr && run.source->has_mask());
-  if (need_store && masked) {
-    // The shared store cannot hold masked chunks (materialize_sink
-    // rejects them), so a probe budget — or a masked replay — restricts
-    // the estimator list to streaming-capable fits.
-    throw spec_error(
-        "masked measurement streams require streaming-capable estimators: "
-        "a non-streaming estimator in the list needs the materialized "
-        "store, which has no observed-path plane");
+    fit_sinks.emplace_back(*out.estimators.back());
+    fanout.add(&fit_sinks.back());
   }
   pathset_counter observation_tracker;
   fanout.add(&observation_tracker);
-  experiment_data unused_store;
-  materialize_sink store(need_store ? out.data.emplace() : unused_store);
-  if (need_store) fanout.add(&store);
-
-  // A requested capture rides the fit pass: the run estimates AND
-  // records in this one stream (results are unchanged by it).
-  std::unique_ptr<trace_writer> capture = make_capture_writer(config, run);
+  const std::unique_ptr<trace_writer> capture =
+      record ? make_capture_writer(config, run) : nullptr;
   if (capture != nullptr) fanout.add(capture.get());
 
   stream_experiment(run, config, fanout);
-
-  for (const std::unique_ptr<estimator>& est : out.estimators) {
-    if (!est->caps().streaming) est->fit(run.topo(), *out.data);
-  }
   out.always_good_paths = observation_tracker.always_good_paths();
   return out;
 }
@@ -146,17 +100,13 @@ struct shared_truth {
 /// Fits and scores an estimator subset on one prepared run — the unit
 /// both the whole-run evaluation and the per-estimator cells share, so
 /// shard concatenation is the unsharded row sequence by construction.
-/// `shared` (nullable) carries the per-run shared_truth.
+/// `shared` (nullable) carries the per-run shared_truth. `first_shard`
+/// marks the evaluation that records a capture no materialize pass did.
 std::vector<measurement> eval_estimators(
     const std::vector<estimator_spec>& estimators,
     const std::vector<std::string>& labels,
     const estimator_eval_options& options, const run_config& config,
-    const run_artifacts& run, shared_truth* shared) {
-  // Masked replays (a .trc file with an observed-path plane) always
-  // execute streamed: prepare_run leaves their store empty.
-  const bool streamed =
-      config.stream.enabled ||
-      (run.source != nullptr && run.source->has_mask());
+    const run_artifacts& run, shared_truth* shared, bool first_shard) {
   std::shared_ptr<const partition_plan> plan;
   if (config.part.mode != partition_mode::none) {
     const auto compute_plan = [&] {
@@ -171,75 +121,51 @@ std::vector<measurement> eval_estimators(
       plan = compute_plan();
     }
   }
-  fitted_run fitted = streamed ? fit_streamed(estimators, config, run, plan)
-                               : fit_materialized(estimators, run, plan);
-  // Materialized mode scores from run.data; streamed mode prefers the
-  // store when one had to be built anyway, else replays the stream.
-  const experiment_data* data =
-      streamed ? (fitted.data ? &*fitted.data : nullptr) : &run.data;
+  const bool record = first_shard && !run.materialized();
+  const fitted_run fitted = fit_run(estimators, config, run, plan, record);
 
-  // Fig. 3 metrics per Boolean-capable estimator. With a store, score
-  // from its views; without one, one replay pass scores every Boolean
-  // estimator with O(chunk) memory. A replayed dataset without a
-  // ground-truth plane scores observation-only instead (the truth
-  // matrices would be all-zero).
+  // Fig. 3 metrics per Boolean-capable estimator: one more pass scores
+  // every Boolean estimator with O(chunk) memory. A replayed dataset
+  // without a ground-truth plane scores observation-only instead (the
+  // truth matrices would be all-zero).
   const bool truthless = !run.has_truth();
   std::vector<std::optional<inference_metrics>> boolean_metrics(
       fitted.estimators.size());
   std::vector<std::optional<observation_metrics>> obs_metrics(
       fitted.estimators.size());
+  std::vector<std::size_t> boolean_index;
   if (options.boolean_metrics) {
-    std::vector<std::size_t> boolean_index;
     for (std::size_t i = 0; i < fitted.estimators.size(); ++i) {
       if (fitted.estimators[i]->caps().boolean_inference) {
         boolean_index.push_back(i);
       }
     }
-    if (data != nullptr) {
-      for (const std::size_t i : boolean_index) {
-        const estimator& est = *fitted.estimators[i];
-        if (truthless) {
-          observation_scorer scorer(run.topo());
-          for (std::size_t t = 0; t < data->intervals; ++t) {
-            const bitvec congested = data->congested_paths_at(t);
-            scorer.add_interval(est.infer(congested), congested);
-          }
-          obs_metrics[i] = scorer.result();
-        } else {
-          inference_scorer scorer;
-          for (std::size_t t = 0; t < data->intervals; ++t) {
-            scorer.add_interval(est.infer(data->congested_paths_at(t)),
-                                data->true_links_at(t));
-          }
-          boolean_metrics[i] = scorer.result();
-        }
+  }
+  if (!boolean_index.empty()) {
+    std::vector<streaming_inference_scorer> truth_scorers;
+    std::vector<streaming_observation_scorer> obs_scorers;
+    truth_scorers.reserve(boolean_index.size());
+    obs_scorers.reserve(boolean_index.size());
+    fanout_sink fanout;
+    for (const std::size_t i : boolean_index) {
+      const estimator& est = *fitted.estimators[i];
+      auto infer = [&est](const bitvec& congested, const bitvec& observed) {
+        return est.infer(congested, observed);
+      };
+      if (truthless) {
+        obs_scorers.emplace_back(infer);
+        fanout.add(&obs_scorers.back());
+      } else {
+        truth_scorers.emplace_back(infer);
+        fanout.add(&truth_scorers.back());
       }
-    } else if (!boolean_index.empty()) {
-      std::vector<streaming_inference_scorer> truth_scorers;
-      std::vector<streaming_observation_scorer> obs_scorers;
-      truth_scorers.reserve(boolean_index.size());
-      obs_scorers.reserve(boolean_index.size());
-      fanout_sink fanout;
-      for (const std::size_t i : boolean_index) {
-        const estimator& est = *fitted.estimators[i];
-        auto infer = [&est](const bitvec& congested, const bitvec& observed) {
-          return est.infer(congested, observed);
-        };
-        if (truthless) {
-          obs_scorers.emplace_back(infer);
-          fanout.add(&obs_scorers.back());
-        } else {
-          truth_scorers.emplace_back(infer);
-          fanout.add(&truth_scorers.back());
-        }
-      }
-      stream_experiment(run, config, fanout);
-      for (std::size_t b = 0; b < boolean_index.size(); ++b) {
-        if (truthless) {
-          obs_metrics[boolean_index[b]] = obs_scorers[b].result();
-        } else {
-          boolean_metrics[boolean_index[b]] = truth_scorers[b].result();
-        }
+    }
+    stream_experiment(run, config, fanout);
+    for (std::size_t b = 0; b < boolean_index.size(); ++b) {
+      if (truthless) {
+        obs_metrics[boolean_index[b]] = obs_scorers[b].result();
+      } else {
+        boolean_metrics[boolean_index[b]] = truth_scorers[b].result();
       }
     }
   }
@@ -304,8 +230,8 @@ estimator_cells::estimator_cells(std::vector<estimator_spec> estimators,
       options_(options) {}
 
 std::size_t estimator_cells::shards(const run_config& config) const {
-  // Streamed runs fit every estimator from one replay pass — splitting
-  // them would trade the shared pass for per-estimator replays.
+  // Streamed runs fit every estimator from one pass — splitting them
+  // would trade the shared pass for per-estimator re-simulations.
   if (config.stream.enabled || estimators_.empty()) return 1;
   return estimators_.size();
 }
@@ -313,10 +239,10 @@ std::size_t estimator_cells::shards(const run_config& config) const {
 std::shared_ptr<void> estimator_cells::make_run_state(
     const run_config& config, const run_artifacts& run) const {
   (void)run;
-  // Only materialized multi-cell runs can share; streamed runs are one
-  // cell and compute locally. Partitioned runs always share — the plan
-  // is worth computing once per run, not once per estimator shard.
-  if (config.stream.enabled ||
+  // Only multi-cell runs can share; single-cell runs compute locally.
+  // Partitioned runs always share — the plan is worth computing once
+  // per run, not once per estimator shard.
+  if (shards(config) == 1 ||
       (!options_.link_error_metrics &&
        config.part.mode == partition_mode::none)) {
     return nullptr;
@@ -327,14 +253,16 @@ std::shared_ptr<void> estimator_cells::make_run_state(
 std::vector<measurement> estimator_cells::eval_cell(
     const run_config& config, const run_artifacts& run, void* run_state,
     std::size_t shard) const {
-  if (config.stream.enabled || estimators_.empty()) return eval_all(config, run);
+  if (shards(config) == 1) return eval_all(config, run);
   return eval_estimators({estimators_[shard]}, {labels_[shard]}, options_,
-                         config, run, static_cast<shared_truth*>(run_state));
+                         config, run, static_cast<shared_truth*>(run_state),
+                         shard == 0);
 }
 
 std::vector<measurement> estimator_cells::eval_all(
     const run_config& config, const run_artifacts& run) const {
-  return eval_estimators(estimators_, labels_, options_, config, run, nullptr);
+  return eval_estimators(estimators_, labels_, options_, config, run, nullptr,
+                         true);
 }
 
 batch_eval_fn estimator_eval(std::vector<estimator_spec> estimators,

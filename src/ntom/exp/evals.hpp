@@ -27,12 +27,14 @@ struct estimator_eval_options {
 /// per estimator (series name = estimator_label). Specs are resolved
 /// eagerly, so unknown names / bad options fail before any run starts.
 ///
-/// Sharding: a materialized run splits into one cell per estimator
-/// (fit + score are independent per estimator on the shared store), so
-/// a heavyweight estimator no longer serializes its run's siblings.
-/// Streamed runs stay one cell — their whole point is fitting every
-/// estimator from one replay pass. Either way the concatenated rows
-/// equal the unsharded evaluation's rows exactly.
+/// Every evaluation is two passes of the run's interval stream
+/// (stream_experiment): one fits the estimators through the chunk
+/// protocol, one scores the Boolean ones. Sharding: a materialized run
+/// splits into one cell per estimator (each cell replays the shared
+/// store), so a heavyweight estimator no longer serializes its run's
+/// siblings. Streamed runs stay one cell — their whole point is fitting
+/// every estimator from one simulation pass. Either way the
+/// concatenated rows equal the unsharded evaluation's rows exactly.
 class estimator_cells final : public cell_evaluator {
  public:
   explicit estimator_cells(std::vector<estimator_spec> estimators,

@@ -61,11 +61,8 @@ run_artifacts prepare_run(run_config config,
   run_artifacts run = prepare_topology(config, std::move(topo));
   if (run.source != nullptr && run.source->has_mask()) {
     // Masked replay cannot materialize — the columnar store has no
-    // observed-path plane. Leave `data` empty; evaluators consult
-    // source->has_mask() and fit/score streamed instead. A requested
-    // capture still records the masked stream here.
-    std::unique_ptr<trace_writer> capture = make_capture_writer(config, run);
-    if (capture != nullptr) stream_experiment(run, config, *capture);
+    // observed-path plane. Leave `data` empty: evaluators stream from
+    // the source, and their fit pass records a requested capture.
     return run;
   }
   // One pass fills the store; a requested capture rides the same pass
@@ -96,12 +93,15 @@ void stream_experiment(const run_artifacts& run, const run_config& config,
     masked = std::make_unique<probe_policy_sink>(*policy, sink);
     target = masked.get();
   }
-  if (run.source != nullptr) {
+  if (run.materialized()) {
+    replay_experiment(run.topo(), run.data, *target,
+                      config.stream.chunk_intervals);
+  } else if (run.source != nullptr) {
     run.source->stream(*target, config.stream.chunk_intervals);
-    return;
+  } else {
+    run_experiment_streaming(run.topo(), run.model, config.sim, *target,
+                             config.stream.chunk_intervals);
   }
-  run_experiment_streaming(run.topo(), run.model, config.sim, *target,
-                           config.stream.chunk_intervals);
 }
 
 std::unique_ptr<trace_writer> make_capture_writer(const run_config& config,
@@ -130,12 +130,13 @@ std::unique_ptr<trace_writer> make_capture_writer(const run_config& config,
 }
 
 inference_metrics score_inference(const run_artifacts& run,
+                                  const run_config& config,
                                   const infer_fn& infer) {
-  inference_scorer scorer;
-  for (std::size_t t = 0; t < run.data.intervals; ++t) {
-    const bitvec inferred = infer(run.data.congested_paths_at(t));
-    scorer.add_interval(inferred, run.data.true_links_at(t));
-  }
+  streaming_inference_scorer scorer(
+      [&infer](const bitvec& congested, const bitvec&) {
+        return infer(congested);
+      });
+  stream_experiment(run, config, scorer);
   return scorer.result();
 }
 

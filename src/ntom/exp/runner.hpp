@@ -7,14 +7,18 @@
 // through their registries, so new workloads register a factory instead
 // of rewiring this layer.
 //
-// Two execution modes share one reproducibility contract:
-//   * materialized (default) — prepare_run simulates into the columnar
-//     experiment_data store; estimators fit on the finished store.
-//   * streamed (`run_config::streamed`) — prepare_topology skips the
-//     simulation; drivers replay the deterministic interval stream
-//     through measurement_sinks (stream_experiment) as many passes as
-//     needed, holding O(chunk) memory. Same seed -> bit-identical
-//     results in either mode, at any chunk size.
+// One driver, two sources. Every fit and every score is a pass of the
+// interval stream through measurement_sinks (stream_experiment); the
+// run decides where the stream comes from:
+//   * the materialized store — prepare_run simulates once into the
+//     columnar experiment_data, and every later pass replays it
+//     (replay_experiment);
+//   * the origin — prepare_topology skips the simulation, and every
+//     pass re-simulates (or re-reads a replayed dataset), holding
+//     O(chunk) memory.
+// `run_config::stream.enabled` picks between the two: memory against
+// recompute. Same seed -> bit-identical results either way, at any
+// chunk size.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +40,9 @@ namespace ntom {
 /// mode instead of two loose fields. Mirrored by the facade's
 /// experiment::with_streaming builder.
 struct stream_options {
-  /// Streamed execution: the batch engine skips materialization and the
-  /// evaluators replay the interval stream chunk by chunk instead.
+  /// Streamed execution: the batch engine skips materialization, so
+  /// every evaluator pass re-simulates the interval stream instead of
+  /// replaying a stored copy.
   bool enabled = false;
 
   /// Chunk granularity of the streamed mode (never changes results).
@@ -61,9 +66,10 @@ struct plan_options {
 /// DIRECTORY and each run derives its own file under it).
 struct capture_options {
   /// When non-empty, the run's measurement stream is also recorded to
-  /// this .trc file (trace/trace_writer) — during materialization for
-  /// the default mode, riding the estimator fit pass for the streamed
-  /// mode. Capture is passive: results are bit-identical with it on.
+  /// this .trc file (trace/trace_writer), exactly once: during
+  /// materialization when prepare_run fills the store, else riding the
+  /// evaluator's fit pass. Capture is passive: results are
+  /// bit-identical with it on.
   std::string path;
 
   /// Include the ground-truth plane in the capture (disable to publish
@@ -116,8 +122,9 @@ struct run_config {
   void reconcile();
 };
 
-/// One simulated experiment with everything downstream needs. In
-/// streamed mode `data` stays empty — consumers replay the stream.
+/// One simulated experiment with everything downstream needs. `data`
+/// holds the run when prepare_run materialized it, and stays empty
+/// otherwise (streamed mode, masked replays) — see materialized().
 ///
 /// The topology is held through a shared_ptr so the grid scheduler's
 /// read-only topology cache can hand one generated instance to every
@@ -138,6 +145,13 @@ struct run_artifacts {
 
   [[nodiscard]] bool replayed() const noexcept { return source != nullptr; }
 
+  /// Whether `data` holds the run: stream_experiment then replays the
+  /// store instead of re-simulating or re-reading the source. (The
+  /// store has one row per path once materialize_sink began.)
+  [[nodiscard]] bool materialized() const noexcept {
+    return data.num_paths() != 0;
+  }
+
   /// Whether per-interval ground truth exists (always for simulated
   /// runs; for replays, only when the dataset stored the plane).
   [[nodiscard]] bool has_truth() const noexcept {
@@ -157,7 +171,10 @@ struct run_artifacts {
   }
 };
 
-/// Builds the topology, the scenario, and runs the packet simulation.
+/// Builds the topology, the scenario, and runs the packet simulation
+/// into the store (recording the requested capture on that pass).
+/// Masked replays stay unmaterialized — the store has no observed-path
+/// plane — and are captured by the evaluator's fit pass instead.
 /// Reconciles the config first (idempotent), so callers never have to.
 /// A non-null `topo` (e.g. from the grid scheduler's topology_cache)
 /// skips generation — it must equal make_topology(config.topo,
@@ -171,21 +188,21 @@ struct run_artifacts {
     run_config config, std::shared_ptr<const topology> topo = nullptr);
 
 /// Replays the deterministic interval stream of a prepared run into
-/// `sink`. Callable repeatedly: every pass re-simulates (or, for
-/// replayed runs, re-reads) the identical stream — compute traded for
-/// O(chunk) memory. When `config.plan.policy` is set, every pass
-/// constructs a fresh policy from the spec and masks the stream
-/// through a probe_policy_sink before `sink` sees it, so repeated
-/// passes observe the identical masked stream (policies are
+/// `sink`. Callable repeatedly: every pass replays the store when the
+/// run is materialized, else re-simulates (or, for replayed runs,
+/// re-reads) the identical stream. When `config.plan.policy` is set,
+/// every pass constructs a fresh policy from the spec and masks the
+/// stream through a probe_policy_sink before `sink` sees it, so
+/// repeated passes observe the identical masked stream (policies are
 /// deterministic in (spec, chunk sequence)).
 void stream_experiment(const run_artifacts& run, const run_config& config,
                        measurement_sink& sink);
 
 /// The capture sink of a run whose config requests one
-/// (run_config::capture_path), with provenance describing the config;
+/// (run_config::capture.path), with provenance describing the config;
 /// nullptr otherwise. Owned by the caller, attached to whatever pass
 /// records the stream. A run without a real truth plane (truth-less
-/// replay) never records one, regardless of capture_truth — zeroed
+/// replay) never records one, regardless of capture.truth — zeroed
 /// matrices must not masquerade as ground truth downstream.
 /// (trace_writer is forward-declared here to keep the trace dependency
 /// out of this header.)
@@ -194,9 +211,13 @@ class trace_writer;
     const run_config& config, const run_artifacts& run);
 
 /// Scores a per-interval inference function over every interval of an
-/// experiment (Fig. 3 columns).
+/// experiment (Fig. 3 columns), in one stream_experiment pass — so
+/// materialized and streamed runs score the same. `infer` sees no
+/// observed-path mask; score probe-budget runs with
+/// streaming_inference_scorer.
 using infer_fn = std::function<bitvec(const bitvec& congested_paths)>;
 [[nodiscard]] inference_metrics score_inference(const run_artifacts& run,
+                                                const run_config& config,
                                                 const infer_fn& infer);
 
 /// Mask-aware per-interval inference function: the second argument is

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ntom/exp/runner.hpp"
+#include "ntom/trace/trace_writer.hpp"
 
 namespace ntom {
 
@@ -30,21 +31,6 @@ bit_matrix gather_rows(const bit_matrix& src, const std::vector<path_id>& rows) 
                 src.word_stride() * sizeof(std::uint64_t));
   }
   return out;
-}
-
-/// The cell's view of a materialized store: its paths' observation rows,
-/// a zeroed truth plane (fits never read ground truth — it exists for
-/// scoring, which stays on the parent store).
-experiment_data gather_cell_data(const partition_cell& cell,
-                                 const experiment_data& data) {
-  experiment_data local;
-  local.intervals = data.intervals;
-  local.path_good = gather_rows(data.path_good, cell.paths);
-  local.true_links = bit_matrix(data.intervals, cell.links.size());
-  local.always_good_paths = gather_bits(data.always_good_paths, cell.paths);
-  local.ever_congested_links =
-      gather_bits(data.ever_congested_links, cell.links);
-  return local;
 }
 
 /// The cell's view of one streamed chunk. Built from the chunk's
@@ -90,14 +76,6 @@ class partitioned_estimator final : public estimator {
   }
 
   [[nodiscard]] estimator_caps caps() const noexcept override { return caps_; }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    check_universe(t);
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-      const partition_cell& cell = plan_->cells[c];
-      cells_[c]->fit(*cell.topo, gather_cell_data(cell, data));
-    }
-  }
 
   void begin_fit(const topology& t, std::size_t intervals) override {
     check_universe(t);
@@ -162,7 +140,7 @@ class partitioned_estimator final : public estimator {
 };
 
 /// measurement_sink forwarding one cell's view of the stream to an
-/// inner sink — the streamed counterpart of gather_cell_data.
+/// inner sink.
 class cell_split_sink final : public measurement_sink {
  public:
   cell_split_sink(const partition_cell& cell, measurement_sink& inner)
@@ -292,13 +270,18 @@ std::vector<measurement> partition_cells::eval_cell(
   if (plan_->cells.empty()) return {};
   const partition_cell& cell = plan_->cells[shard];
   const std::unique_ptr<estimator> est = make_estimator(spec_);
-  if (config.stream.enabled) {
-    estimator_fit_sink fit(*est);
-    cell_split_sink split(cell, fit);
-    stream_experiment(run, config, split);
-  } else {
-    est->fit(*cell.topo, gather_cell_data(cell, run.data));
+  estimator_fit_sink fit(*est);
+  cell_split_sink split(cell, fit);
+  fanout_sink pass;
+  pass.add(&split);
+  // A run no materialize pass recorded is captured once, by the first
+  // cell's pass.
+  std::unique_ptr<trace_writer> capture;
+  if (shard == 0 && !run.materialized()) {
+    capture = make_capture_writer(config, run);
   }
+  if (capture != nullptr) pass.add(capture.get());
+  stream_experiment(run, config, pass);
   state->cell_estimates[shard] = est->links();
   return {};
 }

@@ -5,10 +5,10 @@
 // Two entry points share the splitting/merging machinery:
 //
 //   * make_partitioned_estimator — an `estimator` adapter holding one
-//     inner estimator per cell. fit()/begin_fit()+consume() split the
-//     observations by the cells' path columns (word-level row gathers of
-//     the chunk's path-major view, the way probe_policy_sink masks
-//     rows); infer() and links() lift the per-cell answers back through
+//     inner estimator per cell. Its chunk-protocol fit splits every
+//     chunk by the cells' path columns (word-level row gathers of the
+//     chunk's path-major view, the way probe_policy_sink masks rows);
+//     infer() and links() lift the per-cell answers back through
 //     the cells' link ids. This is what run_config::part wires through
 //     the evals driver — partitioning becomes a config knob, not a new
 //     pipeline.
@@ -62,11 +62,12 @@ struct partition_run_result {
   std::vector<link_estimates> cell_estimates;
 };
 
-/// cell_evaluator running `spec` once per plan cell. Materialized runs
-/// gather each cell's columns from the shared store; streamed runs
-/// replay the interval stream per cell through a splitting sink (O(cell)
-/// estimator state — the >10^5-link mode where one monolithic fit would
-/// not fit). eval_cell emits no measurement rows; the product is the
+/// cell_evaluator running `spec` once per plan cell: each cell replays
+/// the run's interval stream (stream_experiment — the store when the run
+/// is materialized) through a splitting sink, so estimator state is
+/// O(cell) — the >10^5-link mode where one monolithic fit would not
+/// fit. Shard 0's pass also records a capture that no materialize pass
+/// did. eval_cell emits no measurement rows; the product is the
 /// merged estimate, read with merged() after run_grid returns.
 ///
 /// The evaluator retains the state of the most recent run it prepared,

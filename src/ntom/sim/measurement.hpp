@@ -123,9 +123,8 @@ class measurement_source {
 
   /// Whether chunks may carry an observed-path mask (a probe-budget
   /// capture replayed from a masked .trc file). Masked streams cannot
-  /// be materialized — the columnar store has no mask plane — so runs
-  /// over a masked source must execute streamed; prepare_run/evals
-  /// consult this to force that.
+  /// be materialized — the columnar store has no mask plane — so
+  /// prepare_run consults this and leaves such runs unmaterialized.
   [[nodiscard]] virtual bool has_mask() const { return false; }
 
   /// Replays the stream into `sink`. Callable repeatedly; every pass

@@ -123,6 +123,26 @@ void run_experiment_streaming(const topology& t, const congestion_model& model,
   sink.end();
 }
 
+void replay_experiment(const topology& t, const experiment_data& data,
+                       measurement_sink& sink, std::size_t chunk_intervals) {
+  if (chunk_intervals == 0) chunk_intervals = default_chunk_intervals;
+  sink.begin(t, data.intervals);
+  measurement_chunk chunk;
+  for (std::size_t begin = 0; begin < data.intervals;
+       begin += chunk_intervals) {
+    const std::size_t end = std::min(begin + chunk_intervals, data.intervals);
+    chunk.first_interval = begin;
+    chunk.count = end - begin;
+    chunk.congested_paths = data.path_good.column_slice(begin, end);
+    chunk.congested_paths.transpose();
+    chunk.congested_paths.flip_all();
+    chunk.true_links = data.true_links.row_slice(begin, end);
+    chunk.invalidate_derived();
+    sink.consume(chunk);
+  }
+  sink.end();
+}
+
 experiment_data run_experiment(const topology& t, const congestion_model& model,
                                const sim_params& params) {
   experiment_data data;

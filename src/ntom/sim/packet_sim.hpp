@@ -13,6 +13,8 @@
 // run_experiment is merely the materializing consumer (materialize_sink)
 // of that stream. Both paths are bit-identical for the same seed at any
 // chunk size — the RNG stream advances per interval, never per chunk.
+// replay_experiment runs the other way: a finished store back into
+// chunks, so a materialized run feeds the same consumers.
 //
 // Probes are drawn per interval for all paths at once through
 // binomial_batch (util/rng.hpp): eight paths per call of the dispatched
@@ -89,8 +91,8 @@ struct experiment_data {
 
 /// The materializing consumer: builds experiment_data from the stream
 /// (chunk transpose + word-aligned column splice into the columnar
-/// store). run_experiment uses it; streaming drivers attach it only
-/// when a non-streaming estimator needs the full store.
+/// store). run_experiment uses it; so does the estimator base class for
+/// fits that need the whole store (estimator::begin_fit).
 class materialize_sink final : public measurement_sink {
  public:
   explicit materialize_sink(experiment_data& out) : out_(&out) {}
@@ -109,6 +111,15 @@ void run_experiment_streaming(
     const topology& t, const congestion_model& model, const sim_params& params,
     measurement_sink& sink,
     std::size_t chunk_intervals = default_chunk_intervals);
+
+/// The inverse of materialize_sink: streams a materialized experiment
+/// back into `sink` as interval chunks (column slice + transpose per
+/// chunk). The chunks equal the ones the simulator emitted for the same
+/// chunk size, so a store is one more stream source — any chunk size
+/// yields bit-identical downstream results.
+void replay_experiment(const topology& t, const experiment_data& data,
+                       measurement_sink& sink,
+                       std::size_t chunk_intervals = default_chunk_intervals);
 
 /// Runs the full experiment materialized. Deterministic in params.seed.
 [[nodiscard]] experiment_data run_experiment(const topology& t,

@@ -170,34 +170,6 @@ TEST(ExperimentTest, GroupedBuildersMirrorRunConfigGroups) {
   }
 }
 
-TEST(ExperimentTest, DeprecatedSettersMatchGroupedBuilders) {
-  // The pre-grouping setters survive as shims; they must configure the
-  // exact same run_config the grouped builders produce.
-  experiment grouped = tiny_experiment();
-  grouped.with_streaming({.enabled = true, .chunk_intervals = 128})
-      .with_capture({.path = "runs/shim", .truth = false});
-
-  experiment legacy = tiny_experiment();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  legacy.streamed(true)
-      .chunk_intervals(128)
-      .capture_to("runs/shim")
-      .capture_truth(false);
-#pragma GCC diagnostic pop
-
-  const std::vector<run_spec> a = grouped.specs();
-  const std::vector<run_spec> b = legacy.specs();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].config.stream.enabled, b[i].config.stream.enabled);
-    EXPECT_EQ(a[i].config.stream.chunk_intervals,
-              b[i].config.stream.chunk_intervals);
-    EXPECT_EQ(a[i].config.capture.path, b[i].config.capture.path);
-    EXPECT_EQ(a[i].config.capture.truth, b[i].config.capture.truth);
-  }
-}
-
 TEST(ExperimentTest, DescribeRegistriesJsonSelectors) {
   // The whole catalogue is one object with a key per registry.
   const std::string all = describe_registries_json();

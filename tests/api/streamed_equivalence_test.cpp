@@ -36,25 +36,32 @@ void expect_links_equal(const link_estimates& a, const link_estimates& b,
   EXPECT_EQ(a.estimated, b.estimated) << "chunk " << chunk;
 }
 
-TEST(StreamedFitTest, StreamingCapsAreDeclared) {
-  for (const char* streaming :
-       {"sparsity", "bayes-indep", "independence", "corr-heuristic"}) {
-    EXPECT_TRUE(make_estimator(streaming)->caps().streaming) << streaming;
-  }
-  for (const char* materialized : {"bayes-corr", "corr-complete"}) {
-    EXPECT_FALSE(make_estimator(materialized)->caps().streaming)
-        << materialized;
-  }
-  EXPECT_THROW(make_estimator("corr-complete")->begin_fit(topology{}, 1),
+/// Overrides neither fit protocol, so each base default would hand off
+/// to the other.
+class protocol_free_estimator final : public estimator {
+ public:
+  [[nodiscard]] estimator_caps caps() const noexcept override { return {}; }
+};
+
+TEST(StreamedFitTest, NeitherProtocolThrowsLogicError) {
+  const run_artifacts run = prepare_run(small_config());
+  protocol_free_estimator store_driven;
+  EXPECT_THROW(store_driven.fit(run.topo(), run.data), std::logic_error);
+  protocol_free_estimator chunk_driven;
+  estimator_fit_sink sink(chunk_driven);
+  EXPECT_THROW(stream_experiment(run, small_config(), sink),
                std::logic_error);
+  // The guard is released on the way out: a second attempt throws the
+  // same error instead of a stale-state one.
+  EXPECT_THROW(store_driven.fit(run.topo(), run.data), std::logic_error);
 }
 
 TEST(StreamedFitTest, StreamedFitsMatchMaterializedAtEveryChunk) {
   const run_config config = small_config();
   const run_artifacts run = prepare_run(config);
 
-  for (const char* name :
-       {"sparsity", "bayes-indep", "independence", "corr-heuristic"}) {
+  for (const char* name : {"sparsity", "bayes-indep", "independence",
+                           "corr-heuristic", "bayes-corr", "corr-complete"}) {
     const std::unique_ptr<estimator> reference = make_estimator(name);
     reference->fit(run.topo(), run.data);
 
@@ -87,7 +94,7 @@ TEST(StreamedBatchTest, FacadeReportsAreBitIdentical) {
     e.with_topology("brite,n=10,hosts=30,paths=60")
         .with_scenario("random_congestion")
         .with_scenario("no_independence")
-        // Mixes streaming fits with one that needs the shared store.
+        // Mixes chunk-protocol fits with a store-bound one.
         .with_estimators({"sparsity", "independence", "bayes-corr"})
         .replicas(2)
         .intervals(40)

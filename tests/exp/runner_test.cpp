@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ntom/api/estimator.hpp"
+
 namespace ntom {
 namespace {
 
@@ -106,11 +108,34 @@ TEST(RunnerTest, ScoreInferencePerfectOracle) {
   const auto run = prepare_run(c);
   // A cheating "inferencer" that returns the truth scores perfectly.
   std::size_t i = 0;
-  const auto metrics = score_inference(run, [&](const bitvec&) {
+  const auto metrics = score_inference(run, c, [&](const bitvec&) {
     return run.data.true_links_at(i++);
   });
   EXPECT_DOUBLE_EQ(metrics.detection_rate, 1.0);
   EXPECT_DOUBLE_EQ(metrics.false_positive_rate, 0.0);
+}
+
+TEST(RunnerTest, ScoreInferenceMatchesAcrossModes) {
+  // Scoring streams the run, so a materialized run (store replay) and a
+  // streamed one (re-simulation) score the same intervals identically.
+  const run_config c = small_config();
+  const auto materialized = prepare_run(c);
+  const auto streamed = prepare_topology(c);
+  ASSERT_TRUE(materialized.materialized());
+  ASSERT_FALSE(streamed.materialized());
+  const auto score = [&](const run_artifacts& run) {
+    const auto est = make_estimator("sparsity");
+    estimator_fit_sink fit(*est);
+    stream_experiment(run, c, fit);
+    return score_inference(run, c, [&](const bitvec& congested) {
+      return est->infer(congested);
+    });
+  };
+  const inference_metrics a = score(materialized);
+  const inference_metrics b = score(streamed);
+  EXPECT_GT(a.detection_rate, 0.0);
+  EXPECT_EQ(a.detection_rate, b.detection_rate);  // bitwise.
+  EXPECT_EQ(a.false_positive_rate, b.false_positive_rate);
 }
 
 TEST(RunnerTest, TopologyLabels) {

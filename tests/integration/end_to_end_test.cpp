@@ -38,7 +38,7 @@ TEST(EndToEndTest, InferenceAccurateOnBriteRandomCongestion) {
       base_config(small_brite, "random_congestion");
   config.sim.oracle_monitor = true;
   const auto run = prepare_run(config);
-  const auto sparsity = score_inference(run, [&](const bitvec& c) {
+  const auto sparsity = score_inference(run, config, [&](const bitvec& c) {
     return infer_sparsity(run.topo(), make_observation(run.topo(), c));
   });
   EXPECT_GT(sparsity.detection_rate, 0.75);
@@ -89,18 +89,18 @@ TEST(EndToEndTest, IndependenceWorseUnderCorrelation) {
 TEST(EndToEndTest, SparseTopologyHurtsInference) {
   // Fig. 3, last group: the same random-congestion scenario on a
   // Sparse topology degrades Boolean Inference.
-  const auto brite_run = prepare_run(
-      base_config(small_brite, "random_congestion"));
-  const auto sparse_run = prepare_run(
-      base_config(small_sparse, "random_congestion"));
+  const auto brite_config = base_config(small_brite, "random_congestion");
+  const auto sparse_config = base_config(small_sparse, "random_congestion");
+  const auto brite_run = prepare_run(brite_config);
+  const auto sparse_run = prepare_run(sparse_config);
 
-  const auto score = [](const run_artifacts& run) {
+  const auto score = [](const run_artifacts& run, const run_config& config) {
     const bayes_independence_inferencer inferencer(run.topo(), run.data);
     return score_inference(
-        run, [&](const bitvec& c) { return inferencer.infer(c); });
+        run, config, [&](const bitvec& c) { return inferencer.infer(c); });
   };
-  const auto brite_m = score(brite_run);
-  const auto sparse_m = score(sparse_run);
+  const auto brite_m = score(brite_run, brite_config);
+  const auto sparse_m = score(sparse_run, sparse_config);
   // Degradation shows as worse false positives (the paper: 45% FP) or
   // detection.
   EXPECT_GT(sparse_m.false_positive_rate + (1.0 - sparse_m.detection_rate),

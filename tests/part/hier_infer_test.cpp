@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "ntom/exp/runner.hpp"
 #include "ntom/sim/packet_sim.hpp"
+#include "ntom/trace/trace_reader.hpp"
+#include "ntom/trace/trace_writer.hpp"
 
 namespace ntom {
 namespace {
@@ -209,7 +212,6 @@ TEST(PartitionedEstimatorTest, StreamedFitMatchesMaterialized) {
   materialized->fit(t, run_experiment(t, model, sim));
 
   const auto streamed = make_partitioned_estimator(spec, plan);
-  ASSERT_TRUE(streamed->caps().streaming);
   estimator_fit_sink sink(*streamed);
   run_experiment_streaming(t, model, sim, sink, 64);
 
@@ -299,6 +301,61 @@ TEST(PartitionCellsTest, EvaluatorMergedMatchesAdapter) {
     EXPECT_EQ(grid.estimated.test(e), direct.estimated.test(e));
     EXPECT_DOUBLE_EQ(grid.congestion[e], direct.congestion[e]);
   }
+}
+
+TEST(PartitionCellsTest, MaskedReplayMatchesAcrossModes) {
+  // A probe-budget capture replays with its mask, so prepare_run leaves
+  // the store empty; the materialized-mode cells must still stream it
+  // (they used to gather from that empty store and crash), and a
+  // requested capture must still be recorded.
+  run_config live;
+  live.topo = "brite,n=10,hosts=30,paths=60";
+  live.topo_seed = 3;
+  live.scenario = "random_congestion";
+  live.sim.intervals = 60;
+  live.sim.seed = 17;
+  live.plan.policy = "uniform,frac=0.5";
+  live.capture.path = ::testing::TempDir() + "/hier_masked_replay.trc";
+  live.reconcile();
+  {
+    const run_artifacts run = prepare_topology(live);
+    const auto writer = make_capture_writer(live, run);
+    stream_experiment(run, live, *writer);
+  }
+
+  const std::string recapture =
+      ::testing::TempDir() + "/hier_masked_recapture.trc";
+  const auto merged = [&](bool streamed) {
+    run_config replay;
+    replay.scenario = spec("trace").with_option("file", live.capture.path);
+    replay.stream.enabled = streamed;
+    replay.capture.path = recapture;  // recorded by the first cell's pass.
+    const run_artifacts run =
+        streamed ? prepare_topology(replay) : prepare_run(replay);
+    EXPECT_FALSE(run.materialized());
+    partition_options options;
+    options.mode = partition_mode::bicomp;
+    options.max_cell_links = 24;
+    auto plan = std::make_shared<const partition_plan>(
+        make_partition(run.topo(), options));
+    EXPECT_GT(plan->cells.size(), 1u);
+    partition_cells cells(plan, "independence");
+    auto state = cells.make_run_state(replay, run);
+    for (std::size_t shard = 0; shard < cells.shards(replay); ++shard) {
+      (void)cells.eval_cell(replay, run, state.get(), shard);
+    }
+    const trace_reader recaptured(recapture);
+    EXPECT_TRUE(recaptured.has_mask());
+    EXPECT_EQ(recaptured.intervals(), live.sim.intervals);
+    std::remove(recapture.c_str());
+    return cells.merged();
+  };
+  const link_estimates streamed = merged(true);
+  const link_estimates materialized = merged(false);
+  EXPECT_GT(streamed.estimated.count(), 0u);
+  EXPECT_EQ(streamed.estimated, materialized.estimated);
+  EXPECT_EQ(streamed.congestion, materialized.congestion);  // bitwise.
+  std::remove(live.capture.path.c_str());
 }
 
 TEST(PartitionCellsTest, RejectsUnknownEstimatorUpFront) {

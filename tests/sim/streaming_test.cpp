@@ -3,6 +3,8 @@
 // every chunk size — the ISSUE-3 reproducibility contract.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ntom/sim/monitor.hpp"
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
@@ -172,6 +174,58 @@ TEST(StreamingEquivalenceTest, CorrelatedScenariosBitIdenticalAtAnyChunk) {
           << name << " chunk " << chunk;
       EXPECT_EQ(streamed.ever_congested_links, reference.ever_congested_links)
           << name << " chunk " << chunk;
+    }
+  }
+}
+
+/// Copies every chunk of a pass.
+class chunk_collector final : public measurement_sink {
+ public:
+  void begin(const topology&, std::size_t intervals) override {
+    begun_intervals = intervals;
+  }
+  void consume(const measurement_chunk& chunk) override {
+    chunks.push_back(chunk);
+  }
+  std::size_t begun_intervals = 0;
+  std::vector<measurement_chunk> chunks;
+};
+
+TEST(StreamingEquivalenceTest, StoreReplayEqualsSimulatorChunks) {
+  // The store replay is the inverse of materialize_sink: at any chunk
+  // size its chunks are the simulator's, word for word. (A Brite
+  // topology has >64 paths, so the column slices cross word borders.)
+  brite_params bp;
+  bp.seed = 31;
+  const topology topo = generate_brite(bp);
+  ASSERT_GT(topo.num_paths(), 64u);
+  scenario_params sp;
+  sp.seed = 13;
+  const congestion_model model = make_scenario(topo, "random_congestion", sp);
+  sim_params sim;
+  sim.intervals = 150;
+  sim.packets_per_path = 60;
+  sim.seed = 29;
+  const experiment_data data = run_experiment(topo, model, sim);
+
+  for (const std::size_t chunk : {1ul, 7ul, 64ul, 100ul, 150ul, 256ul}) {
+    chunk_collector simulated;
+    run_experiment_streaming(topo, model, sim, simulated, chunk);
+    chunk_collector replayed;
+    replay_experiment(topo, data, replayed, chunk);
+    EXPECT_EQ(replayed.begun_intervals, simulated.begun_intervals);
+    ASSERT_EQ(replayed.chunks.size(), simulated.chunks.size())
+        << "chunk " << chunk;
+    for (std::size_t i = 0; i < simulated.chunks.size(); ++i) {
+      const measurement_chunk& a = replayed.chunks[i];
+      const measurement_chunk& b = simulated.chunks[i];
+      EXPECT_EQ(a.first_interval, b.first_interval);
+      EXPECT_EQ(a.count, b.count);
+      EXPECT_TRUE(a.congested_paths == b.congested_paths)
+          << "chunk " << chunk << " #" << i;
+      EXPECT_TRUE(a.true_links == b.true_links)
+          << "chunk " << chunk << " #" << i;
+      EXPECT_TRUE(a.fully_observed());
     }
   }
 }

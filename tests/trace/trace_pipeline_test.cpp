@@ -98,8 +98,8 @@ TEST(TracePipelineTest, CapturedRunReplaysBitIdentically) {
 }
 
 TEST(TracePipelineTest, StreamedFitPassCaptures) {
-  // In streamed mode the capture rides the estimator fit pass
-  // (fit_streamed's fanout) — prepare never materializes.
+  // In streamed mode the capture rides the estimator fit pass — prepare
+  // never materializes.
   run_config config = base_config();
   config.stream.enabled = true;
   config.stream.chunk_intervals = 7;
