@@ -179,10 +179,9 @@ int cmd_monitor(const ntom::flags& opts) {
   scenario_params sp;
   sp.seed = static_cast<std::uint64_t>(opts.get_int("seed", 11));
   sp.nonstationary = opts.get_bool("nonstationary", false);
-  sp.phase_length = static_cast<std::size_t>(
-      opts.get_int("phase-length", static_cast<std::int64_t>(sp.phase_length)));
+  sp.phase_length = opts.get_size("phase-length", sp.phase_length);
   sim_params sim;
-  sim.intervals = static_cast<std::size_t>(opts.get_int("intervals", 400));
+  sim.intervals = opts.get_size("intervals", 400);
   sim.seed = sp.seed + 1;
   // Resolve the spec's knobs (nonstationary, phase_length, ...) before
   // sizing the phase pre-draw.
@@ -244,10 +243,9 @@ int cmd_capture(const ntom::flags& opts) {
   config.topo_seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
   config.scenario_opts.seed = config.topo_seed + 10;
   config.sim.seed = config.topo_seed + 20;
-  config.sim.intervals =
-      static_cast<std::size_t>(opts.get_int("intervals", 1000));
-  config.sim.packets_per_path = static_cast<std::size_t>(
-      opts.get_int("packets", config.sim.packets_per_path));
+  config.sim.intervals = opts.get_size("intervals", 1000);
+  config.sim.packets_per_path =
+      opts.get_size("packets", config.sim.packets_per_path);
   config.sim.oracle_monitor = opts.get_bool("oracle", false);
   config.capture.path = out;
   config.capture.truth = !opts.get_bool("no-truth", false);
@@ -284,14 +282,13 @@ int cmd_replay(const ntom::flags& opts) {
     config.scenario = config.scenario.with_option("imperfect", imperfect);
   }
   config.stream.enabled = opts.get_bool("streamed", false);
-  config.stream.chunk_intervals = static_cast<std::size_t>(opts.get_int(
-      "chunk", static_cast<std::int64_t>(default_chunk_intervals)));
+  config.stream.chunk_intervals =
+      opts.get_size("chunk", default_chunk_intervals);
   config.plan.policy = opts.get_string("policy", "");
   config.part.mode =
       partition_mode_from_string(opts.get_string("partition", "none"));
-  config.part.max_cell_links = static_cast<std::size_t>(
-      opts.get_int("partition-max-links",
-                   static_cast<std::int64_t>(config.part.max_cell_links)));
+  config.part.max_cell_links =
+      opts.get_size("partition-max-links", config.part.max_cell_links);
 
   // Reconcile before choosing the mode: a probe policy forces streamed
   // execution (the materialized store has no mask plane).
@@ -331,16 +328,17 @@ int cmd_serve(const ntom::flags& opts) {
 
   service_config cfg;
   cfg.estimator = opts.get_string("estimator", "independence");
-  cfg.window_chunks = static_cast<std::size_t>(opts.get_int("window", 16));
-  cfg.refit_every =
-      static_cast<std::size_t>(opts.get_int("refit-every", 1));
+  cfg.window_chunks = opts.get_size("window", 16);
+  cfg.refit_every = opts.get_size("refit-every", 1);
   tomography_service service(cfg);
 
   const std::string file = opts.get_string("file", "");
-  const auto epochs = static_cast<std::size_t>(opts.get_int("epochs", 1));
-  const auto readers = static_cast<std::size_t>(opts.get_int("readers", 2));
+  const auto epochs = opts.get_size("epochs", 1);
+  const auto readers = opts.get_size("readers", 2);
   const double threshold = opts.get_double("threshold", 0.5);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  const std::size_t intervals = opts.get_size("intervals", 2000);
+  const std::size_t chunk = opts.get_size("chunk", default_chunk_intervals);
 
   // Concurrent read side: each reader hammers snapshot() while ingest
   // runs, verifying every snapshot it sees (a torn window would fail
@@ -367,34 +365,42 @@ int cmd_serve(const ntom::flags& opts) {
     });
   }
 
+  // A failed epoch (say, an unreadable trace) must stop the readers
+  // before the error propagates: a joinable std::thread terminates.
+  const auto stop_readers = [&] {
+    done.store(true, std::memory_order_release);
+    for (std::thread& t : pool) t.join();
+  };
   const auto start = std::chrono::steady_clock::now();
-  for (std::size_t e = 0; e < epochs; ++e) {
-    run_config config;
-    if (!file.empty()) {
-      config.scenario = spec("trace").with_option("file", file);
-    } else {
-      config.topo = opts.get_string("topo", "brite,n=20,hosts=60,paths=120");
-      config.scenario = opts.get_string("scenario", "hotspot_drift");
-      config.topo_seed = seed;  // same draw parameters every epoch; the
-                                // regenerated instance exercises the
-                                // stable-link carry-over.
-      config.scenario_opts.seed = seed + 10 + e;
-      config.sim.seed = seed + 20 + e;
-      config.sim.intervals =
-          static_cast<std::size_t>(opts.get_int("intervals", 2000));
-    }
-    config.stream.enabled = true;
-    config.stream.chunk_intervals = static_cast<std::size_t>(opts.get_int(
-        "chunk", static_cast<std::int64_t>(default_chunk_intervals)));
-    config.plan.policy = opts.get_string("policy", "");
+  try {
+    for (std::size_t e = 0; e < epochs; ++e) {
+      run_config config;
+      if (!file.empty()) {
+        config.scenario = spec("trace").with_option("file", file);
+      } else {
+        config.topo = opts.get_string("topo", "brite,n=20,hosts=60,paths=120");
+        config.scenario = opts.get_string("scenario", "hotspot_drift");
+        config.topo_seed = seed;  // same draw parameters every epoch; the
+                                  // regenerated instance exercises the
+                                  // stable-link carry-over.
+        config.scenario_opts.seed = seed + 10 + e;
+        config.sim.seed = seed + 20 + e;
+        config.sim.intervals = intervals;
+      }
+      config.stream.enabled = true;
+      config.stream.chunk_intervals = chunk;
+      config.plan.policy = opts.get_string("policy", "");
 
-    const run_artifacts run = prepare_topology(config);
-    service.begin_epoch(run.topo_ptr);
-    service_ingest_sink sink(service);
-    stream_experiment(run, config, sink);
+      const run_artifacts run = prepare_topology(config);
+      service.begin_epoch(run.topo_ptr);
+      service_ingest_sink sink(service);
+      stream_experiment(run, config, sink);
+    }
+  } catch (...) {
+    stop_readers();
+    throw;
   }
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : pool) t.join();
+  stop_readers();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -529,8 +535,7 @@ int cmd_corpus(const ntom::flags& opts) {
   }
   if (verb == "split") {
     if (args.size() != 1) return usage();
-    const auto parts =
-        static_cast<std::size_t>(opts.get_int("parts", 2));
+    const auto parts = opts.get_size("parts", 2);
     const std::vector<std::string> paths =
         split_trace(args[0], parts, wopts);
     for (const std::string& path : paths) {
@@ -557,22 +562,10 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const ntom::flags opts(argc - 1, argv + 1);
-  if (opts.has("simd")) {
-    // Same semantics as NTOM_SIMD: force the kernel dispatch level for
-    // every verb; asking above the hardware warns and keeps detection.
-    namespace simd = ntom::simd;
-    const std::string name = opts.get_string("simd", "");
-    simd::level want{};
-    if (!simd::parse_level(name, want)) {
-      std::fprintf(stderr,
-                   "--simd=%s: unknown level (scalar|popcnt|avx2|avx512)\n",
-                   name.c_str());
-      return 2;
-    }
-    if (!simd::set_level(want)) {
-      std::fprintf(stderr, "--simd=%s exceeds this host; staying at %s\n",
-                   name.c_str(), simd::level_name(simd::active_level()));
-    }
+  // Forces the kernel dispatch level for every verb.
+  if (opts.has("simd") &&
+      !ntom::simd::apply_level_flag(opts.get_string("simd", ""))) {
+    return 2;
   }
   try {
     if (command == "gen") return cmd_gen(opts);
@@ -587,6 +580,9 @@ int main(int argc, char** argv) {
   } catch (const ntom::spec_error& err) {
     std::fprintf(stderr, "%s\n(run `ntom_cli list` for registered names)\n",
                  err.what());
+    return 2;
+  } catch (const ntom::flag_error& err) {
+    std::fprintf(stderr, "%s\n", err.what());
     return 2;
   } catch (const ntom::trace_error& err) {
     std::fprintf(stderr, "%s\n", err.what());

@@ -125,27 +125,13 @@ bool summaries_identical(const std::vector<ntom::metric_summary>& a,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_sweep(int argc, char** argv) {
   using namespace ntom;
   const flags opts(argc, argv);
-  if (opts.has("simd")) {
-    // Same semantics as NTOM_SIMD: force the bit-kernel dispatch level
-    // for the whole sweep; asking above the hardware warns and keeps
-    // detection.
-    const std::string name = opts.get_string("simd", "");
-    simd::level want{};
-    if (!simd::parse_level(name, want)) {
-      std::fprintf(stderr,
-                   "--simd=%s: unknown level (scalar|popcnt|avx2|avx512)\n",
-                   name.c_str());
-      return 2;
-    }
-    if (!simd::set_level(want)) {
-      std::fprintf(stderr, "--simd=%s exceeds this host; staying at %s\n",
-                   name.c_str(), simd::level_name(simd::active_level()));
-    }
+  // Forces the bit-kernel dispatch level for the whole sweep.
+  if (opts.has("simd") &&
+      !simd::apply_level_flag(opts.get_string("simd", ""))) {
+    return 2;
   }
   if (opts.has("list") || opts.has("list-json")) {
     // Bare --list prints every registry; --list=scenarios (or
@@ -166,10 +152,9 @@ int main(int argc, char** argv) {
 
   const bool paper_scale = opts.get_string("scale", "small") == "paper";
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  const auto intervals = static_cast<std::size_t>(
-      opts.get_int("intervals", paper_scale ? 1000 : 150));
-  const auto replicas = static_cast<std::size_t>(opts.get_int("replicas", 2));
-  const auto threads = static_cast<std::size_t>(opts.get_int("threads", 0));
+  const auto intervals = opts.get_size("intervals", paper_scale ? 1000 : 150);
+  const auto replicas = opts.get_size("replicas", 2);
+  const auto threads = opts.get_size("threads", 0);
   const bool check = opts.get_bool("check-determinism", false);
 
   const std::string replay = opts.get_string("replay", "");
@@ -187,8 +172,7 @@ int main(int argc, char** argv) {
                      replay.c_str());
         return 2;
       }
-      const auto shards =
-          static_cast<std::size_t>(opts.get_int("replay-shards", 1));
+      const auto shards = opts.get_size("replay-shards", 1);
       for (const std::string& f : files) {
         const std::string stem = std::filesystem::path(f).stem().string();
         if (shards <= 1) {
@@ -241,16 +225,15 @@ int main(int argc, char** argv) {
   // Scenario-wide nonstationarity knobs; per-spec options still win.
   scenario_params scenario_defaults;
   scenario_defaults.nonstationary = opts.get_bool("nonstationary", false);
-  scenario_defaults.phase_length = static_cast<std::size_t>(
-      opts.get_int("phase-length", scenario_defaults.phase_length));
+  scenario_defaults.phase_length =
+      opts.get_size("phase-length", scenario_defaults.phase_length);
   scenario_defaults.congestable_fraction =
       opts.get_double("fraction", scenario_defaults.congestable_fraction);
   exp.with_scenario_defaults(scenario_defaults);
 
   sim_params sim;
   sim.intervals = intervals;
-  sim.packets_per_path = static_cast<std::size_t>(
-      opts.get_int("packets", sim.packets_per_path));
+  sim.packets_per_path = opts.get_size("packets", sim.packets_per_path);
   exp.with_sim(sim);
   exp.replicas(replicas);
 
@@ -258,9 +241,7 @@ int main(int argc, char** argv) {
   // materializing per-run observation stores (bit-identical results).
   const bool streamed = opts.get_bool("streamed", false);
   exp.with_streaming(
-      {streamed,
-       static_cast<std::size_t>(opts.get_int(
-           "chunk", static_cast<std::int64_t>(default_chunk_intervals)))});
+      {streamed, opts.get_size("chunk", default_chunk_intervals)});
 
   // Probe-budget policy: masks every run's stream (forces streamed
   // execution at reconcile time, whatever --streamed says).
@@ -281,9 +262,8 @@ int main(int argc, char** argv) {
   try {
     partition_options part;
     part.mode = partition_mode_from_string(partition);
-    part.max_cell_links = static_cast<std::size_t>(
-        opts.get_int("partition-max-links",
-                     static_cast<std::int64_t>(part.max_cell_links)));
+    part.max_cell_links =
+        opts.get_size("partition-max-links", part.max_cell_links);
     exp.with_partitioning(part);
   } catch (const spec_error& err) {
     std::fprintf(stderr, "--partition: %s\n", err.what());
@@ -465,4 +445,15 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_sweep(argc, argv);
+  } catch (const ntom::flag_error& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return 2;
+  }
 }

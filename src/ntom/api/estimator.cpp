@@ -68,8 +68,11 @@ void estimator::end_fit() {
   fit(*store_topo_, data);
 }
 
-void estimator::begin_window(const topology&) {
-  throw std::logic_error("estimator does not support windowed fits");
+void estimator::begin_window(const topology& t) {
+  if (!caps().windowed) {
+    throw std::logic_error("estimator does not support windowed fits");
+  }
+  begin_fit(t, 0);
 }
 
 void estimator::retire(const measurement_chunk&) {
@@ -94,12 +97,11 @@ class sparsity_estimator final : public estimator {
             .windowed = true};
   }
 
+  // No fitted state at all, so every protocol step but the first is a
+  // no-op.
   void begin_fit(const topology& t, std::size_t) override { topo_ = &t; }
   void consume(const measurement_chunk&) override {}
   void end_fit() override {}
-
-  // No fitted state at all, so the windowed protocol is trivial.
-  void begin_window(const topology& t) override { topo_ = &t; }
   void retire(const measurement_chunk&) override {}
   void refit() override {}
 
@@ -119,8 +121,11 @@ class sparsity_estimator final : public estimator {
 
 /// Shared streaming-fit scaffolding for the counter-based fits: the
 /// topology-determined equation family is registered with a
-/// pathset_counter at begin_fit, chunks stream into the counters, and
-/// end_fit hands the exact counts to the subclass's solver.
+/// pathset_counter at begin_fit, chunks stream into (and, in a window,
+/// retire from) the counters, and refit hands the exact counts to the
+/// subclass's solver. end_fit is refit plus releasing the counters, so
+/// a window fit is bit-identical to begin_fit/consume/end_fit over the
+/// same chunks.
 class counting_estimator : public estimator {
  public:
   void begin_fit(const topology& t, std::size_t intervals) override {
@@ -133,24 +138,6 @@ class counting_estimator : public estimator {
     counter_->consume(chunk);
   }
 
-  void end_fit() override {
-    counter_->end();
-    solve_from_counts(*topo_, counter_->sets(), counter_->counts(),
-                      counter_->observed_intervals(),
-                      counter_->always_good_paths());
-    counter_.reset();
-  }
-
-  // Windowed protocol: same counters, kept alive across refits so the
-  // window can keep sliding. refit() hands the current exact counts to
-  // the same solver the one-shot fit uses — the window fit is
-  // bit-identical to begin_fit/consume/end_fit over the same chunks.
-  void begin_window(const topology& t) override {
-    topo_ = &t;
-    counter_.emplace(equation_path_sets(t), /*windowed=*/true);
-    counter_->begin(t, 0);
-  }
-
   void retire(const measurement_chunk& chunk) override {
     counter_->retire(chunk);
   }
@@ -158,7 +145,12 @@ class counting_estimator : public estimator {
   void refit() override {
     solve_from_counts(*topo_, counter_->sets(), counter_->counts(),
                       counter_->observed_intervals(),
-                      counter_->window_always_good());
+                      counter_->always_good_paths());
+  }
+
+  void end_fit() override {
+    refit();
+    counter_.reset();
   }
 
  protected:

@@ -7,7 +7,7 @@
 //
 //   boolean_inference — per-interval congested-link sets (Fig. 3).
 //   link_estimation   — per-link congestion probabilities (Fig. 4).
-//   windowed          — the sliding-window protocol of the service.
+//   windowed          — the chunk protocol plus retire/refit (service).
 //
 // Every estimator accepts both fit protocols, and implements exactly
 // one of them; the base class derives the other:
@@ -18,6 +18,12 @@
 //            that need every interval at once (Algorithm 1's adaptive
 //            selection); the chunk protocol materializes privately
 //            through materialize_sink and then calls fit.
+//
+// The sliding window is not a third protocol: it is the chunk protocol
+// with retire(), which subtracts a chunk's exact integer contribution,
+// and refit(), which solves from the current counters without ending
+// the stream. Only chunk-protocol estimators whose counters subtract
+// (caps().windowed) provide the two.
 //
 // Built-ins (canonical name / series label / capabilities / protocol /
 // source):
@@ -50,11 +56,10 @@ struct estimator_caps {
   bool boolean_inference = false;  ///< infer() per interval.
   bool link_estimation = false;    ///< links() after fit().
 
-  /// The fit also supports the sliding-window protocol
-  /// (begin_window/consume/retire/refit): evidence can be retired as
-  /// well as added, and refit() re-solves from the current window
-  /// without ending the stream — the contract tomography_service
-  /// requires of its estimators.
+  /// The chunk-protocol fit also takes retire() and refit(): evidence
+  /// can be retired as well as added, and refit() re-solves from the
+  /// chunks consumed and not yet retired without ending the stream —
+  /// the contract tomography_service requires of its estimators.
   bool windowed = false;
 };
 
@@ -82,16 +87,17 @@ class estimator {
   virtual void consume(const measurement_chunk& chunk);
   virtual void end_fit();
 
-  /// Sliding-window fit protocol — requires caps().windowed; the
-  /// defaults throw std::logic_error. begin_window opens an unbounded
-  /// stream (no experiment length); consume extends the window, retire
-  /// shrinks it from the front (chunks retire in consumption order),
-  /// and refit() solves from the window's current counters WITHOUT
-  /// ending the stream — after refit the estimator answers infer() /
-  /// links() exactly as if begin_fit/consume/end_fit had run over the
-  /// window's chunks alone (bit-identical; the counters subtract
-  /// retired evidence exactly). refit may be called any number of
-  /// times as the window slides.
+  /// Sliding window: the chunk protocol plus retire/refit; requires
+  /// caps().windowed. begin_window(t) checks the capability (throwing
+  /// std::logic_error without it) and then calls begin_fit(t, 0): an
+  /// unbounded stream. consume extends the window, retire shrinks it
+  /// from the front (chunks retire in consumption order), and refit()
+  /// solves from the current counters WITHOUT ending the stream — after
+  /// refit the estimator answers infer() / links() exactly as if
+  /// begin_fit/consume/end_fit had run over the window's chunks alone
+  /// (bit-identical; the counters subtract retired evidence exactly).
+  /// refit may be called any number of times as the window slides. The
+  /// retire/refit defaults throw std::logic_error.
   virtual void begin_window(const topology& t);
   virtual void retire(const measurement_chunk& chunk);
   virtual void refit();

@@ -68,7 +68,7 @@ class partitioned_estimator final : public estimator {
                         std::shared_ptr<const partition_plan> plan)
       : spec_(std::move(spec)), plan_(std::move(plan)) {
     caps_ = make_estimator(spec_)->caps();
-    caps_.windowed = false;  // the adapter has no sliding-window path.
+    caps_.windowed = false;  // the adapter has no retire/refit.
     cells_.reserve(plan_->cells.size());
     for (std::size_t c = 0; c < plan_->cells.size(); ++c) {
       cells_.push_back(make_estimator(spec_));

@@ -50,9 +50,9 @@ namespace ntom {
 
 /// One inner `spec` estimator per plan cell behind the ordinary
 /// estimator interface. Capabilities mirror the inner estimator's,
-/// minus `windowed` (the adapter does not implement the sliding-window
-/// protocol). The plan (and through it every cell sub-topology) is
-/// retained for the adapter's lifetime.
+/// minus `windowed`: the adapter implements the chunk protocol but not
+/// retire/refit, so begin_window throws. The plan (and through it
+/// every cell sub-topology) is retained for the adapter's lifetime.
 [[nodiscard]] std::unique_ptr<estimator> make_partitioned_estimator(
     estimator_spec spec, std::shared_ptr<const partition_plan> plan);
 

@@ -74,7 +74,7 @@ void tomography_service::begin_epoch(std::shared_ptr<const topology> topo) {
   since_refit_ = 0;
   est_->begin_window(*topo_);
   if (config_.track_truth) {
-    truth_.emplace(/*windowed=*/true);
+    truth_.emplace();
     truth_->begin(*topo_, 0);
   }
   ++epoch_;

@@ -8,8 +8,8 @@
 //     counters, and once the window is full the oldest chunk is retired
 //     — subtracted exactly — so memory stays O(W x chunk + #sets)
 //     forever. A refit over the window is bit-identical to a fresh
-//     one-shot fit over the same chunks (the windowed-protocol
-//     contract, estimator_caps::windowed).
+//     one-shot fit over the same chunks (the chunk protocol plus
+//     retire/refit, estimator_caps::windowed).
 //
 //   * epochs: begin_epoch swaps the topology mid-stream (a routing
 //     change). The window resets — old evidence indexes dead paths —
@@ -59,9 +59,9 @@ struct service_config {
   /// forces one regardless.
   std::size_t refit_every = 1;
 
-  /// Maintain a windowed empirical_truth over the stream's truth plane
-  /// (for soak tests / accuracy monitoring; costs one transpose per
-  /// chunk).
+  /// Maintain an empirical_truth over the window's truth plane,
+  /// retiring chunks with the estimator (for soak tests / accuracy
+  /// monitoring; costs one transpose per ingested and retired chunk).
   bool track_truth = false;
 };
 

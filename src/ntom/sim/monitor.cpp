@@ -5,47 +5,18 @@
 
 namespace ntom {
 
-void path_observations::begin(const topology& t, std::size_t intervals) {
-  intervals_ = intervals;
-  owned_ = bit_matrix(t.num_paths(), intervals);
-  owning_ = true;
-  always_good_ = bitvec(t.num_paths());
-  good_counts_.assign(t.num_paths(), 0);
-}
-
-void path_observations::consume(const measurement_chunk& chunk) {
-  const bit_matrix& good = chunk.path_good_major();
-  for (std::size_t p = 0; p < good.rows(); ++p) {
-    owned_.write_row_bits(p, chunk.first_interval, good.row_words(p),
-                          chunk.count);
-    good_counts_[p] += good.count_row(p);
-  }
-}
-
-void path_observations::end() {
-  for (std::size_t p = 0; p < good_counts_.size(); ++p) {
-    if (good_counts_[p] == intervals_) always_good_.set(p);
-  }
-}
-
 std::size_t path_observations::count_all_good(const bitvec& path_set) const {
-  if (!owning_ && view_ == nullptr) return 0;
   const std::size_t members = path_set.count();
-  if (members == 0) return intervals_;  // vacuously all good.
-  if (members == 1) {
-    // Singleton fast path: the online counter (accumulate mode) or one
-    // row popcount — no AND kernel, no allocation.
-    const std::size_t p = path_set.find_first();
-    if (!good_counts_.empty()) return good_counts_[p];
-    return good_matrix().count_row(p);
-  }
+  if (members == 0) return intervals();  // vacuously all good.
+  // Singleton fast path: one row popcount — no AND kernel.
+  if (members == 1) return good_matrix().count_row(path_set.find_first());
   return good_matrix().and_count(path_set);
 }
 
 double path_observations::empirical_all_good(const bitvec& path_set) const {
-  if (intervals_ == 0) return 0.0;
+  if (intervals() == 0) return 0.0;
   return static_cast<double>(count_all_good(path_set)) /
-         static_cast<double>(intervals_);
+         static_cast<double>(intervals());
 }
 
 std::optional<double> path_observations::log_empirical_all_good(
@@ -53,109 +24,64 @@ std::optional<double> path_observations::log_empirical_all_good(
   const std::size_t count = count_all_good(path_set);
   if (count == 0) return std::nullopt;
   return std::log(static_cast<double>(count) /
-                  static_cast<double>(intervals_));
+                  static_cast<double>(intervals()));
 }
 
-void pathset_counter::begin(const topology& t, std::size_t intervals) {
-  intervals_ = windowed_ ? 0 : intervals;
+void pathset_counter::begin(const topology& t, std::size_t) {
+  intervals_ = 0;
   counts_.assign(sets_.size(), 0);
   observed_.assign(sets_.size(), 0);
-  always_good_ = bitvec(t.num_paths());
+  good_counts_.assign(t.num_paths(), 0);
+  path_observed_.assign(t.num_paths(), 0);
   masked_seen_ = false;
-  all_observed_ = false;
-  if (windowed_) {
-    // A retired interval must be able to un-violate a path, so the
-    // windowed mode trades the one-bit always-good state for per-path
-    // good-interval counters (window_always_good derives the set).
-    good_counts_.assign(t.num_paths(), 0);
-    path_observed_.assign(t.num_paths(), 0);
-  } else {
-    always_good_.flip();  // start all-good; chunks clear the violators.
-    ever_observed_ = bitvec(t.num_paths());
-  }
 }
 
 void pathset_counter::consume(const measurement_chunk& chunk) {
+  masked_seen_ = masked_seen_ || !chunk.fully_observed();
+  tally(chunk, false);
+}
+
+void pathset_counter::retire(const measurement_chunk& chunk) {
+  assert(chunk.count <= intervals_ && "retiring more than was consumed");
+  tally(chunk, true);
+}
+
+void pathset_counter::tally(const measurement_chunk& chunk, bool retiring) {
+  // retire() recomputes every term from the chunk's own rows and mask —
+  // the exact mirror of consume(), so subtraction is always exact.
+  const auto step = [retiring](std::size_t& counter, std::size_t n) {
+    counter = retiring ? counter - n : counter + n;
+  };
   const bit_matrix& good = chunk.path_good_major();
   const bool masked = !chunk.fully_observed();
+  step(intervals_, chunk.count);
+  const auto tally_path = [&](std::size_t p) {
+    step(good_counts_[p], good.count_row(p));
+    step(path_observed_[p], chunk.count);
+  };
   if (masked) {
-    masked_seen_ = true;
+    // Unobserved rows of `good` are vacuously all-ones — only the
+    // mask's paths carry real evidence.
+    chunk.observed_paths.for_each(tally_path);
   } else {
-    all_observed_ = true;
-  }
-  if (windowed_) {
-    intervals_ += chunk.count;
-    if (masked) {
-      // Unobserved rows of `good` are vacuously all-ones — only the
-      // mask's paths accrue real evidence.
-      chunk.observed_paths.for_each([&](std::size_t p) {
-        good_counts_[p] += good.count_row(p);
-        path_observed_[p] += chunk.count;
-      });
-    } else {
-      for (std::size_t p = 0; p < good.rows(); ++p) {
-        good_counts_[p] += good.count_row(p);
-        path_observed_[p] += chunk.count;
-      }
-    }
-  } else {
-    // For a masked chunk the unobserved rows are all-ones, so this
-    // computes "never observed congested" — exactly the masked
-    // semantics once end() removes the never-observed paths.
-    always_good_ &= good.full_rows();
-    if (masked && !all_observed_) ever_observed_ |= chunk.observed_paths;
+    for (std::size_t p = 0; p < good.rows(); ++p) tally_path(p);
   }
   for (std::size_t i = 0; i < sets_.size(); ++i) {
     // A set only counts in intervals where EVERY member was probed; the
     // per-set denominator keeps the empirical probability unbiased
     // under any budget.
     if (masked && !sets_[i].is_subset_of(chunk.observed_paths)) continue;
-    counts_[i] += good.and_count(sets_[i]);
-    observed_[i] += chunk.count;
+    step(counts_[i], good.and_count(sets_[i]));
+    step(observed_[i], chunk.count);
   }
 }
 
-void pathset_counter::end() {
-  // One-shot masked streams: a path no probe ever covered has no
-  // evidence at all and must not report "always good".
-  if (!windowed_ && masked_seen_ && !all_observed_) {
-    always_good_ &= ever_observed_;
-  }
-}
-
-void pathset_counter::retire(const measurement_chunk& chunk) {
-  assert(windowed_ && "retire() requires a windowed pathset_counter");
-  assert(chunk.count <= intervals_ && "retiring more than was consumed");
-  const bit_matrix& good = chunk.path_good_major();
-  const bool masked = !chunk.fully_observed();
-  intervals_ -= chunk.count;
-  if (masked) {
-    chunk.observed_paths.for_each([&](std::size_t p) {
-      good_counts_[p] -= good.count_row(p);
-      path_observed_[p] -= chunk.count;
-    });
-  } else {
-    for (std::size_t p = 0; p < good.rows(); ++p) {
-      good_counts_[p] -= good.count_row(p);
-      path_observed_[p] -= chunk.count;
-    }
-  }
-  for (std::size_t i = 0; i < sets_.size(); ++i) {
-    // Recomputed from the retiring chunk's own mask — the exact
-    // mirror of consume(), so subtraction is always exact.
-    if (masked && !sets_[i].is_subset_of(chunk.observed_paths)) continue;
-    counts_[i] -= good.and_count(sets_[i]);
-    observed_[i] -= chunk.count;
-  }
-}
-
-bitvec pathset_counter::window_always_good() const {
-  if (!windowed_) return always_good_;
+bitvec pathset_counter::always_good_paths() const {
   bitvec out(good_counts_.size());
   for (std::size_t p = 0; p < good_counts_.size(); ++p) {
     if (masked_seen_) {
       // Good in every interval the path was actually probed, and probed
-      // at least once. Reduces to the legacy formula when every chunk
+      // at least once. Reduces to the unmasked formula when every chunk
       // was unmasked (path_observed_ == intervals_ then).
       if (path_observed_[p] > 0 && good_counts_[p] == path_observed_[p]) {
         out.set(p);

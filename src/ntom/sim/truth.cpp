@@ -74,48 +74,43 @@ double ground_truth::link_congestion_probability(link_id e) const {
   return 1.0 - good_probability(one);
 }
 
-void empirical_truth::begin(const topology& t, std::size_t intervals) {
+void empirical_truth::begin(const topology& t, std::size_t) {
   topo_ = &t;
-  intervals_ = windowed_ ? 0 : intervals;
+  intervals_ = 0;
   counts_.assign(t.num_links(), 0);
   observed_counts_.assign(t.num_links(), 0);
-  ever_congested_ = bitvec(t.num_links());
   bitvec all_paths(t.num_paths());
   all_paths.flip();
   all_observable_ = t.links_of_paths(all_paths);
 }
 
 void empirical_truth::consume(const measurement_chunk& chunk) {
-  ever_congested_ |= chunk.true_links.or_of_rows();
-  if (windowed_) intervals_ += chunk.count;
-  // Column-wise popcounts via the transposed chunk: one pass, O(chunk).
-  const bit_matrix by_link = chunk.true_links.transposed();
-  for (std::size_t e = 0; e < by_link.rows(); ++e) {
-    counts_[e] += by_link.count_row(e);
-  }
-  const bitvec observable =
-      chunk.fully_observed() ? all_observable_
-                             : topo_->links_of_paths(chunk.observed_paths);
-  observable.for_each(
-      [&](std::size_t e) { observed_counts_[e] += chunk.count; });
+  tally(chunk, false);
 }
 
 void empirical_truth::retire(const measurement_chunk& chunk) {
-  assert(windowed_ && "retire() requires a windowed empirical_truth");
   assert(chunk.count <= intervals_ && "retiring more than was consumed");
-  intervals_ -= chunk.count;
+  tally(chunk, true);
+}
+
+void empirical_truth::tally(const measurement_chunk& chunk, bool retiring) {
+  const auto step = [retiring](std::size_t& counter, std::size_t n) {
+    counter = retiring ? counter - n : counter + n;
+  };
+  step(intervals_, chunk.count);
+  // Column-wise popcounts via the transposed chunk: one pass, O(chunk).
   const bit_matrix by_link = chunk.true_links.transposed();
   for (std::size_t e = 0; e < by_link.rows(); ++e) {
-    counts_[e] -= by_link.count_row(e);
+    step(counts_[e], by_link.count_row(e));
   }
   const bitvec observable =
       chunk.fully_observed() ? all_observable_
                              : topo_->links_of_paths(chunk.observed_paths);
   observable.for_each(
-      [&](std::size_t e) { observed_counts_[e] -= chunk.count; });
+      [&](std::size_t e) { step(observed_counts_[e], chunk.count); });
 }
 
-bitvec empirical_truth::window_congested_links() const {
+bitvec empirical_truth::congested_links() const {
   bitvec out(counts_.size());
   for (std::size_t e = 0; e < counts_.size(); ++e) {
     if (counts_[e] > 0) out.set(e);

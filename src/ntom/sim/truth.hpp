@@ -54,26 +54,26 @@ class ground_truth {
   std::size_t intervals_;
 };
 
-/// Accumulating consumer over the true-link side of the measurement
-/// stream: online per-link congested-interval counters and the
-/// ever-congested set, with O(links) state — the streaming counterpart
-/// of experiment_data's ground-truth views (finite-sample frequencies,
-/// unlike the analytic ground_truth above).
-/// In windowed mode (constructor flag), retire() subtracts a chunk's
-/// contribution so the counters always equal a fresh pass over the
-/// chunks currently in the window — the truth-side mirror of
-/// pathset_counter's sliding-window form.
+/// Counting consumer over the true-link side of the measurement
+/// stream: per-link congested-interval and observed-interval counters,
+/// with O(links) state — the streaming counterpart of experiment_data's
+/// ground-truth views (finite-sample frequencies, unlike the analytic
+/// ground_truth above). consume() adds a chunk and retire() subtracts
+/// one exactly (chunks retire in consumption order), so the counters
+/// always equal a fresh pass over the chunks consumed and not yet
+/// retired — the truth-side mirror of pathset_counter.
 class empirical_truth final : public measurement_sink {
  public:
-  explicit empirical_truth(bool windowed = false) : windowed_(windowed) {}
-
+  /// Resets every counter; `intervals` is not needed (intervals()
+  /// counts what was consumed).
   void begin(const topology& t, std::size_t intervals) override;
   void consume(const measurement_chunk& chunk) override;
 
-  /// Windowed mode only: subtracts `chunk`'s contribution (chunks
-  /// retire in consumption order — a sliding window).
+  /// Subtracts `chunk`'s contribution; the chunk must have been
+  /// consumed earlier and not yet retired.
   void retire(const measurement_chunk& chunk);
 
+  /// Intervals consumed and not yet retired.
   [[nodiscard]] std::size_t intervals() const noexcept { return intervals_; }
 
   /// Intervals in which link e was truly congested.
@@ -84,16 +84,9 @@ class empirical_truth final : public measurement_sink {
   /// Finite-sample P(link e congested) = count / T.
   [[nodiscard]] double congestion_frequency(link_id e) const;
 
-  /// Links truly congested in at least one interval. One-shot mode only
-  /// (a retired interval cannot clear a sticky bit); windowed consumers
-  /// use window_congested_links().
-  [[nodiscard]] const bitvec& ever_congested_links() const noexcept {
-    return ever_congested_;
-  }
-
-  /// Links truly congested in at least one interval of the current
-  /// window, derived from the counters (valid in either mode).
-  [[nodiscard]] bitvec window_congested_links() const;
+  /// Links truly congested in at least one counted interval, derived
+  /// from the counters.
+  [[nodiscard]] bitvec congested_links() const;
 
   /// Intervals in which link e was coverable by an OBSERVED path — the
   /// visibility a probe-budget mask (chunk.observed_paths) left for the
@@ -109,13 +102,14 @@ class empirical_truth final : public measurement_sink {
   [[nodiscard]] double observed_frequency(link_id e) const;
 
  private:
+  /// Adds `chunk`'s contribution to every counter, or subtracts it.
+  void tally(const measurement_chunk& chunk, bool retiring);
+
   const topology* topo_ = nullptr;
   std::vector<std::size_t> counts_;
   std::vector<std::size_t> observed_counts_;
   bitvec all_observable_;  ///< links on >= 1 monitored path.
-  bitvec ever_congested_;
   std::size_t intervals_ = 0;
-  bool windowed_ = false;
 };
 
 }  // namespace ntom

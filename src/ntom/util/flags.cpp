@@ -1,5 +1,6 @@
 #include "ntom/util/flags.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace ntom {
@@ -33,15 +34,52 @@ std::string flags::get_string(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  throw flag_error("--" + name + "=" + value + ": expected " + expected);
+}
+
+/// After a strto* call that reset errno: the whole string parsed, in
+/// range.
+bool parsed_whole(const char* begin, const char* end) {
+  return end != begin && *end == '\0' && errno != ERANGE;
+}
+
+}  // namespace
+
 std::int64_t flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(begin, &end, 10);
+  if (!parsed_whole(begin, end)) bad_value(name, it->second, "an integer");
+  return value;
+}
+
+std::size_t flags::get_size(const std::string& name,
+                            std::size_t fallback) const {
+  if (!has(name)) return fallback;
+  const std::int64_t value = get_int(name, 0);
+  if (value < 0) {
+    bad_value(name, get_string(name, ""), "a non-negative integer");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 double flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  if (!parsed_whole(begin, end)) bad_value(name, it->second, "a number");
+  return value;
 }
 
 bool flags::get_bool(const std::string& name, bool fallback) const {

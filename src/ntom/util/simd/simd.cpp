@@ -326,6 +326,21 @@ bool set_level(level l) noexcept {
   return true;
 }
 
+bool apply_level_flag(const std::string& name) {
+  level want{};
+  if (!parse_level(name, want)) {
+    std::fprintf(stderr,
+                 "--simd=%s: unknown level (scalar|popcnt|avx2|avx512)\n",
+                 name.c_str());
+    return false;
+  }
+  if (!set_level(want)) {
+    std::fprintf(stderr, "--simd=%s exceeds this host; staying at %s\n",
+                 name.c_str(), level_name(active_level()));
+  }
+  return true;
+}
+
 std::vector<level> available_levels() {
   initialize();
   std::vector<level> out;

@@ -49,6 +49,12 @@ enum class level : int {
 /// detected_level().
 bool set_level(level l) noexcept;
 
+/// The CLIs' `--simd=<name>` handler, with NTOM_SIMD's semantics: an
+/// unknown name prints an error to stderr and returns false (the CLI
+/// then exits 2); a level above this host prints a warning, keeps the
+/// current level and returns true.
+[[nodiscard]] bool apply_level_flag(const std::string& name);
+
 /// Every level this host can run: scalar .. detected_level(), ascending.
 [[nodiscard]] std::vector<level> available_levels();
 

@@ -1,0 +1,18 @@
+# ctest helper for CLI error paths: runs PROG with ARGS (one string,
+# split like a shell command line) and passes only when it exits with
+# EXPECT_CODE and its stderr matches the regex EXPECT_STDERR.
+#
+#   cmake -DPROG=<exe> "-DARGS=--flag=value" -DEXPECT_CODE=2
+#         -DEXPECT_STDERR=<regex> -P expect_exit.cmake
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${PROG}" ${args}
+                RESULT_VARIABLE code
+                ERROR_VARIABLE err
+                OUTPUT_QUIET)
+if(NOT code STREQUAL "${EXPECT_CODE}")
+  message(FATAL_ERROR
+          "expected exit code ${EXPECT_CODE}, got '${code}'; stderr:\n${err}")
+endif()
+if(NOT err MATCHES "${EXPECT_STDERR}")
+  message(FATAL_ERROR "stderr does not match '${EXPECT_STDERR}':\n${err}")
+endif()

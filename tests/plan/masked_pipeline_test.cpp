@@ -169,14 +169,14 @@ TEST(MaskedPathsetCounterTest, WindowEqualsFreshCounterAtEveryStep) {
       make_masked_chunks(9, t.num_paths(), t.num_links());
 
   for (const std::size_t window : {2u, 4u}) {
-    pathset_counter windowed(make_sets(t.num_paths()), /*windowed=*/true);
+    pathset_counter windowed(make_sets(t.num_paths()));
     windowed.begin(t, 0);
     std::size_t oldest = 0;
     for (std::size_t k = 0; k < chunks.size(); ++k) {
       windowed.consume(chunks[k]);
       if (k + 1 - oldest > window) windowed.retire(chunks[oldest++]);
 
-      pathset_counter fresh(make_sets(t.num_paths()), /*windowed=*/true);
+      pathset_counter fresh(make_sets(t.num_paths()));
       fresh.begin(t, 0);
       for (std::size_t i = oldest; i <= k; ++i) fresh.consume(chunks[i]);
 
@@ -186,7 +186,7 @@ TEST(MaskedPathsetCounterTest, WindowEqualsFreshCounterAtEveryStep) {
           << "W=" << window << " step " << k;
       EXPECT_EQ(windowed.observed_intervals(), fresh.observed_intervals())
           << "W=" << window << " step " << k;
-      EXPECT_EQ(windowed.window_always_good(), fresh.window_always_good())
+      EXPECT_EQ(windowed.always_good_paths(), fresh.always_good_paths())
           << "W=" << window << " step " << k;
     }
   }
@@ -221,7 +221,7 @@ TEST(MaskedEmpiricalTruthTest, TruthStaysFullWhileVisibilityIsTracked) {
   // Truth counters never qualify with the mask...
   EXPECT_EQ(truth.congested_count(0), 2u);
   EXPECT_EQ(truth.congested_count(2), 1u);
-  EXPECT_TRUE(truth.ever_congested_links().test(0));
+  EXPECT_TRUE(truth.congested_links().test(0));
   // ...but visibility does: link 0 only in the unmasked chunk, link 2
   // (covered by observed path 3) in both.
   EXPECT_EQ(truth.observed_count(0), 2u);
@@ -235,14 +235,14 @@ TEST(MaskedEmpiricalTruthTest, WindowEqualsFreshTruthAtEveryStep) {
       make_masked_chunks(8, t.num_paths(), t.num_links());
 
   const std::size_t window = 3;
-  empirical_truth windowed(/*windowed=*/true);
+  empirical_truth windowed;
   windowed.begin(t, 0);
   std::size_t oldest = 0;
   for (std::size_t k = 0; k < chunks.size(); ++k) {
     windowed.consume(chunks[k]);
     if (k + 1 - oldest > window) windowed.retire(chunks[oldest++]);
 
-    empirical_truth fresh(/*windowed=*/true);
+    empirical_truth fresh;
     fresh.begin(t, 0);
     for (std::size_t i = oldest; i <= k; ++i) fresh.consume(chunks[i]);
 

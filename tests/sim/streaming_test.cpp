@@ -57,36 +57,6 @@ TEST(StreamingEquivalenceTest, MaterializedStoreBitIdenticalAtAnyChunk) {
   }
 }
 
-TEST(StreamingEquivalenceTest, AccumulatingObservationsMatchView) {
-  const sim_fixture f = make_fixture(100);
-  const experiment_data data = run_experiment(f.topo, f.model, f.sim);
-  const path_observations view(data);
-
-  for (const std::size_t chunk : chunk_sizes) {
-    path_observations streamed;
-    run_experiment_streaming(f.topo, f.model, f.sim, streamed, chunk);
-    EXPECT_EQ(streamed.intervals(), view.intervals());
-    EXPECT_EQ(streamed.always_good_paths(), view.always_good_paths())
-        << "chunk " << chunk;
-    EXPECT_TRUE(streamed.good_matrix() == view.good_matrix())
-        << "chunk " << chunk;
-    // Every query answers identically: singles, pairs, the full set.
-    for (path_id p = 0; p < f.topo.num_paths(); ++p) {
-      bitvec single(f.topo.num_paths());
-      single.set(p);
-      EXPECT_EQ(streamed.count_all_good(single), view.count_all_good(single));
-      for (path_id q = p + 1; q < f.topo.num_paths(); ++q) {
-        bitvec pair = single;
-        pair.set(q);
-        EXPECT_EQ(streamed.count_all_good(pair), view.count_all_good(pair));
-      }
-    }
-    bitvec all(f.topo.num_paths());
-    all.flip();
-    EXPECT_EQ(streamed.count_all_good(all), view.count_all_good(all));
-  }
-}
-
 TEST(StreamingEquivalenceTest, PathsetCounterMatchesObservations) {
   const sim_fixture f = make_fixture(100);
   const experiment_data data = run_experiment(f.topo, f.model, f.sim);
@@ -130,7 +100,7 @@ TEST(StreamingEquivalenceTest, EmpiricalTruthMatchesStore) {
   for (const std::size_t chunk : chunk_sizes) {
     empirical_truth truth;
     run_experiment_streaming(f.topo, f.model, f.sim, truth, chunk);
-    EXPECT_EQ(truth.ever_congested_links(), data.ever_congested_links)
+    EXPECT_EQ(truth.congested_links(), data.ever_congested_links)
         << "chunk " << chunk;
     const bit_matrix by_link = data.true_links.transposed();
     for (link_id e = 0; e < f.topo.num_links(); ++e) {
@@ -236,14 +206,14 @@ TEST(StreamingEquivalenceTest, FanoutFeedsAllConsumersOnePass) {
 
   experiment_data materialized;
   materialize_sink store(materialized);
-  path_observations obs;
+  pathset_counter counter;
   empirical_truth truth;
-  fanout_sink fanout({&store, &obs, &truth});
+  fanout_sink fanout({&store, &counter, &truth});
   run_experiment_streaming(f.topo, f.model, f.sim, fanout, 7);
 
   EXPECT_TRUE(materialized.path_good == reference.path_good);
-  EXPECT_TRUE(obs.good_matrix() == reference.path_good);
-  EXPECT_EQ(truth.ever_congested_links(), reference.ever_congested_links);
+  EXPECT_EQ(counter.always_good_paths(), reference.always_good_paths);
+  EXPECT_EQ(truth.congested_links(), reference.ever_congested_links);
 }
 
 }  // namespace

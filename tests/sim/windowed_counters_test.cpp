@@ -1,4 +1,4 @@
-// Sliding-window counter correctness: a windowed pathset_counter /
+// Sliding-window counter correctness: a pathset_counter /
 // empirical_truth that consumed chunks [0, k) and retired chunks
 // [0, j) must hold state bit-identical to a fresh counter fed only
 // chunks [j, k) — retire() subtracts exact integer contributions, so
@@ -84,7 +84,7 @@ TEST(WindowedPathsetCounterTest, WindowEqualsFreshCounterAtEveryStep) {
       make_chunks(7, t.num_paths(), t.num_links());
 
   for (const std::size_t window : {2u, 4u}) {
-    pathset_counter windowed(make_sets(t.num_paths()), /*windowed=*/true);
+    pathset_counter windowed(make_sets(t.num_paths()));
     windowed.begin(t, 0);
     std::size_t oldest = 0;
     for (std::size_t k = 0; k < chunks.size(); ++k) {
@@ -103,27 +103,36 @@ TEST(WindowedPathsetCounterTest, WindowEqualsFreshCounterAtEveryStep) {
           << "W=" << window << " step " << k;
       EXPECT_EQ(windowed.counts(), fresh.counts())
           << "W=" << window << " step " << k;
-      EXPECT_EQ(windowed.window_always_good(), fresh.always_good_paths())
+      EXPECT_EQ(windowed.always_good_paths(), fresh.always_good_paths())
           << "W=" << window << " step " << k;
     }
   }
 }
 
-TEST(WindowedPathsetCounterTest, OneShotModeIsUnchanged) {
+TEST(WindowedPathsetCounterTest, SizedBeginStillRetiresExactly) {
+  // A counter begun with the experiment length (the one-shot drivers'
+  // call) is the same counter: retiring its first chunks leaves exactly
+  // a fresh pass over the rest.
   const topology t = make_topo();
   const std::vector<measurement_chunk> chunks =
-      make_chunks(4, t.num_paths(), t.num_links());
+      make_chunks(5, t.num_paths(), t.num_links());
   std::size_t intervals = 0;
   for (const measurement_chunk& c : chunks) intervals += c.count;
 
   pathset_counter counter(make_sets(t.num_paths()));
   counter.begin(t, intervals);
   for (const measurement_chunk& c : chunks) counter.consume(c);
-  counter.end();
-  EXPECT_FALSE(counter.windowed());
   EXPECT_EQ(counter.intervals(), intervals);
-  // window_always_good falls back to the sticky bits in one-shot mode.
-  EXPECT_EQ(counter.window_always_good(), counter.always_good_paths());
+  counter.retire(chunks[0]);
+  counter.retire(chunks[1]);
+
+  pathset_counter fresh(make_sets(t.num_paths()));
+  fresh.begin(t, intervals - chunks[0].count - chunks[1].count);
+  for (std::size_t i = 2; i < chunks.size(); ++i) fresh.consume(chunks[i]);
+  EXPECT_EQ(counter.intervals(), fresh.intervals());
+  EXPECT_EQ(counter.counts(), fresh.counts());
+  EXPECT_EQ(counter.observed_intervals(), fresh.observed_intervals());
+  EXPECT_EQ(counter.always_good_paths(), fresh.always_good_paths());
 }
 
 TEST(WindowedEmpiricalTruthTest, WindowEqualsFreshTruthAtEveryStep) {
@@ -132,7 +141,7 @@ TEST(WindowedEmpiricalTruthTest, WindowEqualsFreshTruthAtEveryStep) {
       make_chunks(7, t.num_paths(), t.num_links());
 
   const std::size_t window = 3;
-  empirical_truth windowed(/*windowed=*/true);
+  empirical_truth windowed;
   windowed.begin(t, 0);
   std::size_t oldest = 0;
   for (std::size_t k = 0; k < chunks.size(); ++k) {
@@ -151,8 +160,7 @@ TEST(WindowedEmpiricalTruthTest, WindowEqualsFreshTruthAtEveryStep) {
       EXPECT_EQ(windowed.congested_count(e), fresh.congested_count(e))
           << "step " << k << " link " << e;
     }
-    EXPECT_EQ(windowed.window_congested_links(),
-              fresh.window_congested_links())
+    EXPECT_EQ(windowed.congested_links(), fresh.congested_links())
         << "step " << k;
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ntom {
 namespace {
 
@@ -68,6 +70,57 @@ TEST(FlagsTest, BareFlagFollowedByFlag) {
   const auto f = make({"--verbose", "--seed=3"});
   EXPECT_TRUE(f.get_bool("verbose", false));
   EXPECT_EQ(f.get_int("seed", 0), 3);
+}
+
+TEST(FlagsTest, IntRejectsNonNumericAndTrailingGarbage) {
+  EXPECT_THROW((void)make({"--window=abc"}).get_int("window", 16),
+               flag_error);
+  EXPECT_THROW((void)make({"--window=12x"}).get_int("window", 16),
+               flag_error);
+  EXPECT_THROW((void)make({"--window="}).get_int("window", 16), flag_error);
+  EXPECT_THROW((void)make({"--window=1.5"}).get_int("window", 16),
+               flag_error);
+  EXPECT_THROW(
+      (void)make({"--seed=99999999999999999999"}).get_int("seed", 0),
+      flag_error);
+  // A bare flag reads "true", which is not a number either.
+  EXPECT_THROW((void)make({"--window"}).get_int("window", 16), flag_error);
+  EXPECT_EQ(make({"--seed=-3"}).get_int("seed", 0), -3);
+}
+
+TEST(FlagsTest, ErrorNamesTheFlagAndValue) {
+  try {
+    (void)make({"--window=abc"}).get_int("window", 16);
+    FAIL() << "expected flag_error";
+  } catch (const flag_error& err) {
+    EXPECT_NE(std::string(err.what()).find("--window=abc"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(FlagsTest, SizeRejectsNegativeValues) {
+  const auto f = make({"--replicas=-1", "--readers=3"});
+  EXPECT_THROW((void)f.get_size("replicas", 2), flag_error);
+  EXPECT_EQ(f.get_size("readers", 2), 3u);
+  EXPECT_EQ(f.get_size("absent", 7), 7u);
+  EXPECT_THROW((void)make({"--readers=two"}).get_size("readers", 2),
+               flag_error);
+  try {
+    (void)f.get_size("replicas", 2);
+  } catch (const flag_error& err) {
+    EXPECT_NE(std::string(err.what()).find("--replicas=-1"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(FlagsTest, DoubleRejectsNonNumericAndTrailingGarbage) {
+  EXPECT_THROW((void)make({"--frac=abc"}).get_double("frac", 0.1),
+               flag_error);
+  EXPECT_THROW((void)make({"--frac=0.5x"}).get_double("frac", 0.1),
+               flag_error);
+  EXPECT_DOUBLE_EQ(make({"--frac=-2.5e-1"}).get_double("frac", 0.1), -0.25);
 }
 
 }  // namespace
