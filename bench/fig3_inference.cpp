@@ -8,12 +8,12 @@
 //
 // 10% of links have a non-zero congestion probability (§3.2).
 // Every arm is a (topology spec, scenario spec) pair resolved through
-// the registries. Runs on the batched experiment engine: scenarios
-// (x --replicas seed replications) fan out across --threads workers with
-// per-run seeds derived from --seed and the run index, so results are
-// independent of the thread count. Run with --scale=paper for the
-// paper's dimensions (slower); default is a reduced-scale configuration
-// with the same qualitative shape. --csv=<path> dumps the per-run
+// the registries. Runs on the grid scheduler: one cell per (scenario x
+// --replicas seed replication x algorithm), fanned out across --threads
+// workers with per-run seeds derived from --seed and the run index, so
+// results are independent of the thread count. Run with --scale=paper
+// for the paper's dimensions (slower); default is a reduced-scale
+// configuration with the same qualitative shape. --csv=<path> dumps the per-run
 // series, --summary-csv=<path> the aggregated mean/stddev/percentiles,
 // --json[=<path>] a machine-readable BENCH_*.json summary.
 #include <algorithm>
@@ -24,6 +24,7 @@
 
 #include "ntom/exp/batch.hpp"
 #include "ntom/exp/evals.hpp"
+#include "ntom/exp/grid.hpp"
 #include "ntom/exp/report.hpp"
 #include "ntom/exp/runner.hpp"
 #include "ntom/util/flags.hpp"
@@ -71,28 +72,17 @@ std::vector<ntom::run_spec> make_specs(bool paper_scale, std::size_t intervals,
   return specs;
 }
 
-std::vector<ntom::measurement> evaluate(const ntom::run_config& config,
-                                        const ntom::run_artifacts& run) {
-  using namespace ntom;
-  std::fprintf(stderr, "[fig3] %s/%s: %s\n",
-               scenario_label(config.scenario).c_str(),
-               topology_label(config.topo).c_str(),
-               run.topo().describe().c_str());
-  return boolean_inference_eval(config, run);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
   const bool paper_scale = opts.get_string("scale", "small") == "paper";
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  const auto intervals = static_cast<std::size_t>(
-      opts.get_int("intervals", paper_scale ? 1000 : 300));
-  const auto replicas =
-      static_cast<std::size_t>(opts.get_int("replicas", 1));
-  const auto threads = static_cast<std::size_t>(opts.get_int("threads", 0));
+  const std::size_t intervals =
+      opts.get_size("intervals", paper_scale ? 1000 : 300);
+  const std::size_t replicas = opts.get_size("replicas", 1);
+  const std::size_t threads = opts.get_size("threads", 0);
 
   batch_params params;
   params.threads = threads;
@@ -106,7 +96,9 @@ int main(int argc, char** argv) {
             << ", replicas=" << replicas
             << ", threads=" << thread_pool::resolve_threads(threads) << ")\n\n";
 
-  const batch_report report = run_batch(specs, evaluate, params);
+  const batch_report report = run_grid(
+      specs, estimator_cells({"sparsity", "bayes-indep", "bayes-corr"}),
+      params);
 
   const std::vector<std::string> algorithms = {"Sparsity", "Bayes-Indep",
                                                "Bayes-Corr"};
@@ -146,4 +138,7 @@ int main(int argc, char** argv) {
        {"replicas", std::to_string(replicas)},
        {"threads", std::to_string(thread_pool::resolve_threads(threads))}});
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

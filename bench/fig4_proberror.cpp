@@ -8,9 +8,10 @@
 //
 // The grid is pure specs: 2 topology specs x 3 scenario specs, the
 // estimators resolved by name through the estimator registry. Runs on
-// the batched experiment engine: the grid (x --replicas) fans out
-// across --threads workers with per-run seeds derived from --seed and
-// the run index. --json[=<path>] writes a BENCH_*.json summary.
+// the grid scheduler: one cell per (run x estimator), the grid (x
+// --replicas) fanned out across --threads workers with per-run seeds
+// derived from --seed and the run index. --json[=<path>] writes a
+// BENCH_*.json summary.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "ntom/exp/batch.hpp"
 #include "ntom/exp/evals.hpp"
+#include "ntom/exp/grid.hpp"
 #include "ntom/exp/report.hpp"
 #include "ntom/exp/runner.hpp"
 #include "ntom/util/flags.hpp"
@@ -64,17 +66,16 @@ std::vector<ntom::run_spec> make_specs(bool paper_scale, bool stationary,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
   const bool paper_scale = opts.get_string("scale", "small") == "paper";
   const bool stationary = opts.get_bool("stationary", false);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  const auto intervals = static_cast<std::size_t>(
-      opts.get_int("intervals", paper_scale ? 1000 : 300));
-  const auto replicas =
-      static_cast<std::size_t>(opts.get_int("replicas", 1));
-  const auto threads = static_cast<std::size_t>(opts.get_int("threads", 0));
+  const std::size_t intervals =
+      opts.get_size("intervals", paper_scale ? 1000 : 300);
+  const std::size_t replicas = opts.get_size("replicas", 1);
+  const std::size_t threads = opts.get_size("threads", 0);
 
   std::cout << "Fig. 4(a)/(b) — Probability Computation error "
             << "(scale=" << (paper_scale ? "paper" : "small")
@@ -83,23 +84,14 @@ int main(int argc, char** argv) {
             << ", replicas=" << replicas
             << ", threads=" << thread_pool::resolve_threads(threads) << ")\n\n";
 
-  const batch_eval_fn eval = estimator_eval(
-      estimator_arms(), {.boolean_metrics = false, .link_error_metrics = true});
-  const batch_eval_fn logged_eval = [&eval](const run_config& config,
-                                            const run_artifacts& run) {
-    std::fprintf(stderr, "[fig4ab] %s/%s: %s\n",
-                 topology_label(config.topo).c_str(),
-                 scenario_label(config.scenario).c_str(),
-                 run.topo().describe().c_str());
-    return eval(config, run);
-  };
-
   batch_params params;
   params.threads = threads;
   params.base_seed = seed;
-  const batch_report report =
-      run_batch(make_specs(paper_scale, stationary, intervals, replicas),
-                logged_eval, params);
+  const batch_report report = run_grid(
+      make_specs(paper_scale, stationary, intervals, replicas),
+      estimator_cells(estimator_arms(), {.boolean_metrics = false,
+                                         .link_error_metrics = true}),
+      params);
 
   std::vector<std::string> estimators;
   for (const estimator_spec& s : estimator_arms()) {
@@ -142,4 +134,7 @@ int main(int argc, char** argv) {
        {"replicas", std::to_string(replicas)},
        {"threads", std::to_string(thread_pool::resolve_threads(threads))}});
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

@@ -17,13 +17,12 @@
 #include "ntom/util/flags.hpp"
 #include "ntom/util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
   const bool paper_scale = opts.get_string("scale", "small") == "paper";
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  const auto intervals = static_cast<std::size_t>(
-      opts.get_int("intervals", paper_scale ? 1000 : 300));
+  const auto intervals = opts.get_size("intervals", paper_scale ? 1000 : 300);
 
   run_config config;
   config.topo = paper_scale ? topology_spec("sparse,scale=paper")
@@ -80,4 +79,7 @@ int main(int argc, char** argv) {
             << "  Corr-complete=" << format_fixed(cdf_complete.at(0.1), 3)
             << "\n";
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

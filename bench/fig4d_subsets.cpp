@@ -17,13 +17,12 @@
 #include "ntom/util/csv.hpp"
 #include "ntom/util/flags.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
   const bool paper_scale = opts.get_string("scale", "small") == "paper";
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  const auto intervals = static_cast<std::size_t>(
-      opts.get_int("intervals", paper_scale ? 1000 : 300));
+  const auto intervals = opts.get_size("intervals", paper_scale ? 1000 : 300);
 
   std::cout << "Fig. 4(d) — Correlation-complete: links vs correlation "
             << "subsets (No Independence, scale="
@@ -72,4 +71,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

@@ -32,13 +32,12 @@ double seconds_since(clock_type::time_point start) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
-  const auto replicas = static_cast<std::size_t>(opts.get_int("replicas", 8));
-  const auto intervals =
-      static_cast<std::size_t>(opts.get_int("intervals", 120));
-  const auto threads = static_cast<std::size_t>(opts.get_int("threads", 0));
+  const auto replicas = opts.get_size("replicas", 8);
+  const auto intervals = opts.get_size("intervals", 120);
+  const auto threads = opts.get_size("threads", 0);
   const std::string topo =
       opts.get_string("topo", "brite,n=24,hosts=60,paths=240");
   // Default to the cheap estimator: the bench isolates the scheduler +
@@ -70,10 +69,11 @@ int main(int argc, char** argv) {
               replicas, topo.c_str(), intervals,
               thread_pool::resolve_threads(threads));
 
+  batch_params uncached_params = params;
+  uncached_params.cache_topologies = false;
   grid_stats uncached_stats;
   clock_type::time_point start = clock_type::now();
-  const batch_report uncached =
-      grid().cache_topologies(false).run(params, &uncached_stats);
+  const batch_report uncached = grid().run(uncached_params, &uncached_stats);
   const double uncached_seconds = seconds_since(start);
 
   grid_stats cached_stats;
@@ -125,4 +125,7 @@ int main(int argc, char** argv) {
                           {"estimator", estimator},
                           {"threads", std::to_string(threads)}});
   return identical ? 0 : 1;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

@@ -197,11 +197,11 @@ bool identity_sweep() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
-  const auto words = static_cast<std::size_t>(opts.get_int("words", 65536));
-  const auto tdim = static_cast<std::size_t>(opts.get_int("tdim", 4096));
+  const auto words = opts.get_size("words", 65536);
+  const auto tdim = opts.get_size("tdim", 4096);
 
   const auto a = random_words(words, 1);
   const auto b = random_words(words, 2);
@@ -315,4 +315,7 @@ int main(int argc, char** argv) {
                           {"detected", simd::level_name(
                                            simd::detected_level())}});
   return identical ? 0 : 1;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

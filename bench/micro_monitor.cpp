@@ -57,14 +57,12 @@ std::size_t bitvec_heap_bytes(const ntom::bitvec& b) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
-  const auto intervals =
-      static_cast<std::size_t>(opts.get_int("intervals", 100000));
-  const auto num_queries =
-      static_cast<std::size_t>(opts.get_int("queries", 4000));
-  const auto reps = static_cast<std::size_t>(opts.get_int("reps", 3));
+  const auto intervals = opts.get_size("intervals", 100000);
+  const auto num_queries = opts.get_size("queries", 4000);
+  const auto reps = opts.get_size("reps", 3);
 
   // One realistic monitored deployment; oracle monitoring keeps the
   // simulation itself off the clock at T = 10^5.
@@ -222,4 +220,7 @@ int main(int argc, char** argv) {
                           {"queries", std::to_string(num_queries)},
                           {"reps", std::to_string(reps)}});
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

@@ -126,17 +126,14 @@ bool estimates_identical(const ntom::link_estimates& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
-  const auto intervals =
-      static_cast<std::size_t>(opts.get_int("intervals", 240));
-  const auto threads = static_cast<std::size_t>(opts.get_int("threads", 4));
+  const auto intervals = opts.get_size("intervals", 240);
+  const auto threads = opts.get_size("threads", 4);
   constexpr std::size_t kDefaultRegions = 1120;
-  const auto regions =
-      static_cast<std::size_t>(opts.get_int("regions", kDefaultRegions));
-  const auto scale_intervals =
-      static_cast<std::size_t>(opts.get_int("scale-intervals", 16));
+  const auto regions = opts.get_size("regions", kDefaultRegions);
+  const auto scale_intervals = opts.get_size("scale-intervals", 16);
 
   batch_report report;
   run_result row;
@@ -429,4 +426,7 @@ int main(int argc, char** argv) {
   }
   std::printf("micro_part: done in %.2f s\n", total_seconds);
   return rc;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

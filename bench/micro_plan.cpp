@@ -81,19 +81,17 @@ double rate_of(const std::vector<ntom::measurement>& rows,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
-  const auto intervals =
-      static_cast<std::size_t>(opts.get_int("intervals", 320));
-  const auto chunk = static_cast<std::size_t>(opts.get_int("chunk", 16));
+  const auto intervals = opts.get_size("intervals", 320);
+  const auto chunk = opts.get_size("chunk", 16);
 
   // Small fixed grid: one topology, the scenario suite, two streaming
   // Boolean estimators. All seeds are pinned — the curves are exact.
   const estimator_eval_options eval_options{/*boolean_metrics=*/true,
                                             /*link_error_metrics=*/false};
-  const batch_eval_fn eval =
-      estimator_eval({"sparsity", "bayes-indep"}, eval_options);
+  const estimator_cells cells({"sparsity", "bayes-indep"}, eval_options);
   const std::vector<std::string> policies = {"uniform", "round_robin",
                                              "info_gain"};
 
@@ -128,7 +126,7 @@ int main(int argc, char** argv) {
       config.reconcile();
       const run_artifacts run = prepare_topology(config, shared_topo);
       if (shared_topo == nullptr) shared_topo = run.topo_ptr;
-      return eval(config, run);
+      return cells.eval_all(config, run);
     };
 
     const std::vector<measurement> unmasked = evaluate("");
@@ -237,4 +235,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

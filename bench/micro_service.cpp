@@ -47,15 +47,13 @@ class chunk_collector final : public ntom::measurement_sink {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
-  const auto intervals =
-      static_cast<std::size_t>(opts.get_int("intervals", 4000));
-  const auto chunk_size = static_cast<std::size_t>(opts.get_int("chunk", 64));
-  const auto window = static_cast<std::size_t>(opts.get_int("window", 8));
-  const auto num_readers =
-      static_cast<std::size_t>(opts.get_int("readers", 3));
+  const auto intervals = opts.get_size("intervals", 4000);
+  const auto chunk_size = opts.get_size("chunk", 64);
+  const auto window = opts.get_size("window", 8);
+  const auto num_readers = opts.get_size("readers", 3);
 
   run_config config;
   config.topo = "brite,n=12,hosts=36,paths=72";
@@ -204,4 +202,7 @@ int main(int argc, char** argv) {
                           {"window", std::to_string(window)},
                           {"readers", std::to_string(num_readers)}});
   return torn.load() == 0 ? 0 : 1;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

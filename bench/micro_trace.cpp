@@ -71,12 +71,11 @@ bool rows_identical(const std::vector<ntom::measurement>& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
-  const auto intervals =
-      static_cast<std::size_t>(opts.get_int("intervals", 20000));
-  const auto reps = static_cast<std::size_t>(opts.get_int("reps", 3));
+  const auto intervals = opts.get_size("intervals", 20000);
+  const auto reps = opts.get_size("reps", 3);
   const std::string trace_path =
       opts.get_string("trace", "micro_trace_corpus.trc");
 
@@ -183,16 +182,16 @@ int main(int argc, char** argv) {
   // pipeline (at a different chunk size) must reproduce the live run's
   // rows bit-for-bit.
   const std::vector<estimator_spec> estimators = {"sparsity", "independence"};
-  const batch_eval_fn eval = estimator_eval(
+  const estimator_cells cells(
       estimators, {.boolean_metrics = true, .link_error_metrics = false});
   const run_artifacts live_run = prepare_run(config);
-  const auto live_rows = eval(config, live_run);
+  const auto live_rows = cells.eval_all(config, live_run);
 
   run_config replay_config;
   replay_config.scenario = spec("trace").with_option("file", trace_path);
   replay_config.stream.chunk_intervals = 97;  // never the capture granularity.
   const run_artifacts replay_run = prepare_run(replay_config);
-  const auto replay_rows = eval(replay_config, replay_run);
+  const auto replay_rows = cells.eval_all(replay_config, replay_run);
   const bool identical = rows_identical(live_rows, replay_rows);
 
   // Self-check: buffered replay must match the default path (which
@@ -202,7 +201,8 @@ int main(int argc, char** argv) {
       replay_config.scenario.with_option("mmap", "false");
   const run_artifacts buffered_run = prepare_run(buffered_config);
   const bool mmap_identical =
-      rows_identical(live_rows, eval(buffered_config, buffered_run)) &&
+      rows_identical(live_rows,
+                     cells.eval_all(buffered_config, buffered_run)) &&
       identical;
 
   std::printf("micro_trace: %zu paths x %zu intervals, %zu reps\n\n",
@@ -261,4 +261,7 @@ int main(int argc, char** argv) {
   std::remove(sync_path.c_str());
   std::remove(raw_path.c_str());
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

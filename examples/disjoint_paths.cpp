@@ -37,7 +37,7 @@ double empirical_joint_failure(const ntom::experiment_data& data,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 99));
@@ -111,4 +111,7 @@ int main(int argc, char** argv) {
         "fate. Pairs further down the ranking are the safe choices.\n");
   }
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

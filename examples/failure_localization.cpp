@@ -20,7 +20,7 @@
 #include "ntom/topogen/brite.hpp"
 #include "ntom/util/flags.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 7));
@@ -128,4 +128,7 @@ int main(int argc, char** argv) {
       "frequency, so a rare-but-violent event is systematically\n"
       "under-reported; the frequency question is answered correctly.\n");
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

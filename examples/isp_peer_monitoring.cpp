@@ -25,11 +25,10 @@
 #include "ntom/util/flags.hpp"
 #include "ntom/util/rng.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ntom;
   const flags opts(argc, argv);
-  const auto intervals =
-      static_cast<std::size_t>(opts.get_int("intervals", 480));
+  const auto intervals = opts.get_size("intervals", 480);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 2024));
 
   // The monitored view: traceroute-derived sparse topology.
@@ -144,4 +143,7 @@ int main(int argc, char** argv) {
       " outliers — the paper's Fig. 4(c) CDF shows the same — so the\n"
       " 'worst true' sanity column is part of the operator report.)\n");
   return 0;
+} catch (const ntom::flag_error& err) {
+  std::fprintf(stderr, "%s\n", err.what());
+  return 2;
 }

@@ -313,7 +313,7 @@ int cmd_replay(const ntom::flags& opts) {
     estimators.emplace_back(e);
   }
 
-  const auto rows = estimator_eval(estimators)(config, run);
+  const auto rows = estimator_cells(estimators).eval_all(config, run);
   table_printer table({"Estimator", "Metric", "Value"});
   for (const measurement& m : rows) {
     table.add_row({m.series, m.metric, format_fixed(m.value)});

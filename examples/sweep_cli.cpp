@@ -270,11 +270,6 @@ int run_sweep(int argc, char** argv) {
     return 2;
   }
 
-  // Grid-scheduler knobs (observability / A-B only — results never
-  // depend on them).
-  exp.cache_topologies(!opts.get_bool("no-topo-cache", false));
-  exp.shard_estimators(!opts.get_bool("no-shard", false));
-
   // Capture: record every run's stream to DIR while the sweep runs
   // (passive — aggregates are bit-identical with capture on).
   const std::string capture_dir = opts.get_string("capture-dir", "");

@@ -1,6 +1,7 @@
 #include "ntom/api/experiment.hpp"
 
 #include <cctype>
+#include <optional>
 #include <utility>
 
 #include "ntom/plan/policy.hpp"
@@ -45,18 +46,88 @@ std::string describe_simd_json() {
   return out;
 }
 
+/// One section of the registry catalog: its selector (also its JSON
+/// key), its text headings, and its describe calls. `find` describes a
+/// registered name (nullopt when the section has none); simd has no
+/// named entries.
+struct catalog_section {
+  const char* key;
+  const char* title;       ///< heading when the section is selected.
+  const char* full_title;  ///< heading in the full text catalog.
+  std::string (*text)();
+  std::string (*json)();
+  std::optional<std::string> (*find)(const std::string& name, bool json);
+};
+
+template <auto Registry>
+catalog_section registry_section(const char* key, const char* title,
+                                 const char* full_title) {
+  return {key, title, full_title, [] { return Registry().describe(); },
+          [] { return Registry().describe_json(); },
+          [](const std::string& name,
+             bool json) -> std::optional<std::string> {
+            if (!Registry().contains(name)) return std::nullopt;
+            return json ? Registry().describe_json(name) + "\n"
+                        : Registry().describe(name);
+          }};
+}
+
+const std::vector<catalog_section>& catalog() {
+  static const std::vector<catalog_section> sections = {
+      registry_section<&topogen::topology_registry>("topologies", "Topologies",
+                                                    "Topologies"),
+      registry_section<&scenario_registry>("scenarios", "Scenarios",
+                                           "Scenarios"),
+      registry_section<&estimator_registry>("estimators", "Estimators",
+                                            "Estimators"),
+      registry_section<&imperfection_registry>(
+          "imperfections", "Imperfections",
+          "Imperfections (trace capture/replay decorators)"),
+      registry_section<&probe_policy_registry>(
+          "policies", "Probe policies",
+          "Probe policies (measurement-budget planners)"),
+      {"simd", "SIMD kernel dispatch",
+       "SIMD kernel dispatch (bit kernels, CRC-32)",
+       [] { return "  " + describe_simd(); }, describe_simd_json, nullptr},
+  };
+  return sections;
+}
+
+/// The selected part of the catalog: a section by its key ("topos" is
+/// short for "topologies"), else the entry of a registered name or
+/// alias from any registry — its full doc block, option whitelist
+/// included, so `--list=srlg` shows every accepted spec option of a
+/// single component. Unknown selectors name the flag that got the user
+/// here.
+std::string describe_selected(const std::string& what, bool json) {
+  const std::string key = what == "topos" ? "topologies" : what;
+  for (const catalog_section& s : catalog()) {
+    if (key != s.key) continue;
+    return json ? "{\"" + key + "\": " + s.json() + "}\n"
+                : s.title + std::string(":\n") + s.text();
+  }
+  std::string keys;
+  for (const catalog_section& s : catalog()) {
+    if (s.find != nullptr) {
+      if (std::optional<std::string> entry = s.find(what, json)) return *entry;
+    }
+    keys += keys.empty() ? "" : ", ";
+    keys += s.key;
+  }
+  throw spec_error(std::string(json ? "--list-json" : "--list") + ": '" +
+                   what + "' is neither a registry (" + keys +
+                   ") nor a registered name");
+}
+
 }  // namespace
 
 std::string describe_registries() {
-  return "Topologies:\n" + topogen::topology_registry().describe() +
-         "\nScenarios:\n" + scenario_registry().describe() +
-         "\nEstimators:\n" + estimator_registry().describe() +
-         "\nImperfections (trace capture/replay decorators):\n" +
-         imperfection_registry().describe() +
-         "\nProbe policies (measurement-budget planners):\n" +
-         probe_policy_registry().describe() +
-         "\nSIMD kernel dispatch (bit kernels, CRC-32):\n  " +
-         describe_simd() +
+  std::string out;
+  for (const catalog_section& s : catalog()) {
+    out += out.empty() ? "" : "\n";
+    out += s.full_title + std::string(":\n") + s.text();
+  }
+  return out +
          "\nSpec grammar: name,key=value,...  (bare key = true; 'label=...' "
          "overrides the display label; quote values carrying commas: "
          "file='a,b.trc')\n";
@@ -64,98 +135,22 @@ std::string describe_registries() {
 
 std::string describe_registries(const std::string& what) {
   if (what.empty() || what == "true") return describe_registries();
-  if (what == "topologies" || what == "topos") {
-    return "Topologies:\n" + topogen::topology_registry().describe();
-  }
-  if (what == "scenarios") {
-    return "Scenarios:\n" + scenario_registry().describe();
-  }
-  if (what == "estimators") {
-    return "Estimators:\n" + estimator_registry().describe();
-  }
-  if (what == "imperfections") {
-    return "Imperfections:\n" + imperfection_registry().describe();
-  }
-  if (what == "policies") {
-    return "Probe policies:\n" + probe_policy_registry().describe();
-  }
-  if (what == "simd") {
-    return "SIMD kernel dispatch:\n  " + describe_simd();
-  }
-  // A registered name or alias from any registry: its full doc block
-  // (option whitelist included), so `--list=srlg` shows every accepted
-  // spec option of a single component.
-  if (topogen::topology_registry().contains(what)) {
-    return topogen::topology_registry().describe(what);
-  }
-  if (scenario_registry().contains(what)) {
-    return scenario_registry().describe(what);
-  }
-  if (estimator_registry().contains(what)) {
-    return estimator_registry().describe(what);
-  }
-  if (imperfection_registry().contains(what)) {
-    return imperfection_registry().describe(what);
-  }
-  if (probe_policy_registry().contains(what)) {
-    return probe_policy_registry().describe(what);
-  }
-  throw spec_error(
-      "--list: '" + what +
-      "' is neither a registry (topologies, scenarios, estimators, "
-      "imperfections, policies, simd) nor a registered name");
+  return describe_selected(what, false);
 }
 
 std::string describe_registries_json() {
-  return "{\"topologies\": " + topogen::topology_registry().describe_json() +
-         ",\n\"scenarios\": " + scenario_registry().describe_json() +
-         ",\n\"estimators\": " + estimator_registry().describe_json() +
-         ",\n\"imperfections\": " + imperfection_registry().describe_json() +
-         ",\n\"policies\": " + probe_policy_registry().describe_json() +
-         ",\n\"simd\": " + describe_simd_json() + "}\n";
+  std::string out = "{";
+  for (const catalog_section& s : catalog()) {
+    out += out.size() > 1 ? ",\n\"" : "\"";
+    out += s.key;
+    out += "\": " + s.json();
+  }
+  return out + "}\n";
 }
 
 std::string describe_registries_json(const std::string& what) {
   if (what.empty() || what == "true") return describe_registries_json();
-  if (what == "topologies" || what == "topos") {
-    return "{\"topologies\": " +
-           topogen::topology_registry().describe_json() + "}\n";
-  }
-  if (what == "scenarios") {
-    return "{\"scenarios\": " + scenario_registry().describe_json() + "}\n";
-  }
-  if (what == "estimators") {
-    return "{\"estimators\": " + estimator_registry().describe_json() + "}\n";
-  }
-  if (what == "imperfections") {
-    return "{\"imperfections\": " + imperfection_registry().describe_json() +
-           "}\n";
-  }
-  if (what == "policies") {
-    return "{\"policies\": " + probe_policy_registry().describe_json() + "}\n";
-  }
-  if (what == "simd") {
-    return "{\"simd\": " + describe_simd_json() + "}\n";
-  }
-  if (topogen::topology_registry().contains(what)) {
-    return topogen::topology_registry().describe_json(what) + "\n";
-  }
-  if (scenario_registry().contains(what)) {
-    return scenario_registry().describe_json(what) + "\n";
-  }
-  if (estimator_registry().contains(what)) {
-    return estimator_registry().describe_json(what) + "\n";
-  }
-  if (imperfection_registry().contains(what)) {
-    return imperfection_registry().describe_json(what) + "\n";
-  }
-  if (probe_policy_registry().contains(what)) {
-    return probe_policy_registry().describe_json(what) + "\n";
-  }
-  throw spec_error(
-      "--list-json: '" + what +
-      "' is neither a registry (topologies, scenarios, estimators, "
-      "imperfections, policies, simd) nor a registered name");
+  return describe_selected(what, true);
 }
 
 experiment::experiment() {
@@ -258,16 +253,6 @@ experiment& experiment::with_partitioning(partition_options part) {
   return *this;
 }
 
-experiment& experiment::cache_topologies(bool on) {
-  cache_topologies_ = on;
-  return *this;
-}
-
-experiment& experiment::shard_estimators(bool on) {
-  shard_estimators_ = on;
-  return *this;
-}
-
 std::vector<run_spec> experiment::specs() const {
   // Replicas aggregate by label on purpose; two *grid arms* sharing a
   // label would silently pool incomparable configurations instead.
@@ -323,17 +308,10 @@ std::vector<run_spec> experiment::specs() const {
   return out;
 }
 
-batch_eval_fn experiment::eval() const {
-  return estimator_eval(estimators_, eval_options_);
-}
-
 batch_report experiment::run(const batch_params& params,
                              grid_stats* stats) const {
   const estimator_cells cells(estimators_, eval_options_);
-  batch_params grid_params = params;
-  if (cache_topologies_) grid_params.cache_topologies = *cache_topologies_;
-  if (shard_estimators_) grid_params.shard_estimators = *shard_estimators_;
-  return run_grid(specs(), cells, grid_params, stats);
+  return run_grid(specs(), cells, params, stats);
 }
 
 }  // namespace ntom

@@ -16,13 +16,12 @@
 // Every replica runs all scenario arms on the same drawn topology
 // (seed_group = replica), per-run seeds derive from base_seed and the
 // run index, and the aggregates are bit-identical at any thread count —
-// the facade inherits run_batch's determinism guarantee unchanged.
+// the facade inherits run_grid's determinism guarantee unchanged.
 //
 // Spec strings resolve through the registries when they are added, so a
 // typo fails at build time of the grid, not mid-batch.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,26 +120,14 @@ class experiment {
   /// spec_error on a zero max_cell_links).
   experiment& with_partitioning(partition_options part);
 
-  /// Grid-scheduler knobs (override the batch_params defaults at run
-  /// time; results never depend on either):
-  ///   * cache_topologies — share one generated topology across the
-  ///     scenario arms of a replica (same spec + topo_seed).
-  ///   * shard_estimators — schedule per-estimator cells of a
-  ///     materialized run independently (work stealing balances a
-  ///     heavyweight estimator across workers).
-  experiment& cache_topologies(bool on = true);
-  experiment& shard_estimators(bool on = true);
-
   /// The expanded grid: replicas x topologies x scenarios, labelled
   /// "<topology label>/<scenario label>", seed_group = replica.
   [[nodiscard]] std::vector<run_spec> specs() const;
 
-  /// The estimator evaluator over the configured estimator list.
-  [[nodiscard]] batch_eval_fn eval() const;
-
   /// Runs the grid on the work-stealing cell scheduler: specs() +
-  /// estimator cells + run_grid. `stats` (optional) receives the
-  /// scheduler counters (cells, steals, topology-cache hits).
+  /// estimator cells + run_grid(specs, cells, params). `stats`
+  /// (optional) receives the scheduler counters (cells, steals,
+  /// topology-cache hits).
   [[nodiscard]] batch_report run(const batch_params& params = {},
                                  grid_stats* stats = nullptr) const;
 
@@ -165,8 +152,6 @@ class experiment {
   capture_options capture_;  // capture_.path is the capture DIRECTORY.
   plan_options plan_;
   partition_options part_;
-  std::optional<bool> cache_topologies_;
-  std::optional<bool> shard_estimators_;
 };
 
 }  // namespace ntom

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "ntom/exp/grid.hpp"
 #include "ntom/util/csv.hpp"
 #include "ntom/util/json.hpp"
 #include "ntom/util/rng.hpp"
@@ -160,32 +159,6 @@ void batch_report::write_summary_csv(const std::string& path) const {
                    std::to_string(s.min), std::to_string(s.max),
                    std::to_string(s.p50), std::to_string(s.p90)});
   }
-}
-
-namespace {
-
-/// Adapts a whole-run batch_eval_fn to the cell scheduler: one cell per
-/// run, exactly the pre-grid execution shape.
-class run_eval_cells final : public cell_evaluator {
- public:
-  explicit run_eval_cells(const batch_eval_fn& fn) : fn_(&fn) {}
-
-  [[nodiscard]] std::vector<measurement> eval_cell(
-      const run_config& config, const run_artifacts& run, void* /*run_state*/,
-      std::size_t /*shard*/) const override {
-    return (*fn_)(config, run);
-  }
-
- private:
-  const batch_eval_fn* fn_;
-};
-
-}  // namespace
-
-batch_report run_batch(const std::vector<run_spec>& specs,
-                       const batch_eval_fn& eval, const batch_params& params) {
-  const run_eval_cells cells(eval);
-  return run_grid(specs, cells, params);
 }
 
 std::vector<measurement> inference_measurements(

@@ -1,7 +1,7 @@
 // Parallel batched experiment engine.
 //
 // A batch is a vector of run_configs (topology spec x scenario spec x
-// loss model x seed) fanned across a thread_pool. Each run's RNG seeds
+// loss model x seed) run by run_grid (exp/grid.hpp). Each run's RNG seeds
 // are derived from the batch base seed and the run *index* — never from
 // scheduling order — so aggregated results are bit-identical at 1
 // thread and N threads. Per-run evaluation returns named scalar
@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,11 +50,6 @@ struct batch_params {
   /// results: the cached instance is the exact value regeneration
   /// would produce.
   bool cache_topologies = true;
-
-  /// Honor the evaluator's cell sharding (per-estimator cells for
-  /// estimator_cells). Disable to schedule whole runs, one cell each.
-  /// Never changes results: shard rows reassemble in shard order.
-  bool shard_estimators = true;
 };
 
 /// One named scalar produced by evaluating a run, e.g.
@@ -65,12 +59,6 @@ struct measurement {
   std::string metric;
   double value = 0.0;
 };
-
-/// Evaluates one prepared run; called on a worker thread. Must be
-/// self-contained (no shared mutable state) and deterministic in the
-/// config's seeds.
-using batch_eval_fn = std::function<std::vector<measurement>(
-    const run_config& config, const run_artifacts& run)>;
 
 /// Outcome of one run of the batch.
 struct run_result {
@@ -129,7 +117,7 @@ class batch_report {
       const std::vector<std::pair<std::string, std::string>>& params = {})
       const;
 
-  /// Wall-clock of the whole batch (set by run_batch).
+  /// Wall-clock of the whole batch (set by run_grid).
   double total_seconds = 0.0;
 
  private:
@@ -149,13 +137,6 @@ class batch_report {
 [[nodiscard]] run_config derive_run_seeds(run_config config,
                                           std::uint64_t base_seed,
                                           std::size_t index);
-
-/// Runs every spec (prepare + eval) on the work-stealing grid scheduler
-/// (exp/grid.hpp; one cell per run) and returns the aggregated report.
-/// Exceptions thrown by eval propagate to the caller.
-[[nodiscard]] batch_report run_batch(const std::vector<run_spec>& specs,
-                                     const batch_eval_fn& eval,
-                                     const batch_params& params = {});
 
 /// Expands inference_metrics into the engine's measurement rows.
 [[nodiscard]] std::vector<measurement> inference_measurements(

@@ -71,7 +71,7 @@ std::vector<std::string> validated_labels(
     std::string label = estimator_label(s);
     for (const std::string& seen : labels) {
       if (seen == label) {
-        throw spec_error("estimator_eval: two estimators share the series "
+        throw spec_error("estimator_cells: two estimators share the series "
                          "label '" +
                          label +
                          "' — add a label=... option to disambiguate");
@@ -263,23 +263,6 @@ std::vector<measurement> estimator_cells::eval_all(
     const run_config& config, const run_artifacts& run) const {
   return eval_estimators(estimators_, labels_, options_, config, run, nullptr,
                          true);
-}
-
-batch_eval_fn estimator_eval(std::vector<estimator_spec> estimators,
-                             estimator_eval_options options) {
-  auto cells =
-      std::make_shared<estimator_cells>(std::move(estimators), options);
-  return [cells](const run_config& config,
-                 const run_artifacts& run) -> std::vector<measurement> {
-    return cells->eval_all(config, run);
-  };
-}
-
-std::vector<measurement> boolean_inference_eval(const run_config& config,
-                                                const run_artifacts& run) {
-  static const batch_eval_fn eval =
-      estimator_eval({"sparsity", "bayes-indep", "bayes-corr"});
-  return eval(config, run);
 }
 
 }  // namespace ntom

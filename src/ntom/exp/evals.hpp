@@ -1,5 +1,5 @@
-// Registry-driven batch evaluators shared by the figure benches, the
-// sweep CLI, and the ntom::experiment facade.
+// The registry-driven estimator evaluator shared by the figure benches,
+// the CLIs, and the ntom::experiment facade.
 #pragma once
 
 #include <string>
@@ -11,7 +11,7 @@
 
 namespace ntom {
 
-/// Which measurement families estimator_eval emits per capable series.
+/// Which measurement families estimator_cells emits per capable series.
 struct estimator_eval_options {
   /// detection_rate / false_positive_rate rows for estimators with the
   /// boolean_inference capability (Fig. 3 metrics).
@@ -53,8 +53,9 @@ class estimator_cells final : public cell_evaluator {
       const run_config& config, const run_artifacts& run, void* run_state,
       std::size_t shard) const override;
 
-  /// The whole-run evaluation (all estimators, shard-free) — the body
-  /// of the batch_eval_fn returned by estimator_eval.
+  /// The whole-run evaluation (all estimators, shard-free): the rows
+  /// the run's cells concatenate to, for callers that evaluate one
+  /// prepared run outside run_grid.
   [[nodiscard]] std::vector<measurement> eval_all(
       const run_config& config, const run_artifacts& run) const;
 
@@ -63,19 +64,5 @@ class estimator_cells final : public cell_evaluator {
   std::vector<std::string> labels_;
   estimator_eval_options options_;
 };
-
-/// Builds a batch_eval_fn that fits every spec'd estimator on the
-/// prepared run and emits one measurement series per estimator (series
-/// name = estimator_label). Specs are resolved eagerly, so unknown
-/// names / bad options fail before any run starts.
-[[nodiscard]] batch_eval_fn estimator_eval(
-    std::vector<estimator_spec> estimators,
-    estimator_eval_options options = {});
-
-/// Fig. 3 evaluator: the three Boolean Inference algorithms as series
-/// "Sparsity", "Bayes-Indep", "Bayes-Corr". Equivalent to
-/// estimator_eval({"sparsity", "bayes-indep", "bayes-corr"}).
-[[nodiscard]] std::vector<measurement> boolean_inference_eval(
-    const run_config& config, const run_artifacts& run);
 
 }  // namespace ntom

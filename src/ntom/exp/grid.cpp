@@ -26,10 +26,7 @@ struct run_slot {
   std::string label;
   run_config config;  ///< seeds derived; reconciliation stays internal
                       ///  to prepare_* (the pre-grid eval contract).
-  std::size_t shards = 1;     ///< the evaluator's shard count.
-  std::size_t scheduled = 1;  ///< cells actually scheduled (1 when
-                              ///  sharding is disabled: the single cell
-                              ///  then evaluates every shard in order).
+  std::size_t shards = 1;  ///< the evaluator's shard count, one cell each.
   std::once_flag prepared;
   run_artifacts artifacts;
   std::shared_ptr<void> state;
@@ -98,10 +95,9 @@ batch_report run_grid(const std::vector<run_spec>& specs,
     // time, and the mode decision must see that.
     slot->config.reconcile();
     slot->shards = std::max<std::size_t>(eval.shards(slot->config), 1);
-    slot->scheduled = params.shard_estimators ? slot->shards : 1;
     slot->rows.resize(slot->shards);
     slot->shard_seconds.assign(slot->shards, 0.0);
-    slot->remaining.store(slot->scheduled);
+    slot->remaining.store(slot->shards);
     slots.push_back(std::move(slot));
   }
 
@@ -111,7 +107,7 @@ batch_report run_grid(const std::vector<run_spec>& specs,
   };
   std::vector<cell> cells;
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    for (std::size_t s = 0; s < slots[i]->scheduled; ++s) {
+    for (std::size_t s = 0; s < slots[i]->shards; ++s) {
       cells.push_back({i, s});
     }
   }
@@ -142,18 +138,10 @@ batch_report run_grid(const std::vector<run_spec>& specs,
         });
       }
       if (slot.failed.load()) return;
-      // A scheduled cell evaluates one shard — or every shard in order
-      // when sharding is disabled — so the reassembled rows are the
-      // same sequence either way.
-      const std::size_t first = c.shard;
-      const std::size_t last =
-          slot.scheduled == slot.shards ? c.shard : slot.shards - 1;
-      for (std::size_t s = first; s <= last; ++s) {
-        const clock::time_point t0 = clock::now();
-        slot.rows[s] =
-            eval.eval_cell(slot.config, slot.artifacts, slot.state.get(), s);
-        slot.shard_seconds[s] = seconds_since(t0);
-      }
+      const clock::time_point t0 = clock::now();
+      slot.rows[c.shard] = eval.eval_cell(slot.config, slot.artifacts,
+                                          slot.state.get(), c.shard);
+      slot.shard_seconds[c.shard] = seconds_since(t0);
       if (slot.remaining.fetch_sub(1) == 1) {
         run_result result;
         result.index = slot.index;

@@ -2,19 +2,20 @@
 // (topology x scenario x estimator x replica) cells, sharing one
 // read-only topology per (spec, topo_seed) group.
 //
-// run_batch's per-run loop rides on this scheduler (one cell per run);
-// cell-granular evaluators (estimator_cells in exp/evals.hpp) split a
-// run into per-estimator cells so a heavyweight estimator never
-// serializes the rest of its run behind one worker.
+// run_grid is the one way to run a batch. An evaluator splits each run
+// into cells (estimator_cells in exp/evals.hpp: one per estimator of a
+// materialized run), and every cell is scheduled on its own, so a
+// heavyweight estimator never serializes the rest of its run behind one
+// worker.
 //
-// Determinism contract (inherited from PR 1, unchanged): per-run RNG
-// seeds derive from (base_seed, run index) before any scheduling
-// happens, cells of a run reassemble their measurement rows in shard
-// order, and the report sorts runs by index — so the aggregates are
-// bit-identical at 1 thread and N threads, sharded or not, cached or
-// not. The topology cache only skips *regenerating* a topology that an
-// identical (spec, topo_seed) key already produced; the cached instance
-// is the value make_topology would have returned.
+// Determinism contract: per-run RNG seeds derive from (base_seed, run
+// index) before any scheduling happens, cells of a run reassemble their
+// measurement rows in shard order, and the report sorts runs by index —
+// so the aggregates are bit-identical at 1 thread and N threads, cached
+// or not, and equal to the evaluator's unsharded rows. The topology
+// cache only skips *regenerating* a topology that an identical (spec,
+// topo_seed) key already produced; the cached instance is the value
+// make_topology would have returned.
 #pragma once
 
 #include <atomic>

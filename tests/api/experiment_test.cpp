@@ -58,10 +58,10 @@ TEST(ExperimentTest, DuplicateGridLabelsThrow) {
 }
 
 TEST(ExperimentTest, DuplicateEstimatorSeriesThrow) {
-  EXPECT_THROW((void)estimator_eval({"corr-complete",
-                                     "corr-complete,min_all_good=5"}),
+  EXPECT_THROW((void)estimator_cells({"corr-complete",
+                                      "corr-complete,min_all_good=5"}),
                spec_error);
-  EXPECT_NO_THROW((void)estimator_eval(
+  EXPECT_NO_THROW((void)estimator_cells(
       {"corr-complete", "corr-complete,min_all_good=5,label=Strict"}));
 }
 
@@ -107,33 +107,6 @@ TEST(ExperimentTest, EmitsSeriesPerEstimatorCapability) {
   EXPECT_FALSE(has_cell("Corr-complete", "detection_rate"));
 }
 
-TEST(ExperimentTest, LegacyBooleanEvalMatchesEstimatorEval) {
-  // boolean_inference_eval is now a registry-driven series list; its
-  // measurements must be identical to the explicit spec form.
-  run_config c;
-  c.topo = "brite,n=8,routers=3,hosts=20,paths=30";
-  c.topo_seed = 3;
-  c.sim.intervals = 20;
-  c.sim.packets_per_path = 30;
-  const run_artifacts run = prepare_run(c);
-
-  const auto legacy = boolean_inference_eval(c, run);
-  const auto explicit_eval =
-      estimator_eval({"sparsity", "bayes-indep", "bayes-corr"},
-                     {.boolean_metrics = true, .link_error_metrics = false});
-  const auto manual = explicit_eval(c, run);
-  ASSERT_EQ(legacy.size(), manual.size());
-  ASSERT_EQ(legacy.size(), 6u);  // 3 series x (detection, false-positive).
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].series, manual[i].series);
-    EXPECT_EQ(legacy[i].metric, manual[i].metric);
-    EXPECT_EQ(legacy[i].value, manual[i].value);  // bitwise.
-  }
-  EXPECT_EQ(legacy[0].series, "Sparsity");
-  EXPECT_EQ(legacy[2].series, "Bayes-Indep");
-  EXPECT_EQ(legacy[4].series, "Bayes-Corr");
-}
-
 TEST(ExperimentTest, DefaultsCoverTheFigThreeAlgorithms) {
   experiment exp;
   sim_params sim;
@@ -167,6 +140,38 @@ TEST(ExperimentTest, GroupedBuildersMirrorRunConfigGroups) {
         << spec.config.capture.path;
     EXPECT_NE(spec.config.capture.path.find(".trc"), std::string::npos);
     EXPECT_FALSE(spec.config.capture.truth);
+  }
+}
+
+TEST(ExperimentTest, DescribeRegistriesTextSelectors) {
+  // The whole catalogue: every registry's heading, then the grammar.
+  const std::string all = describe_registries();
+  EXPECT_EQ(all.rfind("Topologies:\n", 0), 0u) << all;
+  for (const char* heading :
+       {"\nScenarios:\n", "\nEstimators:\n",
+        "\nImperfections (trace capture/replay decorators):\n",
+        "\nProbe policies (measurement-budget planners):\n",
+        "\nSIMD kernel dispatch (bit kernels, CRC-32):\n  active="}) {
+    EXPECT_NE(all.find(heading), std::string::npos) << heading;
+  }
+  EXPECT_NE(all.find("\nSpec grammar: "), std::string::npos);
+  EXPECT_EQ(describe_registries(""), all);
+  EXPECT_EQ(describe_registries("true"), all);
+  // One registry: its short heading and only its entries.
+  const std::string estimators = describe_registries("estimators");
+  EXPECT_EQ(estimators,
+            "Estimators:\n" + estimator_registry().describe());
+  EXPECT_EQ(estimators.find("Scenarios:"), std::string::npos);
+  EXPECT_EQ(describe_registries("topos"), describe_registries("topologies"));
+  // One component: that entry's doc block, whatever registry it is in.
+  EXPECT_EQ(describe_registries("srlg"), scenario_registry().describe("srlg"));
+  // Unknown selectors throw and name the text flag.
+  try {
+    (void)describe_registries("no_such_thing");
+    ADD_FAILURE() << "expected spec_error";
+  } catch (const spec_error& err) {
+    const std::string what = err.what();
+    EXPECT_EQ(what.rfind("--list: 'no_such_thing'", 0), 0u) << what;
   }
 }
 

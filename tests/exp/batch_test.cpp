@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "ntom/exp/grid.hpp"
 
 namespace ntom {
 namespace {
@@ -24,6 +27,22 @@ std::vector<measurement> count_eval(const run_config&,
   return {{"sim", "congested_link_intervals", congested},
           {"sim", "paths", static_cast<double>(run.topo().num_paths())}};
 }
+
+/// Whole-run evaluator: one cell per run, evaluated by `fn`.
+template <typename Fn>
+class run_cells final : public cell_evaluator {
+ public:
+  explicit run_cells(Fn fn) : fn_(std::move(fn)) {}
+
+  [[nodiscard]] std::vector<measurement> eval_cell(
+      const run_config& config, const run_artifacts& run, void* /*run_state*/,
+      std::size_t /*shard*/) const override {
+    return fn_(config, run);
+  }
+
+ private:
+  Fn fn_;
+};
 
 std::vector<run_spec> tiny_specs(std::size_t count) {
   std::vector<run_spec> specs;
@@ -66,13 +85,12 @@ TEST(BatchRunnerTest, SeedGroupGivesArmsTheSameTopology) {
   specs[1].seed_group = 0;
   batch_params params;
   params.threads = 1;
-  const batch_report r = run_batch(
-      specs,
-      [](const run_config&, const run_artifacts& run) {
+  const batch_report r = run_grid(
+      specs, run_cells([](const run_config&, const run_artifacts& run) {
         return std::vector<measurement>{
             {"sim", "links", static_cast<double>(run.topo().num_links())},
             {"sim", "paths", static_cast<double>(run.topo().num_paths())}};
-      },
+      }),
       params);
   EXPECT_EQ(r.runs()[0].measurements[0].value,
             r.runs()[1].measurements[0].value);
@@ -87,8 +105,8 @@ TEST(BatchRunnerTest, AggregatesAreBitIdenticalAcrossThreadCounts) {
   batch_params parallel;
   parallel.threads = 4;
 
-  const batch_report a = run_batch(specs, count_eval, serial);
-  const batch_report b = run_batch(specs, count_eval, parallel);
+  const batch_report a = run_grid(specs, run_cells(count_eval), serial);
+  const batch_report b = run_grid(specs, run_cells(count_eval), parallel);
 
   ASSERT_EQ(a.runs().size(), specs.size());
   ASSERT_EQ(b.runs().size(), specs.size());
@@ -121,7 +139,7 @@ TEST(BatchRunnerTest, DeriveSeedsOffRunsConfigVerbatim) {
   batch_params params;
   params.threads = 1;
   params.derive_seeds = false;
-  const batch_report r = run_batch(specs, count_eval, params);
+  const batch_report r = run_grid(specs, run_cells(count_eval), params);
   // Same config + same seed => identical simulated data.
   EXPECT_EQ(r.runs()[0].measurements[0].value,
             r.runs()[1].measurements[0].value);

@@ -1,11 +1,13 @@
 // The sharded grid scheduler's contract: the topology cache reuses one
-// generated instance per (spec, topo_seed); sharding, caching, and
-// thread count never change a single aggregate bit.
+// generated instance per (spec, topo_seed); caching and thread count
+// never change a single aggregate bit, and a run's cell rows equal the
+// evaluator's unsharded rows.
 #include "ntom/exp/grid.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "ntom/api/experiment.hpp"
 #include "ntom/exp/evals.hpp"
@@ -13,13 +15,15 @@
 namespace ntom {
 namespace {
 
-experiment small_grid(bool streamed = false) {
+experiment small_grid(bool streamed = false,
+                      std::vector<estimator_spec> estimators = {
+                          "sparsity", "independence"}) {
   experiment e;
   e.with_topology("brite,n=10,hosts=30,paths=60")
       .with_scenario("random_congestion")
       .with_scenario("srlg")
       .with_scenario("gilbert")
-      .with_estimators({"sparsity", "independence"})
+      .with_estimators(std::move(estimators))
       .replicas(2)
       .intervals(30)
       .with_streaming({streamed});
@@ -95,23 +99,20 @@ TEST(GridSchedulerTest, KnobsAndThreadsNeverChangeResults) {
   ASSERT_FALSE(reference.summarize().empty());
 
   for (const bool cache : {true, false}) {
-    for (const bool shard : {true, false}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        experiment e = small_grid();
-        e.cache_topologies(cache).shard_estimators(shard);
-        grid_stats stats;
-        const batch_report report = e.run({.threads = threads}, &stats);
-        expect_reports_identical(reference, report);
-        EXPECT_EQ(stats.runs, 6u);  // 3 scenarios x 2 replicas.
-        EXPECT_EQ(stats.cells, shard ? 12u : 6u);
-        if (cache) {
-          // One topology per replica; the scenario arms hit the cache.
-          EXPECT_EQ(stats.topo_cache_misses, 2u);
-          EXPECT_EQ(stats.topo_cache_hits, 4u);
-        } else {
-          EXPECT_EQ(stats.topo_cache_misses, 0u);
-          EXPECT_EQ(stats.topo_cache_hits, 0u);
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      grid_stats stats;
+      const batch_report report =
+          exp.run({.threads = threads, .cache_topologies = cache}, &stats);
+      expect_reports_identical(reference, report);
+      EXPECT_EQ(stats.runs, 6u);    // 3 scenarios x 2 replicas.
+      EXPECT_EQ(stats.cells, 12u);  // x 2 estimators.
+      if (cache) {
+        // One topology per replica; the scenario arms hit the cache.
+        EXPECT_EQ(stats.topo_cache_misses, 2u);
+        EXPECT_EQ(stats.topo_cache_hits, 4u);
+      } else {
+        EXPECT_EQ(stats.topo_cache_misses, 0u);
+        EXPECT_EQ(stats.topo_cache_hits, 0u);
       }
     }
   }
@@ -128,12 +129,42 @@ TEST(GridSchedulerTest, StreamedRunsStayOneCellAndMatch) {
   expect_reports_identical(a, b);
 }
 
-TEST(GridSchedulerTest, RunBatchRidesTheSchedulerUnchanged) {
-  const experiment exp = small_grid();
-  const batch_report via_grid = exp.run({.threads = 4});
-  const batch_report via_batch =
-      run_batch(exp.specs(), exp.eval(), {.threads = 4});
-  expect_reports_identical(via_grid, via_batch);
+TEST(GridSchedulerTest, ShardedRowsEqualTheUnshardedEvaluation) {
+  // Boolean-only, link-only and dual-capability estimators, so every
+  // run splits into 3 cells emitting both metric families.
+  const std::vector<estimator_spec> estimators = {"sparsity", "independence",
+                                                  "bayes-indep"};
+  const estimator_eval_options options{.boolean_metrics = true,
+                                       .link_error_metrics = true};
+  const experiment exp = small_grid(false, estimators);
+  const batch_params params{.threads = 4, .base_seed = 9};
+  grid_stats stats;
+  const batch_report report = exp.run(params, &stats);
+  EXPECT_EQ(stats.cells, 3 * stats.runs);
+
+  const std::vector<run_spec> specs = exp.specs();
+  const estimator_cells cells(estimators, options);
+  ASSERT_EQ(report.runs().size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    run_config config = derive_run_seeds(specs[i].config, params.base_seed, i,
+                                         specs[i].seed_group);
+    config.reconcile();
+    const std::vector<measurement> expected =
+        cells.eval_all(config, prepare_run(config));
+    const std::vector<measurement>& rows = report.runs()[i].measurements;
+    ASSERT_EQ(rows.size(), expected.size()) << "run " << i;
+    bool boolean = false;
+    bool link_error = false;
+    for (std::size_t m = 0; m < rows.size(); ++m) {
+      EXPECT_EQ(rows[m].series, expected[m].series);
+      EXPECT_EQ(rows[m].metric, expected[m].metric);
+      EXPECT_EQ(rows[m].value, expected[m].value)  // bitwise.
+          << "run " << i << " " << rows[m].series << "/" << rows[m].metric;
+      boolean = boolean || rows[m].metric == "detection_rate";
+      link_error = link_error || rows[m].metric == "mean_abs_error";
+    }
+    EXPECT_TRUE(boolean && link_error) << "run " << i;
+  }
 }
 
 TEST(GridSchedulerTest, EvalExceptionsPropagate) {

@@ -404,16 +404,16 @@ TEST(PolicyPlumbingTest, EvalRejectsNonStreamingEstimatorsUnderPolicy) {
   const run_artifacts run = prepare_topology(config);
 
   // bayes-corr needs the materialized store, which has no mask plane.
-  const batch_eval_fn eval =
-      estimator_eval({"sparsity", "bayes-corr"},
-                     {/*boolean_metrics=*/true, /*link_error_metrics=*/false});
-  EXPECT_THROW((void)eval(config, run), spec_error);
+  const estimator_cells cells(
+      {"sparsity", "bayes-corr"},
+      {/*boolean_metrics=*/true, /*link_error_metrics=*/false});
+  EXPECT_THROW((void)cells.eval_all(config, run), spec_error);
 
   // The streaming-only subset works under the same config.
-  const batch_eval_fn streaming_eval =
-      estimator_eval({"sparsity", "bayes-indep"},
-                     {/*boolean_metrics=*/true, /*link_error_metrics=*/false});
-  EXPECT_FALSE(streaming_eval(config, run).empty());
+  const estimator_cells streaming_cells(
+      {"sparsity", "bayes-indep"},
+      {/*boolean_metrics=*/true, /*link_error_metrics=*/false});
+  EXPECT_FALSE(streaming_cells.eval_all(config, run).empty());
 }
 
 }  // namespace

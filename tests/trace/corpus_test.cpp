@@ -361,9 +361,9 @@ TEST(CorpusTest, MaskedCaptureReplaysBitIdenticallyAtEveryGranularity) {
   // captured at chunk sizes 1/7/64/256 must replay with bit-identical
   // estimator rows — the v2 mask plane preserves which paths each
   // chunk observed.
-  const batch_eval_fn eval =
-      estimator_eval({"sparsity", "bayes-indep"},
-                     {.boolean_metrics = true, .link_error_metrics = false});
+  const estimator_cells cells(
+      {"sparsity", "bayes-indep"},
+      {.boolean_metrics = true, .link_error_metrics = false});
   for (const std::size_t chunk : {1ul, 7ul, 64ul, 256ul}) {
     run_config config;
     config.topo = "brite,n=10,hosts=30,paths=60";
@@ -381,7 +381,8 @@ TEST(CorpusTest, MaskedCaptureReplaysBitIdenticallyAtEveryGranularity) {
     ASSERT_TRUE(config.stream.enabled);
 
     const run_artifacts live = prepare_topology(config);
-    const auto live_rows = eval(config, live);  // capture rides the fit pass.
+    // The capture rides the fit pass.
+    const auto live_rows = cells.eval_all(config, live);
 
     const trace_reader reader(path);
     EXPECT_TRUE(reader.has_mask());
@@ -395,7 +396,7 @@ TEST(CorpusTest, MaskedCaptureReplaysBitIdenticallyAtEveryGranularity) {
       replay.scenario = spec("trace").with_option("file", path);
       replay.stream.chunk_intervals = replay_chunk;
       const run_artifacts replayed = prepare_run(replay);
-      EXPECT_TRUE(rows_identical(live_rows, eval(replay, replayed)))
+      EXPECT_TRUE(rows_identical(live_rows, cells.eval_all(replay, replayed)))
           << "capture chunk " << chunk << ", replay chunk " << replay_chunk;
     }
 

@@ -1,6 +1,6 @@
 // Capture -> replay equivalence across the whole estimator pipeline:
 // a corpus recorded from a registered scenario must replay through
-// estimator_eval / the experiment facade / run_grid with bit-identical
+// estimator_cells / the experiment facade / run_grid with bit-identical
 // per-estimator rows and aggregates, at any capture or replay chunk
 // size; truth-stripped corpora must still run end to end with
 // observation-only scoring.
@@ -72,10 +72,10 @@ TEST(TracePipelineTest, CapturedRunReplaysBitIdentically) {
   const std::string path = temp_path("pipeline_materialized.trc");
   config.capture.path = path;  // capture rides prepare_run's one pass.
 
-  const batch_eval_fn eval = estimator_eval(
+  const estimator_cells cells(
       kEstimators, {.boolean_metrics = true, .link_error_metrics = false});
   const run_artifacts live = prepare_run(config);
-  const auto live_rows = eval(config, live);
+  const auto live_rows = cells.eval_all(config, live);
 
   for (const std::size_t chunk : {1ul, 97ul, 1024ul}) {
     run_config replay;
@@ -84,14 +84,15 @@ TEST(TracePipelineTest, CapturedRunReplaysBitIdentically) {
     const run_artifacts replayed = prepare_run(replay);
     EXPECT_TRUE(replayed.replayed());
     EXPECT_TRUE(replayed.has_truth());
-    EXPECT_TRUE(rows_identical(live_rows, eval(replay, replayed)))
+    EXPECT_TRUE(rows_identical(live_rows, cells.eval_all(replay, replayed)))
         << "replay chunk " << chunk;
 
     // Streamed replay too: the reader is the chunk source.
     run_config streamed = replay;
     streamed.stream.enabled = true;
     const run_artifacts streamed_run = prepare_topology(streamed);
-    EXPECT_TRUE(rows_identical(live_rows, eval(streamed, streamed_run)))
+    EXPECT_TRUE(
+        rows_identical(live_rows, cells.eval_all(streamed, streamed_run)))
         << "streamed replay chunk " << chunk;
   }
   std::remove(path.c_str());
@@ -106,15 +107,15 @@ TEST(TracePipelineTest, StreamedFitPassCaptures) {
   const std::string path = temp_path("pipeline_streamed.trc");
   config.capture.path = path;
 
-  const batch_eval_fn eval = estimator_eval(
+  const estimator_cells cells(
       kEstimators, {.boolean_metrics = true, .link_error_metrics = false});
   const run_artifacts live = prepare_topology(config);
-  const auto live_rows = eval(config, live);
+  const auto live_rows = cells.eval_all(config, live);
 
   run_config replay;
   replay.scenario = trace_spec(path);
   const run_artifacts replayed = prepare_run(replay);
-  EXPECT_TRUE(rows_identical(live_rows, eval(replay, replayed)));
+  EXPECT_TRUE(rows_identical(live_rows, cells.eval_all(replay, replayed)));
   std::remove(path.c_str());
 }
 
@@ -185,13 +186,13 @@ TEST(TracePipelineTest, TruthStrippedReplayScoresObservationOnly) {
   config.capture.path = path;
   (void)prepare_run(config);
 
-  const batch_eval_fn eval = estimator_eval(
+  const estimator_cells cells(
       kEstimators, {.boolean_metrics = true, .link_error_metrics = true});
   run_config replay;
   replay.scenario = trace_spec(path);
   const run_artifacts replayed = prepare_run(replay);
   EXPECT_FALSE(replayed.has_truth());
-  const auto rows = eval(replay, replayed);
+  const auto rows = cells.eval_all(replay, replayed);
 
   // Observation-only rows for Boolean-capable estimators; never truth
   // metrics, never link errors (no analytic model on replay).
@@ -206,7 +207,7 @@ TEST(TracePipelineTest, TruthStrippedReplayScoresObservationOnly) {
   streamed.stream.enabled = true;
   streamed.stream.chunk_intervals = 13;
   const run_artifacts streamed_run = prepare_topology(streamed);
-  EXPECT_TRUE(rows_identical(rows, eval(streamed, streamed_run)));
+  EXPECT_TRUE(rows_identical(rows, cells.eval_all(streamed, streamed_run)));
   std::remove(path.c_str());
 }
 
@@ -305,7 +306,7 @@ TEST(TracePipelineTest, ImporterEndToEnd) {
   EXPECT_FALSE(run.data.congested_paths_at(3).test(2));
 
   // The degenerate topology supports the estimator pipeline.
-  const auto rows = estimator_eval({"sparsity"})(replay, run);
+  const auto rows = estimator_cells({"sparsity"}).eval_all(replay, run);
   EXPECT_TRUE(has_metric(rows, "explained_rate"));
 
   std::remove(text_path.c_str());
