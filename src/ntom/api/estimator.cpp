@@ -241,7 +241,7 @@ class bayes_correlation_estimator final : public estimator {
   }
 
   [[nodiscard]] link_estimates links() const override {
-    return fitted_->step1().estimates.to_link_estimates();
+    return fitted_->marginals();
   }
 
  private:

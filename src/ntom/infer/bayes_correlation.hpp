@@ -32,9 +32,16 @@ class bayes_correlation_inferencer {
     return step1_;
   }
 
+  /// step1().estimates.to_link_estimates(), computed once at fit time:
+  /// the MAP search's fallback scoring reads it on every interval.
+  [[nodiscard]] const link_estimates& marginals() const noexcept {
+    return marginals_;
+  }
+
  private:
   const topology* topo_;
   correlation_complete_result step1_;
+  link_estimates marginals_;
 };
 
 }  // namespace ntom

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "ntom/corr/joint.hpp"
@@ -74,10 +75,8 @@ bitvec map_independent(const topology& t, const interval_observation& obs,
 }
 
 bitvec map_correlated(const topology& t, const interval_observation& obs,
-                      const probability_estimates& estimates) {
-  // Marginals for the fallback path (non-identifiable joints).
-  const link_estimates marginals = estimates.to_link_estimates();
-
+                      const probability_estimates& estimates,
+                      const link_estimates& marginals) {
   // Per-AS candidate sets.
   std::vector<bitvec> cand_by_as(t.num_ases(), bitvec(t.num_links()));
   obs.candidate_links.for_each([&](std::size_t e) {
@@ -109,6 +108,22 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
 
   bitvec solution(t.num_links());
 
+  // State log-probabilities of this interval, keyed by (AS, congested
+  // set): the AS's good set is its candidates minus the congested ones.
+  // as_state_log_probability is a pure function of the estimates, so a
+  // hit returns exactly what a recomputation would.
+  std::vector<std::unordered_map<bitvec, std::optional<double>, bitvec_hash>>
+      memo(t.num_ases());
+  auto state_log_probability = [&](as_id a, const bitvec& congested) {
+    auto [it, inserted] = memo[a].try_emplace(congested);
+    if (inserted) {
+      bitvec good = cand_by_as[a];
+      good.subtract(congested);
+      it->second = as_state_log_probability(estimates, congested, good);
+    }
+    return it->second;
+  };
+
   // Score delta of flipping `m.links` to congested, evaluated within
   // the move's correlation set only (other sets are unaffected —
   // independence across sets).
@@ -118,15 +133,9 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
     bitvec congested_after = congested_before;
     congested_after |= m.links;
     if (congested_after == congested_before) return 0.0;  // no-op.
-    bitvec good_before = cand_by_as[m.as];
-    good_before.subtract(congested_before);
-    bitvec good_after = cand_by_as[m.as];
-    good_after.subtract(congested_after);
 
-    const auto before =
-        as_state_log_probability(estimates, congested_before, good_before);
-    const auto after =
-        as_state_log_probability(estimates, congested_after, good_after);
+    const auto before = state_log_probability(m.as, congested_before);
+    const auto after = state_log_probability(m.as, congested_after);
     if (before && after) return *after - *before;
 
     // Fallback: marginal scoring for the newly flipped links. A link

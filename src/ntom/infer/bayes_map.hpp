@@ -33,10 +33,15 @@ inline constexpr double map_probability_floor = 1e-6;
 
 /// Greedy MAP with correlation-aware scoring backed by subset estimates.
 /// Falls back to marginal scoring for links whose joint probabilities
-/// are not identifiable.
+/// are not identifiable; `marginals` must be estimates.to_link_estimates()
+/// (computed once per fit, not per interval). Each state probability
+/// is computed once per call: a memo keyed by (AS, congested set) lives
+/// for this one interval, so the function stays reentrant and the
+/// memo never outlives the estimates it was filled from.
 [[nodiscard]] bitvec map_correlated(const topology& t,
                                     const interval_observation& obs,
-                                    const probability_estimates& estimates);
+                                    const probability_estimates& estimates,
+                                    const link_estimates& marginals);
 
 /// Exact (exponential) MAP by enumerating subsets of the candidate
 /// links, for testing on tiny instances. `max_candidates` guards

@@ -103,6 +103,13 @@ void matrix::swap_columns(std::size_t a, std::size_t b) noexcept {
   for (std::size_t r = 0; r < rows_; ++r) std::swap((*this)(r, a), (*this)(r, b));
 }
 
+void matrix::reshape(std::size_t rows, std::size_t cols) {
+  assert(rows * cols <= data_.size());
+  data_.resize(rows * cols);
+  rows_ = rows;
+  cols_ = cols;
+}
+
 double matrix::frobenius_norm() const noexcept {
   double sum = 0.0;
   for (const double x : data_) sum += x * x;

@@ -67,6 +67,12 @@ class matrix {
 
   void swap_columns(std::size_t a, std::size_t b) noexcept;
 
+  /// Keeps the first rows * cols stored values, read in row-major order
+  /// as a rows x cols matrix, without reallocating; rows * cols must not
+  /// exceed rows() * cols(). For kernels that compact a matrix in place
+  /// through row_ptr(0).
+  void reshape(std::size_t rows, std::size_t cols);
+
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const noexcept;
 

@@ -67,13 +67,14 @@ bool row_increases_rank(const std::vector<std::size_t>& row_indices,
 
 matrix null_space_update(matrix n, const std::vector<double>& r, double tol) {
   assert(r.size() == n.rows());
-  return apply_null_space_update(std::move(n), column_products(r, n), tol);
+  std::vector<double> rn = column_products(r, n);
+  return apply_null_space_update(std::move(n), std::move(rn), tol);
 }
 
 matrix null_space_update(matrix n, const std::vector<std::size_t>& row_indices,
                          double tol) {
-  return apply_null_space_update(std::move(n),
-                                 column_products(row_indices, n), tol);
+  std::vector<double> rn = column_products(row_indices, n);
+  return apply_null_space_update(std::move(n), std::move(rn), tol);
 }
 
 namespace {
@@ -88,30 +89,42 @@ matrix apply_null_space_update(matrix n, std::vector<double> rn, double tol) {
     if (std::abs(rn[j]) > std::abs(rn[pivot])) pivot = j;
   }
   if (std::abs(rn[pivot]) <= tol) return n;  // r adds no rank; N unchanged.
-
-  n.swap_columns(0, pivot);
   std::swap(rn[0], rn[pivot]);
 
-  // N' columns: N_j - N_1 * (r.N_j) / (r.N_1), for j = 2..p.
-  matrix updated(rows, p - 1);
+  // N' columns: N_j - N_1 * (r.N_j) / (r.N_1), for j = 2..p, after the
+  // pivot column moved to the front. Computed row by row, so rows are
+  // read and written with stride 1, into N's own storage: entry (i, j-1)
+  // of N' is stored before entry (i, j) of N, so it only overwrites
+  // entries already read. Each column's squared norm still sums its
+  // rows in ascending order, so N' compares equal (==) to a
+  // column-at-a-time evaluation (tests/tomo/pathset_select_reference).
   const double inv = 1.0 / rn[0];
-  for (std::size_t j = 1; j < p; ++j) {
-    const double scale = rn[j] * inv;
-    for (std::size_t i = 0; i < rows; ++i) {
-      updated(i, j - 1) = n(i, j) - scale * n(i, 0);
+  std::vector<double> scale(p - 1);
+  for (std::size_t j = 1; j < p; ++j) scale[j - 1] = rn[j] * inv;
+  std::vector<double> norm(p - 1, 0.0);
+  double* const out = n.row_ptr(0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* row = n.row_ptr(i);
+    std::swap(row[0], row[pivot]);
+    const double first = row[0];
+    double* updated = out + i * (p - 1);
+    for (std::size_t j = 1; j < p; ++j) {
+      const double x = row[j] - scale[j - 1] * first;
+      updated[j - 1] = x;
+      norm[j - 1] += x * x;
     }
   }
+  n.reshape(rows, p - 1);
 
   // Re-normalize columns to keep the basis well-scaled across many updates.
-  for (std::size_t j = 0; j < updated.cols(); ++j) {
-    double norm = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) norm += updated(i, j) * updated(i, j);
-    norm = std::sqrt(norm);
-    if (norm > tol) {
-      for (std::size_t i = 0; i < rows; ++i) updated(i, j) /= norm;
+  for (double& x : norm) x = std::sqrt(x);
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* row = n.row_ptr(i);
+    for (std::size_t j = 0; j + 1 < p; ++j) {
+      if (norm[j] > tol) row[j] /= norm[j];
     }
   }
-  return updated;
+  return n;
 }
 
 }  // namespace

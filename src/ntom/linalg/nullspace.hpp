@@ -42,7 +42,8 @@ namespace ntom {
 /// { x in span(N) : r . x = 0 }, i.e. the null space after appending
 /// row r to the system. If r . N == 0 (row adds no rank), N is returned
 /// unchanged. The pivot column (largest |r . col|) is permuted to the
-/// front before applying the paper's projection formula.
+/// front before applying the paper's projection formula. The result
+/// reuses N's storage: a caller that moves N in allocates no matrix.
 [[nodiscard]] matrix null_space_update(matrix n, const std::vector<double>& r,
                                        double tol = 1e-9);
 

@@ -130,37 +130,47 @@ matrix null_space_basis(const qr_decomposition& f) {
   const std::size_t n = f.r.cols();
   const std::size_t r = f.rank;
   const std::size_t k = n - r;
-  matrix basis(n, k);
-  if (k == 0) return basis;
+  if (k == 0) return matrix(n, 0);
+
+  // Built transposed: basis vector j is the contiguous row j of `vt`, so
+  // Gram-Schmidt walks every vector with stride 1. Each entry sees the
+  // same operations in the same order as in a column-at-a-time loop over
+  // the n x k result (tests/tomo/pathset_select_reference), so the two
+  // compare equal (==).
+  matrix vt(k, n);
+  std::vector<double> y(n);
 
   // For each free column j (pivoted index r+j), back-substitute
   // R11 * y1 = -R12[:, j] and scatter through the permutation.
   for (std::size_t j = 0; j < k; ++j) {
-    std::vector<double> y(n, 0.0);
+    std::fill(y.begin(), y.end(), 0.0);
     y[r + j] = 1.0;
     for (std::size_t i = r; i-- > 0;) {
       double s = f.r(i, r + j);
       for (std::size_t c = i + 1; c < r; ++c) s += f.r(i, c) * y[c];
       y[i] = -s / f.r(i, i);
     }
-    for (std::size_t c = 0; c < n; ++c) basis(f.perm[c], j) = y[c];
+    double* v = vt.row_ptr(j);
+    for (std::size_t c = 0; c < n; ++c) v[f.perm[c]] = y[c];
   }
 
   // Modified Gram-Schmidt for a well-conditioned basis.
   for (std::size_t j = 0; j < k; ++j) {
+    double* v = vt.row_ptr(j);
     for (std::size_t prev = 0; prev < j; ++prev) {
+      const double* u = vt.row_ptr(prev);
       double proj = 0.0;
-      for (std::size_t i = 0; i < n; ++i) proj += basis(i, j) * basis(i, prev);
-      for (std::size_t i = 0; i < n; ++i) basis(i, j) -= proj * basis(i, prev);
+      for (std::size_t i = 0; i < n; ++i) proj += v[i] * u[i];
+      for (std::size_t i = 0; i < n; ++i) v[i] -= proj * u[i];
     }
     double norm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) norm += basis(i, j) * basis(i, j);
+    for (std::size_t i = 0; i < n; ++i) norm += v[i] * v[i];
     norm = std::sqrt(norm);
     if (norm > 0.0) {
-      for (std::size_t i = 0; i < n; ++i) basis(i, j) /= norm;
+      for (std::size_t i = 0; i < n; ++i) v[i] /= norm;
     }
   }
-  return basis;
+  return vt.transposed();
 }
 
 matrix null_space_basis(const matrix& a, double rel_tol) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "ntom/corr/correlation.hpp"
@@ -21,7 +23,8 @@ namespace {
 /// immutable afterwards.
 const std::vector<std::uint32_t>& masks_by_popcount(std::size_t k) {
   static std::mutex mutex;
-  static std::vector<std::vector<std::uint32_t>> cache(32);
+  static std::vector<std::vector<std::uint32_t>> cache(
+      max_subset_paths_limit + 1);
   std::lock_guard<std::mutex> lock(mutex);
   auto& masks = cache[k];
   if (masks.empty() && k > 0) {
@@ -42,6 +45,12 @@ pathset_selection select_path_sets(const topology& t,
                                    const bitvec& potcong,
                                    const pathset_selection_params& params,
                                    const pathset_predicate& usable) {
+  if (params.max_subset_paths > max_subset_paths_limit) {
+    throw std::invalid_argument(
+        "select_path_sets: max_subset_paths " +
+        std::to_string(params.max_subset_paths) + " exceeds the limit " +
+        std::to_string(max_subset_paths_limit));
+  }
   equation_builder builder(t, catalog, potcong);
   pathset_selection out;
   const std::size_t n1 = catalog.size();
@@ -62,27 +71,19 @@ pathset_selection select_path_sets(const topology& t,
     }
     candidates[i] = std::move(paths);
   }
-  auto candidate_paths = [&](std::size_t i) -> const bitvec& {
-    return candidates[i];
-  };
 
-  std::unordered_set<bitvec, bitvec_hash> rejected;  // unusable/known rows.
-  std::unordered_set<bitvec, bitvec_hash> accepted;
+  // Every path set examined so far. Accepted or rejected, a path set
+  // is examined once: a rejected row never adds rank to a smaller null
+  // space, and an accepted one is already in the system.
+  std::unordered_set<bitvec, bitvec_hash> seen;
 
   auto try_accept = [&](const bitvec& pset)
       -> std::optional<std::vector<std::size_t>> {
-    if (pset.empty() || accepted.count(pset) || rejected.count(pset)) {
-      return std::nullopt;
-    }
-    if (usable && !usable(pset)) {
-      rejected.insert(pset);
-      return std::nullopt;
-    }
+    ++out.candidates_examined;
+    if (pset.empty() || !seen.insert(pset).second) return std::nullopt;
+    if (usable && !usable(pset)) return std::nullopt;
     auto row = builder.row(pset);
-    if (!row || row->empty()) {
-      rejected.insert(pset);
-      return std::nullopt;
-    }
+    if (!row || row->empty()) return std::nullopt;
     return row;
   };
 
@@ -91,10 +92,9 @@ pathset_selection select_path_sets(const topology& t,
   // initial null-space QR needs.
   sparse_matrix system(n1);
   for (std::size_t i = 0; i < n1; ++i) {
-    const bitvec pset = candidate_paths(i);
+    const bitvec& pset = candidates[i];
     auto row = try_accept(pset);
     if (!row) continue;
-    accepted.insert(pset);
     out.path_sets.push_back(pset);
     out.rows.push_back(*row);
     system.append_row(*row);
@@ -105,7 +105,10 @@ pathset_selection select_path_sets(const topology& t,
   matrix nsp = system.rows() == 0 ? matrix::identity(n1)
                                   : null_space_basis(system.to_dense());
 
-  // ---- Step 3: augmentation guided by the null space.
+  // ---- Step 3: augmentation guided by the null space. cursor[i] is the
+  // next mask of subset i's walk; the walk never restarts (see the
+  // header for why this selects the same rows).
+  std::vector<std::size_t> cursor(n1, 0);
   while (nsp.cols() > 0) {
     bool found = false;
 
@@ -127,7 +130,7 @@ pathset_selection select_path_sets(const topology& t,
       const auto& masks = masks_by_popcount(paths.size());
       const std::size_t limit =
           std::min<std::size_t>(masks.size(), params.max_candidates_per_subset);
-      for (std::size_t m = 0; m < limit && !found; ++m) {
+      for (std::size_t& m = cursor[i]; m < limit && !found; ++m) {
         bitvec pset(t.num_paths());
         for (std::size_t b = 0; b < paths.size(); ++b) {
           if (masks[m] & (1u << b)) pset.set(paths[b]);
@@ -135,14 +138,11 @@ pathset_selection select_path_sets(const topology& t,
         auto row = try_accept(pset);
         if (!row) continue;
         if (row_increases_rank(*row, nsp, params.rank_tolerance)) {
-          accepted.insert(pset);
           out.path_sets.push_back(pset);
           out.rows.push_back(*row);
           ++out.added_equations;
-          nsp = null_space_update(nsp, *row, params.rank_tolerance);
+          nsp = null_space_update(std::move(nsp), *row, params.rank_tolerance);
           found = true;
-        } else {
-          rejected.insert(pset);
         }
       }
       if (found) break;

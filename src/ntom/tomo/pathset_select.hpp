@@ -15,6 +15,15 @@
 //      NullSpaceUpdate (Algorithm 2). Stop when N runs out of columns or
 //      no candidate adds rank.
 //
+// Step 3 visits every candidate at most once: each subset's walk resumes
+// where it stopped after the previous accepted equation instead of
+// restarting from the first mask. A candidate already examined was
+// either accepted or rejected for good (N only shrinks, so a row that
+// added no rank never adds rank later), and a subset whose null-space
+// row reached 0 stays at 0, so the resumed walk selects exactly the
+// rows the restarting walk did (tests/tomo/pathset_select_reference
+// keeps the restarting walk as the oracle).
+//
 // The `usable` predicate lets the caller reject path sets that cannot
 // produce a finite measured log-probability (empirical count 0).
 #pragma once
@@ -27,14 +36,22 @@
 
 namespace ntom {
 
+/// Upper bound on pathset_selection_params::max_subset_paths: step 3
+/// materializes all 2^k - 1 masks of a k-path candidate list (4 MiB at
+/// the bound).
+inline constexpr std::size_t max_subset_paths_limit = 20;
+
 struct pathset_selection_params {
   /// Cap on the number of paths of Paths(E)\Paths(Ē) considered when
   /// enumerating subsets (the 2^n2 term of the complexity bound is
-  /// exponential; the cap bounds work per correlation subset).
+  /// exponential; the cap bounds work per correlation subset). At most
+  /// max_subset_paths_limit; select_path_sets throws
+  /// std::invalid_argument above it.
   std::size_t max_subset_paths = 14;
 
-  /// Cap on enumerated candidate path sets per correlation subset per
-  /// augmentation round.
+  /// Cap on the candidate path sets step 3 examines per correlation
+  /// subset over the whole selection (the first masks in popcount
+  /// order; the walk resumes across accepted equations).
   std::size_t max_candidates_per_subset = 4096;
 
   /// Ablation knob: disable the SortByHammingWeight ordering (the
@@ -56,9 +73,15 @@ struct pathset_selection {
   bitvec identifiable;                          ///< per catalog subset.
   std::size_t seed_equations = 0;               ///< |Pˆ| after step 1.
   std::size_t added_equations = 0;              ///< appended in step 3.
+  /// Candidate path sets built and tested: one per catalog subset in
+  /// step 1 plus every mask step 3 visited. At most n1 + Σ_i
+  /// min(2^k_i - 1, max_candidates_per_subset) for k_i candidate paths.
+  std::size_t candidates_examined = 0;
 };
 
-/// Runs Algorithm 1. `usable` may be empty (accept everything).
+/// Runs Algorithm 1. `usable` may be empty (accept everything). Throws
+/// std::invalid_argument if params.max_subset_paths exceeds
+/// max_subset_paths_limit.
 [[nodiscard]] pathset_selection select_path_sets(
     const topology& t, const subset_catalog& catalog, const bitvec& potcong,
     const pathset_selection_params& params = {},

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ntom/exp/metrics.hpp"
+#include "ntom/exp/runner.hpp"
 #include "ntom/infer/bayes_correlation.hpp"
 #include "ntom/infer/bayes_independence.hpp"
 #include "ntom/topogen/toy.hpp"
@@ -111,6 +112,47 @@ TEST(BayesInferencersTest, Step1Accessible) {
   EXPECT_GT(indep.step1().equations_used, 0u);
   const bayes_correlation_inferencer corr(t, data);
   EXPECT_GT(corr.step1().equations_used, 0u);
+}
+
+/// FNV-1a over every interval's MAP solution (interval index, then the
+/// congested link ids), so any change in any interval's output shows.
+std::uint64_t solution_digest(const bayes_correlation_inferencer& inferencer,
+                              const experiment_data& data) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (std::size_t i = 0; i < data.intervals; ++i) {
+    mix(i);
+    inferencer.infer(data.congested_paths_at(i)).for_each(mix);
+  }
+  return h;
+}
+
+TEST(BayesCorrelationTest, MapOutputDigestPinned) {
+  // Per-interval Bayes-Corr MAP output on a seeded Brite run for each
+  // scenario of the fig3_brite benchmark workload. The digests were
+  // recorded before the MAP state memo and the fit-time marginals
+  // existed; both must leave every interval's solution unchanged.
+  const std::vector<std::pair<const char*, std::uint64_t>> pinned = {
+      {"random_congestion", 12152085123974048620ull},
+      {"no_independence", 10070951524194740713ull},
+      {"no_stationarity", 4925888261294497107ull},
+  };
+  for (const auto& [scenario, digest] : pinned) {
+    run_config config;
+    config.topo = "brite";
+    config.topo_seed = 3;
+    config.scenario = scenario;
+    config.scenario_opts.seed = 8;
+    config.sim.intervals = 300;
+    const run_artifacts run = prepare_run(config);
+    const bayes_correlation_inferencer inferencer(run.topo(), run.data);
+    EXPECT_EQ(solution_digest(inferencer, run.data), digest) << scenario;
+  }
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST(MapCorrelatedTest, JointEstimatesFixTheCorrelatedCase) {
   set_g({toy_e2, toy_e3}, 0.70);      // perfect correlation.
   set_g({toy_e4}, 0.98);
 
-  const bitvec sol = map_correlated(t, obs, est);
+  const bitvec sol = map_correlated(t, obs, est, est.to_link_estimates());
   EXPECT_TRUE(sol.test(toy_e2));
   EXPECT_TRUE(sol.test(toy_e3));
   EXPECT_TRUE(explains_observation(t, obs, sol));
@@ -106,7 +106,7 @@ TEST(MapCorrelatedTest, FallsBackGracefullyWithoutJoints) {
   for (link_id e = 0; e < 4; ++e) potcong.set(e);
   subset_catalog catalog = subset_catalog::build(t, potcong);
   const probability_estimates est(t, std::move(catalog), potcong);  // nothing set.
-  const bitvec sol = map_correlated(t, obs, est);
+  const bitvec sol = map_correlated(t, obs, est, est.to_link_estimates());
   EXPECT_TRUE(explains_observation(t, obs, sol));
 }
 

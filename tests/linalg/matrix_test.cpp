@@ -98,6 +98,17 @@ TEST(MatrixTest, SwapColumns) {
   EXPECT_EQ(a(1, 1), 3.0);
 }
 
+TEST(MatrixTest, ReshapeKeepsLeadingValuesInRowOrder) {
+  matrix a{{1, 2, 3}, {4, 5, 6}};
+  a.reshape(2, 2);
+  EXPECT_EQ(a, (matrix{{1, 2}, {3, 4}}));
+  a.reshape(1, 3);
+  EXPECT_EQ(a, (matrix{{1, 2, 3}}));
+  a.reshape(3, 0);
+  EXPECT_EQ(a.rows(), 3u);
+  EXPECT_EQ(a.cols(), 0u);
+}
+
 TEST(MatrixTest, Norms) {
   matrix a{{3, 0}, {0, 4}};
   EXPECT_DOUBLE_EQ(a.frobenius_norm(), 5.0);

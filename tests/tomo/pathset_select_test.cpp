@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "ntom/corr/correlation.hpp"
 #include "ntom/linalg/qr.hpp"
 #include "ntom/topogen/brite.hpp"
+#include "ntom/topogen/sparse.hpp"
 #include "ntom/topogen/toy.hpp"
+#include "pathset_select_reference.hpp"
 
 namespace ntom {
 namespace {
@@ -164,6 +169,116 @@ TEST(PathsetSelectTest, MinimalityEquationsAtMostRankPlusSeeds) {
   const auto sel = select_path_sets(t, catalog, potcong);
   EXPECT_EQ(sel.path_sets.size(), sel.seed_equations + sel.added_equations);
   EXPECT_LE(sel.added_equations, catalog.size());
+}
+
+// ---- The resumed step-3 walk against the restarting oracle.
+
+topology small_brite(std::uint64_t seed) {
+  brite_params p;
+  p.num_ases = 10;
+  p.routers_per_as = 4;
+  p.num_destination_hosts = 40;
+  p.num_paths = 90;
+  p.seed = seed;
+  return generate_brite(p);
+}
+
+topology small_sparse(std::uint64_t seed) {
+  sparse_params p;
+  p.num_mid = 8;
+  p.num_stubs = 30;
+  p.num_paths = 90;
+  p.seed = seed;
+  return generate_sparse(p);
+}
+
+/// Every output field, null space included, compares equal (==).
+void expect_same_selection(const pathset_selection& got,
+                           const pathset_selection& want) {
+  EXPECT_EQ(got.path_sets, want.path_sets);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.seed_equations, want.seed_equations);
+  EXPECT_EQ(got.added_equations, want.added_equations);
+  EXPECT_EQ(got.null_space, want.null_space);
+  EXPECT_EQ(got.identifiable, want.identifiable);
+}
+
+class PathsetOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PathsetOracleTest, ResumedWalkEqualsRestartingOracle) {
+  const std::uint64_t seed = GetParam();
+  // Refuses about a third of the path sets, deterministically in their
+  // content, like an empirical-count threshold would.
+  const pathset_predicate some_usable = [](const bitvec& pset) {
+    return pset.hash() % 3 != 0;
+  };
+  for (const bool brite : {true, false}) {
+    const topology t = brite ? small_brite(seed) : small_sparse(seed);
+    const bitvec potcong = t.covered_links();
+    const subset_catalog catalog = subset_catalog::build(t, potcong);
+    for (const bool sorted : {true, false}) {
+      for (const bool filtered : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << (brite ? "brite" : "sparse") << " seed " << seed
+                     << (sorted ? " sorted" : " unsorted")
+                     << (filtered ? " filtered" : ""));
+        pathset_selection_params params;
+        params.sort_by_hamming_weight = sorted;
+        const pathset_predicate usable =
+            filtered ? some_usable : pathset_predicate{};
+        const auto got = select_path_sets(t, catalog, potcong, params, usable);
+        const auto want = testing_oracle::select_path_sets(t, catalog, potcong,
+                                                           params, usable);
+        expect_same_selection(got, want);
+        EXPECT_LE(got.candidates_examined, want.candidates_examined);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PathsetOracleTest,
+                         ::testing::Values<std::uint64_t>(3, 11, 29, 47));
+
+TEST(PathsetSelectTest, CandidatesExaminedBoundedByOneWalkPerSubset) {
+  const topology t = small_brite(5);
+  const bitvec potcong = t.covered_links();
+  const subset_catalog catalog = subset_catalog::build(t, potcong);
+  pathset_selection_params params;
+  params.max_candidates_per_subset = 200;
+
+  // n1 seeds plus at most one full walk per subset.
+  std::size_t bound = catalog.size();
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    bitvec paths = t.paths_of_links(catalog.subset(i));
+    paths.subtract(t.paths_of_links(subset_complement(
+        t, catalog.subset(i), catalog.subset_as(i), potcong)));
+    const std::size_t k = std::min(paths.count(), params.max_subset_paths);
+    bound += std::min<std::size_t>((std::size_t{1} << k) - 1,
+                                   params.max_candidates_per_subset);
+  }
+  const auto sel = select_path_sets(t, catalog, potcong, params);
+  EXPECT_GE(sel.candidates_examined, catalog.size());
+  EXPECT_LE(sel.candidates_examined, bound);
+
+  const auto oracle =
+      testing_oracle::select_path_sets(t, catalog, potcong, params);
+  ASSERT_GT(sel.added_equations, 1u);
+  EXPECT_LT(sel.candidates_examined, oracle.candidates_examined);
+}
+
+TEST(PathsetSelectTest, RejectsMaxSubsetPathsAboveLimit) {
+  const topology t = make_toy(toy_case::case1);
+  const bitvec potcong = full_potcong(t);
+  const subset_catalog catalog = subset_catalog::build(t, potcong);
+  pathset_selection_params params;
+  params.max_subset_paths = max_subset_paths_limit;
+  EXPECT_NO_THROW((void)select_path_sets(t, catalog, potcong, params));
+  params.max_subset_paths = max_subset_paths_limit + 1;
+  EXPECT_THROW((void)select_path_sets(t, catalog, potcong, params),
+               std::invalid_argument);
+  params.max_subset_paths = 64;
+  EXPECT_THROW((void)select_path_sets(t, catalog, potcong, params),
+               std::invalid_argument);
 }
 
 }  // namespace
