@@ -12,16 +12,13 @@
 // trace/file_bytes, trace/bytes_per_interval (negotiated codecs),
 // trace/raw_file_bytes, trace/raw_bytes_per_interval (compress=false —
 // the pair pins the format's compression win exactly; any drift is a
-// format change), replay/identical, replay/mmap_identical, and
-// capture/sync_async_identical (the self-checks). Timing cells
+// format change), and replay/identical (the self-check). Timing cells
 // (capture_overhead_pct, speedup_vs_simulate_x, *_seconds) are recorded
 // for trend reading, never gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,16 +43,6 @@ struct null_sink final : ntom::measurement_sink {
   }
   std::size_t intervals = 0;
 };
-
-bool files_identical(const std::string& a, const std::string& b) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa || !fb) return false;
-  std::ostringstream ba, bb;
-  ba << fa.rdbuf();
-  bb << fb.rdbuf();
-  return ba.str() == bb.str();
-}
 
 bool rows_identical(const std::vector<ntom::measurement>& a,
                     const std::vector<ntom::measurement>& b) {
@@ -96,16 +83,13 @@ int main(int argc, char** argv) try {
     stream_experiment(live, config, warmup);
   }
 
-  // Pass timings: plain simulation vs simulation + capture (async
-  // background writer — the default) vs the old-style sync capture vs
-  // replay. Each pass keeps the fastest rep: min-over-reps rejects
-  // scheduler noise, which otherwise swamps the few-percent capture
-  // delta on a busy host.
+  // Pass timings: plain simulation vs simulation + capture vs replay.
+  // Each pass keeps the fastest rep: min-over-reps rejects scheduler
+  // noise, which otherwise swamps the few-percent capture delta on a
+  // busy host.
   double simulate_seconds = 1e300;
   double capture_seconds = 1e300;
-  double capture_sync_seconds = 1e300;
   std::uint64_t file_bytes = 0;
-  const std::string sync_path = trace_path + ".sync";
   for (std::size_t r = 0; r < reps; ++r) {
     null_sink devnull;
     const auto t0 = clock_type::now();
@@ -123,18 +107,6 @@ int main(int argc, char** argv) try {
     stream_experiment(live, config, fanout);
     capture_seconds = std::min(capture_seconds, seconds_since(t1));
     file_bytes = writer->bytes_written();
-
-    run_config sync_config = config;
-    sync_config.capture.path = sync_path;
-    sync_config.capture.async = false;
-    const auto sync_writer = make_capture_writer(sync_config, live);
-    null_sink devnull3;
-    fanout_sink sync_fanout;
-    sync_fanout.add(&devnull3);
-    sync_fanout.add(sync_writer.get());
-    const auto t2 = clock_type::now();
-    stream_experiment(live, config, sync_fanout);
-    capture_sync_seconds = std::min(capture_sync_seconds, seconds_since(t2));
   }
 
   // Raw capture (negotiation off) for the compression headline — size
@@ -164,8 +136,6 @@ int main(int argc, char** argv) try {
   }
   const double overhead_pct =
       100.0 * (capture_seconds - simulate_seconds) / simulate_seconds;
-  const double overhead_sync_pct =
-      100.0 * (capture_sync_seconds - simulate_seconds) / simulate_seconds;
   const double replay_speedup = simulate_seconds / replay_seconds;
   const double bytes_per_interval =
       static_cast<double>(file_bytes) / static_cast<double>(intervals);
@@ -173,10 +143,6 @@ int main(int argc, char** argv) try {
       static_cast<double>(raw_file_bytes) / static_cast<double>(intervals);
   const double compression_x =
       static_cast<double>(raw_file_bytes) / static_cast<double>(file_bytes);
-
-  // Self-check: the async background writer and the sync path must
-  // produce byte-for-byte the same file.
-  const bool sync_async_identical = files_identical(trace_path, sync_path);
 
   // Self-check: the captured corpus replayed through the estimator
   // pipeline (at a different chunk size) must reproduce the live run's
@@ -194,24 +160,11 @@ int main(int argc, char** argv) try {
   const auto replay_rows = cells.eval_all(replay_config, replay_run);
   const bool identical = rows_identical(live_rows, replay_rows);
 
-  // Self-check: buffered replay must match the default path (which
-  // serves zero-copy from an mmap view where the platform allows).
-  run_config buffered_config = replay_config;
-  buffered_config.scenario =
-      replay_config.scenario.with_option("mmap", "false");
-  const run_artifacts buffered_run = prepare_run(buffered_config);
-  const bool mmap_identical =
-      rows_identical(live_rows,
-                     cells.eval_all(buffered_config, buffered_run)) &&
-      identical;
-
   std::printf("micro_trace: %zu paths x %zu intervals, %zu reps\n\n",
               live.topo().num_paths(), intervals, reps);
   std::printf("  simulate pass              %8.3f s\n", simulate_seconds);
-  std::printf("  simulate + capture pass    %8.3f s  (%.1f%% overhead, async)\n",
+  std::printf("  simulate + capture pass    %8.3f s  (%.1f%% overhead)\n",
               capture_seconds, overhead_pct);
-  std::printf("  simulate + capture (sync)  %8.3f s  (%.1f%% overhead)\n",
-              capture_sync_seconds, overhead_sync_pct);
   std::printf("  replay pass                %8.3f s  (%.2fx vs simulate)\n",
               replay_seconds, replay_speedup);
   std::printf("  trace file (negotiated)    %8llu bytes (%.2f per interval)\n",
@@ -221,14 +174,9 @@ int main(int argc, char** argv) try {
               "compression x%.2f)\n",
               static_cast<unsigned long long>(raw_file_bytes),
               raw_bytes_per_interval, compression_x);
-  std::printf("  sync vs async capture file %s\n",
-              sync_async_identical ? "BYTE-IDENTICAL" : "DIFFER (BUG)");
   std::printf("  capture->replay estimator rows %s\n",
               identical ? "BIT-IDENTICAL" : "DIFFER (BUG)");
-  std::printf("  mmap vs buffered replay rows   %s  (default replay %s)\n",
-              mmap_identical ? "BIT-IDENTICAL" : "DIFFER (BUG)",
-              reader.mapped() ? "mmap'd" : "buffered");
-  if (!identical || !sync_async_identical || !mmap_identical) return 1;
+  if (!identical) return 1;
 
   batch_report report;
   run_result result;
@@ -239,13 +187,9 @@ int main(int argc, char** argv) try {
       {"simulate", "pass_seconds", simulate_seconds},
       {"capture", "pass_seconds", capture_seconds},
       {"capture", "capture_overhead_pct", overhead_pct},
-      {"capture", "pass_sync_seconds", capture_sync_seconds},
-      {"capture", "capture_overhead_sync_pct", overhead_sync_pct},
-      {"capture", "sync_async_identical", sync_async_identical ? 1.0 : 0.0},
       {"replay", "pass_seconds", replay_seconds},
       {"replay", "speedup_vs_simulate_x", replay_speedup},
       {"replay", "identical", identical ? 1.0 : 0.0},
-      {"replay", "mmap_identical", mmap_identical ? 1.0 : 0.0},
       {"trace", "file_bytes", static_cast<double>(file_bytes)},
       {"trace", "bytes_per_interval", bytes_per_interval},
       {"trace", "raw_file_bytes", static_cast<double>(raw_file_bytes)},
@@ -258,7 +202,6 @@ int main(int argc, char** argv) try {
                          {{"intervals", std::to_string(intervals)},
                           {"reps", std::to_string(reps)}});
   std::remove(trace_path.c_str());
-  std::remove(sync_path.c_str());
   std::remove(raw_path.c_str());
   return 0;
 } catch (const ntom::flag_error& err) {

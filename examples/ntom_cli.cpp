@@ -109,7 +109,7 @@ int usage() {
                "  import  --in=FILE --out=FILE [--topo=FILE] [--threshold F]\n"
                "  corpus  stat FILE|DIR... | merge --out=FILE A B... |\n"
                "          split --parts=N FILE | index DIR\n"
-               "          [--no-compress] [--sync] on merge/split outputs\n"
+               "          [--no-compress] on merge/split outputs\n"
                "  serve   [--scenario=SPEC | --file=FILE] [--topo=TOPOSPEC]\n"
                "          [--intervals N] [--seed N] [--window W] [--chunk N]\n"
                "          [--estimator=SPEC] [--refit-every N] [--epochs N]\n"
@@ -481,9 +481,16 @@ int cmd_corpus(const ntom::flags& opts) {
   if (pos.empty()) return usage();
   const std::string verb = pos[0];
   const std::vector<std::string> args(pos.begin() + 1, pos.end());
+  // An unknown flag (a typo, say) would take the next file argument as
+  // its value, so the corpus verbs reject one.
+  for (const std::string& name : opts.names()) {
+    if (name != "out" && name != "parts" && name != "no-compress" &&
+        name != "simd") {
+      throw flag_error("--" + name + ": unknown flag for ntom_cli corpus");
+    }
+  }
   corpus_write_options wopts;
   wopts.compress = !opts.get_bool("no-compress", false);
-  wopts.async = !opts.get_bool("sync", false);
 
   if (verb == "stat") {
     if (args.empty()) return usage();

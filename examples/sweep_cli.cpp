@@ -181,12 +181,9 @@ int run_sweep(int argc, char** argv) {
                                 .with_option("label", stem));
           continue;
         }
-        // Shard the file into equal interval windows; a buffered
-        // header-only open reads T without mapping the payload.
-        trace_reader_options probe_opts;
-        probe_opts.io = trace_reader_options::io_mode::buffered;
-        const std::uint64_t total =
-            trace_reader(f, probe_opts).intervals();
+        // Shard the file into equal interval windows; opening the
+        // reader touches only the header, index and trailer pages.
+        const std::uint64_t total = trace_reader(f).intervals();
         for (std::size_t k = 0; k < shards; ++k) {
           const std::uint64_t first = total * k / shards;
           const std::uint64_t count = total * (k + 1) / shards - first;

@@ -1,6 +1,7 @@
 #include "ntom/exp/evals.hpp"
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -82,8 +83,8 @@ std::vector<std::string> validated_labels(
   return labels;
 }
 
-/// Link-error inputs shared by every estimator cell of one run; both
-/// are pure functions of the run, so the once-initialization is only a
+/// Per-run values shared by every estimator cell of one run; all are
+/// pure functions of the run, so the once-initialization is only a
 /// compute saving, never a result change.
 struct shared_truth {
   std::once_flag once;
@@ -100,29 +101,22 @@ struct shared_truth {
 /// Fits and scores an estimator subset on one prepared run — the unit
 /// both the whole-run evaluation and the per-estimator cells share, so
 /// shard concatenation is the unsharded row sequence by construction.
-/// `shared` (nullable) carries the per-run shared_truth. `first_shard`
-/// marks the evaluation that records a capture no materialize pass did.
+/// `shared` is the run's shared_truth. `first_shard` marks the
+/// evaluation that records a capture no materialize pass did.
 std::vector<measurement> eval_estimators(
     const std::vector<estimator_spec>& estimators,
     const std::vector<std::string>& labels,
     const estimator_eval_options& options, const run_config& config,
-    const run_artifacts& run, shared_truth* shared, bool first_shard) {
-  std::shared_ptr<const partition_plan> plan;
+    const run_artifacts& run, shared_truth& shared, bool first_shard) {
   if (config.part.mode != partition_mode::none) {
-    const auto compute_plan = [&] {
-      return std::make_shared<const partition_plan>(
+    std::call_once(shared.plan_once, [&] {
+      shared.plan = std::make_shared<const partition_plan>(
           make_partition(run.topo(), config.part));
-    };
-    if (shared != nullptr) {
-      std::call_once(shared->plan_once,
-                     [&] { shared->plan = compute_plan(); });
-      plan = shared->plan;
-    } else {
-      plan = compute_plan();
-    }
+    });
   }
   const bool record = first_shard && !run.materialized();
-  const fitted_run fitted = fit_run(estimators, config, run, plan, record);
+  const fitted_run fitted =
+      fit_run(estimators, config, run, shared.plan, record);
 
   // Fig. 3 metrics per Boolean-capable estimator: one more pass scores
   // every Boolean estimator with O(chunk) memory. A replayed dataset
@@ -170,32 +164,6 @@ std::vector<measurement> eval_estimators(
     }
   }
 
-  // Ground truth and the potentially-congested set are shared by all
-  // link-error series; computed once, and only when needed — across
-  // the run's estimator cells when a shared_truth rides along.
-  std::optional<ground_truth> local_truth;
-  std::optional<bitvec> local_potcong;
-  const ground_truth* truth = nullptr;
-  const bitvec* potcong = nullptr;
-  const auto ensure_truth = [&] {
-    if (truth != nullptr) return;
-    if (shared != nullptr) {
-      std::call_once(shared->once, [&] {
-        shared->truth.emplace(run.make_truth(config.sim.intervals));
-        shared->potcong =
-            potentially_congested_links(run.topo(), fitted.always_good_paths);
-      });
-      truth = &*shared->truth;
-      potcong = &shared->potcong;
-      return;
-    }
-    local_truth.emplace(run.make_truth(config.sim.intervals));
-    local_potcong.emplace(
-        potentially_congested_links(run.topo(), fitted.always_good_paths));
-    truth = &*local_truth;
-    potcong = &*local_potcong;
-  };
-
   std::vector<measurement> out;
   for (std::size_t i = 0; i < fitted.estimators.size(); ++i) {
     if (boolean_metrics[i]) {
@@ -210,12 +178,18 @@ std::vector<measurement> eval_estimators(
     // runs do not have (the dataset records states, not the model).
     if (options.link_error_metrics && !run.replayed() &&
         fitted.estimators[i]->caps().link_estimation) {
-      ensure_truth();
+      // Ground truth and the potentially-congested set are shared by
+      // all link-error series of the run; computed once, when needed.
+      std::call_once(shared.once, [&] {
+        shared.truth.emplace(run.make_truth(config.sim.intervals));
+        shared.potcong =
+            potentially_congested_links(run.topo(), fitted.always_good_paths);
+      });
       out.push_back(
           {labels[i], "mean_abs_error",
-           mean_of(link_absolute_errors(run.topo(), *truth,
+           mean_of(link_absolute_errors(run.topo(), *shared.truth,
                                         fitted.estimators[i]->links(),
-                                        *potcong))});
+                                        shared.potcong))});
     }
   }
   return out;
@@ -238,30 +212,27 @@ std::size_t estimator_cells::shards(const run_config& config) const {
 
 std::shared_ptr<void> estimator_cells::make_run_state(
     const run_config& config, const run_artifacts& run) const {
+  (void)config;
   (void)run;
-  // Only multi-cell runs can share; single-cell runs compute locally.
-  // Partitioned runs always share — the plan is worth computing once
-  // per run, not once per estimator shard.
-  if (shards(config) == 1 ||
-      (!options_.link_error_metrics &&
-       config.part.mode == partition_mode::none)) {
-    return nullptr;
-  }
   return std::make_shared<shared_truth>();
 }
 
 std::vector<measurement> estimator_cells::eval_cell(
     const run_config& config, const run_artifacts& run, void* run_state,
     std::size_t shard) const {
-  if (shards(config) == 1) return eval_all(config, run);
+  shared_truth& shared = *static_cast<shared_truth*>(run_state);
+  if (shards(config) == 1) {
+    return eval_estimators(estimators_, labels_, options_, config, run,
+                           shared, true);
+  }
   return eval_estimators({estimators_[shard]}, {labels_[shard]}, options_,
-                         config, run, static_cast<shared_truth*>(run_state),
-                         shard == 0);
+                         config, run, shared, shard == 0);
 }
 
 std::vector<measurement> estimator_cells::eval_all(
     const run_config& config, const run_artifacts& run) const {
-  return eval_estimators(estimators_, labels_, options_, config, run, nullptr,
+  shared_truth shared;
+  return eval_estimators(estimators_, labels_, options_, config, run, shared,
                          true);
 }
 

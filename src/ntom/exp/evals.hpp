@@ -42,13 +42,14 @@ class estimator_cells final : public cell_evaluator {
 
   [[nodiscard]] std::size_t shards(const run_config& config) const override;
 
-  /// Per-run shared state for the link-error metrics: the analytic
-  /// ground truth and the potentially-congested set are pure functions
-  /// of the run, computed once by whichever cell needs them first
-  /// instead of once per estimator shard.
+  /// Per-run shared state: the partition plan, the analytic ground
+  /// truth and the potentially-congested set are pure functions of the
+  /// run, computed once by whichever cell needs them first instead of
+  /// once per estimator shard.
   [[nodiscard]] std::shared_ptr<void> make_run_state(
       const run_config& config, const run_artifacts& run) const override;
 
+  /// `run_state` must be the run's make_run_state() result.
   [[nodiscard]] std::vector<measurement> eval_cell(
       const run_config& config, const run_artifacts& run, void* run_state,
       std::size_t shard) const override;

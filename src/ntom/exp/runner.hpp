@@ -77,14 +77,9 @@ struct capture_options {
   bool truth = true;
 
   /// Per-plane codec negotiation (trace_writer_options::compress).
-  /// Disable to force raw planes — larger files, but replay becomes
-  /// eligible for the reader's mmap zero-copy path.
+  /// Disable to force raw planes — larger files that decode without
+  /// any codec work.
   bool compress = true;
-
-  /// Background-thread frame writing (trace_writer_options::async).
-  /// Disable to keep capture I/O on the simulation thread — mainly for
-  /// overhead measurements and debugging.
-  bool async = true;
 };
 
 struct run_config {

@@ -27,8 +27,8 @@
 namespace ntom::trace_codec {
 
 /// Codec ids as stored in the plane section. `raw` is the packed
-/// row-words verbatim — the only codec the mmap replay path can serve
-/// zero-copy, so negotiation prefers it on ties.
+/// row-words verbatim — the cheapest to decode (a plain word copy), so
+/// negotiation prefers it on ties.
 inline constexpr std::uint8_t codec_raw = 0;       // packed row words
 inline constexpr std::uint8_t codec_rle = 1;       // word-run RLE
 inline constexpr std::uint8_t codec_sparse = 2;    // delta-varint bit list
@@ -47,8 +47,8 @@ void encode(std::uint8_t id, const bit_matrix& plane,
             std::vector<unsigned char>& out);
 
 /// Encodes `plane` under every candidate codec, appends the smallest
-/// encoding to `out`, and returns its codec id. Ties prefer raw (for
-/// zero-copy replay), then the lower id. With `negotiate` false the
+/// encoding to `out`, and returns its codec id. Ties prefer raw (the
+/// cheapest decode), then the lower id. With `negotiate` false the
 /// plane is stored raw unconditionally.
 std::uint8_t encode_best(const bit_matrix& plane,
                          std::vector<unsigned char>& out,

@@ -109,7 +109,6 @@ std::uint64_t merge_traces(const std::vector<std::string>& inputs,
   wopts.store_truth = truth;
   wopts.store_mask = mask;
   wopts.compress = options.compress;
-  wopts.async = options.async;
   wopts.provenance = provenance;
   trace_writer writer(output, wopts);
   writer.begin(*readers[0]->topology_ptr(), static_cast<std::size_t>(total));
@@ -174,7 +173,6 @@ std::vector<std::string> split_trace(const std::string& input,
   wopts.store_truth = reader.has_truth();
   wopts.store_mask = reader.has_mask();
   wopts.compress = options.compress;
-  wopts.async = options.async;
 
   std::size_t part = 0;
   std::size_t frames_left = 0;

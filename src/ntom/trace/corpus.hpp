@@ -83,7 +83,6 @@ struct corpus_file_stat {
 /// normal trace_writer).
 struct corpus_write_options {
   bool compress = true;  ///< per-plane codec negotiation on the output.
-  bool async = true;     ///< background-thread frame writing.
 };
 
 /// Merges `inputs` (in order) into `output`. All inputs must embed the

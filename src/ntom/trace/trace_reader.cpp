@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define NTOM_TRACE_HAS_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "ntom/io/topology_io.hpp"
 #include "ntom/trace/codec.hpp"
@@ -23,7 +19,6 @@ namespace ntom {
 
 using trace_wire::get_u32;
 using trace_wire::get_u64;
-using trace_wire::read_exact;
 using trace_wire::word_stride;
 
 namespace {
@@ -56,58 +51,6 @@ struct trace_reader::decoded_frame {
   bitvec mask;
 };
 
-/// Positioned byte access over the file, behind one interface so every
-/// parse path is written once: the mmap cursor hands out pointers into
-/// the mapping (zero-copy — raw plane payloads go straight from the
-/// page cache into the chunk matrices), the buffered cursor reads into
-/// a reused scratch buffer. A view pointer is valid until the next
-/// view()/seek() call.
-class trace_reader::cursor {
- public:
-  virtual ~cursor() = default;
-  virtual const unsigned char* view(std::size_t len, const char* what) = 0;
-  virtual void seek(std::uint64_t off) = 0;
-  [[nodiscard]] virtual std::uint64_t pos() const noexcept = 0;
-  [[nodiscard]] virtual std::uint64_t size() const noexcept = 0;
-};
-
-class trace_reader::file_cursor final : public trace_reader::cursor {
- public:
-  explicit file_cursor(const std::string& path)
-      : in_(path, std::ios::binary) {
-    if (!in_) throw trace_error("trace_reader: cannot open " + path);
-    in_.seekg(0, std::ios::end);
-    size_ = static_cast<std::uint64_t>(in_.tellg());
-    in_.seekg(0);
-  }
-
-  const unsigned char* view(std::size_t len, const char* what) override {
-    if (len > buf_.size()) buf_.resize(len);
-    read_exact(in_, buf_.data(), len, what);
-    pos_ += len;
-    return buf_.data();
-  }
-
-  void seek(std::uint64_t off) override {
-    if (off > size_) {
-      throw trace_error("trace: seek past the end of the file");
-    }
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(off));
-    if (!in_) throw trace_error("trace: seek failed");
-    pos_ = off;
-  }
-
-  [[nodiscard]] std::uint64_t pos() const noexcept override { return pos_; }
-  [[nodiscard]] std::uint64_t size() const noexcept override { return size_; }
-
- private:
-  std::ifstream in_;
-  std::uint64_t pos_ = 0;
-  std::uint64_t size_ = 0;
-  std::vector<unsigned char> buf_;
-};
-
 /// Read-only mapping of the whole file, shared by every pass (stream()
 /// is const and may run concurrently).
 struct trace_reader::mapping {
@@ -118,95 +61,80 @@ struct trace_reader::mapping {
   mapping(const mapping&) = delete;
   mapping& operator=(const mapping&) = delete;
   ~mapping() {
-#ifdef NTOM_TRACE_HAS_MMAP
     if (data != nullptr) {
       ::munmap(const_cast<unsigned char*>(data),
                static_cast<std::size_t>(size));
     }
-#endif
   }
 
-  /// nullptr when the platform or the file does not support mapping
-  /// (callers fall back to buffered reads).
+  /// Throws trace_error when `path` is missing, is not a regular file
+  /// (a directory or FIFO), is empty, or cannot be mapped.
   static std::shared_ptr<const mapping> map(const std::string& path) {
-#ifdef NTOM_TRACE_HAS_MMAP
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return nullptr;
+    // O_NONBLOCK: opening a FIFO must fail below, not wait for a writer.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd < 0) throw trace_error("trace_reader: cannot open " + path);
     struct stat st {};
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size <= 0) {
+    const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    if (!regular || st.st_size <= 0) {
       ::close(fd);
-      return nullptr;
+      throw trace_error(regular ? "trace_reader: empty file " + path
+                                : "trace_reader: not a regular file " + path);
     }
     void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
                      MAP_PRIVATE, fd, 0);
     ::close(fd);
-    if (p == MAP_FAILED) return nullptr;
+    if (p == MAP_FAILED) throw trace_error("trace_reader: cannot mmap " + path);
     auto m = std::make_shared<mapping>();
     m->data = static_cast<const unsigned char*>(p);
     m->size = static_cast<std::uint64_t>(st.st_size);
     return m;
-#else
-    (void)path;
-    return nullptr;
-#endif
   }
 };
 
-class trace_reader::mapped_cursor final : public trace_reader::cursor {
+/// Positioned, bounds-checked byte access over the mapping. view()
+/// returns a pointer into the mapping, so every parse path reads the
+/// file in place.
+class trace_reader::cursor {
  public:
-  explicit mapped_cursor(std::shared_ptr<const mapping> m)
-      : map_(std::move(m)) {}
+  explicit cursor(const mapping& m) : data_(m.data), size_(m.size) {}
 
-  const unsigned char* view(std::size_t len, const char* what) override {
-    if (len > map_->size - pos_) {
+  const unsigned char* view(std::size_t len, const char* what) {
+    if (len > size_ - pos_) {
       throw trace_error(std::string("trace: unexpected end of file in ") +
                         what);
     }
-    const unsigned char* p = map_->data + pos_;
+    const unsigned char* p = data_ + pos_;
     pos_ += len;
     return p;
   }
 
-  void seek(std::uint64_t off) override {
-    if (off > map_->size) {
+  void seek(std::uint64_t off) {
+    if (off > size_) {
       throw trace_error("trace: seek past the end of the file");
     }
     pos_ = off;
   }
 
-  [[nodiscard]] std::uint64_t pos() const noexcept override { return pos_; }
-  [[nodiscard]] std::uint64_t size() const noexcept override {
-    return map_->size;
-  }
+  [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
 
  private:
-  std::shared_ptr<const mapping> map_;
+  const unsigned char* data_;
+  std::uint64_t size_;
   std::uint64_t pos_ = 0;
 };
 
-std::unique_ptr<trace_reader::cursor> trace_reader::make_cursor() const {
-  if (mapping_ != nullptr) return std::make_unique<mapped_cursor>(mapping_);
-  return std::make_unique<file_cursor>(path_);
-}
-
 trace_reader::~trace_reader() = default;
 
-trace_reader::trace_reader(std::string path, trace_reader_options options)
-    : path_(std::move(path)) {
-  if (options.io != trace_reader_options::io_mode::buffered) {
-    mapping_ = mapping::map(path_);
-    if (mapping_ == nullptr &&
-        options.io == trace_reader_options::io_mode::mmap) {
-      throw trace_error("trace_reader: cannot mmap " + path_);
-    }
-  }
-  const std::unique_ptr<cursor> cur = make_cursor();
-  size_ = cur->size();
+trace_reader::trace_reader(std::string path)
+    : path_(std::move(path)), mapping_(mapping::map(path_)) {
+  cursor cur(*mapping_);
+  size_ = cur.size();
 
   // Header; every byte read feeds the CRC check at the end.
   crc32_accumulator crc;
   const auto view_crc = [&](std::size_t len, const char* what) {
-    const unsigned char* p = cur->view(len, what);
+    const unsigned char* p = cur.view(len, what);
     crc.update(p, len);
     return p;
   };
@@ -253,7 +181,7 @@ trace_reader::trace_reader(std::string path, trace_reader_options options)
     topo_text.assign(reinterpret_cast<const char*>(p), topo_len);
   }
 
-  const unsigned char* crc_buf = cur->view(4, "header CRC");
+  const unsigned char* crc_buf = cur.view(4, "header CRC");
   if (get_u32(crc_buf) != crc.value()) {
     throw trace_error("trace: header CRC mismatch (corrupted file)");
   }
@@ -269,15 +197,15 @@ trace_reader::trace_reader(std::string path, trace_reader_options options)
     throw trace_error(
         "trace: header dimensions disagree with the embedded topology");
   }
-  data_offset_ = cur->pos();
+  data_offset_ = cur.pos();
 
   // Trailer check up front: truncation fails at open, not mid-replay.
   const std::size_t tb = trailer_bytes_for(version_);
   if (size_ < data_offset_ + tb) {
     throw trace_error("trace: file too short for a trailer (truncated?)");
   }
-  cur->seek(size_ - tb);
-  const unsigned char* trailer = cur->view(tb, "trailer");
+  cur.seek(size_ - tb);
+  const unsigned char* trailer = cur.view(tb, "trailer");
   if (std::memcmp(trailer, trace_trailer_magic,
                   sizeof(trace_trailer_magic)) != 0) {
     throw trace_error("trace: missing trailer (file truncated?)");
@@ -329,13 +257,13 @@ trace_reader::trace_reader(std::string path, trace_reader_options options)
     if (index_offset_ < data_offset_ || index_offset_ > size_ - tb) {
       throw trace_error("trace: index offset out of range");
     }
-    cur->seek(index_offset_);
-    const unsigned char* im = cur->view(4, "index magic");
+    cur.seek(index_offset_);
+    const unsigned char* im = cur.view(4, "index magic");
     if (std::memcmp(im, trace_index_magic, sizeof(trace_index_magic)) != 0) {
       throw trace_error("trace: bad index magic (corrupted file)");
     }
     crc32_accumulator icrc;
-    const unsigned char* nb = cur->view(8, "index entry count");
+    const unsigned char* nb = cur.view(8, "index entry count");
     icrc.update(nb, 8);
     const std::uint64_t n = get_u64(nb);
     if (n != frames_) {
@@ -350,7 +278,7 @@ trace_reader::trace_reader(std::string path, trace_reader_options options)
     std::uint64_t running = 0;
     std::uint64_t prev_offset = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-      const unsigned char* e = cur->view(trace_index_entry_bytes, "index");
+      const unsigned char* e = cur.view(trace_index_entry_bytes, "index");
       icrc.update(e, trace_index_entry_bytes);
       trace_frame_entry entry;
       entry.offset = get_u64(e);
@@ -371,7 +299,7 @@ trace_reader::trace_reader(std::string path, trace_reader_options options)
     if (running != intervals_) {
       throw trace_error("trace: index intervals are not contiguous");
     }
-    const unsigned char* ic = cur->view(4, "index CRC");
+    const unsigned char* ic = cur.view(4, "index CRC");
     if (get_u32(ic) != icrc.value()) {
       throw trace_error("trace: index CRC mismatch (corrupted file)");
     }
@@ -600,12 +528,12 @@ void trace_reader::stream_impl(measurement_sink& sink,
                                std::uint64_t range_count,
                                bool full_pass) const {
   if (chunk_intervals == 0) chunk_intervals = default_chunk_intervals;
-  const std::unique_ptr<cursor> cur = make_cursor();
+  cursor cur(*mapping_);
   std::uint64_t seen = 0;  // absolute first interval of the next frame
   if (range_first == 0 || range_count == 0) {
-    cur->seek(data_offset_);
+    cur.seek(data_offset_);
   } else {
-    seen = locate_frame(*cur, range_first);
+    seen = locate_frame(cur, range_first);
   }
 
   sink.begin(*topo_, static_cast<std::size_t>(range_count));
@@ -618,7 +546,7 @@ void trace_reader::stream_impl(measurement_sink& sink,
     std::uint64_t emitted = 0;
     while (emitted < range_count) {
       decoded_frame f;
-      parse_frame(*cur, seen, intervals_ - seen, &f, nullptr);
+      parse_frame(cur, seen, intervals_ - seen, &f, nullptr);
       seen = f.first + f.count;
       const std::uint64_t skip =
           range_first > f.first ? range_first - f.first : 0;
@@ -667,7 +595,7 @@ void trace_reader::stream_impl(measurement_sink& sink,
     std::uint64_t consumed = 0;  // range intervals consumed from frames
     while (consumed < range_count) {
       decoded_frame f;
-      parse_frame(*cur, seen, intervals_ - seen, &f, nullptr);
+      parse_frame(cur, seen, intervals_ - seen, &f, nullptr);
       seen = f.first + f.count;
       std::uint64_t src =
           range_first + consumed > f.first
@@ -703,7 +631,7 @@ void trace_reader::stream_impl(measurement_sink& sink,
     if (seen != intervals_) {
       throw trace_error("trace: fewer intervals than the header declares");
     }
-    check_frames_end(*cur);
+    check_frames_end(cur);
   }
 
   sink.end();
@@ -711,13 +639,13 @@ void trace_reader::stream_impl(measurement_sink& sink,
 
 void trace_reader::stream_frames(
     const std::function<void(measurement_chunk& chunk)>& fn) const {
-  const std::unique_ptr<cursor> cur = make_cursor();
-  cur->seek(data_offset_);
+  cursor cur(*mapping_);
+  cur.seek(data_offset_);
   std::uint64_t seen = 0;
   measurement_chunk chunk;
   for (std::uint64_t f = 0; f < frames_; ++f) {
     decoded_frame df;
-    parse_frame(*cur, seen, intervals_ - seen, &df, nullptr);
+    parse_frame(cur, seen, intervals_ - seen, &df, nullptr);
     seen += df.count;
     chunk.first_interval = static_cast<std::size_t>(df.first);
     chunk.count = static_cast<std::size_t>(df.count);
@@ -730,17 +658,17 @@ void trace_reader::stream_frames(
   if (seen != intervals_) {
     throw trace_error("trace: fewer intervals than the header declares");
   }
-  check_frames_end(*cur);
+  check_frames_end(cur);
 }
 
 void trace_reader::scan_frames(
     const std::function<void(const trace_frame_stat& stat)>& fn) const {
-  const std::unique_ptr<cursor> cur = make_cursor();
-  cur->seek(data_offset_);
+  cursor cur(*mapping_);
+  cur.seek(data_offset_);
   std::uint64_t seen = 0;
   for (std::uint64_t f = 0; f < frames_; ++f) {
     trace_frame_stat stat;
-    parse_frame(*cur, seen, intervals_ - seen, nullptr, &stat);
+    parse_frame(cur, seen, intervals_ - seen, nullptr, &stat);
     if (has_index_) {
       const trace_frame_entry& e = index_[static_cast<std::size_t>(f)];
       if (e.offset != stat.offset || e.first_interval != stat.first_interval ||
@@ -755,7 +683,7 @@ void trace_reader::scan_frames(
   if (seen != intervals_) {
     throw trace_error("trace: fewer intervals than the header declares");
   }
-  check_frames_end(*cur);
+  check_frames_end(cur);
 }
 
 }  // namespace ntom

@@ -13,23 +13,23 @@
 //
 // Both format versions are read: v1 interleaved frames unchanged, and
 // v2 plane-major frames with per-plane codec negotiation (trace/codec),
-// an optional mask plane, and the CIDX frame index. Files are mapped
-// with mmap when the platform allows (raw frames then replay zero-copy
-// from the page cache); trace_reader_options can force or forbid the
-// mapping. The CIDX index backs stream_range(), which seeks straight to
-// an interval range so a corpus directory can shard one file across
+// an optional mask plane, and the CIDX frame index. The file is mapped
+// read-only with mmap and parsed in place, which saves the read() copy
+// of buffered I/O (planes are still decoded into the chunk matrices).
+// The CIDX index backs stream_range(), which seeks straight to an
+// interval range so a corpus directory can shard one file across
 // run_grid workers.
 //
 // Construction validates the header, the embedded topology, the trailer,
 // and the index (so truncation fails fast); every stream() pass
 // additionally verifies each frame's CRC32. All failure modes throw
 // trace_error — a corrupted or hostile file never causes undefined
-// behavior.
+// behavior. (A file truncated by another process while mapped can still
+// raise SIGBUS.)
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <ios>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,15 +38,6 @@
 #include "ntom/trace/trace_format.hpp"
 
 namespace ntom {
-
-struct trace_reader_options {
-  enum class io_mode {
-    auto_detect,  ///< mmap when available, buffered reads otherwise.
-    mmap,         ///< require the mapping; throw where unsupported.
-    buffered,     ///< never map (testing, or files on weird transports).
-  };
-  io_mode io = io_mode::auto_detect;
-};
 
 /// One CIDX entry: where a frame lives and which intervals it holds.
 struct trace_frame_entry {
@@ -73,9 +64,10 @@ struct trace_frame_stat {
 
 class trace_reader final : public measurement_source {
  public:
-  /// Opens and validates `path` (header, embedded topology, trailer,
-  /// index). Throws trace_error on any malformation.
-  explicit trace_reader(std::string path, trace_reader_options options = {});
+  /// Maps and validates `path` (header, embedded topology, trailer,
+  /// index). Throws trace_error when the path cannot be mapped (missing,
+  /// empty, or not a regular file) and on any malformation.
+  explicit trace_reader(std::string path);
 
   ~trace_reader() override;
 
@@ -103,9 +95,6 @@ class trace_reader final : public measurement_source {
   [[nodiscard]] const std::vector<trace_frame_entry>& index() const noexcept {
     return index_;
   }
-
-  /// Whether replay serves from an mmap'd view of the file.
-  [[nodiscard]] bool mapped() const noexcept { return mapping_ != nullptr; }
 
   /// File size in bytes.
   [[nodiscard]] std::uint64_t file_bytes() const noexcept { return size_; }
@@ -142,12 +131,8 @@ class trace_reader final : public measurement_source {
 
  private:
   class cursor;
-  class file_cursor;
-  class mapped_cursor;
   struct mapping;
   struct decoded_frame;
-
-  [[nodiscard]] std::unique_ptr<cursor> make_cursor() const;
 
   /// Parses the frame at the cursor (either version). Contiguity is
   /// checked against `expected_first` / `remaining`; planes are decoded

@@ -84,13 +84,7 @@ std::shared_ptr<const measurement_source> open_trace_source(const spec& s) {
   if (file.empty()) {
     throw spec_error("scenario 'trace': the file=... option is required");
   }
-  trace_reader_options options;
-  if (s.has("mmap")) {
-    options.io = s.get_bool("mmap", true)
-                     ? trace_reader_options::io_mode::mmap
-                     : trace_reader_options::io_mode::buffered;
-  }
-  auto reader = std::make_shared<trace_reader>(file, options);
+  auto reader = std::make_shared<trace_reader>(file);
   std::shared_ptr<const measurement_source> source = reader;
   if (s.has("first") || s.has("count")) {
     const std::size_t first = s.get_size("first", 0);
@@ -125,9 +119,6 @@ void register_trace_scenario(registry<scenario_plugin>& reg) {
        {"count",
         "intervals in the replay window (default: through the end); "
         "first/count shard one file across grid arms via its index"},
-       {"mmap",
-        "true: require mmap zero-copy replay (throw if unsupported); "
-        "false: force buffered reads; unset: auto-detect"},
        {"imperfect",
         "quoted ';'-separated imperfection specs applied on replay "
         "(drop | subsample | blackout)"}},

@@ -4,10 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 #include "ntom/io/topology_io.hpp"
 #include "ntom/trace/codec.hpp"
 #include "ntom/trace/wire.hpp"
@@ -21,7 +17,6 @@ using trace_wire::word_stride;
 
 trace_writer::trace_writer(std::string path, trace_writer_options options)
     : path_(std::move(path)), options_(std::move(options)) {
-  if (options_.queue_frames == 0) options_.queue_frames = 1;
   out_ = std::fopen(path_.c_str(), "wb");
   if (out_ == nullptr) throw trace_error("trace_writer: cannot open " + path_);
   stream_buffer_.resize(256 * 1024);
@@ -29,7 +24,6 @@ trace_writer::trace_writer(std::string path, trace_writer_options options)
 }
 
 trace_writer::~trace_writer() {
-  shutdown_writer();
   if (out_ != nullptr) std::fclose(out_);
 }
 
@@ -37,7 +31,7 @@ void trace_writer::write_raw(const void* data, std::size_t len) {
   if (std::fwrite(data, 1, len, out_) != len) {
     throw trace_error("trace_writer: write failed for " + path_);
   }
-  bytes_written_.fetch_add(len, std::memory_order_relaxed);
+  bytes_written_ += len;
 }
 
 void trace_writer::begin(const topology& t, std::size_t intervals) {
@@ -86,15 +80,7 @@ void trace_writer::begin(const topology& t, std::size_t intervals) {
   put_u32(crc_buf, crc32(header.data(), header.size()));
   write_raw(crc_buf, 4);
 
-  // Frame offsets for the CIDX index start right after the header —
-  // computed on the producer side, so the async writer's scheduling
-  // never changes the index.
-  frame_offset_ = bytes_written_.load(std::memory_order_relaxed);
   if (options_.store_mask) mask_row_ = bit_matrix(1, paths_);
-
-  if (options_.async) {
-    writer_ = std::thread([this] { writer_loop(); });
-  }
 }
 
 void trace_writer::append_plane_section(std::vector<unsigned char>& frame,
@@ -131,66 +117,6 @@ void trace_writer::write_frame(const std::vector<unsigned char>& frame) {
   }
 }
 
-void trace_writer::writer_loop() {
-#ifdef __linux__
-  // Mark the writer as a batch task: a SCHED_OTHER thread woken by
-  // notify_one tends to preempt the producer on its own core, charging
-  // the whole CRC+write to the live pass (~16 us/frame measured).
-  // SCHED_BATCH disables wake-preemption, so the producer's enqueue
-  // costs only the lock+push. Best-effort — failure just means default
-  // scheduling.
-  sched_param param{};
-  (void)sched_setscheduler(0, SCHED_BATCH, &param);
-#endif
-  for (;;) {
-    std::vector<unsigned char> frame;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and fully drained
-      frame = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    if (!failed_) {
-      try {
-        write_frame(frame);
-      } catch (const trace_error& e) {
-        // Latch the first failure; keep draining (and discarding) so
-        // the producer never deadlocks on a full queue — it observes
-        // failed_ and throws from its next consume()/end().
-        std::lock_guard<std::mutex> lock(mutex_);
-        failed_ = true;
-        error_ = e.what();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      frame.clear();
-      spare_.push_back(std::move(frame));
-    }
-    space_cv_.notify_one();
-  }
-}
-
-void trace_writer::shutdown_writer() noexcept {
-  if (!writer_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_one();
-  writer_.join();
-}
-
-void trace_writer::throw_latched() {
-  std::string message;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    message = error_;
-  }
-  throw trace_error(message);
-}
-
 void trace_writer::consume(const measurement_chunk& chunk) {
   if (!begun_ || finished_) {
     throw trace_error("trace_writer: consume() outside begin()/end()");
@@ -212,8 +138,7 @@ void trace_writer::consume(const measurement_chunk& chunk) {
   }
 
   // Pack the whole frame (magic + head + plane sections) into one
-  // contiguous buffer — the only work the live pass pays for in async
-  // mode (codec negotiation included; it is cheap next to simulation).
+  // contiguous, reused buffer, then write it with its CRC.
   std::vector<unsigned char>& frame = packing_;
   frame.resize(sizeof(trace_frame_magic) + 16);
   unsigned char* out = frame.data();
@@ -238,54 +163,16 @@ void trace_writer::consume(const measurement_chunk& chunk) {
     append_plane_section(frame, mask_row_);
   }
 
-  // CIDX entry, from the producer-side offset cursor.
-  index_.push_back({frame_offset_, chunk.first_interval, chunk.count});
-  frame_offset_ += frame.size() + 4;  // + frame CRC
-
-  if (options_.async) {
-    bool latched = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      space_cv_.wait(lock, [this] {
-        return failed_ || queue_.size() < options_.queue_frames;
-      });
-      if (failed_) {
-        latched = true;
-      } else {
-        queue_.push_back(std::move(frame));
-        if (!spare_.empty()) {
-          // Recycle a drained buffer so the next pack reuses its
-          // capacity instead of allocating.
-          frame = std::move(spare_.back());
-          spare_.pop_back();
-        } else {
-          frame = {};
-        }
-      }
-    }
-    if (latched) throw_latched();
-    work_cv_.notify_one();
-  } else {
-    write_frame(frame);
-  }
+  // CIDX entry: the frame starts where the bytes written so far end.
+  index_.push_back({bytes_written_, chunk.first_interval, chunk.count});
+  write_frame(frame);
 
   intervals_written_ += chunk.count;
-  ++frames_written_;
 }
 
 void trace_writer::end() {
   if (!begun_ || finished_) {
     throw trace_error("trace_writer: end() outside an open capture");
-  }
-  // Drain and join the background writer before touching the stream
-  // from this thread; any latched error outranks the trailer.
-  shutdown_writer();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (failed_) {
-      finished_ = true;
-      throw trace_error(error_);
-    }
   }
   if (intervals_written_ != intervals_declared_) {
     throw trace_error("trace_writer: stream ended early (" +
@@ -294,7 +181,7 @@ void trace_writer::end() {
   }
   // CIDX: entry count + per-frame {offset, first_interval, count},
   // CRC'd, located by the trailer's index offset field.
-  const std::uint64_t index_offset = frame_offset_;
+  const std::uint64_t index_offset = bytes_written_;
   std::vector<unsigned char> index_buf(8 + index_.size() *
                                                trace_index_entry_bytes);
   put_u64(index_buf.data(), index_.size());
@@ -312,7 +199,7 @@ void trace_writer::end() {
   write_raw(crc_buf, 4);
 
   unsigned char totals[24];
-  put_u64(totals, frames_written_);
+  put_u64(totals, index_.size());
   put_u64(totals + 8, intervals_written_);
   put_u64(totals + 16, index_offset);
   write_raw(trace_trailer_magic, sizeof(trace_trailer_magic));

@@ -1,12 +1,11 @@
 // Internal wire helpers shared by trace_writer / trace_reader: explicit
 // little-endian scalar encoding (the format is LE on every host) and
-// read-exactly-or-throw primitives.
+// bounds-checked varint decoding.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <string>
 #include <vector>
 
@@ -98,15 +97,6 @@ inline std::uint64_t get_varint(const unsigned char** p,
   }
   *p = q;
   return v;
-}
-
-inline void read_exact(std::istream& in, void* data, std::size_t len,
-                       const char* what) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(len));
-  if (in.gcount() != static_cast<std::streamsize>(len)) {
-    throw trace_error(std::string("trace: unexpected end of file in ") +
-                      what);
-  }
 }
 
 /// Words-per-row of a packed bit_matrix row over `cols` columns — the

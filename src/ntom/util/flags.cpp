@@ -85,7 +85,10 @@ double flags::get_double(const std::string& name, double fallback) const {
 bool flags::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  bad_value(name, v, "true/false, 1/0, yes/no or on/off");
 }
 
 std::vector<std::string> flags::names() const {

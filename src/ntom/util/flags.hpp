@@ -2,8 +2,11 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`.
 // Unknown flags are collected so binaries can reject typos explicitly.
-// Numeric accessors are strict: a value that is not entirely a number
-// throws flag_error naming the flag, instead of reading as 0.
+// Typed accessors are strict: a value that is not entirely a number
+// (or, for get_bool, a boolean spelling) throws flag_error naming the
+// flag, instead of reading as 0 or false. A bare boolean flag directly
+// before a positional argument takes that argument as its value, so it
+// fails loudly rather than swallowing the positional.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +43,8 @@ class flags {
                                      std::size_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
+  /// Accepts true/false, 1/0, yes/no and on/off; anything else throws
+  /// flag_error.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Positional (non-flag) arguments in order.

@@ -1,6 +1,6 @@
 // Corpus tooling and v2 format features end to end: stat/merge/split/
-// manifest (trace/corpus.hpp), range and sharded replay, mmap vs
-// buffered reads, masked (probe-budget) capture -> replay bit-identity
+// manifest (trace/corpus.hpp), range and sharded replay, masked
+// (probe-budget) capture -> replay bit-identity
 // at every capture granularity, hand-built version-1 files still
 // reading, and a corrupted CIDX entry failing loudly.
 #include <gtest/gtest.h>
@@ -296,31 +296,6 @@ TEST(CorpusTest, StreamRangeMatchesTheFullReplay) {
                      .with_option("first", "55")
                      .with_option("count", "20");
   EXPECT_THROW((void)prepare_run(bad), spec_error);
-  std::remove(path.c_str());
-}
-
-TEST(CorpusTest, MmapAndBufferedReadsAgree) {
-  const std::string path = temp_path("mmap.trc");
-  capture(small_config(60), path, 16);
-
-  const trace_reader auto_reader(path);  // mmap where the platform allows.
-  trace_reader_options buffered_options;
-  buffered_options.io = trace_reader_options::io_mode::buffered;
-  const trace_reader buffered(path, buffered_options);
-  EXPECT_FALSE(buffered.mapped());
-
-  const collect_sink a = collect_all(auto_reader, 32);
-  const collect_sink b = collect_all(buffered, 17);
-  ASSERT_EQ(a.obs.size(), b.obs.size());
-  for (std::size_t i = 0; i < a.obs.size(); ++i) {
-    EXPECT_TRUE(a.obs[i] == b.obs[i]);
-    EXPECT_TRUE(a.truth[i] == b.truth[i]);
-  }
-  if (auto_reader.mapped()) {
-    trace_reader_options force;
-    force.io = trace_reader_options::io_mode::mmap;
-    EXPECT_TRUE(trace_reader(path, force).mapped());
-  }
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -29,9 +33,10 @@ run_config small_config(std::size_t intervals = 60) {
   return config;
 }
 
-/// Captures the config's stream at the given chunk size.
-void capture(const run_config& config, const std::string& path,
-             std::size_t chunk, bool store_truth = true) {
+/// Captures the config's stream at the given chunk size and returns the
+/// writer's bytes_written() after end().
+std::uint64_t capture(const run_config& config, const std::string& path,
+                      std::size_t chunk, bool store_truth = true) {
   run_config streaming = config;
   streaming.stream.chunk_intervals = chunk;
   const run_artifacts run = prepare_topology(streaming);
@@ -40,6 +45,7 @@ void capture(const run_config& config, const std::string& path,
   options.provenance = "test-capture";
   trace_writer writer(path, options);
   stream_experiment(run, streaming, writer);
+  return writer.bytes_written();
 }
 
 /// Streams the whole file into a discarding sink (verifies every frame).
@@ -303,6 +309,30 @@ TEST(TraceFormatTest, RejectsForeignAndFutureFiles) {
   std::remove(path.c_str());
 }
 
+TEST(TraceFormatTest, UnmappableInputsThrowTraceError) {
+  // The reader maps the file; anything that cannot be mapped fails at
+  // open with trace_error instead of falling back to another reader.
+  EXPECT_THROW(trace_reader reader(temp_path("unmappable_missing.trc")), trace_error);
+
+  const std::string empty = temp_path("unmappable_empty.trc");
+  { std::ofstream out(empty, std::ios::binary | std::ios::trunc); }
+  EXPECT_THROW(trace_reader reader(empty), trace_error);
+  std::remove(empty.c_str());
+
+  const std::string dir = temp_path("unmappable_dir.trc");
+  ::rmdir(dir.c_str());  // a leftover of an interrupted run.
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  EXPECT_THROW(trace_reader reader(dir), trace_error);
+  ::rmdir(dir.c_str());
+
+  // Opening a FIFO must not block waiting for a writer.
+  const std::string fifo = temp_path("unmappable_fifo.trc");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_THROW(trace_reader reader(fifo), trace_error);
+  std::remove(fifo.c_str());
+}
+
 TEST(TraceFormatTest, TrailingGarbageFailsTheStream) {
   const std::string path = temp_path("garbage.trc");
   capture(small_config(), path, 16);
@@ -319,6 +349,106 @@ TEST(TraceFormatTest, TrailingGarbageFailsTheStream) {
         null_replay(reader);
       },
       trace_error);
+  std::remove(path.c_str());
+}
+
+/// FNV-1a over the file's bytes.
+std::uint64_t fnv1a(const std::vector<unsigned char>& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct pinned_capture {
+  std::size_t chunk;
+  bool truth;
+  std::size_t bytes;
+  std::uint64_t digest;
+};
+
+/// Captures a seeded 70-interval run at each pinned chunk size and checks
+/// the file's size and digest. The sizes and digests were recorded with
+/// the earlier two-mode (background-thread and synchronous) writer, whose
+/// modes wrote identical bytes; any drift is a format change.
+void expect_pinned(const std::vector<pinned_capture>& pinned) {
+  const run_config config = small_config(70);
+  for (const pinned_capture& p : pinned) {
+    const std::string path = temp_path("pinned.trc");
+    const std::uint64_t written = capture(config, path, p.chunk, p.truth);
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<unsigned char> bytes(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    EXPECT_EQ(written, bytes.size()) << "chunk=" << p.chunk;
+    EXPECT_EQ(bytes.size(), p.bytes)
+        << "chunk=" << p.chunk << " truth=" << p.truth;
+    EXPECT_EQ(fnv1a(bytes), p.digest)
+        << "chunk=" << p.chunk << " truth=" << p.truth;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceWriterTest, CaptureBytesArePinned) {
+  expect_pinned({
+      {1, true, 4484, 11322543868955193110ull},
+      {16, true, 584, 8546614470362105227ull},
+  });
+}
+
+TEST(TraceWriterTest, TruthStrippedCaptureBytesArePinned) {
+  expect_pinned({
+      {1, false, 4049, 14182507126561027518ull},
+      {16, false, 539, 1948225192968984405ull},
+  });
+}
+
+TEST(TraceWriterTest, ChunkOneCaptureRoundTripsThroughReader) {
+  // One frame per interval; the reader then verifies every frame CRC,
+  // the index and the trailer.
+  const run_config config = small_config(200);
+  const std::string path = temp_path("chunk_one.trc");
+  capture(config, path, 1);
+  const trace_reader reader(path);
+  EXPECT_EQ(reader.intervals(), 200u);
+  EXPECT_EQ(reader.frames(), 200u);
+  null_replay(reader);
+  std::remove(path.c_str());
+}
+
+bool dev_full_available() {
+  std::ofstream probe("/dev/full", std::ios::binary);
+  if (!probe.is_open()) return false;
+  probe.put('x');
+  probe.flush();
+  return probe.fail();  // ENOSPC on every flush — the fixture we need.
+}
+
+TEST(TraceWriterTest, WriteFailureSurfacesAsTraceError) {
+  if (!dev_full_available()) {
+    GTEST_SKIP() << "/dev/full not available on this platform";
+  }
+  // The header stays in the stream buffer (begin() does not flush), so
+  // the device error hits at whichever buffer drain reaches the device
+  // first — a write_frame state check mid-capture for large streams, or
+  // end()'s flush for one this small. Either way the capture pass
+  // observes a trace_error.
+  EXPECT_THROW(capture(small_config(40), "/dev/full", 8), trace_error);
+}
+
+TEST(TraceWriterTest, AbandonedCaptureFailsToOpen) {
+  // Destroying a writer without end() must not throw; the file simply
+  // has no trailer.
+  const run_config config = small_config(30);
+  const std::string path = temp_path("abandoned.trc");
+  {
+    const run_artifacts run = prepare_topology(config);
+    trace_writer writer(path, {});
+    writer.begin(run.topo(), config.sim.intervals);
+    // No frames, no end(): destructor path only.
+  }
+  EXPECT_THROW(trace_reader reader(path), trace_error);  // no trailer
   std::remove(path.c_str());
 }
 

@@ -49,6 +49,19 @@ TEST(FlagsTest, BoolRecognizesSpellings) {
   EXPECT_TRUE(make({"--a=1"}).get_bool("a", false));
   EXPECT_TRUE(make({"--a=yes"}).get_bool("a", false));
   EXPECT_FALSE(make({"--a=false"}).get_bool("a", true));
+  EXPECT_TRUE(make({"--a=on"}).get_bool("a", false));
+  EXPECT_FALSE(make({"--a=0"}).get_bool("a", true));
+  EXPECT_FALSE(make({"--a=no"}).get_bool("a", true));
+  EXPECT_FALSE(make({"--a=off"}).get_bool("a", true));
+}
+
+TEST(FlagsTest, BoolRejectsUnrecognizedValue) {
+  EXPECT_THROW((void)make({"--a=maybe"}).get_bool("a", false), flag_error);
+  EXPECT_THROW((void)make({"--a="}).get_bool("a", false), flag_error);
+  // A bare boolean before a positional takes it as its value: that
+  // must fail instead of dropping the positional and reading false.
+  const auto f = make({"merge", "--no-compress", "a.trc", "b.trc"});
+  EXPECT_THROW((void)f.get_bool("no-compress", false), flag_error);
 }
 
 TEST(FlagsTest, PositionalArgumentsCollected) {
