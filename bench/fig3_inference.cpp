@@ -94,7 +94,7 @@ int main(int argc, char** argv) try {
             << "(scale=" << (paper_scale ? "paper" : "small")
             << ", T=" << intervals << ", seed=" << seed
             << ", replicas=" << replicas
-            << ", threads=" << thread_pool::resolve_threads(threads) << ")\n\n";
+            << ", threads=" << resolve_threads(threads) << ")\n\n";
 
   const batch_report report = run_grid(
       specs, estimator_cells({"sparsity", "bayes-indep", "bayes-corr"}),
@@ -136,7 +136,7 @@ int main(int argc, char** argv) try {
        {"intervals", std::to_string(intervals)},
        {"seed", std::to_string(seed)},
        {"replicas", std::to_string(replicas)},
-       {"threads", std::to_string(thread_pool::resolve_threads(threads))}});
+       {"threads", std::to_string(resolve_threads(threads))}});
   return 0;
 } catch (const ntom::flag_error& err) {
   std::fprintf(stderr, "%s\n", err.what());

@@ -82,7 +82,7 @@ int main(int argc, char** argv) try {
             << ", T=" << intervals << ", seed=" << seed
             << (stationary ? ", stationary" : ", non-stationary")
             << ", replicas=" << replicas
-            << ", threads=" << thread_pool::resolve_threads(threads) << ")\n\n";
+            << ", threads=" << resolve_threads(threads) << ")\n\n";
 
   batch_params params;
   params.threads = threads;
@@ -132,7 +132,7 @@ int main(int argc, char** argv) try {
        {"seed", std::to_string(seed)},
        {"stationary", stationary ? "true" : "false"},
        {"replicas", std::to_string(replicas)},
-       {"threads", std::to_string(thread_pool::resolve_threads(threads))}});
+       {"threads", std::to_string(resolve_threads(threads))}});
   return 0;
 } catch (const ntom::flag_error& err) {
   std::fprintf(stderr, "%s\n", err.what());

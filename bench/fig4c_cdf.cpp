@@ -7,12 +7,11 @@
 #include <iostream>
 #include <optional>
 
+#include "ntom/api/estimator.hpp"
 #include "ntom/corr/correlation.hpp"
 #include "ntom/exp/report.hpp"
 #include "ntom/exp/runner.hpp"
-#include "ntom/tomo/correlation_complete.hpp"
-#include "ntom/tomo/correlation_heuristic.hpp"
-#include "ntom/tomo/independence.hpp"
+#include "ntom/sim/monitor.hpp"
 #include "ntom/util/csv.hpp"
 #include "ntom/util/flags.hpp"
 #include "ntom/util/stats.hpp"
@@ -45,16 +44,15 @@ int main(int argc, char** argv) try {
   std::fprintf(stderr, "[fig4c] %s, potcong=%zu\n",
                run.topo().describe().c_str(), potcong.count());
 
-  const auto indep = compute_independence(run.topo(), run.data);
-  const auto heur = compute_correlation_heuristic(run.topo(), run.data);
-  const auto complete = compute_correlation_complete(run.topo(), run.data);
-
-  const empirical_cdf cdf_indep(
-      link_absolute_errors(run.topo(), truth, indep.links, potcong));
-  const empirical_cdf cdf_heur(link_absolute_errors(
-      run.topo(), truth, heur.estimates.to_link_estimates(), potcong));
-  const empirical_cdf cdf_complete(link_absolute_errors(
-      run.topo(), truth, complete.estimates.to_link_estimates(), potcong));
+  const auto cdf_of = [&](const char* name) {
+    const auto est = make_estimator(name);
+    est->fit(run.topo(), run.data);
+    return empirical_cdf(
+        link_absolute_errors(run.topo(), truth, est->links(), potcong));
+  };
+  const empirical_cdf cdf_indep = cdf_of("independence");
+  const empirical_cdf cdf_heur = cdf_of("corr-heuristic");
+  const empirical_cdf cdf_complete = cdf_of("corr-complete");
 
   table_printer table({"Abs error x", "Independence", "Corr-heuristic",
                        "Corr-complete"});

@@ -67,7 +67,7 @@ int main(int argc, char** argv) try {
   std::printf("grid_sched — %zu replicas x 6 scenario arms on %s, T=%zu, "
               "threads=%zu\n",
               replicas, topo.c_str(), intervals,
-              thread_pool::resolve_threads(threads));
+              resolve_threads(threads));
 
   batch_params uncached_params = params;
   uncached_params.cache_topologies = false;

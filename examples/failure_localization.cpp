@@ -11,8 +11,8 @@
 // Run: ./examples/failure_localization [--seed S]
 #include <cstdio>
 
+#include "ntom/api/estimator.hpp"
 #include "ntom/exp/metrics.hpp"
-#include "ntom/infer/bayes_independence.hpp"
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
 #include "ntom/sim/truth.hpp"
@@ -91,13 +91,14 @@ int main(int argc, char** argv) try {
   const ground_truth truth(topo, model, intervals);
 
   // --- Boolean Inference (Bayesian-Independence), per interval.
-  const bayes_independence_inferencer inferencer(topo, data);
+  const auto inferencer = make_estimator("bayes-indep");
+  inferencer->fit(topo, data);
   std::size_t attack_intervals = 0;
   std::size_t detected = 0;
   for (std::size_t t = 300; t < 350; ++t) {  // the attack window.
     if (!data.true_links.test(t, victim)) continue;
     ++attack_intervals;
-    const bitvec inferred = inferencer.infer(data.congested_paths_at(t));
+    const bitvec inferred = inferencer->infer(data.congested_paths_at(t));
     if (inferred.test(victim)) ++detected;
   }
 

@@ -285,7 +285,7 @@ int run_sweep(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", err.what());
     return 2;
   }
-  const std::size_t workers = thread_pool::resolve_threads(threads);
+  const std::size_t workers = resolve_threads(threads);
   std::cout << "Scenario sweep — " << specs.size() << " runs ("
             << specs.size() / (replicas == 0 ? 1 : replicas) << " grid cells x "
             << replicas << " replicas), T=" << intervals << ", seed=" << seed

@@ -3,8 +3,7 @@
 #include <optional>
 #include <stdexcept>
 
-#include "ntom/infer/bayes_correlation.hpp"
-#include "ntom/infer/bayes_independence.hpp"
+#include "ntom/infer/bayes_map.hpp"
 #include "ntom/infer/observation.hpp"
 #include "ntom/infer/sparsity.hpp"
 #include "ntom/sim/monitor.hpp"
@@ -154,6 +153,8 @@ class counting_estimator : public estimator {
   }
 
  protected:
+  [[nodiscard]] const topology& topo() const noexcept { return *topo_; }
+
   /// The (topology-determined) path-set family to count.
   [[nodiscard]] virtual std::vector<bitvec> equation_path_sets(
       const topology& t) const = 0;
@@ -174,82 +175,9 @@ class counting_estimator : public estimator {
   std::optional<pathset_counter> counter_;
 };
 
-class bayes_independence_estimator final : public counting_estimator {
- public:
-  explicit bayes_independence_estimator(independence_params params)
-      : params_(params) {}
-
-  [[nodiscard]] estimator_caps caps() const noexcept override {
-    return {.boolean_inference = true,
-            .link_estimation = true,
-            .windowed = true};
-  }
-
-  [[nodiscard]] bitvec infer(const bitvec& congested_paths) const override {
-    return fitted_->infer(congested_paths);
-  }
-
-  [[nodiscard]] bitvec infer(const bitvec& congested_paths,
-                             const bitvec& observed_paths) const override {
-    return fitted_->infer(congested_paths, observed_paths);
-  }
-
-  [[nodiscard]] link_estimates links() const override {
-    return fitted_->step1().links;
-  }
-
- protected:
-  [[nodiscard]] std::vector<bitvec> equation_path_sets(
-      const topology& t) const override {
-    return independence_path_sets(t, params_);
-  }
-
-  void solve_from_counts(const topology& t, const std::vector<bitvec>& sets,
-                         const std::vector<std::size_t>& counts,
-                         const std::vector<std::size_t>& observed,
-                         const bitvec& always_good) override {
-    fitted_.emplace(
-        t, solve_independence(t, sets, counts, observed, always_good,
-                              params_));
-  }
-
- private:
-  independence_params params_;
-  std::optional<bayes_independence_inferencer> fitted_;
-};
-
-class bayes_correlation_estimator final : public estimator {
- public:
-  explicit bayes_correlation_estimator(correlation_complete_params params)
-      : params_(params) {}
-
-  [[nodiscard]] estimator_caps caps() const noexcept override {
-    return {.boolean_inference = true, .link_estimation = true};
-  }
-
-  void fit(const topology& t, const experiment_data& data) override {
-    fitted_.emplace(t, data, params_);
-  }
-
-  [[nodiscard]] bitvec infer(const bitvec& congested_paths) const override {
-    return fitted_->infer(congested_paths);
-  }
-
-  [[nodiscard]] bitvec infer(const bitvec& congested_paths,
-                             const bitvec& observed_paths) const override {
-    return fitted_->infer(congested_paths, observed_paths);
-  }
-
-  [[nodiscard]] link_estimates links() const override {
-    return fitted_->marginals();
-  }
-
- private:
-  correlation_complete_params params_;
-  std::optional<bayes_correlation_inferencer> fitted_;
-};
-
-class independence_estimator final : public counting_estimator {
+/// Independence (CLINK's step 1): per-link probabilities from the
+/// single-path and path-pair equations.
+class independence_estimator : public counting_estimator {
  public:
   explicit independence_estimator(independence_params params)
       : params_(params) {}
@@ -272,13 +200,38 @@ class independence_estimator final : public counting_estimator {
                          const std::vector<std::size_t>& counts,
                          const std::vector<std::size_t>& observed,
                          const bitvec& always_good) override {
-    result_ =
-        solve_independence(t, sets, counts, observed, always_good, params_);
+    result_ = solve_independence(t, sets, counts, observed, always_good);
   }
 
- private:
   independence_params params_;
   independence_result result_;
+};
+
+/// Bayesian-Independence (the paper's name for CLINK [11]): the
+/// Independence fit, then a greedy MAP per interval over its per-link
+/// probabilities. Both steps inherit the Independence assumption, so
+/// correlated links get wrong probabilities and the MAP step prefers
+/// wrong solutions (§3.1's {e1,e3} vs {e2,e3} example).
+class bayes_independence_estimator final : public independence_estimator {
+ public:
+  using independence_estimator::independence_estimator;
+
+  [[nodiscard]] estimator_caps caps() const noexcept override {
+    return {.boolean_inference = true,
+            .link_estimation = true,
+            .windowed = true};
+  }
+
+  [[nodiscard]] bitvec infer(const bitvec& congested_paths) const override {
+    return infer(congested_paths, bitvec());
+  }
+
+  [[nodiscard]] bitvec infer(const bitvec& congested_paths,
+                             const bitvec& observed_paths) const override {
+    return map_independent(
+        topo(), make_observation(topo(), congested_paths, observed_paths),
+        result_.links.congestion);
+  }
 };
 
 class correlation_heuristic_estimator final : public counting_estimator {
@@ -315,7 +268,7 @@ class correlation_heuristic_estimator final : public counting_estimator {
   std::optional<correlation_heuristic_result> result_;
 };
 
-class correlation_complete_estimator final : public estimator {
+class correlation_complete_estimator : public estimator {
  public:
   explicit correlation_complete_estimator(correlation_complete_params params)
       : params_(params) {}
@@ -332,9 +285,50 @@ class correlation_complete_estimator final : public estimator {
     return result_->estimates.to_link_estimates();
   }
 
- private:
+ protected:
   correlation_complete_params params_;
   std::optional<correlation_complete_result> result_;
+};
+
+/// Bayesian-Correlation, the authors' inference algorithm [10] (§3.1):
+/// the Correlation-complete fit, then a greedy MAP per interval whose
+/// scoring uses the joint subset probabilities. It drops the
+/// Independence assumption but keeps the expected-value approximation
+/// across time scales (hence the No-Stationarity failure); when
+/// Identifiability++ fails, indistinguishable solutions tie.
+class bayes_correlation_estimator final
+    : public correlation_complete_estimator {
+ public:
+  using correlation_complete_estimator::correlation_complete_estimator;
+
+  [[nodiscard]] estimator_caps caps() const noexcept override {
+    return {.boolean_inference = true, .link_estimation = true};
+  }
+
+  void fit(const topology& t, const experiment_data& data) override {
+    correlation_complete_estimator::fit(t, data);
+    topo_ = &t;
+    marginals_ = result_->estimates.to_link_estimates();
+  }
+
+  [[nodiscard]] bitvec infer(const bitvec& congested_paths) const override {
+    return infer(congested_paths, bitvec());
+  }
+
+  [[nodiscard]] bitvec infer(const bitvec& congested_paths,
+                             const bitvec& observed_paths) const override {
+    return map_correlated(
+        *topo_, make_observation(*topo_, congested_paths, observed_paths),
+        result_->estimates, marginals_);
+  }
+
+  [[nodiscard]] link_estimates links() const override { return marginals_; }
+
+ private:
+  const topology* topo_ = nullptr;
+  /// links(), computed once at fit time: the MAP search's fallback
+  /// scoring reads it on every interval.
+  link_estimates marginals_;
 };
 
 // --------------------------------------------------------- registration

@@ -35,6 +35,18 @@
 //   corr-heuristic  Corr-heuristic  link, windowed          chunk  IMC'10 [9]
 //   corr-complete   Corr-complete   link                    store  this paper
 //
+// The algorithm call behind each adapter; the adapters are the one way
+// the library fits these algorithms:
+//
+//   sparsity        infer_sparsity per interval (no fit)
+//   bayes-indep     solve_independence on pathset_counter counts, then
+//                   map_independent per interval
+//   bayes-corr      compute_correlation_complete, then map_correlated
+//                   per interval
+//   independence    solve_independence on pathset_counter counts
+//   corr-heuristic  solve_correlation_heuristic on pathset_counter counts
+//   corr-complete   compute_correlation_complete
+//
 // evals.cpp drives any estimator list through the chunk protocol, so a
 // new algorithm becomes a registration, not a rewiring of the benches.
 #pragma once

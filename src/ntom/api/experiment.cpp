@@ -216,11 +216,6 @@ experiment& experiment::with_scenario_defaults(const scenario_params& params) {
   return *this;
 }
 
-experiment& experiment::measure_boolean(bool on) {
-  eval_options_.boolean_metrics = on;
-  return *this;
-}
-
 experiment& experiment::measure_link_error(bool on) {
   eval_options_.link_error_metrics = on;
   return *this;

@@ -77,9 +77,8 @@ class experiment {
   experiment& with_sim(const sim_params& sim);
   experiment& with_scenario_defaults(const scenario_params& params);
 
-  /// Which measurement families to emit (default: boolean on, link
-  /// error on — incapable estimators simply skip a family).
-  experiment& measure_boolean(bool on);
+  /// Whether to emit the link-error measurement family (default on;
+  /// estimators without link estimation skip it either way).
   experiment& measure_link_error(bool on);
 
   /// Streamed execution, grouped (mirrors run_config::stream): every

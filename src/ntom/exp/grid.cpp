@@ -163,7 +163,7 @@ batch_report run_grid(const std::vector<run_spec>& specs,
     }
   };
 
-  const std::size_t threads = thread_pool::resolve_threads(params.threads);
+  const std::size_t threads = resolve_threads(params.threads);
   std::size_t steals = 0;
   if (threads <= 1 || cells.size() <= 1) {
     // Serial fast path: cells in deterministic order, no pool.

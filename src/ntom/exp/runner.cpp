@@ -128,15 +128,4 @@ std::unique_ptr<trace_writer> make_capture_writer(const run_config& config,
   return std::make_unique<trace_writer>(config.capture.path, options);
 }
 
-inference_metrics score_inference(const run_artifacts& run,
-                                  const run_config& config,
-                                  const infer_fn& infer) {
-  streaming_inference_scorer scorer(
-      [&infer](const bitvec& congested, const bitvec&) {
-        return infer(congested);
-      });
-  stream_experiment(run, config, scorer);
-  return scorer.result();
-}
-
 }  // namespace ntom

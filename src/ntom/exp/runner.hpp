@@ -43,6 +43,15 @@ struct stream_options {
   /// Streamed execution: the batch engine skips materialization, so
   /// every evaluator pass re-simulates the interval stream instead of
   /// replaying a stored copy.
+  ///
+  /// A switch of its own, not a corner of chunk_intervals, because
+  /// both settings earn their keep. A run fanned out to many estimator
+  /// cells simulates once and replays the store to each (the benchmark's
+  /// fig3_brite and fig4_sparse workloads replay one run to 9 and 8
+  /// cells), while long runs stream in O(chunk) memory (capture_replay,
+  /// service_window). Probe policies need streaming regardless: the
+  /// store has no mask plane, so reconcile() sets this. benchmark/src
+  /// sets the field directly.
   bool enabled = false;
 
   /// Chunk granularity of the streamed mode (never changes results).
@@ -204,16 +213,6 @@ void stream_experiment(const run_artifacts& run, const run_config& config,
 class trace_writer;
 [[nodiscard]] std::unique_ptr<trace_writer> make_capture_writer(
     const run_config& config, const run_artifacts& run);
-
-/// Scores a per-interval inference function over every interval of an
-/// experiment (Fig. 3 columns), in one stream_experiment pass — so
-/// materialized and streamed runs score the same. `infer` sees no
-/// observed-path mask; score probe-budget runs with
-/// streaming_inference_scorer.
-using infer_fn = std::function<bitvec(const bitvec& congested_paths)>;
-[[nodiscard]] inference_metrics score_inference(const run_artifacts& run,
-                                                const run_config& config,
-                                                const infer_fn& infer);
 
 /// Mask-aware per-interval inference function: the second argument is
 /// the interval's observed-path mask (empty = fully observed). The

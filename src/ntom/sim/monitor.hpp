@@ -6,9 +6,10 @@
 // this is one fused AND + popcount across the selected path rows.
 //
 // path_observations answers such queries over a finished (materialized)
-// experiment_data without copying it. Fits that never retain a matrix
-// count on the interval stream instead: pathset_counter below keeps
-// O(#path-sets) counters over a fixed family.
+// experiment_data without copying it, for compute_correlation_complete,
+// whose adaptive selection (Algorithm 1) needs every interval. Fits over
+// a fixed family never retain a matrix and count on the interval stream
+// instead: pathset_counter below keeps O(#path-sets) counters.
 #pragma once
 
 #include <optional>

@@ -5,35 +5,16 @@
 #include "ntom/corr/correlation.hpp"
 #include "ntom/linalg/solve.hpp"
 #include "ntom/tomo/equations.hpp"
+#include "ntom/tomo/independence.hpp"
 
 namespace ntom {
 
 std::vector<bitvec> correlation_heuristic_path_sets(
     const topology& t, const correlation_heuristic_params& params) {
-  std::vector<bitvec> sets;
-  sets.reserve(t.num_paths());
-  // Equation flood: all singles, then intersecting pairs and triples in
-  // deterministic order until the caps.
-  for (path_id p = 0; p < t.num_paths(); ++p) {
-    bitvec single(t.num_paths());
-    single.set(p);
-    sets.push_back(std::move(single));
-  }
-  std::size_t pairs = 0;
-  for (path_id p = 0; p < t.num_paths() && pairs < params.max_pair_equations;
-       ++p) {
-    for (path_id q = p + 1;
-         q < t.num_paths() && pairs < params.max_pair_equations; ++q) {
-      if (!t.get_path(p).link_set().intersects(t.get_path(q).link_set())) {
-        continue;
-      }
-      bitvec pair(t.num_paths());
-      pair.set(p);
-      pair.set(q);
-      sets.push_back(std::move(pair));
-      ++pairs;
-    }
-  }
+  // Equation flood: the Independence family (all singles, then capped
+  // intersecting pairs), then intersecting triples until their cap.
+  std::vector<bitvec> sets =
+      independence_path_sets(t, {params.max_pair_equations});
   std::size_t triples = 0;
   for (path_id p = 0;
        p < t.num_paths() && triples < params.max_triple_equations; ++p) {
@@ -58,17 +39,6 @@ std::vector<bitvec> correlation_heuristic_path_sets(
     }
   }
   return sets;
-}
-
-correlation_heuristic_result solve_correlation_heuristic(
-    const topology& t, const std::vector<bitvec>& path_sets,
-    const std::vector<std::size_t>& counts, std::size_t intervals,
-    const bitvec& always_good_paths,
-    const correlation_heuristic_params& params) {
-  return solve_correlation_heuristic(
-      t, path_sets, counts,
-      std::vector<std::size_t>(path_sets.size(), intervals),
-      always_good_paths, params);
 }
 
 correlation_heuristic_result solve_correlation_heuristic(
@@ -108,18 +78,6 @@ correlation_heuristic_result solve_correlation_heuristic(
                                           solution.identifiable.test(i));
   }
   return result;
-}
-
-correlation_heuristic_result compute_correlation_heuristic(
-    const topology& t, const experiment_data& data,
-    const correlation_heuristic_params& params) {
-  const path_observations obs(data);
-  const std::vector<bitvec> sets = correlation_heuristic_path_sets(t, params);
-  std::vector<std::size_t> counts;
-  counts.reserve(sets.size());
-  for (const bitvec& set : sets) counts.push_back(obs.count_all_good(set));
-  return solve_correlation_heuristic(t, sets, counts, data.intervals,
-                                     obs.always_good_paths(), params);
 }
 
 }  // namespace ntom

@@ -11,7 +11,6 @@
 // only a few noisy, barely-overlapping equations exist per unknown.
 #pragma once
 
-#include "ntom/sim/monitor.hpp"
 #include "ntom/tomo/estimates.hpp"
 
 namespace ntom {
@@ -28,29 +27,19 @@ struct correlation_heuristic_result {
   std::size_t system_rank = 0;
 };
 
-[[nodiscard]] correlation_heuristic_result compute_correlation_heuristic(
-    const topology& t, const experiment_data& data,
-    const correlation_heuristic_params& params = {});
-
-/// The flooded equation family (all singles, then capped intersecting
-/// pairs and triples in deterministic order) — topology-determined, so
-/// this fit streams: count the family online, then finish with
-/// solve_correlation_heuristic.
+/// The flooded equation family — topology-determined, so this fit
+/// streams: the `corr-heuristic` estimator counts the family with a
+/// pathset_counter, then finishes with solve_correlation_heuristic. The
+/// singles and capped intersecting pairs are independence_path_sets
+/// with `max_pair_equations`, in the same order; capped intersecting
+/// triples follow in deterministic order.
 [[nodiscard]] std::vector<bitvec> correlation_heuristic_path_sets(
     const topology& t, const correlation_heuristic_params& params = {});
 
 /// Assembles and solves the flooded system from measured all-good
-/// counts. Bit-identical to compute_correlation_heuristic when the
-/// counts come from the same experiment.
-[[nodiscard]] correlation_heuristic_result solve_correlation_heuristic(
-    const topology& t, const std::vector<bitvec>& path_sets,
-    const std::vector<std::size_t>& counts, std::size_t intervals,
-    const bitvec& always_good_paths,
-    const correlation_heuristic_params& params = {});
-
-/// Probe-budget variant: per-equation denominators (intervals in which
-/// the equation's path set was fully observed). Bit-identical to the
-/// overload above when every denominator equals `intervals`.
+/// counts, with per-equation denominators: the intervals in which the
+/// equation's path set was fully observed (the stream length everywhere
+/// on unmasked streams).
 [[nodiscard]] correlation_heuristic_result solve_correlation_heuristic(
     const topology& t, const std::vector<bitvec>& path_sets,
     const std::vector<std::size_t>& counts,

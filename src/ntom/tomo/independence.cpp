@@ -36,24 +36,11 @@ std::vector<bitvec> independence_path_sets(const topology& t,
   return sets;
 }
 
-independence_result solve_independence(const topology& t,
-                                       const std::vector<bitvec>& path_sets,
-                                       const std::vector<std::size_t>& counts,
-                                       std::size_t intervals,
-                                       const bitvec& always_good_paths,
-                                       const independence_params& params) {
-  return solve_independence(
-      t, path_sets, counts,
-      std::vector<std::size_t>(path_sets.size(), intervals),
-      always_good_paths, params);
-}
-
 independence_result solve_independence(
     const topology& t, const std::vector<bitvec>& path_sets,
     const std::vector<std::size_t>& counts,
     const std::vector<std::size_t>& observed_intervals,
-    const bitvec& always_good_paths, const independence_params& params) {
-  (void)params;
+    const bitvec& always_good_paths) {
   const bitvec potcong = potentially_congested_links(t, always_good_paths);
 
   // Column map: potentially congested links only (others are good w.p. 1
@@ -89,7 +76,6 @@ independence_result solve_independence(
   independence_result result;
   result.links.congestion.assign(t.num_links(), 0.0);
   result.links.estimated = bitvec(t.num_links());
-  result.log_good.assign(t.num_links(), 0.0);
   result.equations_used = b.size();
   if (b.empty()) return result;
 
@@ -98,24 +84,10 @@ independence_result solve_independence(
   for (std::size_t c = 0; c < n; ++c) {
     const link_id e = link_of_col[c];
     // x_c = log P(X_e = 0); clamp to a valid log-probability.
-    const double log_good = std::min(solution.x[c], 0.0);
-    result.log_good[e] = log_good;
-    result.links.congestion[e] = 1.0 - std::exp(log_good);
+    result.links.congestion[e] = 1.0 - std::exp(std::min(solution.x[c], 0.0));
     if (solution.identifiable.test(c)) result.links.estimated.set(e);
   }
   return result;
-}
-
-independence_result compute_independence(const topology& t,
-                                         const experiment_data& data,
-                                         const independence_params& params) {
-  const path_observations obs(data);
-  const std::vector<bitvec> sets = independence_path_sets(t, params);
-  std::vector<std::size_t> counts;
-  counts.reserve(sets.size());
-  for (const bitvec& set : sets) counts.push_back(obs.count_all_good(set));
-  return solve_independence(t, sets, counts, data.intervals,
-                            obs.always_good_paths(), params);
 }
 
 }  // namespace ntom

@@ -11,7 +11,6 @@
 // this baseline's error in the No-Independence scenarios.
 #pragma once
 
-#include "ntom/sim/monitor.hpp"
 #include "ntom/tomo/estimates.hpp"
 
 namespace ntom {
@@ -25,43 +24,27 @@ struct independence_result {
   link_estimates links;
   std::size_t equations_used = 0;
   std::size_t system_rank = 0;
-
-  /// log P(X_e = 0) per link (for Bayesian-Independence's MAP step);
-  /// 0 for links outside the potentially congested set.
-  std::vector<double> log_good;
 };
-
-[[nodiscard]] independence_result compute_independence(
-    const topology& t, const experiment_data& data,
-    const independence_params& params = {});
 
 /// The equation family (single paths, then capped intersecting pairs in
 /// deterministic order) — a pure function of the topology, which is why
-/// this fit can stream: register these sets with a pathset_counter, then
-/// finish with solve_independence once the counters are exact.
+/// this fit streams: the `independence` and `bayes-indep` estimators
+/// register these sets with a pathset_counter, then finish with
+/// solve_independence once the counters are exact.
 [[nodiscard]] std::vector<bitvec> independence_path_sets(
     const topology& t, const independence_params& params = {});
 
 /// Assembles and solves the Independence system from measured all-good
-/// counts (`counts[i]` for `path_sets[i]`, out of `intervals`).
-/// Bit-identical to compute_independence when the counts come from the
-/// same experiment — the materialized wrapper is exactly this call on
-/// path_observations-derived counts.
-[[nodiscard]] independence_result solve_independence(
-    const topology& t, const std::vector<bitvec>& path_sets,
-    const std::vector<std::size_t>& counts, std::size_t intervals,
-    const bitvec& always_good_paths, const independence_params& params = {});
-
-/// Probe-budget variant: `observed_intervals[i]` is the denominator of
-/// equation i — the intervals in which path_sets[i] was fully observed
-/// (pathset_counter::observed_intervals()). With every denominator
-/// equal to `intervals` this is bit-identical to the overload above;
-/// equations whose set was never fully observed have count 0 and are
-/// skipped like any other unusable equation.
+/// counts: `counts[i]` intervals with every path of `path_sets[i]` good,
+/// out of `observed_intervals[i]` in which the set was fully observed
+/// (pathset_counter::observed_intervals(); every entry is the stream
+/// length on unmasked streams). Equations whose set was never fully
+/// observed have count 0 and are skipped like any other unusable
+/// equation.
 [[nodiscard]] independence_result solve_independence(
     const topology& t, const std::vector<bitvec>& path_sets,
     const std::vector<std::size_t>& counts,
     const std::vector<std::size_t>& observed_intervals,
-    const bitvec& always_good_paths, const independence_params& params = {});
+    const bitvec& always_good_paths);
 
 }  // namespace ntom

@@ -1,43 +1,13 @@
 #include "ntom/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <thread>
 
 namespace ntom {
 
-std::size_t thread_pool::resolve_threads(std::size_t requested) {
+std::size_t resolve_threads(std::size_t requested) {
   if (requested > 0) return requested;
   return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-}
-
-thread_pool::thread_pool(std::size_t threads) {
-  const std::size_t count = resolve_threads(threads);
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-thread_pool::~thread_pool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void thread_pool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained.
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-  }
 }
 
 }  // namespace ntom

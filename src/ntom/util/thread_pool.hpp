@@ -1,66 +1,15 @@
-// Fixed-size worker pool for the batched experiment engine.
-//
-// Tasks are plain callables pushed to a shared FIFO queue; futures carry
-// results and exceptions back to the submitter. Determinism is the
-// caller's job: batch_runner derives every run's RNG seed from the base
-// seed and the run index before submission, so scheduling order can
-// never leak into results.
+// Worker-count resolution shared by the grid scheduler (exp/grid) and
+// the drivers that report the thread count they ran with. run_grid
+// starts and joins its own work-stealing workers; determinism is the
+// caller's job there too, as every run's RNG seed derives from the base
+// seed and the run index.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <type_traits>
-#include <vector>
 
 namespace ntom {
 
-/// N worker threads draining a FIFO task queue. Destruction waits for
-/// queued tasks to finish (joins all workers).
-class thread_pool {
- public:
-  /// 0 workers means hardware_concurrency (at least 1).
-  explicit thread_pool(std::size_t threads = 0);
-
-  thread_pool(const thread_pool&) = delete;
-  thread_pool& operator=(const thread_pool&) = delete;
-
-  ~thread_pool();
-
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-  /// Enqueues a callable; the future resolves with its result (or
-  /// rethrows its exception).
-  template <typename F>
-  [[nodiscard]] std::future<std::invoke_result_t<F>> submit(F&& task) {
-    using result_t = std::invoke_result_t<F>;
-    auto packaged = std::make_shared<std::packaged_task<result_t()>>(
-        std::forward<F>(task));
-    std::future<result_t> out = packaged->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace([packaged] { (*packaged)(); });
-    }
-    wake_.notify_one();
-    return out;
-  }
-
-  /// Resolves a thread-count request: 0 -> hardware_concurrency, >= 1.
-  [[nodiscard]] static std::size_t resolve_threads(std::size_t requested);
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  bool stopping_ = false;
-};
+/// Resolves a thread-count request: 0 -> hardware_concurrency, >= 1.
+[[nodiscard]] std::size_t resolve_threads(std::size_t requested);
 
 }  // namespace ntom

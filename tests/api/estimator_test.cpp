@@ -1,17 +1,22 @@
 // Equivalence suite for the estimator adapters: each registered
 // estimator must be bit-identical to the direct algorithm call it
 // wraps, across a seeded run — the registry adds naming, never noise.
+// The counting fits are checked against their solvers fed with counts
+// from path_observations over the store, independent of the adapters'
+// pathset_counter.
 #include "ntom/api/estimator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <vector>
 
 #include "ntom/exp/runner.hpp"
-#include "ntom/infer/bayes_correlation.hpp"
-#include "ntom/infer/bayes_independence.hpp"
+#include "ntom/infer/bayes_map.hpp"
 #include "ntom/infer/observation.hpp"
 #include "ntom/infer/sparsity.hpp"
+#include "ntom/sim/monitor.hpp"
 #include "ntom/tomo/correlation_complete.hpp"
 #include "ntom/tomo/correlation_heuristic.hpp"
 #include "ntom/tomo/independence.hpp"
@@ -49,53 +54,79 @@ std::unique_ptr<estimator> fitted(const char* name) {
   return est;
 }
 
-void expect_infer_matches(const estimator& est, const infer_fn& direct) {
+void expect_infer_matches(
+    const estimator& est,
+    const std::function<bitvec(const interval_observation&)>& direct) {
   const run_artifacts& run = seeded_run();
   for (std::size_t t = 0; t < run.data.intervals; ++t) {
     const bitvec congested = run.data.congested_paths_at(t);
-    EXPECT_EQ(est.infer(congested), direct(congested)) << "interval " << t;
+    EXPECT_EQ(est.infer(congested),
+              direct(make_observation(run.topo(), congested)))
+        << "interval " << t;
   }
+}
+
+/// All-good counts of `sets` over the seeded store.
+std::vector<std::size_t> store_counts(const std::vector<bitvec>& sets) {
+  const path_observations obs(seeded_run().data);
+  std::vector<std::size_t> counts;
+  for (const bitvec& set : sets) counts.push_back(obs.count_all_good(set));
+  return counts;
+}
+
+independence_result independence_on_store() {
+  const run_artifacts& run = seeded_run();
+  const std::vector<bitvec> sets = independence_path_sets(run.topo());
+  return solve_independence(
+      run.topo(), sets, store_counts(sets),
+      std::vector<std::size_t>(sets.size(), run.data.intervals),
+      run.data.always_good_paths);
 }
 
 TEST(EstimatorEquivalence, SparsityMatchesDirectCall) {
   const auto est = fitted("sparsity");
   const run_artifacts& run = seeded_run();
-  expect_infer_matches(*est, [&](const bitvec& congested) {
-    return infer_sparsity(run.topo(), make_observation(run.topo(), congested));
+  expect_infer_matches(*est, [&](const interval_observation& obs) {
+    return infer_sparsity(run.topo(), obs);
   });
 }
 
 TEST(EstimatorEquivalence, BayesIndepMatchesDirectCall) {
   const auto est = fitted("bayes-indep");
   const run_artifacts& run = seeded_run();
-  const bayes_independence_inferencer direct(run.topo(), run.data);
-  expect_infer_matches(
-      *est, [&](const bitvec& congested) { return direct.infer(congested); });
-  expect_links_equal(est->links(), direct.step1().links);
+  const independence_result step1 = independence_on_store();
+  expect_infer_matches(*est, [&](const interval_observation& obs) {
+    return map_independent(run.topo(), obs, step1.links.congestion);
+  });
+  expect_links_equal(est->links(), step1.links);
 }
 
 TEST(EstimatorEquivalence, BayesCorrMatchesDirectCall) {
   const auto est = fitted("bayes-corr");
   const run_artifacts& run = seeded_run();
-  const bayes_correlation_inferencer direct(run.topo(), run.data);
-  expect_infer_matches(
-      *est, [&](const bitvec& congested) { return direct.infer(congested); });
-  expect_links_equal(est->links(), direct.step1().estimates.to_link_estimates());
+  const correlation_complete_result step1 =
+      compute_correlation_complete(run.topo(), run.data);
+  const link_estimates marginals = step1.estimates.to_link_estimates();
+  expect_infer_matches(*est, [&](const interval_observation& obs) {
+    return map_correlated(run.topo(), obs, step1.estimates, marginals);
+  });
+  expect_links_equal(est->links(), marginals);
 }
 
 TEST(EstimatorEquivalence, IndependenceMatchesDirectCall) {
-  const auto est = fitted("independence");
-  const run_artifacts& run = seeded_run();
-  expect_links_equal(est->links(),
-                     compute_independence(run.topo(), run.data).links);
+  expect_links_equal(fitted("independence")->links(),
+                     independence_on_store().links);
 }
 
 TEST(EstimatorEquivalence, CorrHeuristicMatchesDirectCall) {
-  const auto est = fitted("corr-heuristic");
   const run_artifacts& run = seeded_run();
-  expect_links_equal(est->links(),
-                     compute_correlation_heuristic(run.topo(), run.data)
-                         .estimates.to_link_estimates());
+  const std::vector<bitvec> sets = correlation_heuristic_path_sets(run.topo());
+  const correlation_heuristic_result direct = solve_correlation_heuristic(
+      run.topo(), sets, store_counts(sets),
+      std::vector<std::size_t>(sets.size(), run.data.intervals),
+      run.data.always_good_paths);
+  expect_links_equal(fitted("corr-heuristic")->links(),
+                     direct.estimates.to_link_estimates());
 }
 
 TEST(EstimatorEquivalence, CorrCompleteMatchesDirectCall) {

@@ -108,9 +108,11 @@ TEST(RunnerTest, ScoreInferencePerfectOracle) {
   const auto run = prepare_run(c);
   // A cheating "inferencer" that returns the truth scores perfectly.
   std::size_t i = 0;
-  const auto metrics = score_inference(run, c, [&](const bitvec&) {
+  streaming_inference_scorer scorer([&](const bitvec&, const bitvec&) {
     return run.data.true_links_at(i++);
   });
+  stream_experiment(run, c, scorer);
+  const inference_metrics metrics = scorer.result();
   EXPECT_DOUBLE_EQ(metrics.detection_rate, 1.0);
   EXPECT_DOUBLE_EQ(metrics.false_positive_rate, 0.0);
 }
@@ -127,9 +129,12 @@ TEST(RunnerTest, ScoreInferenceMatchesAcrossModes) {
     const auto est = make_estimator("sparsity");
     estimator_fit_sink fit(*est);
     stream_experiment(run, c, fit);
-    return score_inference(run, c, [&](const bitvec& congested) {
-      return est->infer(congested);
-    });
+    streaming_inference_scorer scorer(
+        [&](const bitvec& congested, const bitvec& observed) {
+          return est->infer(congested, observed);
+        });
+    stream_experiment(run, c, scorer);
+    return scorer.result();
   };
   const inference_metrics a = score(materialized);
   const inference_metrics b = score(streamed);

@@ -1,9 +1,11 @@
+// The two Bayesian algorithms of Fig. 3, fitted and queried through
+// their registry adapters (bayes-indep, bayes-corr).
 #include <gtest/gtest.h>
 
+#include "ntom/api/estimator.hpp"
 #include "ntom/exp/metrics.hpp"
 #include "ntom/exp/runner.hpp"
-#include "ntom/infer/bayes_correlation.hpp"
-#include "ntom/infer/bayes_independence.hpp"
+#include "ntom/infer/observation.hpp"
 #include "ntom/topogen/toy.hpp"
 
 namespace ntom {
@@ -20,11 +22,18 @@ congestion_model toy_model(const topology& t,
   return m;
 }
 
-inference_metrics score(const topology& t, const experiment_data& data,
-                        const std::function<bitvec(const bitvec&)>& infer) {
+/// A registered estimator fitted on the store; `t` must outlive it.
+std::unique_ptr<estimator> fitted(const char* name, const topology& t,
+                                  const experiment_data& data) {
+  std::unique_ptr<estimator> est = make_estimator(name);
+  est->fit(t, data);
+  return est;
+}
+
+inference_metrics score(const estimator& est, const experiment_data& data) {
   inference_scorer scorer;
   for (std::size_t i = 0; i < data.intervals; ++i) {
-    scorer.add_interval(infer(data.congested_paths_at(i)),
+    scorer.add_interval(est.infer(data.congested_paths_at(i)),
                         data.true_links_at(i));
   }
   return scorer.result();
@@ -38,9 +47,7 @@ TEST(BayesIndependenceTest, AccurateOnIndependentLinks) {
   sim.oracle_monitor = true;
   const auto data = run_experiment(t, model, sim);
 
-  const bayes_independence_inferencer inferencer(t, data);
-  const auto metrics =
-      score(t, data, [&](const bitvec& c) { return inferencer.infer(c); });
+  const auto metrics = score(*fitted("bayes-indep", t, data), data);
   EXPECT_GT(metrics.detection_rate, 0.95);
   EXPECT_LT(metrics.false_positive_rate, 0.05);
 }
@@ -56,12 +63,8 @@ TEST(BayesIndependenceTest, DegradesUnderPerfectCorrelation) {
   sim.oracle_monitor = true;
   const auto data = run_experiment(t, model, sim);
 
-  const bayes_independence_inferencer indep(t, data);
-  const bayes_correlation_inferencer corr(t, data);
-  const auto indep_m =
-      score(t, data, [&](const bitvec& c) { return indep.infer(c); });
-  const auto corr_m =
-      score(t, data, [&](const bitvec& c) { return corr.infer(c); });
+  const auto indep_m = score(*fitted("bayes-indep", t, data), data);
+  const auto corr_m = score(*fitted("bayes-corr", t, data), data);
 
   // The correlation-aware algorithm should dominate under correlation.
   EXPECT_GE(corr_m.detection_rate, indep_m.detection_rate - 0.02);
@@ -76,9 +79,7 @@ TEST(BayesCorrelationTest, AccurateOnCorrelatedToy) {
   sim.oracle_monitor = true;
   const auto data = run_experiment(t, model, sim);
 
-  const bayes_correlation_inferencer inferencer(t, data);
-  const auto metrics =
-      score(t, data, [&](const bitvec& c) { return inferencer.infer(c); });
+  const auto metrics = score(*fitted("bayes-corr", t, data), data);
   EXPECT_GT(metrics.detection_rate, 0.9);
   EXPECT_LT(metrics.false_positive_rate, 0.1);
 }
@@ -91,32 +92,36 @@ TEST(BayesInferencersTest, SolutionsExplainObservations) {
   sim.oracle_monitor = true;
   const auto data = run_experiment(t, model, sim);
 
-  const bayes_independence_inferencer indep(t, data);
-  const bayes_correlation_inferencer corr(t, data);
+  const auto indep = fitted("bayes-indep", t, data);
+  const auto corr = fitted("bayes-corr", t, data);
   for (std::size_t i = 0; i < data.intervals; ++i) {
     const bitvec congested = data.congested_paths_at(i);
     const auto obs = make_observation(t, congested);
-    EXPECT_TRUE(explains_observation(t, obs, indep.infer(congested)));
-    EXPECT_TRUE(explains_observation(t, obs, corr.infer(congested)));
+    EXPECT_TRUE(explains_observation(t, obs, indep->infer(congested)));
+    EXPECT_TRUE(explains_observation(t, obs, corr->infer(congested)));
   }
 }
 
 TEST(BayesInferencersTest, Step1Accessible) {
+  // links() is step 1's output: the per-link probabilities the MAP
+  // step scores with, estimated for the congested link e1.
   const topology t = make_toy(toy_case::case1);
   const auto model = toy_model(t, {{0, 0.3}});
   sim_params sim;
   sim.intervals = 500;
   sim.oracle_monitor = true;
   const auto data = run_experiment(t, model, sim);
-  const bayes_independence_inferencer indep(t, data);
-  EXPECT_GT(indep.step1().equations_used, 0u);
-  const bayes_correlation_inferencer corr(t, data);
-  EXPECT_GT(corr.step1().equations_used, 0u);
+  for (const char* name : {"bayes-indep", "bayes-corr"}) {
+    const link_estimates links = fitted(name, t, data)->links();
+    ASSERT_EQ(links.congestion.size(), t.num_links()) << name;
+    EXPECT_TRUE(links.estimated.test(toy_e1)) << name;
+    EXPECT_GT(links.congestion[toy_e1], 0.0) << name;
+  }
 }
 
 /// FNV-1a over every interval's MAP solution (interval index, then the
 /// congested link ids), so any change in any interval's output shows.
-std::uint64_t solution_digest(const bayes_correlation_inferencer& inferencer,
+std::uint64_t solution_digest(const estimator& est,
                               const experiment_data& data) {
   std::uint64_t h = 14695981039346656037ull;
   auto mix = [&](std::uint64_t x) {
@@ -127,21 +132,16 @@ std::uint64_t solution_digest(const bayes_correlation_inferencer& inferencer,
   };
   for (std::size_t i = 0; i < data.intervals; ++i) {
     mix(i);
-    inferencer.infer(data.congested_paths_at(i)).for_each(mix);
+    est.infer(data.congested_paths_at(i)).for_each(mix);
   }
   return h;
 }
 
-TEST(BayesCorrelationTest, MapOutputDigestPinned) {
-  // Per-interval Bayes-Corr MAP output on a seeded Brite run for each
-  // scenario of the fig3_brite benchmark workload. The digests were
-  // recorded before the MAP state memo and the fit-time marginals
-  // existed; both must leave every interval's solution unchanged.
-  const std::vector<std::pair<const char*, std::uint64_t>> pinned = {
-      {"random_congestion", 12152085123974048620ull},
-      {"no_independence", 10070951524194740713ull},
-      {"no_stationarity", 4925888261294497107ull},
-  };
+/// Checks the digest of `name`'s per-interval MAP output on a seeded
+/// Brite run for each scenario of the fig3_brite benchmark workload.
+void expect_digests(
+    const char* name,
+    const std::vector<std::pair<const char*, std::uint64_t>>& pinned) {
   for (const auto& [scenario, digest] : pinned) {
     run_config config;
     config.topo = "brite";
@@ -150,9 +150,28 @@ TEST(BayesCorrelationTest, MapOutputDigestPinned) {
     config.scenario_opts.seed = 8;
     config.sim.intervals = 300;
     const run_artifacts run = prepare_run(config);
-    const bayes_correlation_inferencer inferencer(run.topo(), run.data);
-    EXPECT_EQ(solution_digest(inferencer, run.data), digest) << scenario;
+    const auto est = fitted(name, run.topo(), run.data);
+    EXPECT_EQ(solution_digest(*est, run.data), digest) << scenario;
   }
+}
+
+TEST(BayesCorrelationTest, MapOutputDigestPinned) {
+  // Recorded before the MAP state memo, the fit-time marginals and the
+  // adapter-only fit path existed; none may change any interval's
+  // solution.
+  expect_digests("bayes-corr",
+                 {{"random_congestion", 12152085123974048620ull},
+                  {"no_independence", 10070951524194740713ull},
+                  {"no_stationarity", 4925888261294497107ull}});
+}
+
+TEST(BayesIndependenceTest, MapOutputDigestPinned) {
+  // Recorded when Bayes-Indep still had a store fit beside its
+  // adapter; the adapter-only fit path must reproduce it.
+  expect_digests("bayes-indep",
+                 {{"random_congestion", 16089589956669207991ull},
+                  {"no_independence", 6146801809148745488ull},
+                  {"no_stationarity", 633630508133682309ull}});
 }
 
 }  // namespace

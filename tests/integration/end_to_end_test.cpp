@@ -3,12 +3,11 @@
 // figures at full fidelity; these tests pin the directions).
 #include <gtest/gtest.h>
 
+#include "ntom/api/estimator.hpp"
 #include "ntom/corr/correlation.hpp"
 #include "ntom/exp/runner.hpp"
-#include "ntom/infer/bayes_independence.hpp"
-#include "ntom/infer/sparsity.hpp"
+#include "ntom/sim/monitor.hpp"
 #include "ntom/tomo/correlation_complete.hpp"
-#include "ntom/tomo/independence.hpp"
 
 namespace ntom {
 namespace {
@@ -26,6 +25,26 @@ run_config base_config(const topology_spec& topo,
   return c;
 }
 
+std::unique_ptr<estimator> fitted(const char* name, const run_artifacts& run) {
+  std::unique_ptr<estimator> est = make_estimator(name);
+  est->fit(run.topo(), run.data);
+  return est;
+}
+
+/// Scores a Boolean estimator over every interval of the run the way
+/// estimator_cells does: one stream_experiment pass through a
+/// streaming_inference_scorer.
+inference_metrics score_boolean(const run_artifacts& run,
+                                  const run_config& config, const char* name) {
+  const auto est = fitted(name, run);
+  streaming_inference_scorer scorer(
+      [&](const bitvec& congested, const bitvec& observed) {
+        return est->infer(congested, observed);
+      });
+  stream_experiment(run, config, scorer);
+  return scorer.result();
+}
+
 const char* small_brite = "brite,n=16,hosts=60,paths=120";
 const char* small_sparse = "sparse,mid=12,stubs=60,paths=140";
 
@@ -38,9 +57,7 @@ TEST(EndToEndTest, InferenceAccurateOnBriteRandomCongestion) {
       base_config(small_brite, "random_congestion");
   config.sim.oracle_monitor = true;
   const auto run = prepare_run(config);
-  const auto sparsity = score_inference(run, config, [&](const bitvec& c) {
-    return infer_sparsity(run.topo(), make_observation(run.topo(), c));
-  });
+  const auto sparsity = score_boolean(run, config, "sparsity");
   EXPECT_GT(sparsity.detection_rate, 0.75);
   EXPECT_LT(sparsity.false_positive_rate, 0.2);
 }
@@ -77,10 +94,10 @@ TEST(EndToEndTest, IndependenceWorseUnderCorrelation) {
   const bitvec potcong =
       potentially_congested_links(run.topo(), obs.always_good_paths());
 
-  const auto indep = compute_independence(run.topo(), run.data);
+  const auto indep = fitted("independence", run)->links();
   const auto complete = compute_correlation_complete(run.topo(), run.data);
   const double err_indep =
-      mean_of(link_absolute_errors(run.topo(), truth, indep.links, potcong));
+      mean_of(link_absolute_errors(run.topo(), truth, indep, potcong));
   const double err_complete = mean_of(link_absolute_errors(
       run.topo(), truth, complete.estimates.to_link_estimates(), potcong));
   EXPECT_LT(err_complete, err_indep + 0.01);
@@ -94,13 +111,9 @@ TEST(EndToEndTest, SparseTopologyHurtsInference) {
   const auto brite_run = prepare_run(brite_config);
   const auto sparse_run = prepare_run(sparse_config);
 
-  const auto score = [](const run_artifacts& run, const run_config& config) {
-    const bayes_independence_inferencer inferencer(run.topo(), run.data);
-    return score_inference(
-        run, config, [&](const bitvec& c) { return inferencer.infer(c); });
-  };
-  const auto brite_m = score(brite_run, brite_config);
-  const auto sparse_m = score(sparse_run, sparse_config);
+  const auto brite_m = score_boolean(brite_run, brite_config, "bayes-indep");
+  const auto sparse_m =
+      score_boolean(sparse_run, sparse_config, "bayes-indep");
   // Degradation shows as worse false positives (the paper: 45% FP) or
   // detection.
   EXPECT_GT(sparse_m.false_positive_rate + (1.0 - sparse_m.detection_rate),

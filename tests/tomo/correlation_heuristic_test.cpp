@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ntom/sim/monitor.hpp"
 #include "ntom/sim/truth.hpp"
 #include "ntom/tomo/correlation_complete.hpp"
 #include "ntom/topogen/toy.hpp"
@@ -20,6 +21,21 @@ congestion_model toy_model(const topology& t,
   return m;
 }
 
+/// The flooded fit on all-good counts taken from the store through
+/// path_observations, not from the pathset_counter the estimator
+/// adapters count with.
+correlation_heuristic_result fit_on_store(
+    const topology& t, const experiment_data& data,
+    const correlation_heuristic_params& params = {}) {
+  const path_observations obs(data);
+  const std::vector<bitvec> sets = correlation_heuristic_path_sets(t, params);
+  std::vector<std::size_t> counts;
+  for (const bitvec& set : sets) counts.push_back(obs.count_all_good(set));
+  return solve_correlation_heuristic(
+      t, sets, counts, std::vector<std::size_t>(sets.size(), data.intervals),
+      obs.always_good_paths(), params);
+}
+
 TEST(CorrelationHeuristicTest, RecoversToyProbabilities) {
   const topology t = make_toy(toy_case::case1);
   const auto model = toy_model(t, {{0, 0.3}, {4, 0.2}});
@@ -27,7 +43,7 @@ TEST(CorrelationHeuristicTest, RecoversToyProbabilities) {
   sim.intervals = 5000;
   sim.oracle_monitor = true;
   const auto data = run_experiment(t, model, sim);
-  const auto result = compute_correlation_heuristic(t, data);
+  const auto result = fit_on_store(t, data);
   const ground_truth truth(t, model, sim.intervals);
 
   for (const link_id e : {toy_e1, toy_e2, toy_e3}) {
@@ -44,7 +60,7 @@ TEST(CorrelationHeuristicTest, HandlesCorrelationUnlikeIndependence) {
   sim.intervals = 5000;
   sim.oracle_monitor = true;
   const auto data = run_experiment(t, model, sim);
-  const auto result = compute_correlation_heuristic(t, data);
+  const auto result = fit_on_store(t, data);
 
   bitvec pair(t.num_links());
   pair.set(toy_e2);
@@ -64,7 +80,7 @@ TEST(CorrelationHeuristicTest, UsesMoreEquationsThanComplete) {
   sim.oracle_monitor = true;
   const auto data = run_experiment(t, model, sim);
 
-  const auto heuristic = compute_correlation_heuristic(t, data);
+  const auto heuristic = fit_on_store(t, data);
   const auto complete = compute_correlation_complete(t, data);
   EXPECT_GT(heuristic.equations_used, complete.equations_used);
 }
@@ -79,7 +95,7 @@ TEST(CorrelationHeuristicTest, EquationCapsRespected) {
   correlation_heuristic_params params;
   params.max_pair_equations = 0;
   params.max_triple_equations = 0;
-  const auto result = compute_correlation_heuristic(t, data, params);
+  const auto result = fit_on_store(t, data, params);
   // Only single-path equations: at most one per path.
   EXPECT_LE(result.equations_used, t.num_paths());
 }

@@ -2,62 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
-#include <stdexcept>
-#include <vector>
-
 namespace ntom {
 namespace {
 
 TEST(ThreadPoolTest, ResolvesZeroToHardwareConcurrency) {
-  EXPECT_GE(thread_pool::resolve_threads(0), 1u);
-  EXPECT_EQ(thread_pool::resolve_threads(3), 3u);
-}
-
-TEST(ThreadPoolTest, ReportsRequestedSize) {
-  thread_pool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsTaskResult) {
-  thread_pool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  thread_pool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([i, &counter] {
-      counter.fetch_add(1);
-      return i;
-    }));
-  }
-  int sum = 0;
-  for (auto& f : futures) sum += f.get();
-  EXPECT_EQ(counter.load(), 64);
-  EXPECT_EQ(sum, 64 * 63 / 2);
-}
-
-TEST(ThreadPoolTest, PropagatesExceptionsThroughFuture) {
-  thread_pool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> done{0};
-  {
-    thread_pool pool(1);
-    for (int i = 0; i < 16; ++i) {
-      // Futures intentionally dropped; destruction must still run all.
-      (void)pool.submit([&done] { done.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(done.load(), 16);
+  EXPECT_GE(resolve_threads(0), 1u);
+  EXPECT_EQ(resolve_threads(3), 3u);
 }
 
 }  // namespace
