@@ -74,10 +74,9 @@ std::vector<ntom::run_spec> make_specs(bool paper_scale, std::size_t intervals,
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
-  const bool paper_scale = opts.get_string("scale", "small") == "paper";
+  const bool paper_scale = paper_scale_from_flags(opts);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const std::size_t intervals =
       opts.get_size("intervals", paper_scale ? 1000 : 300);
@@ -138,7 +137,11 @@ int main(int argc, char** argv) try {
        {"replicas", std::to_string(replicas)},
        {"threads", std::to_string(resolve_threads(threads))}});
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv,
+                       {"scale", "seed", "intervals", "replicas", "threads",
+                        "csv", "summary-csv", "json"},
+                       run);
 }

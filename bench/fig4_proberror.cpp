@@ -66,10 +66,9 @@ std::vector<ntom::run_spec> make_specs(bool paper_scale, bool stationary,
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
-  const bool paper_scale = opts.get_string("scale", "small") == "paper";
+  const bool paper_scale = paper_scale_from_flags(opts);
   const bool stationary = opts.get_bool("stationary", false);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const std::size_t intervals =
@@ -134,7 +133,11 @@ int main(int argc, char** argv) try {
        {"replicas", std::to_string(replicas)},
        {"threads", std::to_string(resolve_threads(threads))}});
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv,
+                       {"scale", "stationary", "seed", "intervals", "replicas",
+                        "threads", "csv", "summary-csv", "json"},
+                       run);
 }

@@ -17,10 +17,9 @@
 #include "ntom/util/csv.hpp"
 #include "ntom/util/flags.hpp"
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
-  const bool paper_scale = opts.get_string("scale", "small") == "paper";
+  const bool paper_scale = paper_scale_from_flags(opts);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
   const auto intervals = opts.get_size("intervals", paper_scale ? 1000 : 300);
 
@@ -71,7 +70,8 @@ int main(int argc, char** argv) try {
   }
   table.print(std::cout);
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv, {"scale", "seed", "intervals", "csv"}, run);
 }

@@ -32,9 +32,8 @@ double seconds_since(clock_type::time_point start) {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto replicas = opts.get_size("replicas", 8);
   const auto intervals = opts.get_size("intervals", 120);
   const auto threads = opts.get_size("threads", 0);
@@ -125,7 +124,11 @@ int main(int argc, char** argv) try {
                           {"estimator", estimator},
                           {"threads", std::to_string(threads)}});
   return identical ? 0 : 1;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv,
+                       {"replicas", "intervals", "threads", "topo", "estimator",
+                        "seed", "json"},
+                       run);
 }

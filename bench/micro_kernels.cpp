@@ -197,9 +197,8 @@ bool identity_sweep() {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto words = opts.get_size("words", 65536);
   const auto tdim = opts.get_size("tdim", 4096);
 
@@ -315,7 +314,8 @@ int main(int argc, char** argv) try {
                           {"detected", simd::level_name(
                                            simd::detected_level())}});
   return identical ? 0 : 1;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv, {"words", "tdim", "json"}, run);
 }

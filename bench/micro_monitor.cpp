@@ -57,9 +57,8 @@ std::size_t bitvec_heap_bytes(const ntom::bitvec& b) {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto intervals = opts.get_size("intervals", 100000);
   const auto num_queries = opts.get_size("queries", 4000);
   const auto reps = opts.get_size("reps", 3);
@@ -220,7 +219,10 @@ int main(int argc, char** argv) try {
                           {"queries", std::to_string(num_queries)},
                           {"reps", std::to_string(reps)}});
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv,
+                       {"intervals", "queries", "reps", "json"},
+                       run);
 }

@@ -126,9 +126,8 @@ bool estimates_identical(const ntom::link_estimates& a,
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto intervals = opts.get_size("intervals", 240);
   const auto threads = opts.get_size("threads", 4);
   constexpr std::size_t kDefaultRegions = 1120;
@@ -426,7 +425,11 @@ int main(int argc, char** argv) try {
   }
   std::printf("micro_part: done in %.2f s\n", total_seconds);
   return rc;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv,
+                       {"intervals", "threads", "regions", "scale-intervals",
+                        "json"},
+                       run);
 }

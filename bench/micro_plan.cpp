@@ -81,9 +81,8 @@ double rate_of(const std::vector<ntom::measurement>& rows,
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto intervals = opts.get_size("intervals", 320);
   const auto chunk = opts.get_size("chunk", 16);
 
@@ -235,7 +234,8 @@ int main(int argc, char** argv) try {
     return 1;
   }
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv, {"intervals", "chunk", "csv", "json"}, run);
 }

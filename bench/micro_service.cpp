@@ -47,9 +47,8 @@ class chunk_collector final : public ntom::measurement_sink {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto intervals = opts.get_size("intervals", 4000);
   const auto chunk_size = opts.get_size("chunk", 64);
   const auto window = opts.get_size("window", 8);
@@ -202,7 +201,10 @@ int main(int argc, char** argv) try {
                           {"window", std::to_string(window)},
                           {"readers", std::to_string(num_readers)}});
   return torn.load() == 0 ? 0 : 1;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv,
+                       {"intervals", "chunk", "window", "readers", "json"},
+                       run);
 }

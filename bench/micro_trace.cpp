@@ -58,9 +58,8 @@ bool rows_identical(const std::vector<ntom::measurement>& a,
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto intervals = opts.get_size("intervals", 20000);
   const auto reps = opts.get_size("reps", 3);
   const std::string trace_path =
@@ -204,7 +203,8 @@ int main(int argc, char** argv) try {
   std::remove(trace_path.c_str());
   std::remove(raw_path.c_str());
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv, {"intervals", "reps", "trace", "json"}, run);
 }

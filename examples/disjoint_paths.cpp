@@ -37,9 +37,8 @@ double empirical_joint_failure(const ntom::experiment_data& data,
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 99));
 
   topogen::brite_params tp;
@@ -111,7 +110,8 @@ int main(int argc, char** argv) try {
         "fate. Pairs further down the ranking are the safe choices.\n");
   }
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv, {"seed"}, run);
 }

@@ -20,9 +20,8 @@
 #include "ntom/topogen/brite.hpp"
 #include "ntom/util/flags.hpp"
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 7));
 
   topogen::brite_params tp;
@@ -129,7 +128,8 @@ int main(int argc, char** argv) try {
       "frequency, so a rare-but-violent event is systematically\n"
       "under-reported; the frequency question is answered correctly.\n");
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv, {"seed"}, run);
 }

@@ -17,6 +17,7 @@
 
 #include "ntom/corr/correlation.hpp"
 #include "ntom/exp/report.hpp"
+#include "ntom/exp/runner.hpp"
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
 #include "ntom/sim/truth.hpp"
@@ -25,11 +26,18 @@
 #include "ntom/util/flags.hpp"
 #include "ntom/util/rng.hpp"
 
-int main(int argc, char** argv) try {
+int run(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
-  const auto intervals = opts.get_size("intervals", 480);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 2024));
+  // This example focuses on the monitoring workflow; assume an accurate
+  // per-interval path classifier (the fig3/fig4 benches exercise the
+  // probing-noise regime).
+  run_config base;
+  base.sim.intervals = 480;
+  base.sim.seed = seed + 2;
+  base.sim.oracle_monitor = true;
+  const sim_params sim = run_config_from_flags(opts, base).sim;
+  const std::size_t intervals = sim.intervals;
 
   // The monitored view: traceroute-derived sparse topology.
   topogen::sparse_params tp;
@@ -66,13 +74,6 @@ int main(int argc, char** argv) try {
     }
   }
 
-  sim_params sim;
-  sim.intervals = intervals;
-  sim.seed = seed + 2;
-  // This example focuses on the monitoring workflow; assume an accurate
-  // per-interval path classifier (the fig3/fig4 benches exercise the
-  // probing-noise regime).
-  sim.oracle_monitor = true;
   const experiment_data data = run_experiment(topo, model, sim);
 
   // Probability Computation (Correlation-complete).
@@ -143,7 +144,8 @@ int main(int argc, char** argv) try {
       " outliers — the paper's Fig. 4(c) CDF shows the same — so the\n"
       " 'worst true' sanity column is part of the operator report.)\n");
   return 0;
-} catch (const ntom::flag_error& err) {
-  std::fprintf(stderr, "%s\n", err.what());
-  return 2;
+}
+
+int main(int argc, char** argv) {
+  return ntom::run_cli(argc, argv, {"intervals", "seed"}, run);
 }

@@ -95,33 +95,43 @@ int usage() {
                "[--flags]\n"
                "  gen     --kind=TOPOSPEC --out=FILE [--seed N] [--paper]\n"
                "  dot     --topo=FILE --out=FILE\n"
-               "  monitor --topo=FILE [--scenario=SCENARIOSPEC]\n"
-               "          [--intervals N] [--seed N] [--nonstationary]\n"
-               "          [--phase-length N]\n"
+               "  monitor --topo=FILE [--seed N]\n"
                "          [--links-csv FILE] [--subsets-csv FILE]\n"
-               "  capture --scenario=SPEC --out=FILE [--topo=TOPOSPEC]\n"
-               "          [--intervals N] [--seed N] [--packets N] [--oracle]\n"
+               "          run flags: scenario intervals nonstationary "
+               "phase-length\n"
+               "  capture --out=FILE [--topo=TOPOSPEC] [--seed N]\n"
                "          [--no-truth] [--imperfect=SPECS]\n"
-               "  replay  --file=FILE [--estimators=SPECS] [--streamed]\n"
-               "          [--chunk N] [--imperfect=SPECS] [--policy=SPEC]\n"
-               "          [--partition=none|components|bicomp|auto]\n"
-               "          [--partition-max-links N]\n"
+               "          run flags: scenario intervals packets oracle\n"
+               "  replay  --file=FILE [--estimators=SPECS]\n"
+               "          [--imperfect=SPECS]\n"
+               "          run flags: streamed chunk policy partition\n"
+               "          partition-max-links\n"
                "  import  --in=FILE --out=FILE [--topo=FILE] [--threshold F]\n"
                "  corpus  stat FILE|DIR... | merge --out=FILE A B... |\n"
                "          split --parts=N FILE | index DIR\n"
                "          [--no-compress] on merge/split outputs\n"
-               "  serve   [--scenario=SPEC | --file=FILE] [--topo=TOPOSPEC]\n"
-               "          [--intervals N] [--seed N] [--window W] [--chunk N]\n"
-               "          [--estimator=SPEC] [--refit-every N] [--epochs N]\n"
-               "          [--readers R] [--threshold F] [--policy=SPEC]\n"
+               "  serve   [--file=FILE] [--topo=TOPOSPEC] [--seed N]\n"
+               "          [--window W] [--estimator=SPEC] [--refit-every N]\n"
+               "          [--epochs N] [--readers R] [--threshold F]\n"
+               "          run flags: scenario (or --file) intervals chunk "
+               "policy\n"
                "  list    print registered components and option docs\n"
                "          (--json for the machine-readable catalog,\n"
                "           --what=SELECTOR to narrow either form)\n"
+               "Run flags, shared with sweep_cli (each verb takes the ones "
+               "listed):\n"
+               "  --scenario=SPEC --intervals N --packets N --oracle\n"
+               "  --nonstationary --phase-length N --fraction F --streamed\n"
+               "  --chunk N --policy=SPEC\n"
+               "  --partition=none|components|bicomp|auto "
+               "--partition-max-links N\n"
                "Specs are \"name,key=value,...\" — see `ntom_cli list`.\n"
                "Global: --simd=scalar|popcnt|avx2|avx512 forces the bit-"
                "kernel\n"
                "dispatch level (same as NTOM_SIMD; see `list --what=simd`)."
-               "\n");
+               "\n"
+               "Exit codes: 0 ok, 1 runtime or trace error, 2 usage error "
+               "(unknown flag, bad value or spec).\n");
   return 2;
 }
 
@@ -174,24 +184,17 @@ int cmd_monitor(const ntom::flags& opts) {
   const topology topo = load_topology_file(topo_path);
   std::printf("monitoring %s\n", topo.describe().c_str());
 
-  const scenario_spec scenario = opts.get_string("scenario", "random");
+  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 11));
+  run_config base;
+  base.scenario = "random";
+  base.scenario_opts.seed = seed;
+  base.sim.intervals = 400;
+  base.sim.seed = seed + 1;
+  const run_config config = run_config_from_flags(opts, base);
 
-  scenario_params sp;
-  sp.seed = static_cast<std::uint64_t>(opts.get_int("seed", 11));
-  sp.nonstationary = opts.get_bool("nonstationary", false);
-  sp.phase_length = opts.get_size("phase-length", sp.phase_length);
-  sim_params sim;
-  sim.intervals = opts.get_size("intervals", 400);
-  sim.seed = sp.seed + 1;
-  // Resolve the spec's knobs (nonstationary, phase_length, ...) before
-  // sizing the phase pre-draw.
-  sp = apply_scenario_spec(scenario, sp);
-  if (sp.nonstationary) {
-    sp.num_phases = (sim.intervals + sp.phase_length - 1) / sp.phase_length;
-  }
-
-  const congestion_model model = make_scenario(topo, scenario, sp);
-  const experiment_data data = run_experiment(topo, model, sim);
+  const congestion_model model =
+      make_scenario(topo, config.scenario, config.scenario_opts);
+  const experiment_data data = run_experiment(topo, model, config.sim);
   const auto result = compute_correlation_complete(topo, data);
 
   std::printf("equations=%zu rank=%zu identifiable=%.0f%%\n",
@@ -237,18 +240,15 @@ int cmd_capture(const ntom::flags& opts) {
   const std::string out = opts.get_string("out", "");
   if (out.empty()) return usage();
 
-  run_config config;
-  config.topo = opts.get_string("topo", "brite");
-  config.scenario = opts.get_string("scenario", "random_congestion");
-  config.topo_seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  config.scenario_opts.seed = config.topo_seed + 10;
-  config.sim.seed = config.topo_seed + 20;
-  config.sim.intervals = opts.get_size("intervals", 1000);
-  config.sim.packets_per_path =
-      opts.get_size("packets", config.sim.packets_per_path);
-  config.sim.oracle_monitor = opts.get_bool("oracle", false);
-  config.capture.path = out;
-  config.capture.truth = !opts.get_bool("no-truth", false);
+  run_config base;
+  base.topo = opts.get_string("topo", "brite");
+  base.topo_seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  base.scenario_opts.seed = base.topo_seed + 10;
+  base.sim.seed = base.topo_seed + 20;
+  base.sim.intervals = 1000;
+  base.capture.path = out;
+  base.capture.truth = !opts.get_bool("no-truth", false);
+  const run_config config = run_config_from_flags(opts, base);
 
   // O(chunk) capture: stream the simulation straight into the writer
   // (through the imperfection chain when one is requested), never
@@ -275,24 +275,15 @@ int cmd_replay(const ntom::flags& opts) {
   const std::string file = opts.get_string("file", "");
   if (file.empty()) return usage();
 
-  run_config config;
-  config.scenario = spec("trace").with_option("file", file);
+  run_config base;
+  base.scenario = spec("trace").with_option("file", file);
   const std::string imperfect = opts.get_string("imperfect", "");
   if (!imperfect.empty()) {
-    config.scenario = config.scenario.with_option("imperfect", imperfect);
+    base.scenario = base.scenario.with_option("imperfect", imperfect);
   }
-  config.stream.enabled = opts.get_bool("streamed", false);
-  config.stream.chunk_intervals =
-      opts.get_size("chunk", default_chunk_intervals);
-  config.plan.policy = opts.get_string("policy", "");
-  config.part.mode =
-      partition_mode_from_string(opts.get_string("partition", "none"));
-  config.part.max_cell_links =
-      opts.get_size("partition-max-links", config.part.max_cell_links);
-
-  // Reconcile before choosing the mode: a probe policy forces streamed
-  // execution (the materialized store has no mask plane).
-  config.reconcile();
+  // Reconciled, so a probe policy has already forced streamed execution
+  // (the materialized store has no mask plane).
+  const run_config config = run_config_from_flags(opts, base);
   const run_artifacts run =
       config.stream.enabled ? prepare_topology(config) : prepare_run(config);
   std::printf("replaying %s: %zu intervals, %s, truth plane %s\n",
@@ -332,13 +323,30 @@ int cmd_serve(const ntom::flags& opts) {
   cfg.refit_every = opts.get_size("refit-every", 1);
   tomography_service service(cfg);
 
-  const std::string file = opts.get_string("file", "");
   const auto epochs = opts.get_size("epochs", 1);
   const auto readers = opts.get_size("readers", 2);
   const double threshold = opts.get_double("threshold", 0.5);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  const std::size_t intervals = opts.get_size("intervals", 2000);
-  const std::size_t chunk = opts.get_size("chunk", default_chunk_intervals);
+
+  // The source: a live simulation, or a captured dataset (--file, which
+  // replaces --scenario). Every epoch re-begins on the same topology
+  // draw parameters; the regenerated instance exercises the stable-link
+  // carry-over.
+  run_config base;
+  const std::string file = opts.get_string("file", "");
+  if (file.empty()) {
+    base.topo = opts.get_string("topo", "brite,n=20,hosts=60,paths=120");
+    base.scenario = "hotspot_drift";
+    base.topo_seed = seed;
+    base.sim.intervals = 2000;
+  } else {
+    base.scenario = spec("trace").with_option("file", file);
+  }
+  base.stream.enabled = true;
+  const run_config flagged = run_config_from_flags(opts, base);
+  if (!file.empty() && !(flagged.scenario == base.scenario)) {
+    throw flag_error("--scenario and --file are exclusive");
+  }
 
   // Concurrent read side: each reader hammers snapshot() while ingest
   // runs, verifying every snapshot it sees (a torn window would fail
@@ -374,23 +382,9 @@ int cmd_serve(const ntom::flags& opts) {
   const auto start = std::chrono::steady_clock::now();
   try {
     for (std::size_t e = 0; e < epochs; ++e) {
-      run_config config;
-      if (!file.empty()) {
-        config.scenario = spec("trace").with_option("file", file);
-      } else {
-        config.topo = opts.get_string("topo", "brite,n=20,hosts=60,paths=120");
-        config.scenario = opts.get_string("scenario", "hotspot_drift");
-        config.topo_seed = seed;  // same draw parameters every epoch; the
-                                  // regenerated instance exercises the
-                                  // stable-link carry-over.
-        config.scenario_opts.seed = seed + 10 + e;
-        config.sim.seed = seed + 20 + e;
-        config.sim.intervals = intervals;
-      }
-      config.stream.enabled = true;
-      config.stream.chunk_intervals = chunk;
-      config.plan.policy = opts.get_string("policy", "");
-
+      run_config config = flagged;
+      config.scenario_opts.seed = seed + 10 + e;
+      config.sim.seed = seed + 20 + e;
       const run_artifacts run = prepare_topology(config);
       service.begin_epoch(run.topo_ptr);
       service_ingest_sink sink(service);
@@ -481,14 +475,6 @@ int cmd_corpus(const ntom::flags& opts) {
   if (pos.empty()) return usage();
   const std::string verb = pos[0];
   const std::vector<std::string> args(pos.begin() + 1, pos.end());
-  // An unknown flag (a typo, say) would take the next file argument as
-  // its value, so the corpus verbs reject one.
-  for (const std::string& name : opts.names()) {
-    if (name != "out" && name != "parts" && name != "no-compress" &&
-        name != "simd") {
-      throw flag_error("--" + name + ": unknown flag for ntom_cli corpus");
-    }
-  }
   corpus_write_options wopts;
   wopts.compress = !opts.get_bool("no-compress", false);
 
@@ -563,41 +549,57 @@ int cmd_corpus(const ntom::flags& opts) {
   return usage();
 }
 
+/// One ntom_cli verb: its name, the flags it reads (every verb also
+/// takes --simd) and its body.
+struct cli_verb {
+  const char* name;
+  std::vector<std::string> flags;
+  int (*run)(const ntom::flags&);
+};
+
+const cli_verb kVerbs[] = {
+    {"gen", {"kind", "out", "seed", "paper"}, cmd_gen},
+    {"dot", {"topo", "out"}, cmd_dot},
+    {"monitor",
+     {"topo", "seed", "links-csv", "subsets-csv", "scenario", "intervals",
+      "nonstationary", "phase-length"},
+     cmd_monitor},
+    {"capture",
+     {"out", "topo", "seed", "no-truth", "imperfect", "scenario", "intervals",
+      "packets", "oracle"},
+     cmd_capture},
+    {"replay",
+     {"file", "estimators", "imperfect", "streamed", "chunk", "policy",
+      "partition", "partition-max-links"},
+     cmd_replay},
+    {"import", {"in", "out", "topo", "threshold"}, cmd_import},
+    {"corpus", {"out", "parts", "no-compress"}, cmd_corpus},
+    {"serve",
+     {"file", "topo", "seed", "window", "estimator", "refit-every", "epochs",
+      "readers", "threshold", "scenario", "intervals", "chunk", "policy"},
+     cmd_serve},
+    {"list", {"json", "what"}, cmd_list},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  const ntom::flags opts(argc - 1, argv + 1);
-  // Forces the kernel dispatch level for every verb.
-  if (opts.has("simd") &&
-      !ntom::simd::apply_level_flag(opts.get_string("simd", ""))) {
-    return 2;
-  }
-  try {
-    if (command == "gen") return cmd_gen(opts);
-    if (command == "dot") return cmd_dot(opts);
-    if (command == "monitor") return cmd_monitor(opts);
-    if (command == "capture") return cmd_capture(opts);
-    if (command == "replay") return cmd_replay(opts);
-    if (command == "import") return cmd_import(opts);
-    if (command == "corpus") return cmd_corpus(opts);
-    if (command == "serve") return cmd_serve(opts);
-    if (command == "list") return cmd_list(opts);
-  } catch (const ntom::spec_error& err) {
-    std::fprintf(stderr, "%s\n(run `ntom_cli list` for registered names)\n",
-                 err.what());
-    return 2;
-  } catch (const ntom::flag_error& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
-  } catch (const ntom::trace_error& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 1;
-  } catch (const std::exception& err) {
-    // load_topology and friends throw plain std::runtime_error.
-    std::fprintf(stderr, "%s\n", err.what());
-    return 1;
+  for (const cli_verb& v : kVerbs) {
+    if (std::string(argv[1]) != v.name) continue;
+    std::vector<std::string> known = v.flags;
+    known.emplace_back("simd");
+    // argv + 1: flags skips its argv[0], which is then the verb.
+    return ntom::run_cli(argc - 1, argv + 1, known,
+                         [&v](const ntom::flags& opts) {
+                           // Forces the kernel dispatch level.
+                           if (opts.has("simd") &&
+                               !ntom::simd::apply_level_flag(
+                                   opts.get_string("simd", ""))) {
+                             return 2;
+                           }
+                           return v.run(opts);
+                         });
   }
   return usage();
 }

@@ -125,9 +125,8 @@ bool summaries_identical(const std::vector<ntom::metric_summary>& a,
   return true;
 }
 
-int run_sweep(int argc, char** argv) {
+int run_sweep(const ntom::flags& opts) {
   using namespace ntom;
-  const flags opts(argc, argv);
   // Forces the bit-kernel dispatch level for the whole sweep.
   if (opts.has("simd") &&
       !simd::apply_level_flag(opts.get_string("simd", ""))) {
@@ -138,134 +137,90 @@ int run_sweep(int argc, char** argv) {
     // --list=srlg, any registered name/alias) narrows to one registry
     // or one entry's full option docs. --list-json takes the same
     // selectors and emits the machine-readable catalog instead.
-    try {
-      std::cout << (opts.has("list-json")
-                        ? describe_registries_json(
-                              opts.get_string("list-json", ""))
-                        : describe_registries(opts.get_string("list", "")));
-    } catch (const spec_error& err) {
-      std::fprintf(stderr, "%s\n", err.what());
-      return 2;
-    }
+    std::cout << (opts.has("list-json")
+                      ? describe_registries_json(
+                            opts.get_string("list-json", ""))
+                      : describe_registries(opts.get_string("list", "")));
     return 0;
   }
 
-  const bool paper_scale = opts.get_string("scale", "small") == "paper";
+  const bool paper_scale = paper_scale_from_flags(opts);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  const auto intervals = opts.get_size("intervals", paper_scale ? 1000 : 150);
   const auto replicas = opts.get_size("replicas", 2);
   const auto threads = opts.get_size("threads", 0);
   const bool check = opts.get_bool("check-determinism", false);
 
+  // The shared run flags: simulation length and packets, scenario-wide
+  // nonstationarity knobs (per-spec options still win), streamed
+  // execution, the probe-budget policy (forces streamed execution) and
+  // partitioned inference (ntom/part).
+  run_config base;
+  base.sim.intervals = paper_scale ? 1000 : 150;
+  const run_config config = run_config_from_flags(opts, base);
+  const std::size_t intervals = config.sim.intervals;
+
   const std::string replay = opts.get_string("replay", "");
   experiment exp;
-  try {
-    if (!replay.empty()) {
-      // Replay sweep: each captured dataset is one `trace` scenario arm
-      // (its topology is embedded, so one placeholder topology arm
-      // prefixes the labels). Link-error metrics need the analytic
-      // model, which replays do not have.
-      exp.with_topology("toy,label=replay");
-      const std::vector<std::string> files = expand_replay_list(replay);
-      if (files.empty()) {
-        std::fprintf(stderr, "--replay: no .trc files in '%s'\n",
-                     replay.c_str());
-        return 2;
+  if (!replay.empty()) {
+    // Replay sweep: each captured dataset is one `trace` scenario arm
+    // (its topology is embedded, so one placeholder topology arm
+    // prefixes the labels). Link-error metrics need the analytic
+    // model, which replays do not have.
+    exp.with_topology("toy,label=replay");
+    const std::vector<std::string> files = expand_replay_list(replay);
+    if (files.empty()) {
+      throw flag_error("--replay=" + replay + ": no .trc files");
+    }
+    const auto shards = opts.get_size("replay-shards", 1);
+    for (const std::string& f : files) {
+      const std::string stem = std::filesystem::path(f).stem().string();
+      if (shards <= 1) {
+        exp.with_scenario(
+            spec("trace").with_option("file", f).with_option("label", stem));
+        continue;
       }
-      const auto shards = opts.get_size("replay-shards", 1);
-      for (const std::string& f : files) {
-        const std::string stem = std::filesystem::path(f).stem().string();
-        if (shards <= 1) {
-          exp.with_scenario(spec("trace")
-                                .with_option("file", f)
-                                .with_option("label", stem));
-          continue;
-        }
-        // Shard the file into equal interval windows; opening the
-        // reader touches only the header, index and trailer pages.
-        const std::uint64_t total = trace_reader(f).intervals();
-        for (std::size_t k = 0; k < shards; ++k) {
-          const std::uint64_t first = total * k / shards;
-          const std::uint64_t count = total * (k + 1) / shards - first;
-          if (count == 0) continue;  // more shards than intervals
-          exp.with_scenario(spec("trace")
-                                .with_option("file", f)
-                                .with_option("first", std::to_string(first))
-                                .with_option("count", std::to_string(count))
-                                .with_option("label",
-                                             stem + "@" + std::to_string(k)));
-        }
-      }
-      exp.measure_link_error(false);
-    } else {
-      for (const std::string& t :
-           split_spec_list(opts.get_string("topos", "brite,sparse"))) {
-        topology_spec s(t);
-        if (paper_scale && !s.has("scale")) s = s.with_option("scale", "paper");
-        exp.with_topology(std::move(s));
-      }
-      for (const std::string& s : split_spec_list(opts.get_string(
-               "scenarios", "random,concentrated,noindep,nostat"))) {
-        exp.with_scenario(s);
+      // Shard the file into equal interval windows; opening the
+      // reader touches only the header, index and trailer pages.
+      const std::uint64_t total = trace_reader(f).intervals();
+      for (std::size_t k = 0; k < shards; ++k) {
+        const std::uint64_t first = total * k / shards;
+        const std::uint64_t count = total * (k + 1) / shards - first;
+        if (count == 0) continue;  // more shards than intervals
+        exp.with_scenario(spec("trace")
+                              .with_option("file", f)
+                              .with_option("first", std::to_string(first))
+                              .with_option("count", std::to_string(count))
+                              .with_option("label",
+                                           stem + "@" + std::to_string(k)));
       }
     }
-    for (const std::string& e : split_spec_list(opts.get_string(
-             "estimators", "sparsity,bayes-indep,bayes-corr"))) {
-      exp.with_estimator(e);
+    exp.measure_link_error(false);
+  } else {
+    for (const std::string& t :
+         split_spec_list(opts.get_string("topos", "brite,sparse"))) {
+      topology_spec s(t);
+      if (paper_scale && !s.has("scale")) s = s.with_option("scale", "paper");
+      exp.with_topology(std::move(s));
     }
-  } catch (const spec_error& err) {
-    std::fprintf(stderr, "%s\n(run with --list for the registered names)\n",
-                 err.what());
-    return 2;
+    for (const std::string& s : split_spec_list(opts.get_string(
+             "scenarios", "random,concentrated,noindep,nostat"))) {
+      exp.with_scenario(s);
+    }
+  }
+  for (const std::string& e : split_spec_list(opts.get_string(
+           "estimators", "sparsity,bayes-indep,bayes-corr"))) {
+    exp.with_estimator(e);
   }
 
-  // Scenario-wide nonstationarity knobs; per-spec options still win.
-  scenario_params scenario_defaults;
-  scenario_defaults.nonstationary = opts.get_bool("nonstationary", false);
-  scenario_defaults.phase_length =
-      opts.get_size("phase-length", scenario_defaults.phase_length);
-  scenario_defaults.congestable_fraction =
-      opts.get_double("fraction", scenario_defaults.congestable_fraction);
-  exp.with_scenario_defaults(scenario_defaults);
-
-  sim_params sim;
-  sim.intervals = intervals;
-  sim.packets_per_path = opts.get_size("packets", sim.packets_per_path);
-  exp.with_sim(sim);
+  exp.with_scenario_defaults(config.scenario_opts);
+  exp.with_sim(config.sim);
   exp.replicas(replicas);
-
-  // Streamed execution: replay the interval stream in chunks instead of
+  // Streamed execution replays the interval stream in chunks instead of
   // materializing per-run observation stores (bit-identical results).
-  const bool streamed = opts.get_bool("streamed", false);
-  exp.with_streaming(
-      {streamed, opts.get_size("chunk", default_chunk_intervals)});
-
-  // Probe-budget policy: masks every run's stream (forces streamed
-  // execution at reconcile time, whatever --streamed says).
-  const std::string policy = opts.get_string("policy", "");
-  if (!policy.empty()) {
-    try {
-      exp.with_policy(policy);
-    } catch (const spec_error& err) {
-      std::fprintf(stderr, "--policy: %s\n(run with --list=policies)\n",
-                   err.what());
-      return 2;
-    }
-  }
-
-  // Partitioned hierarchical inference: decompose each run's topology
-  // into cells and fit every estimator per cell (ntom/part).
-  const std::string partition = opts.get_string("partition", "none");
-  try {
-    partition_options part;
-    part.mode = partition_mode_from_string(partition);
-    part.max_cell_links =
-        opts.get_size("partition-max-links", part.max_cell_links);
-    exp.with_partitioning(part);
-  } catch (const spec_error& err) {
-    std::fprintf(stderr, "--partition: %s\n", err.what());
-    return 2;
-  }
+  exp.with_streaming(config.stream);
+  const std::string& policy = config.plan.policy;
+  exp.with_policy(policy);
+  exp.with_partitioning(config.part);
 
   // Capture: record every run's stream to DIR while the sweep runs
   // (passive — aggregates are bit-identical with capture on).
@@ -276,43 +231,29 @@ int run_sweep(int argc, char** argv) {
         {capture_dir, !opts.get_bool("capture-no-truth", false)});
   }
 
-  std::vector<run_spec> specs;
-  try {
-    specs = exp.specs();
-  } catch (const spec_error& err) {
-    // Duplicate grid-arm labels (e.g. two --replay files sharing a
-    // stem) surface when the grid expands.
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
-  }
+  // Duplicate grid-arm labels (e.g. two --replay files sharing a stem)
+  // surface when the grid expands.
+  const std::vector<run_spec> specs = exp.specs();
   const std::size_t workers = resolve_threads(threads);
+  const bool partitioned = config.part.mode != partition_mode::none;
   std::cout << "Scenario sweep — " << specs.size() << " runs ("
             << specs.size() / (replicas == 0 ? 1 : replicas) << " grid cells x "
             << replicas << " replicas), T=" << intervals << ", seed=" << seed
             << ", threads=" << workers
-            << (streamed || !policy.empty() ? ", streamed" : ", materialized")
+            << (config.stream.enabled ? ", streamed" : ", materialized")
             << (policy.empty() ? "" : ", policy=" + policy)
-            << (partition == "none" ? "" : ", partition=" + partition)
+            << (partitioned ? std::string(", partition=") +
+                                  to_string(config.part.mode)
+                            : "")
             << "\n\n";
 
   batch_params params;
   params.threads = threads;
   params.base_seed = seed;
   grid_stats stats;
-  batch_report report;
-  try {
-    report = exp.run(params, &stats);
-  } catch (const spec_error& err) {
-    // Cross-option scenario semantics (e.g. a no_stationarity base
-    // that cannot phase) only surface at build time of the runs.
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
-  } catch (const std::runtime_error& err) {
-    // Unreadable / corrupted trace files surface when the runs open
-    // their sources.
-    std::fprintf(stderr, "%s\n", err.what());
-    return 1;
-  }
+  // Cross-option scenario semantics (e.g. a no_stationarity base that
+  // cannot phase) and unreadable trace files surface here.
+  const batch_report report = exp.run(params, &stats);
 
   const std::vector<metric_summary> cells = report.summarize();
   table_printer boolean_table({"Topology/Scenario", "Estimator", "DR mean",
@@ -422,7 +363,7 @@ int run_sweep(int argc, char** argv) {
     if (!identical) return 1;
     // With a policy the materialized mode cannot run at all (no mask
     // plane in the store), so the cross-mode check only applies without.
-    if (streamed && policy.empty()) {
+    if (config.stream.enabled && policy.empty()) {
       // The streamed mode is an execution strategy, not an estimator:
       // prove it against the materialized path on the same seeds.
       std::cout << "Streamed-vs-materialized check: re-running "
@@ -442,10 +383,13 @@ int run_sweep(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run_sweep(argc, argv);
-  } catch (const ntom::flag_error& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
-  }
+  return ntom::run_cli(
+      argc, argv,
+      {"simd", "list", "list-json", "scale", "seed", "replicas", "threads",
+       "check-determinism", "replay", "replay-shards", "topos", "scenarios",
+       "estimators", "intervals", "packets", "nonstationary", "phase-length",
+       "fraction", "streamed", "chunk", "policy", "partition",
+       "partition-max-links", "capture-dir", "capture-no-truth", "csv",
+       "summary-csv", "json"},
+      run_sweep);
 }

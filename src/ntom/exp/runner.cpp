@@ -4,6 +4,7 @@
 
 #include "ntom/plan/policy.hpp"
 #include "ntom/trace/trace_writer.hpp"
+#include "ntom/util/flags.hpp"
 
 namespace ntom {
 
@@ -33,6 +34,36 @@ void run_config::reconcile() {
   if (part.mode != partition_mode::none && part.max_cell_links == 0) {
     throw spec_error("run_config: part.max_cell_links must be positive");
   }
+}
+
+run_config run_config_from_flags(const flags& opts, run_config c) {
+  if (opts.has("scenario")) c.scenario = opts.get_string("scenario", "");
+  c.sim.intervals = opts.get_size("intervals", c.sim.intervals);
+  c.sim.packets_per_path = opts.get_size("packets", c.sim.packets_per_path);
+  c.sim.oracle_monitor = opts.get_bool("oracle", c.sim.oracle_monitor);
+  scenario_params& sp = c.scenario_opts;
+  sp.nonstationary = opts.get_bool("nonstationary", sp.nonstationary);
+  sp.phase_length = opts.get_size("phase-length", sp.phase_length);
+  sp.congestable_fraction =
+      opts.get_double("fraction", sp.congestable_fraction);
+  c.stream.enabled = opts.get_bool("streamed", c.stream.enabled);
+  c.stream.chunk_intervals = opts.get_size("chunk", c.stream.chunk_intervals);
+  c.plan.policy = opts.get_string("policy", c.plan.policy);
+  if (opts.has("partition")) {
+    c.part.mode = partition_mode_from_string(opts.get_string("partition", ""));
+  }
+  c.part.max_cell_links =
+      opts.get_size("partition-max-links", c.part.max_cell_links);
+  c.reconcile();
+  return c;
+}
+
+bool paper_scale_from_flags(const flags& opts) {
+  const std::string scale = opts.get_string("scale", "small");
+  if (scale != "small" && scale != "paper") {
+    throw flag_error("--scale=" + scale + ": expected small or paper");
+  }
+  return scale == "paper";
 }
 
 run_artifacts prepare_topology(run_config config,

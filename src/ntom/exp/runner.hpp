@@ -126,6 +126,24 @@ struct run_config {
   void reconcile();
 };
 
+class flags;
+
+/// The shared run flags of the CLIs, overlaid onto `base` where present
+/// (an absent flag keeps the base value), then reconciled:
+///   --scenario=SPEC --intervals=N --packets=N --oracle --nonstationary
+///   --phase-length=N --fraction=F --streamed --chunk=N --policy=SPEC
+///   --partition=none|components|bicomp|auto --partition-max-links=N
+/// The caller's base carries everything a binary sets itself (topology,
+/// seeds, defaults), and its run_cli list decides which of these flags
+/// it accepts. Throws flag_error on an unparsable value and spec_error
+/// on a bad spec, mode or phase length.
+[[nodiscard]] run_config run_config_from_flags(const flags& opts,
+                                               run_config base);
+
+/// Reads `--scale`: small (the default) or paper; anything else throws
+/// flag_error.
+[[nodiscard]] bool paper_scale_from_flags(const flags& opts);
+
 /// One simulated experiment with everything downstream needs. `data`
 /// holds the run when prepare_run materialized it, and stays empty
 /// otherwise (streamed mode, masked replays) — see materialized().

@@ -6,9 +6,9 @@
 // applies the pick as a mask on the measurement stream (the chunk's
 // congested rows are ANDed with the selection and observed_paths records
 // it). Everything downstream that counts goodness — pathset_counter,
-// empirical_truth, the observation scorer, the solvers' per-equation
-// denominators — qualifies with the mask, so a masked run estimates from
-// exactly the evidence the budget paid for.
+// the observation scorer, the solvers' per-equation denominators —
+// qualifies with the mask, so a masked run estimates from exactly the
+// evidence the budget paid for.
 //
 // Policies resolve through a string-spec registry like scenarios and
 // trace imperfections: "uniform,frac=0.25,seed=7". All built-ins share

@@ -73,10 +73,6 @@ void tomography_service::begin_epoch(std::shared_ptr<const topology> topo) {
   window_.clear();
   since_refit_ = 0;
   est_->begin_window(*topo_);
-  if (config_.track_truth) {
-    truth_.emplace();
-    truth_->begin(*topo_, 0);
-  }
   ++epoch_;
   stats_.epochs.fetch_add(1, std::memory_order_relaxed);
 
@@ -91,13 +87,11 @@ void tomography_service::ingest(const measurement_chunk& chunk) {
   }
   window_.push_back(chunk);
   est_->consume(chunk);
-  if (truth_) truth_->consume(chunk);
   stats_.chunks_ingested.fetch_add(1, std::memory_order_relaxed);
 
   if (window_.size() > config_.window_chunks) {
     const measurement_chunk& oldest = window_.front();
     est_->retire(oldest);
-    if (truth_) truth_->retire(oldest);
     window_.pop_front();
     stats_.chunks_retired.fetch_add(1, std::memory_order_relaxed);
   }

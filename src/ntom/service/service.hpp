@@ -36,13 +36,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "ntom/api/estimator.hpp"
 #include "ntom/service/snapshot.hpp"
 #include "ntom/sim/measurement.hpp"
-#include "ntom/sim/truth.hpp"
 
 namespace ntom {
 
@@ -58,11 +56,6 @@ struct service_config {
   /// Refit + publish every N ingested chunks (1 = every chunk). flush()
   /// forces one regardless.
   std::size_t refit_every = 1;
-
-  /// Maintain an empirical_truth over the window's truth plane,
-  /// retiring chunks with the estimator (for soak tests / accuracy
-  /// monitoring; costs one transpose per ingested and retired chunk).
-  bool track_truth = false;
 };
 
 /// Monotonic counters, readable from any thread while ingest runs.
@@ -122,12 +115,6 @@ class tomography_service {
     return topo_;
   }
 
-  /// Windowed ground-truth counters (only when config.track_truth;
-  /// ingest thread only).
-  [[nodiscard]] const empirical_truth* truth() const noexcept {
-    return truth_ ? &*truth_ : nullptr;
-  }
-
  private:
   void refit_and_publish();
   void publish(std::vector<snapshot_link> links);
@@ -136,7 +123,6 @@ class tomography_service {
   std::unique_ptr<estimator> est_;
   std::shared_ptr<const topology> topo_;
   std::deque<measurement_chunk> window_;
-  std::optional<empirical_truth> truth_;
   /// Posterior carried from the previous epoch, indexed by current link
   /// id; overlaid onto every publish for links the fit leaves
   /// undetermined.

@@ -40,7 +40,7 @@ struct measurement_chunk {
   /// sets a mask. When non-empty, congested_paths rows are zero outside
   /// the mask, so unobserved paths read as "good" in path_good_major()
   /// — consumers that count goodness must qualify with this mask
-  /// (pathset_counter, empirical_truth, the scorers do).
+  /// (pathset_counter and the scorers do).
   bitvec observed_paths;
 
   [[nodiscard]] bool fully_observed() const noexcept {

@@ -74,61 +74,6 @@ double ground_truth::link_congestion_probability(link_id e) const {
   return 1.0 - good_probability(one);
 }
 
-void empirical_truth::begin(const topology& t, std::size_t) {
-  topo_ = &t;
-  intervals_ = 0;
-  counts_.assign(t.num_links(), 0);
-  observed_counts_.assign(t.num_links(), 0);
-  bitvec all_paths(t.num_paths());
-  all_paths.flip();
-  all_observable_ = t.links_of_paths(all_paths);
-}
-
-void empirical_truth::consume(const measurement_chunk& chunk) {
-  tally(chunk, false);
-}
-
-void empirical_truth::retire(const measurement_chunk& chunk) {
-  assert(chunk.count <= intervals_ && "retiring more than was consumed");
-  tally(chunk, true);
-}
-
-void empirical_truth::tally(const measurement_chunk& chunk, bool retiring) {
-  const auto step = [retiring](std::size_t& counter, std::size_t n) {
-    counter = retiring ? counter - n : counter + n;
-  };
-  step(intervals_, chunk.count);
-  // Column-wise popcounts via the transposed chunk: one pass, O(chunk).
-  const bit_matrix by_link = chunk.true_links.transposed();
-  for (std::size_t e = 0; e < by_link.rows(); ++e) {
-    step(counts_[e], by_link.count_row(e));
-  }
-  const bitvec observable =
-      chunk.fully_observed() ? all_observable_
-                             : topo_->links_of_paths(chunk.observed_paths);
-  observable.for_each(
-      [&](std::size_t e) { step(observed_counts_[e], chunk.count); });
-}
-
-bitvec empirical_truth::congested_links() const {
-  bitvec out(counts_.size());
-  for (std::size_t e = 0; e < counts_.size(); ++e) {
-    if (counts_[e] > 0) out.set(e);
-  }
-  return out;
-}
-
-double empirical_truth::congestion_frequency(link_id e) const {
-  if (intervals_ == 0) return 0.0;
-  return static_cast<double>(counts_[e]) / static_cast<double>(intervals_);
-}
-
-double empirical_truth::observed_frequency(link_id e) const {
-  if (intervals_ == 0) return 0.0;
-  return static_cast<double>(observed_counts_[e]) /
-         static_cast<double>(intervals_);
-}
-
 double ground_truth::set_congestion_probability(const bitvec& links) const {
   double total = 0.0;
   for (std::size_t k = 0; k < model_.num_phases(); ++k) {

@@ -1,7 +1,11 @@
 #include "ntom/util/flags.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+
+#include "ntom/util/spec.hpp"
 
 namespace ntom {
 
@@ -96,6 +100,31 @@ std::vector<std::string> flags::names() const {
   out.reserve(values_.size());
   for (const auto& [k, _] : values_) out.push_back(k);
   return out;
+}
+
+int run_cli(int argc, const char* const* argv,
+            const std::vector<std::string>& known,
+            const std::function<int(const flags&)>& body) {
+  try {
+    const flags opts(argc, argv);
+    for (const std::string& name : opts.names()) {
+      if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+      std::string accepted;
+      for (const std::string& k : known) accepted += " --" + k;
+      throw flag_error("--" + name + ": unknown flag (accepted:" + accepted +
+                       ")");
+    }
+    return body(opts);
+  } catch (const flag_error& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return 2;
+  } catch (const spec_error& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return 2;
+  } catch (const std::exception& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return 1;
+  }
 }
 
 }  // namespace ntom

@@ -1,16 +1,19 @@
-// Tiny command-line flag parser for the bench and example binaries.
+// Tiny command-line flag parser for the bench and example binaries,
+// and run_cli, the one front end every binary's main() goes through.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`.
-// Unknown flags are collected so binaries can reject typos explicitly.
-// Typed accessors are strict: a value that is not entirely a number
-// (or, for get_bool, a boolean spelling) throws flag_error naming the
-// flag, instead of reading as 0 or false. A bare boolean flag directly
-// before a positional argument takes that argument as its value, so it
-// fails loudly rather than swallowing the positional.
+// run_cli rejects any flag outside the binary's list, so a typo exits 2
+// instead of quietly running a different experiment. Typed accessors
+// are strict: a value that is not entirely a number (or, for get_bool,
+// a boolean spelling) throws flag_error naming the flag, instead of
+// reading as 0 or false. A bare boolean flag directly before a
+// positional argument takes that argument as its value, so it fails
+// loudly rather than swallowing the positional.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -59,5 +62,14 @@ class flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// The command-line front end: parses argv, rejects any flag not in
+/// `known` (flag_error naming it), and returns `body`'s exit code. Exit
+/// codes: flag_error and spec_error print their message and return 2
+/// (usage error); any other std::exception prints and returns 1
+/// (runtime or trace error).
+int run_cli(int argc, const char* const* argv,
+            const std::vector<std::string>& known,
+            const std::function<int(const flags&)>& body);
 
 }  // namespace ntom

@@ -1,9 +1,8 @@
 // Masked-stream semantics of the downstream consumers: pathset_counter
 // only counts fully observed sets (and its windowed retire subtracts
-// exactly what a masked chunk added), empirical_truth keeps the truth
-// plane full while tracking per-link visibility, the observation
-// scorer survives zero-observed intervals, and the config/runner layer
-// enforces the policy plumbing rules.
+// exactly what a masked chunk added), the observation scorer survives
+// zero-observed intervals, and the config/runner layer enforces the
+// policy plumbing rules.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +14,6 @@
 #include "ntom/exp/metrics.hpp"
 #include "ntom/exp/runner.hpp"
 #include "ntom/sim/monitor.hpp"
-#include "ntom/sim/truth.hpp"
 
 namespace ntom {
 namespace {
@@ -188,70 +186,6 @@ TEST(MaskedPathsetCounterTest, WindowEqualsFreshCounterAtEveryStep) {
           << "W=" << window << " step " << k;
       EXPECT_EQ(windowed.always_good_paths(), fresh.always_good_paths())
           << "W=" << window << " step " << k;
-    }
-  }
-}
-
-TEST(MaskedEmpiricalTruthTest, TruthStaysFullWhileVisibilityIsTracked) {
-  const topology t = make_topo();
-  empirical_truth truth;
-  truth.begin(t, 4);
-
-  // Mask {path 3} = {link 2}: links 0 and 1 are invisible this chunk.
-  measurement_chunk a;
-  a.first_interval = 0;
-  a.count = 2;
-  a.congested_paths = bit_matrix(2, 4);
-  a.true_links = bit_matrix(2, 3);
-  a.true_links.set(0, 0);  // truly congested while unobservable.
-  a.true_links.set(1, 2);
-  bitvec mask(4);
-  mask.set(3);
-  a.observed_paths = mask;
-  truth.consume(a);
-
-  measurement_chunk b;
-  b.first_interval = 2;
-  b.count = 2;
-  b.congested_paths = bit_matrix(2, 4);
-  b.true_links = bit_matrix(2, 3);
-  b.true_links.set(0, 0);
-  truth.consume(b);
-
-  // Truth counters never qualify with the mask...
-  EXPECT_EQ(truth.congested_count(0), 2u);
-  EXPECT_EQ(truth.congested_count(2), 1u);
-  EXPECT_TRUE(truth.congested_links().test(0));
-  // ...but visibility does: link 0 only in the unmasked chunk, link 2
-  // (covered by observed path 3) in both.
-  EXPECT_EQ(truth.observed_count(0), 2u);
-  EXPECT_EQ(truth.observed_count(2), 4u);
-  EXPECT_DOUBLE_EQ(truth.observed_frequency(2), 1.0);
-}
-
-TEST(MaskedEmpiricalTruthTest, WindowEqualsFreshTruthAtEveryStep) {
-  const topology t = make_topo();
-  const std::vector<measurement_chunk> chunks =
-      make_masked_chunks(8, t.num_paths(), t.num_links());
-
-  const std::size_t window = 3;
-  empirical_truth windowed;
-  windowed.begin(t, 0);
-  std::size_t oldest = 0;
-  for (std::size_t k = 0; k < chunks.size(); ++k) {
-    windowed.consume(chunks[k]);
-    if (k + 1 - oldest > window) windowed.retire(chunks[oldest++]);
-
-    empirical_truth fresh;
-    fresh.begin(t, 0);
-    for (std::size_t i = oldest; i <= k; ++i) fresh.consume(chunks[i]);
-
-    EXPECT_EQ(windowed.intervals(), fresh.intervals()) << "step " << k;
-    for (link_id e = 0; e < t.num_links(); ++e) {
-      EXPECT_EQ(windowed.congested_count(e), fresh.congested_count(e))
-          << "step " << k << " link " << e;
-      EXPECT_EQ(windowed.observed_count(e), fresh.observed_count(e))
-          << "step " << k << " link " << e;
     }
   }
 }

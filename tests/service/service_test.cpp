@@ -193,20 +193,5 @@ TEST(ServiceEpochTest, PosteriorCarriesOverStableLinks) {
   EXPECT_TRUE(any_fitted);
 }
 
-TEST(ServiceTruthTest, WindowedTruthTracksTheWindow) {
-  run_config config = small_config();
-  const run_artifacts run = prepare_topology(config);
-  service_config cfg = small_service(/*window=*/2);
-  cfg.track_truth = true;
-  tomography_service service(cfg);
-  service.begin_epoch(run.topo_ptr);
-  service_ingest_sink sink(service);
-  stream_experiment(run, config, sink);
-
-  ASSERT_NE(service.truth(), nullptr);
-  // Window holds the last 2 of 4 chunks = 100 intervals.
-  EXPECT_EQ(service.truth()->intervals(), 100u);
-}
-
 }  // namespace
 }  // namespace ntom

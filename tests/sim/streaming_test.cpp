@@ -8,7 +8,6 @@
 #include "ntom/sim/monitor.hpp"
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
-#include "ntom/sim/truth.hpp"
 #include "ntom/topogen/brite.hpp"
 #include "ntom/topogen/toy.hpp"
 
@@ -89,23 +88,6 @@ TEST(StreamingEquivalenceTest, PathsetCounterMatchesObservations) {
     for (std::size_t i = 0; i < family.size(); ++i) {
       EXPECT_EQ(counter.counts()[i], view.count_all_good(family[i]))
           << "chunk " << chunk << " set " << family[i].to_string();
-    }
-  }
-}
-
-TEST(StreamingEquivalenceTest, EmpiricalTruthMatchesStore) {
-  const sim_fixture f = make_fixture(100);
-  const experiment_data data = run_experiment(f.topo, f.model, f.sim);
-
-  for (const std::size_t chunk : chunk_sizes) {
-    empirical_truth truth;
-    run_experiment_streaming(f.topo, f.model, f.sim, truth, chunk);
-    EXPECT_EQ(truth.congested_links(), data.ever_congested_links)
-        << "chunk " << chunk;
-    const bit_matrix by_link = data.true_links.transposed();
-    for (link_id e = 0; e < f.topo.num_links(); ++e) {
-      EXPECT_EQ(truth.congested_count(e), by_link.count_row(e))
-          << "chunk " << chunk << " link " << e;
     }
   }
 }
@@ -207,13 +189,11 @@ TEST(StreamingEquivalenceTest, FanoutFeedsAllConsumersOnePass) {
   experiment_data materialized;
   materialize_sink store(materialized);
   pathset_counter counter;
-  empirical_truth truth;
-  fanout_sink fanout({&store, &counter, &truth});
+  fanout_sink fanout({&store, &counter});
   run_experiment_streaming(f.topo, f.model, f.sim, fanout, 7);
 
   EXPECT_TRUE(materialized.path_good == reference.path_good);
   EXPECT_EQ(counter.always_good_paths(), reference.always_good_paths);
-  EXPECT_EQ(truth.congested_links(), reference.ever_congested_links);
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
-// Sliding-window counter correctness: a pathset_counter /
-// empirical_truth that consumed chunks [0, k) and retired chunks
-// [0, j) must hold state bit-identical to a fresh counter fed only
-// chunks [j, k) — retire() subtracts exact integer contributions, so
-// the equality is exact at every step, not just in the limit.
+// Sliding-window counter correctness: a pathset_counter that consumed
+// chunks [0, k) and retired chunks [0, j) must hold state bit-identical
+// to a fresh counter fed only chunks [j, k) — retire() subtracts exact
+// integer contributions, so the equality is exact at every step, not
+// just in the limit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "ntom/sim/monitor.hpp"
-#include "ntom/sim/truth.hpp"
 
 namespace ntom {
 namespace {
@@ -133,36 +132,6 @@ TEST(WindowedPathsetCounterTest, SizedBeginStillRetiresExactly) {
   EXPECT_EQ(counter.counts(), fresh.counts());
   EXPECT_EQ(counter.observed_intervals(), fresh.observed_intervals());
   EXPECT_EQ(counter.always_good_paths(), fresh.always_good_paths());
-}
-
-TEST(WindowedEmpiricalTruthTest, WindowEqualsFreshTruthAtEveryStep) {
-  const topology t = make_topo();
-  const std::vector<measurement_chunk> chunks =
-      make_chunks(7, t.num_paths(), t.num_links());
-
-  const std::size_t window = 3;
-  empirical_truth windowed;
-  windowed.begin(t, 0);
-  std::size_t oldest = 0;
-  for (std::size_t k = 0; k < chunks.size(); ++k) {
-    windowed.consume(chunks[k]);
-    if (k + 1 - oldest > window) windowed.retire(chunks[oldest++]);
-
-    empirical_truth fresh;
-    std::size_t intervals = 0;
-    for (std::size_t i = oldest; i <= k; ++i) intervals += chunks[i].count;
-    fresh.begin(t, intervals);
-    for (std::size_t i = oldest; i <= k; ++i) fresh.consume(chunks[i]);
-    fresh.end();
-
-    EXPECT_EQ(windowed.intervals(), fresh.intervals()) << "step " << k;
-    for (link_id e = 0; e < t.num_links(); ++e) {
-      EXPECT_EQ(windowed.congested_count(e), fresh.congested_count(e))
-          << "step " << k << " link " << e;
-    }
-    EXPECT_EQ(windowed.congested_links(), fresh.congested_links())
-        << "step " << k;
-  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+
+#include "ntom/util/spec.hpp"
 
 namespace ntom {
 namespace {
@@ -134,6 +137,55 @@ TEST(FlagsTest, DoubleRejectsNonNumericAndTrailingGarbage) {
   EXPECT_THROW((void)make({"--frac=0.5x"}).get_double("frac", 0.1),
                flag_error);
   EXPECT_DOUBLE_EQ(make({"--frac=-2.5e-1"}).get_double("frac", 0.1), -0.25);
+}
+
+/// run_cli over `args` with the known list {"seed", "out"}; `body`
+/// decides the outcome.
+int run(std::initializer_list<const char*> args,
+        const std::function<int(const flags&)>& body) {
+  std::vector<const char*> argv{"prog"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  return run_cli(static_cast<int>(argv.size()), argv.data(), {"seed", "out"},
+                 body);
+}
+
+TEST(RunCliTest, KnownFlagsReachTheBody) {
+  EXPECT_EQ(run({"--seed=3", "--out", "x"},
+                [](const flags& f) {
+                  return static_cast<int>(f.get_int("seed", 0)) +
+                         (f.get_string("out", "") == "x" ? 10 : 0);
+                }),
+            13);
+}
+
+TEST(RunCliTest, UnknownFlagExitsTwoBeforeTheBodyRuns) {
+  bool ran = false;
+  testing::internal::CaptureStderr();
+  const int code = run({"--sede=3"}, [&](const flags&) {
+    ran = true;
+    return 0;
+  });
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 2);
+  EXPECT_FALSE(ran);
+  EXPECT_NE(err.find("--sede"), std::string::npos) << err;
+}
+
+TEST(RunCliTest, MapsErrorsToExitCodes) {
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run({"--seed=x"},
+                [](const flags& f) {
+                  return static_cast<int>(f.get_int("seed", 0));
+                }),
+            2);
+  EXPECT_EQ(run({}, [](const flags&) -> int { throw spec_error("bad spec"); }),
+            2);
+  EXPECT_EQ(
+      run({}, [](const flags&) -> int { throw std::runtime_error("io"); }), 1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--seed=x"), std::string::npos) << err;
+  EXPECT_NE(err.find("bad spec"), std::string::npos) << err;
+  EXPECT_NE(err.find("io"), std::string::npos) << err;
 }
 
 }  // namespace
