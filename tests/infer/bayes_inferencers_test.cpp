@@ -1,5 +1,7 @@
 // The two Bayesian algorithms of Fig. 3, fitted and queried through
-// their registry adapters (bayes-indep, bayes-corr).
+// their registry adapters (bayes-indep, bayes-corr), and the output
+// digests that pin every Boolean estimator's per-interval solutions
+// (sparsity included) on the fig3_brite benchmark networks.
 #include <gtest/gtest.h>
 
 #include "ntom/api/estimator.hpp"
@@ -119,10 +121,14 @@ TEST(BayesInferencersTest, Step1Accessible) {
   }
 }
 
-/// FNV-1a over every interval's MAP solution (interval index, then the
+/// FNV-1a over every interval's solution (interval index, then the
 /// congested link ids), so any change in any interval's output shows.
+/// With a non-empty `observed` mask, each interval is queried as a
+/// probe-budget interval: its congested paths are cut to the mask and
+/// passed with it through infer(congested, observed).
 std::uint64_t solution_digest(const estimator& est,
-                              const experiment_data& data) {
+                              const experiment_data& data,
+                              const bitvec& observed) {
   std::uint64_t h = 14695981039346656037ull;
   auto mix = [&](std::uint64_t x) {
     for (int b = 0; b < 8; ++b) {
@@ -132,16 +138,31 @@ std::uint64_t solution_digest(const estimator& est,
   };
   for (std::size_t i = 0; i < data.intervals; ++i) {
     mix(i);
-    est.infer(data.congested_paths_at(i)).for_each(mix);
+    bitvec congested = data.congested_paths_at(i);
+    if (observed.empty()) {
+      est.infer(congested).for_each(mix);
+    } else {
+      congested &= observed;
+      est.infer(congested, observed).for_each(mix);
+    }
   }
   return h;
 }
 
-/// Checks the digest of `name`'s per-interval MAP output on a seeded
-/// Brite run for each scenario of the fig3_brite benchmark workload.
+/// Every other path (0, 2, 4, ...): the fixed mask of the masked pins.
+bitvec every_other_path(const topology& t) {
+  bitvec mask(t.num_paths());
+  for (std::size_t p = 0; p < t.num_paths(); p += 2) mask.set(p);
+  return mask;
+}
+
+/// Checks the digest of `name`'s per-interval output on a seeded Brite
+/// run for each scenario of the fig3_brite benchmark workload, fully
+/// observed or (`masked`) under every_other_path.
 void expect_digests(
     const char* name,
-    const std::vector<std::pair<const char*, std::uint64_t>>& pinned) {
+    const std::vector<std::pair<const char*, std::uint64_t>>& pinned,
+    bool masked = false) {
   for (const auto& [scenario, digest] : pinned) {
     run_config config;
     config.topo = "brite";
@@ -151,7 +172,8 @@ void expect_digests(
     config.sim.intervals = 300;
     const run_artifacts run = prepare_run(config);
     const auto est = fitted(name, run.topo(), run.data);
-    EXPECT_EQ(solution_digest(*est, run.data), digest) << scenario;
+    const bitvec observed = masked ? every_other_path(run.topo()) : bitvec();
+    EXPECT_EQ(solution_digest(*est, run.data, observed), digest) << scenario;
   }
 }
 
@@ -172,6 +194,41 @@ TEST(BayesIndependenceTest, MapOutputDigestPinned) {
                  {{"random_congestion", 16089589956669207991ull},
                   {"no_independence", 6146801809148745488ull},
                   {"no_stationarity", 633630508133682309ull}});
+}
+
+// The pins below were recorded before the per-interval inference
+// loops (observation, greedy covers, MAP moves) stopped copying
+// bitvecs; that rewrite must not change any interval's solution.
+
+TEST(SparsityTest, OutputDigestPinned) {
+  expect_digests("sparsity",
+                 {{"random_congestion", 11577687919996637809ull},
+                  {"no_independence", 1113450855102098503ull},
+                  {"no_stationarity", 7593301062544731048ull}});
+}
+
+TEST(SparsityTest, MaskedOutputDigestPinned) {
+  expect_digests("sparsity",
+                 {{"random_congestion", 9718346276775614205ull},
+                  {"no_independence", 16978032754461900051ull},
+                  {"no_stationarity", 1678705059971766377ull}},
+                 /*masked=*/true);
+}
+
+TEST(BayesIndependenceTest, MaskedOutputDigestPinned) {
+  expect_digests("bayes-indep",
+                 {{"random_congestion", 14965866655813156796ull},
+                  {"no_independence", 2850813214990387521ull},
+                  {"no_stationarity", 3645810186228150827ull}},
+                 /*masked=*/true);
+}
+
+TEST(BayesCorrelationTest, MaskedOutputDigestPinned) {
+  expect_digests("bayes-corr",
+                 {{"random_congestion", 7982095404395813374ull},
+                  {"no_independence", 15647984237417309216ull},
+                  {"no_stationarity", 139185630824451011ull}},
+                 /*masked=*/true);
 }
 
 }  // namespace
