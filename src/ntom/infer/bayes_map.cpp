@@ -44,29 +44,42 @@ bitvec map_independent(const topology& t, const interval_observation& obs,
   });
 
   bitvec uncovered = obs.congested_paths;
-  solution.for_each(
-      [&](std::size_t e) { uncovered.subtract(t.paths_through(static_cast<link_id>(e))); });
+  solution.for_each([&](std::size_t e) {
+    uncovered.subtract(t.paths_through(static_cast<link_id>(e)));
+  });
 
   // Greedy weighted set cover: cost of flipping e from good to
   // congested is log((1-p)/p) > 0; maximize coverage per unit cost.
+  // The costs depend only on p, so they are computed once per call. As
+  // in infer_sparsity, a candidate that covers nothing in one round
+  // (a chosen one included) never covers again and leaves the list.
+  struct candidate {
+    link_id link;
+    double cost;
+  };
+  std::vector<candidate> live;
+  obs.candidate_links.for_each([&](std::size_t le) {
+    const auto e = static_cast<link_id>(le);
+    if (solution.test(e)) return;
+    const double p = clamp_probability(congestion_prob[e]);
+    const double cost = std::log((1.0 - p) / p);  // > 0 since p <= 0.5.
+    live.push_back({e, std::max(cost, 1e-12)});
+  });
   while (!uncovered.empty()) {
     link_id best = 0;
     double best_ratio = -1.0;
-    obs.candidate_links.for_each([&](std::size_t le) {
-      const auto e = static_cast<link_id>(le);
-      if (solution.test(e)) return;
-      bitvec covered = t.paths_through(e);
-      covered &= uncovered;
-      const std::size_t cover = covered.count();
-      if (cover == 0) return;
-      const double p = clamp_probability(congestion_prob[e]);
-      const double cost = std::log((1.0 - p) / p);  // > 0 since p <= 0.5.
-      const double ratio = static_cast<double>(cover) / std::max(cost, 1e-12);
+    std::size_t kept = 0;
+    for (const candidate& c : live) {
+      const std::size_t cover = t.paths_through(c.link).and_count(uncovered);
+      if (cover == 0) continue;
+      live[kept++] = c;
+      const double ratio = static_cast<double>(cover) / c.cost;
       if (ratio > best_ratio) {
         best_ratio = ratio;
-        best = e;
+        best = c.link;
       }
-    });
+    }
+    live.resize(kept);
     if (best_ratio < 0.0) break;  // leftover paths cannot be explained.
     solution.set(best);
     uncovered.subtract(t.paths_through(best));
@@ -89,6 +102,7 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
   // while flipping the pair together is cheap (the paper's {e2,e3}).
   struct move {
     bitvec links;  ///< links to flip congested (within one AS).
+    bitvec paths;  ///< paths through any of `links`, computed once.
     as_id as = 0;
   };
   std::vector<move> moves;
@@ -96,14 +110,15 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
     const auto e = static_cast<link_id>(le);
     bitvec single(t.num_links());
     single.set(e);
-    moves.push_back({std::move(single), t.link(e).as_number});
+    moves.push_back(
+        {std::move(single), t.paths_through(e), t.link(e).as_number});
   });
   const subset_catalog& catalog = estimates.catalog();
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     const bitvec& subset = catalog.subset(i);
     if (subset.count() < 2) continue;
     if (!subset.is_subset_of(cand_by_as[catalog.subset_as(i)])) continue;
-    moves.push_back({subset, catalog.subset_as(i)});
+    moves.push_back({subset, t.paths_of_links(subset), catalog.subset_as(i)});
   }
 
   bitvec solution(t.num_links());
@@ -126,11 +141,13 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
 
   // Score delta of flipping `m.links` to congested, evaluated within
   // the move's correlation set only (other sets are unaffected —
-  // independence across sets).
+  // independence across sets). The two states reuse scratch storage.
+  bitvec congested_before(t.num_links());
+  bitvec congested_after(t.num_links());
   auto delta_of = [&](const move& m) -> double {
-    bitvec congested_before = solution;
+    congested_before = solution;
     congested_before &= cand_by_as[m.as];
-    bitvec congested_after = congested_before;
+    congested_after = congested_before;
     congested_after |= m.links;
     if (congested_after == congested_before) return 0.0;  // no-op.
 
@@ -142,10 +159,9 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
     // whose probability is itself a fallback guess (not estimated by
     // the system) is capped at 1/2 so it can never flip "for free" —
     // it may still be chosen when needed to cover a congested path.
-    bitvec flipped = m.links;
-    flipped.subtract(congested_before);
     double delta = 0.0;
-    flipped.for_each([&](std::size_t e) {
+    m.links.for_each([&](std::size_t e) {
+      if (congested_before.test(e)) return;  // already congested.
       double p = clamp_probability(marginals.congestion[e]);
       if (!marginals.estimated.test(e)) p = std::min(p, 0.5);
       delta += std::log(p) - std::log(1.0 - p);
@@ -167,11 +183,7 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
         // hair-positive delta must not flood the solution.
         if (delta_of(m) > 0.1) {
           solution |= m.links;
-          if (uncovered) {
-            m.links.for_each([&](std::size_t e) {
-              uncovered->subtract(t.paths_through(static_cast<link_id>(e)));
-            });
-          }
+          if (uncovered) uncovered->subtract(m.paths);
           changed = true;
         }
       }
@@ -185,31 +197,32 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
   });
 
   // Phase 2: cover the remaining congested paths, cheapest (in log-
-  // probability loss) coverage per covered path first.
+  // probability loss) coverage per covered path first. The solution
+  // only grows and the uncovered set only shrinks, so a move that is a
+  // no-op or covers nothing stays so and leaves the live list.
+  std::vector<const move*> live;
+  live.reserve(moves.size());
+  for (const move& m : moves) live.push_back(&m);
   while (!uncovered.empty()) {
     const move* best = nullptr;
     double best_ratio = -1.0;
-    for (const move& m : moves) {
-      if (is_noop(m)) continue;
-      bitvec covered(t.num_paths());
-      m.links.for_each([&](std::size_t e) {
-        covered |= t.paths_through(static_cast<link_id>(e));
-      });
-      covered &= uncovered;
-      const std::size_t cover = covered.count();
+    std::size_t kept = 0;
+    for (const move* m : live) {
+      if (is_noop(*m)) continue;
+      const std::size_t cover = m->paths.and_count(uncovered);
       if (cover == 0) continue;
-      const double cost = std::max(-delta_of(m), 1e-12);
+      live[kept++] = m;
+      const double cost = std::max(-delta_of(*m), 1e-12);
       const double ratio = static_cast<double>(cover) / cost;
       if (ratio > best_ratio) {
         best_ratio = ratio;
-        best = &m;
+        best = m;
       }
     }
+    live.resize(kept);
     if (best == nullptr) break;  // leftover paths cannot be explained.
     solution |= best->links;
-    best->links.for_each([&](std::size_t e) {
-      uncovered.subtract(t.paths_through(static_cast<link_id>(e)));
-    });
+    uncovered.subtract(best->paths);
     // A flipped group may make further moves free.
     absorb_positive_moves(&uncovered);
   }

@@ -16,6 +16,22 @@
 //    the greedy evaluates the true score delta of adding a link.
 //    Indistinguishable solutions (Identifiability++ violations) tie and
 //    are broken arbitrarily — the paper's "picks at random".
+//
+// Cost per interval: the independence greedy computes each candidate's
+// log((1-p)/p) once per call and scores a candidate by one fused
+// AND+popcount against the uncovered paths per round. The correlation
+// greedy computes each move's path coverage once per call, scores it by
+// one AND+popcount per round, and evaluates score deltas in two reused
+// scratch sets. Both return the same solutions, bit for bit, as scoring
+// by materialized cover sets; the output digests in
+// tests/infer/bayes_inferencers_test.cpp pin them.
+//
+// Probabilities are clamped to [floor, 1 - floor] first, so exactly 0
+// and 1 give finite logs. With probabilities in [0, 1], both greedies
+// return an empty set when nothing is congested, and an explaining set
+// whenever the candidates can explain the observation. On an unexplainable observation (see
+// observation.hpp) they return their pick among the candidates, which
+// explains_observation rejects.
 #pragma once
 
 #include "ntom/infer/observation.hpp"

@@ -6,6 +6,22 @@
 // must come from the remaining "candidate" links; and every congested
 // path must contain at least one inferred congested link (otherwise the
 // solution could not have produced the observation).
+//
+// Cost per interval: candidates come from the congested paths alone.
+// Their link sets are unioned, and each link of the union is examined
+// once, with one early-exit intersection of its path set against the
+// good paths, so the work grows with the congested paths, not with all
+// P paths. Fully observed intervals then take good_links as
+// covered_links minus the candidates; masked ones union the good
+// paths' links. Every field equals the
+// link-union definition below, bit for bit (the oracle in
+// tests/infer/observation_test.cpp checks all four).
+//
+// An observation can be unexplainable: under probing noise a congested
+// path may have all of its links on good paths, leaving it no
+// candidate. No solution passes explains_observation then; the
+// inference algorithms return what they pick among the candidates for
+// the paths that can be explained.
 #pragma once
 
 #include "ntom/graph/topology.hpp"

@@ -8,6 +8,12 @@
 // directly: when congestion sits at the network edge, a core link shared
 // by many congested paths looks "better" than the several edge links
 // that actually caused the observation.
+//
+// Cost per interval: each greedy round scores every unchosen candidate
+// by one fused AND+popcount of its path set against the uncovered
+// congested paths (no bitvec is built per candidate), so a round is
+// O(candidates x P/64) words. The output is the same as materializing
+// each cover and counting it, bit for bit.
 #pragma once
 
 #include "ntom/infer/observation.hpp"
@@ -15,7 +21,10 @@
 namespace ntom {
 
 /// Infers the congested link set for one interval. Deterministic:
-/// ties are broken toward the lower link id.
+/// ties are broken toward the lower link id. Empty when nothing is
+/// congested. On an unexplainable observation (a congested path with no
+/// candidate link, see observation.hpp) it covers the paths that can be
+/// covered and returns that set, which explains_observation rejects.
 [[nodiscard]] bitvec infer_sparsity(const topology& t,
                                     const interval_observation& obs);
 

@@ -38,6 +38,22 @@ const std::vector<std::uint32_t>& masks_by_popcount(std::size_t k) {
   return masks;
 }
 
+/// Fills `order` with 0..n-1 by weight descending, ties by ascending
+/// index: the order a stable sort by descending weight gives, by one
+/// counting pass, since every weight is at most `max_weight`.
+void order_by_weight_descending(const std::vector<std::size_t>& weights,
+                                std::size_t max_weight,
+                                std::vector<std::size_t>& order) {
+  // start[b]: first slot of bucket b = max_weight - weight.
+  std::vector<std::size_t> start(max_weight + 2, 0);
+  for (const std::size_t w : weights) ++start[max_weight - w + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  order.resize(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    order[start[max_weight - weights[i]]++] = i;
+  }
+}
+
 }  // namespace
 
 pathset_selection select_path_sets(const topology& t,
@@ -109,17 +125,16 @@ pathset_selection select_path_sets(const topology& t,
   // next mask of subset i's walk; the walk never restarts (see the
   // header for why this selects the same rows).
   std::vector<std::size_t> cursor(n1, 0);
+  std::vector<std::size_t> order(n1);
+  std::iota(order.begin(), order.end(), 0);
   while (nsp.cols() > 0) {
     bool found = false;
 
-    std::vector<std::size_t> order(n1);
-    std::iota(order.begin(), order.end(), 0);
+    // A row's Hamming weight counts its nonzero null-space entries, so
+    // it is at most the nullity.
     const std::vector<std::size_t> weights = row_hamming_weights(nsp);
     if (params.sort_by_hamming_weight) {
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return weights[a] > weights[b];
-                       });
+      order_by_weight_descending(weights, nsp.cols(), order);
     }
 
     for (const std::size_t i : order) {

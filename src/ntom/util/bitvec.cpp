@@ -18,16 +18,6 @@ std::size_t bitvec::count() const noexcept {
   return simd::popcount_words(words_.data(), words_.size());
 }
 
-bool bitvec::test(std::size_t i) const noexcept {
-  return (words_[i / 64] >> (i % 64)) & 1ULL;
-}
-
-void bitvec::set(std::size_t i) noexcept { words_[i / 64] |= 1ULL << (i % 64); }
-
-void bitvec::reset(std::size_t i) noexcept {
-  words_[i / 64] &= ~(1ULL << (i % 64));
-}
-
 void bitvec::clear() noexcept { std::fill(words_.begin(), words_.end(), 0ULL); }
 
 bitvec& bitvec::flip() noexcept {

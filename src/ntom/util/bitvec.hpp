@@ -49,9 +49,12 @@ class bitvec {
     return npos;
   }
 
-  [[nodiscard]] bool test(std::size_t i) const noexcept;
-  void set(std::size_t i) noexcept;
-  void reset(std::size_t i) noexcept;
+  // Single-bit access is inline: the inference loops call it per link.
+  [[nodiscard]] bool test(std::size_t i) const noexcept {
+    return (words_[i / 64] >> (i % 64)) & 1ULL;
+  }
+  void set(std::size_t i) noexcept { words_[i / 64] |= 1ULL << (i % 64); }
+  void reset(std::size_t i) noexcept { words_[i / 64] &= ~(1ULL << (i % 64)); }
   void clear() noexcept;
 
   /// Complements every bit (bits beyond size() stay zero).
