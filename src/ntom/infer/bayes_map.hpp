@@ -29,9 +29,9 @@
 // Probabilities are clamped to [floor, 1 - floor] first, so exactly 0
 // and 1 give finite logs. With probabilities in [0, 1], both greedies
 // return an empty set when nothing is congested, and an explaining set
-// whenever the candidates can explain the observation. On an unexplainable observation (see
-// observation.hpp) they return their pick among the candidates, which
-// explains_observation rejects.
+// whenever the candidates can explain the observation. On an
+// unexplainable observation (see observation.hpp) they return their
+// pick among the candidates, which explains_observation rejects.
 #pragma once
 
 #include "ntom/infer/observation.hpp"

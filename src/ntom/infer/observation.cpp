@@ -8,8 +8,7 @@ namespace {
 
 /// The formula both overloads share, once `good_paths` is known: a
 /// link on a congested path is a candidate exactly when no good path
-/// runs through it. Only the congested paths' link sets are unioned;
-/// no link set of a good path is touched.
+/// runs through it, so the candidates need no link set of a good path.
 interval_observation observe(const topology& t, const bitvec& congested_paths,
                              bitvec good_paths) {
   interval_observation obs;

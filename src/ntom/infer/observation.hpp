@@ -13,9 +13,9 @@
 // good paths, so the work grows with the congested paths, not with all
 // P paths. Fully observed intervals then take good_links as
 // covered_links minus the candidates; masked ones union the good
-// paths' links. Every field equals the
-// link-union definition below, bit for bit (the oracle in
-// tests/infer/observation_test.cpp checks all four).
+// paths' links. Every field equals the link-union definition below,
+// bit for bit (the oracle in tests/infer/observation_test.cpp checks
+// all four).
 //
 // An observation can be unexplainable: under probing noise a congested
 // path may have all of its links on good paths, leaving it no

@@ -9,11 +9,11 @@
 // by many congested paths looks "better" than the several edge links
 // that actually caused the observation.
 //
-// Cost per interval: each greedy round scores every unchosen candidate
-// by one fused AND+popcount of its path set against the uncovered
-// congested paths (no bitvec is built per candidate), so a round is
-// O(candidates x P/64) words. The output is the same as materializing
-// each cover and counting it, bit for bit.
+// Cost per interval: each greedy round scores every candidate that can
+// still cover a path by one fused AND+popcount of its path set against
+// the uncovered congested paths (no bitvec is built per candidate), so
+// a round is O(candidates x P/64) words. The output is the same as
+// materializing each cover and counting it, bit for bit.
 #pragma once
 
 #include "ntom/infer/observation.hpp"

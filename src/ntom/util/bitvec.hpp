@@ -49,7 +49,8 @@ class bitvec {
     return npos;
   }
 
-  // Single-bit access is inline: the inference loops call it per link.
+  // Single-bit access is inline: observation, inference and simulation
+  // loops call it per link or path.
   [[nodiscard]] bool test(std::size_t i) const noexcept {
     return (words_[i / 64] >> (i % 64)) & 1ULL;
   }

@@ -22,7 +22,9 @@ struct extreme_probabilities {
 
 std::vector<extreme_probabilities> extremes(const topology& t) {
   std::vector<double> mixed(t.num_links());
-  for (std::size_t e = 0; e < t.num_links(); ++e) mixed[e] = e % 2;
+  for (std::size_t e = 0; e < t.num_links(); ++e) {
+    mixed[e] = static_cast<double>(e % 2);
+  }
   return {{"all 0", std::vector<double>(t.num_links(), 0.0)},
           {"all 1", std::vector<double>(t.num_links(), 1.0)},
           {"odd links 1", mixed}};
