@@ -2,6 +2,8 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "ntom/infer/bayes_map.hpp"
 #include "ntom/infer/observation.hpp"
@@ -431,6 +433,21 @@ std::unique_ptr<estimator> make_estimator(const estimator_spec& s) {
 std::string estimator_label(const estimator_spec& s) {
   if (s.has("label")) return s.get_string("label");
   return estimator_registry().at(s.name()).display;
+}
+
+std::string fit_key(const estimator_spec& s) {
+  // The Bayesian estimators subclass their partner's fit unchanged.
+  static const std::pair<std::string_view, std::string_view> shared[] = {
+      {"bayes-indep", "independence"}, {"bayes-corr", "corr-complete"}};
+  std::string_view name = estimator_registry().resolve(s).name;
+  for (const auto& [member, fit] : shared) {
+    if (name == member) name = fit;
+  }
+  spec key = spec::parse(name);
+  for (const spec_option& o : s.options()) {
+    if (o.key != "label") key = key.with_option(o.key, o.value);
+  }
+  return key.to_string();
 }
 
 }  // namespace ntom

@@ -47,6 +47,12 @@
 //   corr-heuristic  solve_correlation_heuristic on pathset_counter counts
 //   corr-complete   compute_correlation_complete
 //
+// Shared fits: bayes-indep's fit IS independence's, and bayes-corr's IS
+// corr-complete's — the Bayesian estimator adds only the per-interval
+// MAP step, and its links() returns the same bits as its partner's.
+// fit_key() names that relation, so an evaluation that lists both
+// members of a pair (with equal options) fits the model once.
+//
 // evals.cpp drives any estimator list through the chunk protocol, so a
 // new algorithm becomes a registration, not a rewiring of the benches.
 #pragma once
@@ -176,5 +182,19 @@ using estimator_factory =
 /// Series label: the spec's `label` option if present, else the
 /// registered display name ("Sparsity", "Bayes-Corr", ...).
 [[nodiscard]] std::string estimator_label(const estimator_spec& s);
+
+/// The model an estimator fits: the canonical name of the fit followed
+/// by the spec's options, `label` left out ("independence,pairs=100").
+/// bayes-indep maps to independence and bayes-corr to corr-complete;
+/// every other estimator (custom registrations included) maps to its
+/// own canonical name. Options are compared as written, so an explicit
+/// default (`pairs=6000`) keeps its own key.
+///
+/// Contract: two specs share a key only when fitting either one on the
+/// same stream gives the more capable estimator a links() bit-identical
+/// to the other's — so one fitted object can answer for both (its
+/// infer() serves the Boolean member). Throws spec_error like
+/// make_estimator on unknown names or options.
+[[nodiscard]] std::string fit_key(const estimator_spec& s);
 
 }  // namespace ntom

@@ -1,5 +1,7 @@
 #include "ntom/exp/evals.hpp"
 
+#include <atomic>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,7 +38,7 @@ struct fitted_run {
 /// through the chunk protocol (store-bound fits materialize privately
 /// behind it). A pathset_counter with an empty family tracks the
 /// always-good paths. `record` attaches the run's capture to the pass.
-fitted_run fit_run(const std::vector<estimator_spec>& specs,
+fitted_run fit_run(const std::vector<const estimator_spec*>& specs,
                    const run_config& config, const run_artifacts& run,
                    const std::shared_ptr<const partition_plan>& plan,
                    bool record) {
@@ -44,8 +46,8 @@ fitted_run fit_run(const std::vector<estimator_spec>& specs,
   std::vector<estimator_fit_sink> fit_sinks;
   fit_sinks.reserve(specs.size());
   fanout_sink fanout;
-  for (const estimator_spec& s : specs) {
-    out.estimators.push_back(make_run_estimator(s, plan));
+  for (const estimator_spec* s : specs) {
+    out.estimators.push_back(make_run_estimator(*s, plan));
     fit_sinks.emplace_back(*out.estimators.back());
     fanout.add(&fit_sinks.back());
   }
@@ -83,55 +85,68 @@ std::vector<std::string> validated_labels(
   return labels;
 }
 
-/// Per-run values shared by every estimator cell of one run; all are
-/// pure functions of the run, so the once-initialization is only a
-/// compute saving, never a result change.
-struct shared_truth {
+std::vector<measurement> concatenated(
+    std::vector<std::vector<measurement>>& rows) {
+  std::vector<measurement> out;
+  for (std::vector<measurement>& r : rows) {
+    out.insert(out.end(), std::make_move_iterator(r.begin()),
+               std::make_move_iterator(r.end()));
+  }
+  return out;
+}
+
+}  // namespace
+
+/// Per-run values shared by every fit cell of one run; all are pure
+/// functions of the run, so the once-initialization is only a compute
+/// saving, never a result change.
+struct estimator_cells::run_state {
   std::once_flag once;
   std::optional<ground_truth> truth;
   bitvec potcong;
 
   /// The run's partition plan (run_config::part) — a pure function of
-  /// (topology, options), computed by whichever estimator cell needs it
-  /// first and shared by the siblings.
+  /// (topology, options), computed by whichever fit cell needs it first
+  /// and shared by the siblings.
   std::once_flag plan_once;
   std::shared_ptr<const partition_plan> plan;
+
+  /// Rows per estimator: each cell fills its groups' members'
+  /// (disjoint) slots, and the cell that brings `pending` (the run's
+  /// shard count) to zero emits them all in list order.
+  std::vector<std::vector<measurement>> rows;
+  std::atomic<std::size_t> pending{0};
 };
 
-/// Fits and scores an estimator subset on one prepared run — the unit
-/// both the whole-run evaluation and the per-estimator cells share, so
-/// shard concatenation is the unsharded row sequence by construction.
-/// `shared` is the run's shared_truth. `first_shard` marks the
-/// evaluation that records a capture no materialize pass did.
-std::vector<measurement> eval_estimators(
-    const std::vector<estimator_spec>& estimators,
-    const std::vector<std::string>& labels,
-    const estimator_eval_options& options, const run_config& config,
-    const run_artifacts& run, shared_truth& shared, bool first_shard) {
+void estimator_cells::eval_groups(std::size_t first, std::size_t last,
+                                  const run_config& config,
+                                  const run_artifacts& run, run_state& shared,
+                                  bool first_shard) const {
   if (config.part.mode != partition_mode::none) {
     std::call_once(shared.plan_once, [&] {
       shared.plan = std::make_shared<const partition_plan>(
           make_partition(run.topo(), config.part));
     });
   }
+  std::vector<const estimator_spec*> specs;
+  for (std::size_t g = first; g < last; ++g) {
+    specs.push_back(&estimators_[groups_[g].representative]);
+  }
   const bool record = first_shard && !run.materialized();
-  const fitted_run fitted =
-      fit_run(estimators, config, run, shared.plan, record);
+  const fitted_run fitted = fit_run(specs, config, run, shared.plan, record);
 
-  // Fig. 3 metrics per Boolean-capable estimator: one more pass scores
-  // every Boolean estimator with O(chunk) memory. A replayed dataset
+  // Fig. 3 metrics per Boolean-capable fit: one more pass scores every
+  // Boolean representative with O(chunk) memory. A replayed dataset
   // without a ground-truth plane scores observation-only instead (the
   // truth matrices would be all-zero).
   const bool truthless = !run.has_truth();
-  std::vector<std::optional<inference_metrics>> boolean_metrics(
-      fitted.estimators.size());
-  std::vector<std::optional<observation_metrics>> obs_metrics(
-      fitted.estimators.size());
+  std::vector<std::optional<inference_metrics>> boolean_metrics(specs.size());
+  std::vector<std::optional<observation_metrics>> obs_metrics(specs.size());
   std::vector<std::size_t> boolean_index;
-  if (options.boolean_metrics) {
-    for (std::size_t i = 0; i < fitted.estimators.size(); ++i) {
-      if (fitted.estimators[i]->caps().boolean_inference) {
-        boolean_index.push_back(i);
+  if (options_.boolean_metrics) {
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      if (caps_[groups_[first + k].representative].boolean_inference) {
+        boolean_index.push_back(k);
       }
     }
   }
@@ -141,8 +156,8 @@ std::vector<measurement> eval_estimators(
     truth_scorers.reserve(boolean_index.size());
     obs_scorers.reserve(boolean_index.size());
     fanout_sink fanout;
-    for (const std::size_t i : boolean_index) {
-      const estimator& est = *fitted.estimators[i];
+    for (const std::size_t k : boolean_index) {
+      const estimator& est = *fitted.estimators[k];
       auto infer = [&est](const bitvec& congested, const bitvec& observed) {
         return est.infer(congested, observed);
       };
@@ -164,76 +179,97 @@ std::vector<measurement> eval_estimators(
     }
   }
 
-  std::vector<measurement> out;
-  for (std::size_t i = 0; i < fitted.estimators.size(); ++i) {
-    if (boolean_metrics[i]) {
-      const auto rows = inference_measurements(labels[i], *boolean_metrics[i]);
-      out.insert(out.end(), rows.begin(), rows.end());
-    }
-    if (obs_metrics[i]) {
-      const auto rows = observation_measurements(labels[i], *obs_metrics[i]);
-      out.insert(out.end(), rows.begin(), rows.end());
-    }
-    // Link-error metrics need the analytic ground truth, which replayed
-    // runs do not have (the dataset records states, not the model).
-    if (options.link_error_metrics && !run.replayed() &&
-        fitted.estimators[i]->caps().link_estimation) {
-      // Ground truth and the potentially-congested set are shared by
-      // all link-error series of the run; computed once, when needed.
-      std::call_once(shared.once, [&] {
-        shared.truth.emplace(run.make_truth(config.sim.intervals));
-        shared.potcong =
-            potentially_congested_links(run.topo(), fitted.always_good_paths);
-      });
-      out.push_back(
-          {labels[i], "mean_abs_error",
-           mean_of(link_absolute_errors(run.topo(), *shared.truth,
-                                        fitted.estimators[i]->links(),
-                                        shared.potcong))});
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const estimator& est = *fitted.estimators[k];
+    for (const std::size_t i : groups_[first + k].members) {
+      std::vector<measurement>& out = shared.rows[i];
+      if (caps_[i].boolean_inference && boolean_metrics[k]) {
+        out = inference_measurements(labels_[i], *boolean_metrics[k]);
+      } else if (caps_[i].boolean_inference && obs_metrics[k]) {
+        out = observation_measurements(labels_[i], *obs_metrics[k]);
+      }
+      // Link-error metrics need the analytic ground truth, which
+      // replayed runs do not have (the dataset records states, not the
+      // model).
+      if (options_.link_error_metrics && !run.replayed() &&
+          caps_[i].link_estimation) {
+        // Ground truth and the potentially-congested set are shared by
+        // all link-error series of the run; computed once, when needed.
+        std::call_once(shared.once, [&] {
+          shared.truth.emplace(run.make_truth(config.sim.intervals));
+          shared.potcong =
+              potentially_congested_links(run.topo(), fitted.always_good_paths);
+        });
+        out.push_back(
+            {labels_[i], "mean_abs_error",
+             mean_of(link_absolute_errors(run.topo(), *shared.truth,
+                                          est.links(), shared.potcong))});
+      }
     }
   }
-  return out;
 }
-
-}  // namespace
 
 estimator_cells::estimator_cells(std::vector<estimator_spec> estimators,
                                  estimator_eval_options options)
     : estimators_(std::move(estimators)),
       labels_(validated_labels(estimators_)),
-      options_(options) {}
+      options_(options) {
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < estimators_.size(); ++i) {
+    caps_.push_back(make_estimator(estimators_[i])->caps());
+    const std::string key = fit_key(estimators_[i]);
+    std::size_t g = 0;
+    while (g < keys.size() && keys[g] != key) ++g;
+    if (g == keys.size()) {
+      keys.push_back(key);
+      groups_.push_back({i, {}});
+    }
+    fit_group& group = groups_[g];
+    group.members.push_back(i);
+    if (caps_[i].boolean_inference &&
+        !caps_[group.representative].boolean_inference) {
+      group.representative = i;
+    }
+  }
+}
 
 std::size_t estimator_cells::shards(const run_config& config) const {
-  // Streamed runs fit every estimator from one pass — splitting them
-  // would trade the shared pass for per-estimator re-simulations.
-  if (config.stream.enabled || estimators_.empty()) return 1;
-  return estimators_.size();
+  // Streamed runs fit every model from one pass — splitting them would
+  // trade the shared pass for per-fit re-simulations.
+  if (config.stream.enabled || groups_.empty()) return 1;
+  return groups_.size();
 }
 
 std::shared_ptr<void> estimator_cells::make_run_state(
     const run_config& config, const run_artifacts& run) const {
-  (void)config;
   (void)run;
-  return std::make_shared<shared_truth>();
+  auto state = std::make_shared<run_state>();
+  state->rows.resize(estimators_.size());
+  state->pending.store(shards(config));
+  return state;
 }
 
 std::vector<measurement> estimator_cells::eval_cell(
     const run_config& config, const run_artifacts& run, void* run_state,
     std::size_t shard) const {
-  shared_truth& shared = *static_cast<shared_truth*>(run_state);
+  auto& shared = *static_cast<estimator_cells::run_state*>(run_state);
   if (shards(config) == 1) {
-    return eval_estimators(estimators_, labels_, options_, config, run,
-                           shared, true);
+    eval_groups(0, groups_.size(), config, run, shared, true);
+  } else {
+    eval_groups(shard, shard + 1, config, run, shared, shard == 0);
   }
-  return eval_estimators({estimators_[shard]}, {labels_[shard]}, options_,
-                         config, run, shared, shard == 0);
+  // The acq_rel decrement orders every sibling's row writes before the
+  // last cell's reads.
+  if (shared.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return {};
+  return concatenated(shared.rows);
 }
 
 std::vector<measurement> estimator_cells::eval_all(
     const run_config& config, const run_artifacts& run) const {
-  shared_truth shared;
-  return eval_estimators(estimators_, labels_, options_, config, run, shared,
-                         true);
+  run_state shared;
+  shared.rows.resize(estimators_.size());
+  eval_groups(0, groups_.size(), config, run, shared, true);
+  return concatenated(shared.rows);
 }
 
 }  // namespace ntom

@@ -1,12 +1,13 @@
 // The sharded grid scheduler: work-stealing execution of a batch over
-// (topology x scenario x estimator x replica) cells, sharing one
+// (topology x scenario x fit x replica) cells, sharing one
 // read-only topology per (spec, topo_seed) group.
 //
 // run_grid is the one way to run a batch. An evaluator splits each run
-// into cells (estimator_cells in exp/evals.hpp: one per estimator of a
-// materialized run), and every cell is scheduled on its own, so a
-// heavyweight estimator never serializes the rest of its run behind one
-// worker.
+// into cells (estimator_cells in exp/evals.hpp: one per distinct fit of
+// a materialized run — Bayes-Indep shares Independence's fit and cell,
+// Bayes-Corr shares Corr-complete's), and every cell is scheduled on
+// its own, so a heavyweight fit never serializes the rest of its run
+// behind one worker.
 //
 // Determinism contract: per-run RNG seeds derive from (base_seed, run
 // index) before any scheduling happens, cells of a run reassemble their

@@ -90,10 +90,18 @@ bitvec map_independent(const topology& t, const interval_observation& obs,
 bitvec map_correlated(const topology& t, const interval_observation& obs,
                       const probability_estimates& estimates,
                       const link_estimates& marginals) {
-  // Per-AS candidate sets.
+  // Per-AS candidate sets, over the link universe and as an ascending
+  // list: a candidate's position in its AS's list is its local index,
+  // so an AS's part of a state is a mask over a few bits, not over
+  // every link. Local order is global order within an AS.
   std::vector<bitvec> cand_by_as(t.num_ases(), bitvec(t.num_links()));
+  std::vector<std::vector<link_id>> local_links(t.num_ases());
+  std::vector<std::size_t> local_index(t.num_links());
   obs.candidate_links.for_each([&](std::size_t e) {
-    cand_by_as[t.link(static_cast<link_id>(e)).as_number].set(e);
+    const as_id a = t.link(static_cast<link_id>(e)).as_number;
+    cand_by_as[a].set(e);
+    local_index[e] = local_links[a].size();
+    local_links[a].push_back(static_cast<link_id>(e));
   });
 
   // Candidate moves: single links, plus whole correlation subsets of
@@ -102,36 +110,60 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
   // while flipping the pair together is cheap (the paper's {e2,e3}).
   struct move {
     bitvec links;  ///< links to flip congested (within one AS).
+    bitvec local;  ///< the same links as a mask over the AS's local index.
     bitvec paths;  ///< paths through any of `links`, computed once.
     as_id as = 0;
+  };
+  auto local_mask = [&](as_id a, const bitvec& links) {
+    bitvec local(local_links[a].size());
+    links.for_each([&](std::size_t e) { local.set(local_index[e]); });
+    return local;
   };
   std::vector<move> moves;
   obs.candidate_links.for_each([&](std::size_t le) {
     const auto e = static_cast<link_id>(le);
+    const as_id a = t.link(e).as_number;
     bitvec single(t.num_links());
     single.set(e);
-    moves.push_back(
-        {std::move(single), t.paths_through(e), t.link(e).as_number});
+    bitvec local = local_mask(a, single);
+    moves.push_back({std::move(single), std::move(local), t.paths_through(e),
+                     a});
   });
   const subset_catalog& catalog = estimates.catalog();
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     const bitvec& subset = catalog.subset(i);
+    const as_id a = catalog.subset_as(i);
     if (subset.count() < 2) continue;
-    if (!subset.is_subset_of(cand_by_as[catalog.subset_as(i)])) continue;
-    moves.push_back({subset, t.paths_of_links(subset), catalog.subset_as(i)});
+    if (!subset.is_subset_of(cand_by_as[a])) continue;
+    moves.push_back({subset, local_mask(a, subset), t.paths_of_links(subset),
+                     a});
   }
 
+  // The solution, and its part in each AS as a local mask (every link
+  // of the solution is a candidate: only moves add to it).
   bitvec solution(t.num_links());
+  std::vector<bitvec> solution_by_as;
+  solution_by_as.reserve(t.num_ases());
+  for (const std::vector<link_id>& links : local_links) {
+    solution_by_as.emplace_back(links.size());
+  }
+  auto apply = [&](const move& m) {
+    solution |= m.links;
+    solution_by_as[m.as] |= m.local;
+  };
 
-  // State log-probabilities of this interval, keyed by (AS, congested
-  // set): the AS's good set is its candidates minus the congested ones.
-  // as_state_log_probability is a pure function of the estimates, so a
-  // hit returns exactly what a recomputation would.
+  // State log-probabilities of this interval, keyed by (AS, local mask
+  // of the congested set): the AS's good set is its candidates minus
+  // the congested ones. as_state_log_probability is a pure function of
+  // the estimates, so a hit returns exactly what a recomputation would.
   std::vector<std::unordered_map<bitvec, std::optional<double>, bitvec_hash>>
       memo(t.num_ases());
-  auto state_log_probability = [&](as_id a, const bitvec& congested) {
-    auto [it, inserted] = memo[a].try_emplace(congested);
+  auto state_log_probability = [&](as_id a, const bitvec& local) {
+    auto [it, inserted] = memo[a].try_emplace(local);
     if (inserted) {
+      bitvec congested(t.num_links());
+      local.for_each(
+          [&](std::size_t i) { congested.set(local_links[a][i]); });
       bitvec good = cand_by_as[a];
       good.subtract(congested);
       it->second = as_state_log_probability(estimates, congested, good);
@@ -141,14 +173,12 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
 
   // Score delta of flipping `m.links` to congested, evaluated within
   // the move's correlation set only (other sets are unaffected —
-  // independence across sets). The two states reuse scratch storage.
-  bitvec congested_before(t.num_links());
-  bitvec congested_after(t.num_links());
+  // independence across sets). The after-state reuses scratch storage.
+  bitvec congested_after;
   auto delta_of = [&](const move& m) -> double {
-    congested_before = solution;
-    congested_before &= cand_by_as[m.as];
+    const bitvec& congested_before = solution_by_as[m.as];
     congested_after = congested_before;
-    congested_after |= m.links;
+    congested_after |= m.local;
     if (congested_after == congested_before) return 0.0;  // no-op.
 
     const auto before = state_log_probability(m.as, congested_before);
@@ -160,8 +190,9 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
     // the system) is capped at 1/2 so it can never flip "for free" —
     // it may still be chosen when needed to cover a congested path.
     double delta = 0.0;
-    m.links.for_each([&](std::size_t e) {
-      if (congested_before.test(e)) return;  // already congested.
+    m.local.for_each([&](std::size_t i) {
+      if (congested_before.test(i)) return;  // already congested.
+      const link_id e = local_links[m.as][i];
       double p = clamp_probability(marginals.congestion[e]);
       if (!marginals.estimated.test(e)) p = std::min(p, 0.5);
       delta += std::log(p) - std::log(1.0 - p);
@@ -169,7 +200,9 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
     return delta;
   };
 
-  auto is_noop = [&](const move& m) { return m.links.is_subset_of(solution); };
+  auto is_noop = [&](const move& m) {
+    return m.local.is_subset_of(solution_by_as[m.as]);
+  };
 
   // Phase 1: moves that increase the probability by themselves (e.g.
   // completing a strongly correlated group). Iterate to a fixpoint.
@@ -182,7 +215,7 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
         // Small positive threshold: with noisy estimates a spurious
         // hair-positive delta must not flood the solution.
         if (delta_of(m) > 0.1) {
-          solution |= m.links;
+          apply(m);
           if (uncovered) uncovered->subtract(m.paths);
           changed = true;
         }
@@ -221,7 +254,7 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
     }
     live.resize(kept);
     if (best == nullptr) break;  // leftover paths cannot be explained.
-    solution |= best->links;
+    apply(*best);
     uncovered.subtract(best->paths);
     // A flipped group may make further moves free.
     absorb_positive_moves(&uncovered);

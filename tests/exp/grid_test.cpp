@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ntom/api/experiment.hpp"
 #include "ntom/exp/evals.hpp"
+#include "ntom/part/partition.hpp"
 
 namespace ntom {
 namespace {
@@ -131,7 +134,8 @@ TEST(GridSchedulerTest, StreamedRunsStayOneCellAndMatch) {
 
 TEST(GridSchedulerTest, ShardedRowsEqualTheUnshardedEvaluation) {
   // Boolean-only, link-only and dual-capability estimators, so every
-  // run splits into 3 cells emitting both metric families.
+  // run emits both metric families. Bayes-Indep shares Independence's
+  // fit, so a run splits into 2 cells.
   const std::vector<estimator_spec> estimators = {"sparsity", "independence",
                                                   "bayes-indep"};
   const estimator_eval_options options{.boolean_metrics = true,
@@ -140,7 +144,7 @@ TEST(GridSchedulerTest, ShardedRowsEqualTheUnshardedEvaluation) {
   const batch_params params{.threads = 4, .base_seed = 9};
   grid_stats stats;
   const batch_report report = exp.run(params, &stats);
-  EXPECT_EQ(stats.cells, 3 * stats.runs);
+  EXPECT_EQ(stats.cells, 2 * stats.runs);
 
   const std::vector<run_spec> specs = exp.specs();
   const estimator_cells cells(estimators, options);
@@ -165,6 +169,125 @@ TEST(GridSchedulerTest, ShardedRowsEqualTheUnshardedEvaluation) {
     }
     EXPECT_TRUE(boolean && link_error) << "run " << i;
   }
+}
+
+// Shared fits: one estimator_cells over a combined list must emit, run
+// by run, exactly the rows of one single-estimator estimator_cells per
+// list entry, concatenated in list order — the single-estimator cells
+// fit every estimator on its own, so they are the oracle for sharing.
+std::size_t distinct_fit_keys(const std::vector<estimator_spec>& list) {
+  std::set<std::string> keys;
+  for (const estimator_spec& s : list) keys.insert(fit_key(s));
+  return keys.size();
+}
+
+void expect_shared_fit_rows(const experiment& exp,
+                            const std::vector<estimator_spec>& list,
+                            const estimator_eval_options& options,
+                            std::size_t expected_cells_per_run) {
+  const std::vector<run_spec> specs = exp.specs();
+  const batch_params params{.threads = 4, .base_seed = 17};
+  grid_stats stats;
+  const batch_report combined =
+      run_grid(specs, estimator_cells(list, options), params, &stats);
+  EXPECT_EQ(stats.runs, specs.size());
+  EXPECT_EQ(stats.cells, expected_cells_per_run * stats.runs);
+
+  std::vector<std::vector<measurement>> oracle(specs.size());
+  for (const estimator_spec& s : list) {
+    const batch_report single =
+        run_grid(specs, estimator_cells({s}, options), params);
+    for (std::size_t r = 0; r < specs.size(); ++r) {
+      const std::vector<measurement>& rows = single.runs()[r].measurements;
+      oracle[r].insert(oracle[r].end(), rows.begin(), rows.end());
+    }
+  }
+  ASSERT_EQ(combined.runs().size(), specs.size());
+  for (std::size_t r = 0; r < specs.size(); ++r) {
+    const std::vector<measurement>& rows = combined.runs()[r].measurements;
+    ASSERT_EQ(rows.size(), oracle[r].size()) << "run " << r;
+    ASSERT_FALSE(rows.empty()) << "run " << r;
+    for (std::size_t m = 0; m < rows.size(); ++m) {
+      EXPECT_EQ(rows[m].series, oracle[r][m].series) << "run " << r;
+      EXPECT_EQ(rows[m].metric, oracle[r][m].metric) << "run " << r;
+      EXPECT_EQ(rows[m].value, oracle[r][m].value)  // bitwise.
+          << "run " << r << " " << rows[m].series << "/" << rows[m].metric;
+    }
+  }
+}
+
+// Both built-in pairs, listed non-adjacently (the README's sweep order),
+// and again with each pair's link-only member first: a key's fit must
+// come from its Boolean member wherever that is listed.
+const std::vector<estimator_spec> both_pairs = {
+    "sparsity", "bayes-indep", "bayes-corr", "independence", "corr-complete"};
+const std::vector<estimator_spec> both_pairs_link_first = {
+    "independence", "corr-complete", "sparsity", "bayes-indep", "bayes-corr"};
+
+const estimator_eval_options all_metrics{.boolean_metrics = true,
+                                         .link_error_metrics = true};
+
+TEST(GridSchedulerTest, SharedFitKeysPairTheBayesianEstimators) {
+  EXPECT_EQ(fit_key("bayes-indep"), fit_key("independence"));
+  EXPECT_EQ(fit_key("clink,label=CLINK"), fit_key("independence"));
+  EXPECT_EQ(fit_key("bayes-corr"), fit_key("corr-complete"));
+  EXPECT_EQ(fit_key("bayes-corr,min_all_good=5"),
+            fit_key("corr-complete,min_all_good=5"));
+  EXPECT_NE(fit_key("independence,pairs=100"), fit_key("bayes-indep"));
+  EXPECT_NE(fit_key("independence,pairs=6000"), fit_key("independence"));
+  EXPECT_NE(fit_key("bayes-indep"), fit_key("bayes-corr"));
+  EXPECT_NE(fit_key("sparsity"), fit_key("independence"));
+  EXPECT_NE(fit_key("corr-heuristic"), fit_key("corr-complete"));
+  EXPECT_EQ(distinct_fit_keys(both_pairs), 3u);
+  EXPECT_THROW((void)fit_key("no-such-estimator"), spec_error);
+}
+
+TEST(GridSchedulerTest, SharedFitRowsEqualPerEstimatorFitsMaterialized) {
+  expect_shared_fit_rows(small_grid(false, both_pairs), both_pairs,
+                         all_metrics, 3);
+}
+
+TEST(GridSchedulerTest, SharedFitRowsEqualPerEstimatorFitsLinkFirst) {
+  expect_shared_fit_rows(small_grid(false, both_pairs_link_first),
+                         both_pairs_link_first, all_metrics, 3);
+}
+
+TEST(GridSchedulerTest, SharedFitRowsEqualPerEstimatorFitsStreamed) {
+  expect_shared_fit_rows(small_grid(true, both_pairs_link_first),
+                         both_pairs_link_first, all_metrics, 1);
+}
+
+TEST(GridSchedulerTest, SharedFitRowsEqualPerEstimatorFitsPartitioned) {
+  experiment exp = small_grid(false, both_pairs);
+  const partition_options part{.mode = partition_mode::bicomp,
+                               .max_cell_links = 24};
+  exp.with_partitioning(part);
+  // The oracle only means something if the runs really partition.
+  const run_config config = exp.specs().front().config;
+  EXPECT_FALSE(make_partition(make_topology(config.topo, config.topo_seed),
+                              part)
+                   .trivial());
+  expect_shared_fit_rows(exp, both_pairs, all_metrics, 3);
+}
+
+TEST(GridSchedulerTest, SharedFitRowsEqualPerEstimatorFitsMasked) {
+  // Probe budgets force streamed runs and reject the store-bound pair,
+  // so the masked case covers the Independence pair, non-adjacent.
+  const std::vector<estimator_spec> list = {"independence", "sparsity",
+                                            "bayes-indep"};
+  experiment exp = small_grid(false, list);
+  exp.with_policy("uniform,frac=0.5,seed=3");
+  ASSERT_FALSE(exp.specs().front().config.plan.policy.empty());
+  expect_shared_fit_rows(exp, list, all_metrics, 1);
+}
+
+TEST(GridSchedulerTest, SharedFitNeedsEqualOptions) {
+  // pairs=100 changes the Independence system, so it must not share
+  // Bayes-Indep's default fit: three keys, three cells per run.
+  const std::vector<estimator_spec> list = {"independence,pairs=100",
+                                            "bayes-indep", "sparsity"};
+  EXPECT_EQ(distinct_fit_keys(list), 3u);
+  expect_shared_fit_rows(small_grid(false, list), list, all_metrics, 3);
 }
 
 TEST(GridSchedulerTest, EvalExceptionsPropagate) {
