@@ -5,14 +5,19 @@
 // Algorithm 1), and least-squares / minimum-norm solves of the log-domain
 // equation systems.
 //
-// The kernel never forms Q and walks R in row order: per reflector, a
-// dot pass and an update pass over the rows with a nonzero pivot-column
-// entry, each row one simd::axpy. Each element of R and of Q^T b sees
-// the same multiplies and adds in the same order as in the column-order
-// loop kept as the test oracle (tests/linalg/qr_reference.cpp), so the
-// results compare equal (==) to it at every SIMD level; skipped zero
-// terms and the zeros left below the diagonal may differ from it only
-// in the sign of an exact zero.
+// The kernel never forms Q and walks R in row order, once per
+// reflector: one strided pass swaps in the pivot column and reads
+// reflector k off it, then one walk over the rows of reflectors k-1 and
+// k (simd::reflect_rows) applies k-1 to each row and adds the updated
+// row into k's dot in the same pass; the first reflector, and one after
+// a skipped reflector, walk its rows for the dot alone. Each element of
+// R and of Q^T b sees the same multiplies and adds in the same order as
+// in the column-order loop kept as the test oracle
+// (tests/linalg/qr_reference.cpp), so the results compare equal (==) to
+// it at every SIMD level; skipped zero terms and the zeros left below
+// the diagonal may differ from it only in the sign of an exact zero.
+// The cost is one pass over the touched rows per reflector, where a dot
+// pass and an update pass took two.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "ntom/linalg/solve.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "ntom/linalg/nullspace.hpp"
 #include "ntom/linalg/qr.hpp"
@@ -29,10 +28,7 @@ lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
   lstsq_result out;
   out.x.assign(n, 0.0);
   out.identifiable = bitvec(n);
-  if (a.empty()) {
-    out.residual_norm = norm2(b);
-    return out;
-  }
+  if (a.empty()) return out;
 
   // One Q-free factorization feeds the whole solve: the reflectors are
   // applied to b as they are formed (c = Q^T b) and the same R/perm/rank
@@ -74,13 +70,6 @@ lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
     }
   }
   out.identifiable = identifiable_coordinates(nsp);
-
-  const std::vector<double> ax = a.multiply(out.x);
-  double res = 0.0;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    res += (ax[i] - b[i]) * (ax[i] - b[i]);
-  }
-  out.residual_norm = std::sqrt(res);
   return out;
 }
 

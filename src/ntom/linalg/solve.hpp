@@ -17,10 +17,9 @@ namespace ntom {
 
 /// Solution of a (possibly rank-deficient) least-squares problem.
 struct lstsq_result {
-  std::vector<double> x;       ///< minimum-norm least-squares solution.
-  std::size_t rank = 0;        ///< numerical rank of A.
-  double residual_norm = 0.0;  ///< ||A x - b||_2.
-  bitvec identifiable;         ///< per-coordinate: determined by A?
+  std::vector<double> x;  ///< minimum-norm least-squares solution.
+  std::size_t rank = 0;   ///< numerical rank of A.
+  bitvec identifiable;    ///< per-coordinate: determined by A?
 };
 
 /// Minimum-norm least-squares solve of A x = b via column-pivoted QR on A

@@ -47,7 +47,6 @@ correlation_complete_result compute_correlation_complete(
 
   const lstsq_result solution = solve_least_squares(a, b);
   result.system_rank = solution.rank;
-  result.residual_norm = solution.residual_norm;
 
   for (std::size_t i = 0; i < solution.x.size(); ++i) {
     // x_i = log g(E_i); identifiability per the solved system's null

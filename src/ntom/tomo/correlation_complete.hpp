@@ -32,7 +32,6 @@ struct correlation_complete_result {
   probability_estimates estimates;
   std::size_t equations_used = 0;   ///< |Pˆ|.
   std::size_t system_rank = 0;
-  double residual_norm = 0.0;       ///< least-squares residual (log domain).
   std::size_t seed_equations = 0;   ///< from Algorithm 1 step 1.
   std::size_t added_equations = 0;  ///< from Algorithm 1 step 3.
 };

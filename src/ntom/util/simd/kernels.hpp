@@ -4,7 +4,10 @@
 // (kernels_avx2.cpp, kernels_avx512.cpp) are compiled with the matching
 // -m flags and expose their table through a factory that returns
 // nullptr when the build targets a toolchain or architecture without
-// that ISA — runtime cpuid gating happens in simd.cpp on top.
+// that ISA — runtime cpuid gating happens in simd.cpp on top. Every
+// rung has its own bit kernels, QR row walk (8 lanes at avx512, 4 at
+// avx2) and xoshiro count kernel; popcnt reuses the scalar row walk
+// and xoshiro loop.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +24,8 @@ struct kernel_table {
   std::size_t (*popcount_andnot)(const std::uint64_t*, const std::uint64_t*,
                                  std::size_t);
   void (*or_accumulate)(std::uint64_t*, const std::uint64_t*, std::size_t);
-  void (*axpy_f64)(double*, double, const double*, std::size_t);
+  void (*reflect_rows)(double* const*, std::size_t, const double*,
+                       const double*, const double*, double*, std::size_t);
   void (*xoshiro_count_below)(std::uint64_t*, const std::uint64_t*,
                               std::size_t, std::uint64_t*);
 };
@@ -38,12 +42,6 @@ struct kernel_table {
 /// compiler without the -m flag).
 [[nodiscard]] const kernel_table* avx2_table() noexcept;
 [[nodiscard]] const kernel_table* avx512_table() noexcept;
-
-/// The 4-lane float axpy, shared by the avx2 and avx512 tables. Only
-/// defined when avx2_table() is non-null; the avx512 table is only
-/// built in that case.
-void axpy_f64_avx2(double* y, double a, const double* x,
-                   std::size_t n) noexcept;
 
 /// CLMUL-folded CRC-32 core: advances the raw (pre-conditioned) CRC
 /// register over `len` bytes of `data`, where `len` is a non-zero

@@ -2,10 +2,10 @@
 // style). Sixteen 256-bit lanes per iteration feed a carry-save adder
 // network so only one in sixteen vectors pays the VPSHUFB
 // nibble-lookup popcount; the ones/twos/fours/eights residues are
-// folded in after the main loop with their binary weights. The float
-// axpy is a plain 4-lane multiply-then-add loop, and the xoshiro count
-// kernel steps eight generators as two interleaved groups of four
-// 64-bit lanes.
+// folded in after the main loop with their binary weights. The QR row
+// walk is a 4-lane multiply-then-add loop blocked over four rows, and
+// the xoshiro count kernel steps eight generators as two interleaved
+// groups of four 64-bit lanes.
 //
 // Compiled with -mavx2 (set per-file by CMakeLists.txt); selected at
 // runtime only when cpuid reports AVX2, so the rest of the library
@@ -214,26 +214,85 @@ void xoshiro_count_below_avx2(std::uint64_t* state,
   hi.store(state + 4, counts + 4);
 }
 
+// QR row walk (simd::reflect_rows), `Block` rows at a time: per 4-lane
+// column chunk, x and the running y stay in registers across the
+// block's rows, so y is loaded and stored once per block rather than
+// once per row. Separate VMULPD and VADDPD (the build turns FP
+// contraction off), and every element sees the rows in the given order,
+// as in the scalar loop.
+template <bool Update, bool Dot, std::size_t Block>
+void reflect_block_avx2(double* const* rows, const double* a,
+                        const double* x, const double* b, double* y,
+                        std::size_t n) noexcept {
+  __m256d av[Block];
+  __m256d bv[Block];
+  for (std::size_t q = 0; q < Block; ++q) {
+    if constexpr (Update) av[q] = _mm256_set1_pd(a[q]);
+    if constexpr (Dot) bv[q] = _mm256_set1_pd(b[q]);
+  }
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    __m256d xs = _mm256_setzero_pd();
+    __m256d acc = _mm256_setzero_pd();
+    if constexpr (Update) xs = _mm256_loadu_pd(x + j);
+    if constexpr (Dot) acc = _mm256_loadu_pd(y + j);
+    for (std::size_t q = 0; q < Block; ++q) {
+      __m256d v = _mm256_loadu_pd(rows[q] + j);
+      if constexpr (Update) {
+        v = _mm256_add_pd(v, _mm256_mul_pd(av[q], xs));
+        _mm256_storeu_pd(rows[q] + j, v);
+      }
+      if constexpr (Dot) acc = _mm256_add_pd(acc, _mm256_mul_pd(bv[q], v));
+    }
+    if constexpr (Dot) _mm256_storeu_pd(y + j, acc);
+  }
+  for (; j < n; ++j) {
+    double yj = 0.0;
+    if constexpr (Dot) yj = y[j];
+    for (std::size_t q = 0; q < Block; ++q) {
+      double v = rows[q][j];
+      if constexpr (Update) {
+        v = v + a[q] * x[j];
+        rows[q][j] = v;
+      }
+      if constexpr (Dot) yj = yj + b[q] * v;
+    }
+    if constexpr (Dot) y[j] = yj;
+  }
+}
+
+template <bool Update, bool Dot>
+void reflect_walk_avx2(double* const* rows, std::size_t count,
+                       const double* a, const double* x, const double* b,
+                       double* y, std::size_t n) noexcept {
+  std::size_t r = 0;
+  const auto at = [&](const double* c) { return c == nullptr ? c : c + r; };
+  for (; r + 4 <= count; r += 4) {
+    reflect_block_avx2<Update, Dot, 4>(rows + r, at(a), x, at(b), y, n);
+  }
+  for (; r < count; ++r) {
+    reflect_block_avx2<Update, Dot, 1>(rows + r, at(a), x, at(b), y, n);
+  }
+}
+
+void reflect_rows_avx2(double* const* rows, std::size_t count,
+                       const double* a, const double* x, const double* b,
+                       double* y, std::size_t n) {
+  if (a != nullptr && b != nullptr) {
+    reflect_walk_avx2<true, true>(rows, count, a, x, b, y, n);
+  } else if (a != nullptr) {
+    reflect_walk_avx2<true, false>(rows, count, a, x, b, y, n);
+  } else if (b != nullptr) {
+    reflect_walk_avx2<false, true>(rows, count, a, x, b, y, n);
+  }
+}
+
 constexpr kernel_table table = {popcount_words_avx2,  popcount_and2_avx2,
                                 popcount_and3_avx2,   popcount_andnot_avx2,
-                                or_accumulate_avx2,   axpy_f64_avx2,
+                                or_accumulate_avx2,   reflect_rows_avx2,
                                 xoshiro_count_below_avx2};
 
 }  // namespace
-
-// Separate VMULPD and VADDPD: the file is built with -ffp-contract=off
-// so neither these nor the tail loop fuse into FMAs that would round
-// differently from the scalar reference.
-void axpy_f64_avx2(double* y, double a, const double* x,
-                   std::size_t n) noexcept {
-  const __m256d av = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
 
 const kernel_table* avx2_table() noexcept { return &table; }
 

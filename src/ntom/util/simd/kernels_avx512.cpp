@@ -4,9 +4,8 @@
 // fusion folds into the loads, and the tail falls back to scalar
 // POPCNT. The xoshiro count kernel holds its eight generators in one
 // 512-bit vector per state word, with native rotates (VPROLQ) and an
-// unsigned compare into a mask (VPCMPUQ). The float axpy reuses the
-// AVX2 kernel (kernels.hpp): this level is only built alongside AVX2
-// and only selected on CPUs that report it.
+// unsigned compare into a mask (VPCMPUQ). The QR row walk is an 8-lane
+// multiply-then-add loop blocked over four rows, with a masked tail.
 //
 // Compiled with -mavx512f -mavx512vpopcntdq (set per-file by
 // CMakeLists.txt); selected at runtime only when cpuid reports both
@@ -145,9 +144,72 @@ void xoshiro_count_below_avx512(std::uint64_t* state,
   _mm512_storeu_si512(counts, count);
 }
 
+// QR row walk (simd::reflect_rows), `Block` rows at a time: per 8-lane
+// column chunk, x and the running y stay in registers across the
+// block's rows, so y is loaded and stored once per block rather than
+// once per row; the ragged tail runs the same loop under a lane mask.
+// Separate VMULPD and VADDPD (the build turns FP contraction off), and
+// every element sees the rows in the given order, as in the scalar
+// loop.
+template <bool Update, bool Dot, std::size_t Block>
+void reflect_block_avx512(double* const* rows, const double* a,
+                          const double* x, const double* b, double* y,
+                          std::size_t n) noexcept {
+  __m512d av[Block];
+  __m512d bv[Block];
+  for (std::size_t q = 0; q < Block; ++q) {
+    if constexpr (Update) av[q] = _mm512_set1_pd(a[q]);
+    if constexpr (Dot) bv[q] = _mm512_set1_pd(b[q]);
+  }
+  const auto chunk = [&](std::size_t j, __mmask8 lanes) {
+    __m512d xs = _mm512_setzero_pd();
+    __m512d acc = _mm512_setzero_pd();
+    if constexpr (Update) xs = _mm512_maskz_loadu_pd(lanes, x + j);
+    if constexpr (Dot) acc = _mm512_maskz_loadu_pd(lanes, y + j);
+    for (std::size_t q = 0; q < Block; ++q) {
+      __m512d v = _mm512_maskz_loadu_pd(lanes, rows[q] + j);
+      if constexpr (Update) {
+        v = _mm512_add_pd(v, _mm512_mul_pd(av[q], xs));
+        _mm512_mask_storeu_pd(rows[q] + j, lanes, v);
+      }
+      if constexpr (Dot) acc = _mm512_add_pd(acc, _mm512_mul_pd(bv[q], v));
+    }
+    if constexpr (Dot) _mm512_mask_storeu_pd(y + j, lanes, acc);
+  };
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) chunk(j, 0xFF);
+  if (j < n) chunk(j, static_cast<__mmask8>((1u << (n - j)) - 1));
+}
+
+template <bool Update, bool Dot>
+void reflect_walk_avx512(double* const* rows, std::size_t count,
+                         const double* a, const double* x, const double* b,
+                         double* y, std::size_t n) noexcept {
+  std::size_t r = 0;
+  const auto at = [&](const double* c) { return c == nullptr ? c : c + r; };
+  for (; r + 4 <= count; r += 4) {
+    reflect_block_avx512<Update, Dot, 4>(rows + r, at(a), x, at(b), y, n);
+  }
+  for (; r < count; ++r) {
+    reflect_block_avx512<Update, Dot, 1>(rows + r, at(a), x, at(b), y, n);
+  }
+}
+
+void reflect_rows_avx512(double* const* rows, std::size_t count,
+                         const double* a, const double* x, const double* b,
+                         double* y, std::size_t n) {
+  if (a != nullptr && b != nullptr) {
+    reflect_walk_avx512<true, true>(rows, count, a, x, b, y, n);
+  } else if (a != nullptr) {
+    reflect_walk_avx512<true, false>(rows, count, a, x, b, y, n);
+  } else if (b != nullptr) {
+    reflect_walk_avx512<false, true>(rows, count, a, x, b, y, n);
+  }
+}
+
 constexpr kernel_table table = {popcount_words_avx512, popcount_and2_avx512,
                                 popcount_and3_avx512, popcount_andnot_avx512,
-                                or_accumulate_avx512, axpy_f64_avx2,
+                                or_accumulate_avx512, reflect_rows_avx512,
                                 xoshiro_count_below_avx512};
 
 }  // namespace

@@ -59,10 +59,20 @@ void plain_or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t w = 0; w < n; ++w) dst[w] |= src[w];
 }
 
-// One multiply and one add per element, each rounded: the reference
-// the vector rungs must match bit for bit.
-void plain_axpy_f64(double* y, double a, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+// One multiply and one add per element and step, each rounded, one
+// row at a time: the reference the vector rungs must match bit for bit.
+void plain_reflect_rows(double* const* rows, std::size_t count,
+                        const double* a, const double* x, const double* b,
+                        double* y, std::size_t n) {
+  for (std::size_t r = 0; r < count; ++r) {
+    double* row = rows[r];
+    if (a != nullptr) {
+      for (std::size_t j = 0; j < n; ++j) row[j] += a[r] * x[j];
+    }
+    if (b != nullptr) {
+      for (std::size_t j = 0; j < n; ++j) y[j] += b[r] * row[j];
+    }
+  }
 }
 
 // One generator at a time, one draw at a time: the reference for the
@@ -264,16 +274,16 @@ namespace detail {
 const kernel_table& scalar_table() noexcept {
   static constexpr kernel_table table = {
       scalar_popcount_words, scalar_popcount_and2, scalar_popcount_and3,
-      scalar_popcount_andnot, plain_or_accumulate, plain_axpy_f64,
+      scalar_popcount_andnot, plain_or_accumulate, plain_reflect_rows,
       plain_xoshiro_count_below};
   return table;
 }
 
 const kernel_table& popcnt_table() noexcept {
-  static constexpr kernel_table table = {hw_popcount_words, hw_popcount_and2,
-                                         hw_popcount_and3, hw_popcount_andnot,
-                                         plain_or_accumulate, plain_axpy_f64,
-                                         plain_xoshiro_count_below};
+  static constexpr kernel_table table = {
+      hw_popcount_words, hw_popcount_and2, hw_popcount_and3,
+      hw_popcount_andnot, plain_or_accumulate, plain_reflect_rows,
+      plain_xoshiro_count_below};
   return table;
 }
 
@@ -372,8 +382,10 @@ void or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
   active_table()->or_accumulate(dst, src, n);
 }
 
-void axpy(double* y, double a, const double* x, std::size_t n) noexcept {
-  active_table()->axpy_f64(y, a, x, n);
+void reflect_rows(double* const* rows, std::size_t count, const double* a,
+                  const double* x, const double* b, double* y,
+                  std::size_t n) noexcept {
+  active_table()->reflect_rows(rows, count, a, x, b, y, n);
 }
 
 void xoshiro_count_below(std::uint64_t* state, const std::uint64_t* limit,

@@ -2,16 +2,16 @@
 // least-squares row updates and the probe simulation.
 //
 // Every estimator reduces to fused AND+popcount sweeps over bit_matrix
-// rows, so these four kernels bound the whole stack; the float axpy
-// carries the Householder QR behind every log-domain fit, and the
-// xoshiro count kernel draws the simulated probes (util/rng.hpp). The
-// dispatch ladder is probed once at startup (cpuid) and selects the
-// widest implementation the hardware supports; every level computes
-// bit-identical results, with the scalar level serving as the reference
-// the tests and benches check the others against. Callers never pick a
-// level — bit_matrix and bitvec route through the dispatched free
-// functions below — but tests, benches, and the NTOM_SIMD env override
-// (or the CLIs' --simd flag) can force one.
+// rows, so these four kernels bound the whole stack; the float row walk
+// (reflect_rows) carries the Householder QR behind every log-domain
+// fit, and the xoshiro count kernel draws the simulated probes
+// (util/rng.hpp). The dispatch ladder is probed once at startup (cpuid)
+// and selects the widest implementation the hardware supports; every
+// level computes bit-identical results, with the scalar level serving
+// as the reference the tests and benches check the others against.
+// Callers never pick a level — bit_matrix and bitvec route through the
+// dispatched free functions below — but tests, benches, and the
+// NTOM_SIMD env override (or the CLIs' --simd flag) can force one.
 #pragma once
 
 #include <cstddef>
@@ -89,11 +89,18 @@ bool set_level(level l) noexcept;
 void or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t n) noexcept;
 
-/// y[i] += a * x[i] for i in [0, n), the product and the sum each
-/// rounded (never fused), so every level matches the scalar loop bit
-/// for bit — the row kernel of the Householder QR (linalg/qr.cpp).
-/// y and x must not overlap.
-void axpy(double* y, double a, const double* x, std::size_t n) noexcept;
+/// The row walk of the Householder QR (linalg/qr.cpp). For each row
+/// r = 0 .. count-1 in turn and each j in [0, n):
+///   when a != nullptr:  rows[r][j] = rows[r][j] + a[r] * x[j]
+///   when b != nullptr:  y[j] = y[j] + b[r] * rows[r][j]  (updated row)
+/// that is, one reflector's update and the next reflector's dot in one
+/// pass over each row. Every product and every sum is rounded on its
+/// own (never fused) and y sums the rows in the given order, so every
+/// level matches the scalar loop bit for bit. The rows, x and y must
+/// not overlap.
+void reflect_rows(double* const* rows, std::size_t count, const double* a,
+                  const double* x, const double* b, double* y,
+                  std::size_t n) noexcept;
 
 /// Generators advanced side by side by xoshiro_count_below.
 inline constexpr std::size_t xoshiro_lanes = 8;

@@ -10,6 +10,17 @@
 namespace ntom {
 namespace {
 
+/// ||A x - b||_2: the residual of a solve, computed from its x.
+double residual_norm(const matrix& a, const std::vector<double>& x,
+                     const std::vector<double>& b) {
+  const std::vector<double> ax = a.multiply(x);
+  double res = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    res += (ax[i] - b[i]) * (ax[i] - b[i]);
+  }
+  return std::sqrt(res);
+}
+
 TEST(UpperTriangularTest, SolvesBackSubstitution) {
   const matrix r{{2, 1}, {0, 4}};
   const auto x = solve_upper_triangular(r, {5.0, 8.0});
@@ -19,11 +30,12 @@ TEST(UpperTriangularTest, SolvesBackSubstitution) {
 
 TEST(LeastSquaresTest, ExactSquareSystem) {
   const matrix a{{1, 1}, {1, -1}};
-  const auto sol = solve_least_squares(a, {3.0, 1.0});
+  const std::vector<double> b = {3.0, 1.0};
+  const auto sol = solve_least_squares(a, b);
   EXPECT_EQ(sol.rank, 2u);
   EXPECT_NEAR(sol.x[0], 2.0, 1e-10);
   EXPECT_NEAR(sol.x[1], 1.0, 1e-10);
-  EXPECT_NEAR(sol.residual_norm, 0.0, 1e-10);
+  EXPECT_NEAR(residual_norm(a, sol.x, b), 0.0, 1e-10);
   EXPECT_TRUE(sol.identifiable.test(0));
   EXPECT_TRUE(sol.identifiable.test(1));
 }
@@ -44,9 +56,10 @@ TEST(LeastSquaresTest, OverdeterminedRegression) {
 TEST(LeastSquaresTest, InconsistentSystemMinimizesResidual) {
   // x = 1 and x = 3 simultaneously: least squares gives x = 2.
   const matrix a{{1}, {1}};
-  const auto sol = solve_least_squares(a, {1.0, 3.0});
+  const std::vector<double> b = {1.0, 3.0};
+  const auto sol = solve_least_squares(a, b);
   EXPECT_NEAR(sol.x[0], 2.0, 1e-10);
-  EXPECT_NEAR(sol.residual_norm, std::sqrt(2.0), 1e-10);
+  EXPECT_NEAR(residual_norm(a, sol.x, b), std::sqrt(2.0), 1e-10);
 }
 
 TEST(LeastSquaresTest, RankDeficientFlagsUnidentifiable) {
@@ -99,7 +112,7 @@ TEST_P(LeastSquaresPropertyTest, RecoversConsistentSolutions) {
 
   const auto sol = solve_least_squares(a, b);
   // Consistent system: residual ~ 0 whatever the rank.
-  EXPECT_LT(sol.residual_norm, 1e-7);
+  EXPECT_LT(residual_norm(a, sol.x, b), 1e-7);
 
   // Identifiable coordinates are recovered exactly; the others satisfy
   // the system but may differ from x_true.

@@ -8,7 +8,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "ntom/util/bit_matrix.hpp"
@@ -196,36 +198,79 @@ std::vector<double> edge_doubles(std::size_t n, rng& r) {
   return out;
 }
 
-TEST(SimdKernel, AxpyF64MatchesReferenceAcrossLevels) {
+TEST(SimdKernel, ReflectRowsMatchesReferenceAcrossLevels) {
   level_guard guard;
   rng r(4242);
   const double alphas[] = {0.0,     -0.0,   1.0,    -1.0,  0.5,
                            -3.25e7, 1e-300, -1e300, 5e-324, 1.2345678901234567};
-  // Lengths 0..67 cover every vector-tail shape of the 4-lane rung
-  // many times over; the offsets misalign both arrays against it.
+  constexpr std::size_t kAlphas = std::size(alphas);
+  // Lengths 0..67 cover every vector-tail shape of the 4- and 8-lane
+  // rungs many times over; 1..5 rows cover a partial block, a full
+  // block of four and one past it; the offsets misalign the rows, x and
+  // y against the lanes and against each other.
   for (std::size_t n = 0; n <= 67; ++n) {
-    for (std::size_t y_off = 0; y_off < 3; ++y_off) {
-      const std::size_t x_off = (n + y_off) % 4;
-      const std::vector<double> y0 = edge_doubles(n + y_off, r);
-      const std::vector<double> x = edge_doubles(n + x_off, r);
-      for (const double a : alphas) {
-        // Unfused multiply then add: the contract every rung keeps.
-        std::vector<double> expected = y0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double prod = a * x[x_off + i];
-          expected[y_off + i] = expected[y_off + i] + prod;
+    for (std::size_t count = 1; count <= 5; ++count) {
+      const std::size_t stride = n + 3;
+      const std::size_t row_off = (n + count) % 3;
+      const std::size_t x_off = (n + 1) % 4;
+      const std::size_t y_off = (count + 2) % 5;
+      const std::vector<double> rows0 =
+          edge_doubles(row_off + count * stride, r);
+      const std::vector<double> x = edge_doubles(x_off + n, r);
+      const std::vector<double> y0 = edge_doubles(y_off + n, r);
+      for (std::size_t first = 0; first < kAlphas; ++first) {
+        std::vector<double> a(count);
+        std::vector<double> b(count);
+        for (std::size_t q = 0; q < count; ++q) {
+          a[q] = alphas[(first + q) % kAlphas];
+          b[q] = alphas[(first + 3 * q + 1) % kAlphas];
         }
-        for (const simd::level l : simd::available_levels()) {
-          ASSERT_TRUE(simd::set_level(l));
-          std::vector<double> y = y0;
-          simd::axpy(y.data() + y_off, a, x.data() + x_off, n);
-          // memcmp, not ==: the signs of zeros must match too.
-          const bool identical =
-              y.empty() || std::memcmp(y.data(), expected.data(),
-                                       y.size() * sizeof(double)) == 0;
-          EXPECT_TRUE(identical)
-              << "level=" << simd::level_name(l) << " n=" << n
-              << " y_off=" << y_off << " x_off=" << x_off << " a=" << a;
+        // Update and dot, update only, dot only.
+        const std::pair<bool, bool> modes[] = {
+            {true, true}, {true, false}, {false, true}};
+        for (const auto& [update, dot] : modes) {
+          // One row after the other, each step an unfused multiply then
+          // add: the contract every rung keeps.
+          std::vector<double> want_rows = rows0;
+          std::vector<double> want_y = y0;
+          for (std::size_t q = 0; q < count; ++q) {
+            double* row = want_rows.data() + row_off + q * stride;
+            for (std::size_t j = 0; j < n; ++j) {
+              if (update) {
+                const double prod = a[q] * x[x_off + j];
+                row[j] = row[j] + prod;
+              }
+              if (dot) {
+                const double prod = b[q] * row[j];
+                want_y[y_off + j] = want_y[y_off + j] + prod;
+              }
+            }
+          }
+          for (const simd::level l : simd::available_levels()) {
+            ASSERT_TRUE(simd::set_level(l));
+            std::vector<double> got_rows = rows0;
+            std::vector<double> got_y = y0;
+            std::vector<double*> ptrs;
+            for (std::size_t q = 0; q < count; ++q) {
+              ptrs.push_back(got_rows.data() + row_off + q * stride);
+            }
+            simd::reflect_rows(ptrs.data(), count, update ? a.data() : nullptr,
+                               x.data() + x_off, dot ? b.data() : nullptr,
+                               got_y.data() + y_off, n);
+            // memcmp, not ==: the signs of zeros must match too.
+            EXPECT_EQ(std::memcmp(got_rows.data(), want_rows.data(),
+                                  got_rows.size() * sizeof(double)),
+                      0)
+                << "rows: level=" << simd::level_name(l) << " n=" << n
+                << " count=" << count << " first=" << first
+                << " update=" << update << " dot=" << dot;
+            EXPECT_TRUE(got_y.empty() ||
+                        std::memcmp(got_y.data(), want_y.data(),
+                                    got_y.size() * sizeof(double)) == 0)
+                << "y: level=" << simd::level_name(l) << " n=" << n
+                << " count=" << count << " first=" << first
+                << " update=" << update << " dot=" << dot;
+          }
         }
       }
     }
