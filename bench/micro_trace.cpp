@@ -1,5 +1,5 @@
-// Microbenchmark + self-check for the trace capture/replay subsystem
-// (ISSUE 5): capture overhead over a plain simulation pass, replay
+// Microbenchmark + self-check for the trace capture/replay subsystem:
+// capture overhead over a plain simulation pass, replay
 // throughput vs re-simulating, bytes per interval of the on-disk
 // format, and a bit-identity assertion — a captured corpus replayed
 // through the estimator pipeline must reproduce the live run's
@@ -9,9 +9,10 @@
 //   ./micro_trace --intervals=50000 --json
 //
 // --json[=<path>] writes BENCH_micro_trace.json. Gated headline cells:
-// trace/file_bytes, trace/bytes_per_interval (negotiated codecs),
-// trace/raw_file_bytes, trace/raw_bytes_per_interval (compress=false —
-// the pair pins the format's compression win exactly; any drift is a
+// trace/file_bytes, trace/bytes_per_interval (the written file),
+// trace/raw_file_bytes, trace/raw_bytes_per_interval (the same file
+// with every plane stored raw, computed exactly from its per-plane
+// stats — the pair pins the format's compression win; any drift is a
 // format change), and replay/identical (the self-check). Timing cells
 // (capture_overhead_pct, speedup_vs_simulate_x, *_seconds) are recorded
 // for trend reading, never gated.
@@ -25,6 +26,7 @@
 #include "ntom/exp/evals.hpp"
 #include "ntom/exp/report.hpp"
 #include "ntom/exp/runner.hpp"
+#include "ntom/trace/corpus.hpp"
 #include "ntom/trace/trace_reader.hpp"
 #include "ntom/trace/trace_writer.hpp"
 #include "ntom/util/flags.hpp"
@@ -108,18 +110,13 @@ int run(const ntom::flags& opts) {
     file_bytes = writer->bytes_written();
   }
 
-  // Raw capture (negotiation off) for the compression headline — size
-  // only, untimed.
-  std::uint64_t raw_file_bytes = 0;
-  const std::string raw_path = trace_path + ".raw";
-  {
-    run_config raw_config = config;
-    raw_config.capture.path = raw_path;
-    raw_config.capture.compress = false;
-    const auto raw_writer = make_capture_writer(raw_config, live);
-    stream_experiment(live, config, *raw_writer);
-    raw_file_bytes = raw_writer->bytes_written();
-  }
+  // All-raw size for the compression headline: a raw plane section
+  // stores exactly its decoded bytes, and every other byte of the file
+  // (header, section heads, CRCs, index, trailer) is the same either
+  // way, so the per-plane sums give that size exactly.
+  const corpus_file_stat stat = stat_trace_file(trace_path);
+  const std::uint64_t raw_file_bytes =
+      stat.file_bytes + stat.decoded_bytes - stat.encoded_bytes;
 
   const trace_reader reader(trace_path);
   double replay_seconds = 1e300;
@@ -201,7 +198,6 @@ int run(const ntom::flags& opts) {
                          {{"intervals", std::to_string(intervals)},
                           {"reps", std::to_string(reps)}});
   std::remove(trace_path.c_str());
-  std::remove(raw_path.c_str());
   return 0;
 }
 

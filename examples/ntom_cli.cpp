@@ -109,7 +109,6 @@ int usage() {
                "  import  --in=FILE --out=FILE [--topo=FILE] [--threshold F]\n"
                "  corpus  stat FILE|DIR... | merge --out=FILE A B... |\n"
                "          split --parts=N FILE | index DIR\n"
-               "          [--no-compress] on merge/split outputs\n"
                "  serve   [--file=FILE] [--topo=TOPOSPEC] [--seed N]\n"
                "          [--window W] [--estimator=SPEC] [--refit-every N]\n"
                "          [--epochs N] [--readers R] [--threshold F]\n"
@@ -449,13 +448,13 @@ int cmd_import(const ntom::flags& opts) {
 
 void print_corpus_stat(const ntom::corpus_file_stat& s) {
   std::printf(
-      "%s: v%u, %llu intervals / %llu frames, %llu bytes "
-      "(%.2f B/interval, compression x%.2f)%s%s%s\n",
-      s.path.c_str(), s.version, static_cast<unsigned long long>(s.intervals),
+      "%s: %llu intervals / %llu frames, %llu bytes "
+      "(%.2f B/interval, compression x%.2f)%s%s\n",
+      s.path.c_str(), static_cast<unsigned long long>(s.intervals),
       static_cast<unsigned long long>(s.frames),
       static_cast<unsigned long long>(s.file_bytes), s.bytes_per_interval(),
       s.compression(), s.has_truth ? ", truth" : "",
-      s.has_mask ? ", mask" : "", s.has_index ? ", indexed" : "");
+      s.has_mask ? ", mask" : "");
   for (std::size_t c = 0; c < s.by_codec.size(); ++c) {
     const ntom::corpus_codec_totals& t = s.by_codec[c];
     if (t.sections == 0) continue;
@@ -475,8 +474,6 @@ int cmd_corpus(const ntom::flags& opts) {
   if (pos.empty()) return usage();
   const std::string verb = pos[0];
   const std::vector<std::string> args(pos.begin() + 1, pos.end());
-  corpus_write_options wopts;
-  wopts.compress = !opts.get_bool("no-compress", false);
 
   if (verb == "stat") {
     if (args.empty()) return usage();
@@ -520,7 +517,7 @@ int cmd_corpus(const ntom::flags& opts) {
   if (verb == "merge") {
     const std::string out = opts.get_string("out", "");
     if (out.empty() || args.empty()) return usage();
-    const std::uint64_t total = merge_traces(args, out, wopts);
+    const std::uint64_t total = merge_traces(args, out);
     print_corpus_stat(stat_trace_file(out));
     std::printf("merged %zu files, %llu intervals -> %s\n", args.size(),
                 static_cast<unsigned long long>(total), out.c_str());
@@ -529,8 +526,7 @@ int cmd_corpus(const ntom::flags& opts) {
   if (verb == "split") {
     if (args.size() != 1) return usage();
     const auto parts = opts.get_size("parts", 2);
-    const std::vector<std::string> paths =
-        split_trace(args[0], parts, wopts);
+    const std::vector<std::string> paths = split_trace(args[0], parts);
     for (const std::string& path : paths) {
       print_corpus_stat(stat_trace_file(path));
     }
@@ -573,7 +569,7 @@ const cli_verb kVerbs[] = {
       "partition", "partition-max-links"},
      cmd_replay},
     {"import", {"in", "out", "topo", "threshold"}, cmd_import},
-    {"corpus", {"out", "parts", "no-compress"}, cmd_corpus},
+    {"corpus", {"out", "parts"}, cmd_corpus},
     {"serve",
      {"file", "topo", "seed", "window", "estimator", "refit-every", "epochs",
       "readers", "threshold", "scenario", "intervals", "chunk", "policy"},

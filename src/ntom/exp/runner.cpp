@@ -146,7 +146,6 @@ std::unique_ptr<trace_writer> make_capture_writer(const run_config& config,
   options.store_mask =
       !config.plan.policy.empty() ||
       (run.source != nullptr && run.source->has_mask());
-  options.compress = config.capture.compress;
   options.provenance =
       "topo=" + config.topo.to_string() +
       " topo_seed=" + std::to_string(config.topo_seed) +

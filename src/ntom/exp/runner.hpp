@@ -84,11 +84,6 @@ struct capture_options {
   /// Include the ground-truth plane in the capture (disable to publish
   /// observation-only datasets).
   bool truth = true;
-
-  /// Per-plane codec negotiation (trace_writer_options::compress).
-  /// Disable to force raw planes — larger files that decode without
-  /// any codec work.
-  bool compress = true;
 };
 
 struct run_config {

@@ -254,12 +254,8 @@ void encode(std::uint8_t id, const bit_matrix& plane,
 }
 
 std::uint8_t encode_best(const bit_matrix& plane,
-                         std::vector<unsigned char>& out, bool negotiate) {
+                         std::vector<unsigned char>& out) {
   const std::size_t raw_bytes = 8 * plane.rows() * plane.word_stride();
-  if (!negotiate) {
-    raw_encode(plane, out);
-    return codec_raw;
-  }
   std::uint8_t best_id = codec_raw;
   std::size_t best_size = raw_bytes;
   std::vector<unsigned char> best;

@@ -1,15 +1,17 @@
-// Plane codecs of the v2 .trc format (trace_format.hpp): each frame
-// plane (observations, truth, observed-path mask) is encoded with the
-// codec that stores it smallest — negotiated per plane per frame at
-// write time, recorded as a one-byte codec id in the plane section.
+// Plane codecs of the .trc format (trace_format.hpp): each frame plane
+// (observations, truth, observed-path mask) is encoded with the codec
+// that stores it smallest — chosen per plane per frame at write time
+// (encode_best), recorded as a one-byte codec id in the plane section.
 //
 // Congestion planes are sparse by construction and bursty in time, so
 // beyond plain word-run RLE and a sparse bit-index list the set
 // includes an XOR-delta variant (rows differ little interval to
 // interval) and TRANSPOSED variants (a path that stays congested for a
 // burst becomes a run in the path-major orientation — measured corpora
-// pick the transposed RLE most often, and the negotiated set compresses
-// the nightly scenarios 3-14x).
+// pick the transposed RLE most often, and the codec set compresses
+// the nightly scenarios 3-14x). All six stay: each wins sections on the
+// nightly corpus, and files written with any of them must keep
+// decoding (docs/trace_format.md, "Codec set").
 //
 // Decoding is strict: run lengths that overrun the plane, out-of-range
 // or non-increasing sparse indices, truncated varints, unknown ops, and
@@ -28,7 +30,7 @@ namespace ntom::trace_codec {
 
 /// Codec ids as stored in the plane section. `raw` is the packed
 /// row-words verbatim — the cheapest to decode (a plain word copy), so
-/// negotiation prefers it on ties.
+/// encode_best prefers it on ties.
 inline constexpr std::uint8_t codec_raw = 0;       // packed row words
 inline constexpr std::uint8_t codec_rle = 1;       // word-run RLE
 inline constexpr std::uint8_t codec_sparse = 2;    // delta-varint bit list
@@ -48,11 +50,10 @@ void encode(std::uint8_t id, const bit_matrix& plane,
 
 /// Encodes `plane` under every candidate codec, appends the smallest
 /// encoding to `out`, and returns its codec id. Ties prefer raw (the
-/// cheapest decode), then the lower id. With `negotiate` false the
-/// plane is stored raw unconditionally.
+/// cheapest decode), then the lower id. This is the only way the
+/// writer stores a plane.
 std::uint8_t encode_best(const bit_matrix& plane,
-                         std::vector<unsigned char>& out,
-                         bool negotiate = true);
+                         std::vector<unsigned char>& out);
 
 /// Decodes `payload` into `out`, which must be pre-sized to the plane's
 /// rows x cols and all-zero (freshly constructed). Throws trace_error

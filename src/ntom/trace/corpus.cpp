@@ -26,30 +26,14 @@ std::string basename_of(const std::string& path) {
   return std::filesystem::path(path).filename().string();
 }
 
-/// Interval count per frame, in file order — from the CIDX index when
-/// present, else one verifying scan.
-std::vector<std::uint64_t> frame_counts(const trace_reader& reader) {
-  std::vector<std::uint64_t> counts;
-  counts.reserve(static_cast<std::size_t>(reader.frames()));
-  if (reader.has_index()) {
-    for (const trace_frame_entry& e : reader.index()) counts.push_back(e.count);
-  } else {
-    reader.scan_frames(
-        [&](const trace_frame_stat& s) { counts.push_back(s.count); });
-  }
-  return counts;
-}
-
 }  // namespace
 
 corpus_file_stat stat_trace_file(const std::string& path) {
   const trace_reader reader(path);
   corpus_file_stat stat;
   stat.path = path;
-  stat.version = reader.version();
   stat.has_truth = reader.has_truth();
   stat.has_mask = reader.has_mask();
-  stat.has_index = reader.has_index();
   stat.paths = reader.topology_ptr()->num_paths();
   stat.links = reader.topology_ptr()->num_links();
   stat.intervals = reader.intervals();
@@ -70,8 +54,7 @@ corpus_file_stat stat_trace_file(const std::string& path) {
 }
 
 std::uint64_t merge_traces(const std::vector<std::string>& inputs,
-                           const std::string& output,
-                           const corpus_write_options& options) {
+                           const std::string& output) {
   if (inputs.empty()) {
     throw trace_error("corpus merge: no input files");
   }
@@ -108,7 +91,6 @@ std::uint64_t merge_traces(const std::vector<std::string>& inputs,
   trace_writer_options wopts;
   wopts.store_truth = truth;
   wopts.store_mask = mask;
-  wopts.compress = options.compress;
   wopts.provenance = provenance;
   trace_writer writer(output, wopts);
   writer.begin(*readers[0]->topology_ptr(), static_cast<std::size_t>(total));
@@ -125,8 +107,7 @@ std::uint64_t merge_traces(const std::vector<std::string>& inputs,
 }
 
 std::vector<std::string> split_trace(const std::string& input,
-                                     std::size_t parts,
-                                     const corpus_write_options& options) {
+                                     std::size_t parts) {
   const trace_reader reader(input);
   if (parts == 0) throw trace_error("corpus split: parts must be >= 1");
   if (parts > reader.frames()) {
@@ -135,7 +116,8 @@ std::vector<std::string> split_trace(const std::string& input,
                       " frames in " + input +
                       " (frames are the only cut points)");
   }
-  const std::vector<std::uint64_t> counts = frame_counts(reader);
+  // Interval count per frame, in file order, from the CIDX index.
+  const std::vector<trace_frame_entry>& index = reader.index();
 
   // Greedy frame-aligned partition: close a part once it reaches the
   // remaining-average interval target, but never leave fewer frames
@@ -149,8 +131,8 @@ std::vector<std::string> split_trace(const std::string& input,
       const std::size_t parts_left = parts - part;
       const std::uint64_t target = (remaining + parts_left - 1) / parts_left;
       while (part_intervals[part] < target &&
-             counts.size() - frame > parts_left - 1) {
-        part_intervals[part] += counts[frame];
+             index.size() - frame > parts_left - 1) {
+        part_intervals[part] += index[frame].count;
         ++part_frames[part];
         ++frame;
         if (part_intervals[part] >= target) break;
@@ -172,7 +154,6 @@ std::vector<std::string> split_trace(const std::string& input,
   trace_writer_options wopts;
   wopts.store_truth = reader.has_truth();
   wopts.store_mask = reader.has_mask();
-  wopts.compress = options.compress;
 
   std::size_t part = 0;
   std::size_t frames_left = 0;
@@ -244,7 +225,7 @@ std::vector<corpus_file_stat> write_corpus_manifest(const std::string& dir) {
     total_frames += s.frames;
     out << (i == 0 ? "\n" : ",\n");
     out << "    {\"name\": " << json_quote(basename_of(s.path))
-        << ", \"version\": " << s.version
+        << ", \"version\": " << trace_format_version
         << ", \"intervals\": " << s.intervals << ", \"frames\": " << s.frames
         << ", \"bytes\": " << s.file_bytes << ", \"paths\": " << s.paths
         << ", \"links\": " << s.links

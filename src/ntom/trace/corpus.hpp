@@ -13,11 +13,12 @@
 //              `ntom_cli corpus stat`.
 //   * merge  — concatenate datasets over the SAME topology into one
 //              file, rebasing interval numbers; frames are re-encoded
-//              through codec negotiation, so merging never loses
-//              information and may shrink the total.
+//              under each plane's smallest codec, so merging never
+//              loses information and may shrink the total.
 //   * split  — partition one file into N frame-aligned shards with
-//              near-equal interval counts (capture chunk boundaries are
-//              the only cut points, so masked files split losslessly).
+//              near-equal interval counts, read off the CIDX index
+//              (capture chunk boundaries are the only cut points, so
+//              masked files split losslessly).
 //   * manifest — corpus.json at the directory root, one entry per .trc
 //              with dimensions, flags, and sizes; grids and notebooks
 //              read it instead of re-opening every file.
@@ -49,10 +50,8 @@ struct corpus_codec_totals {
 /// CRCs, structure, and index agreement.
 struct corpus_file_stat {
   std::string path;
-  std::uint32_t version = 0;
   bool has_truth = false;
   bool has_mask = false;
-  bool has_index = false;
   std::uint64_t paths = 0;
   std::uint64_t links = 0;
   std::uint64_t intervals = 0;
@@ -79,28 +78,20 @@ struct corpus_file_stat {
 /// Stats one file (full structural verification included).
 [[nodiscard]] corpus_file_stat stat_trace_file(const std::string& path);
 
-/// Re-encode knobs shared by merge and split (the outputs go through a
-/// normal trace_writer).
-struct corpus_write_options {
-  bool compress = true;  ///< per-plane codec negotiation on the output.
-};
-
 /// Merges `inputs` (in order) into `output`. All inputs must embed the
 /// same topology and agree on the truth plane (all-or-none — zeroed
 /// matrices must not masquerade as ground truth); the output carries a
 /// mask plane iff any input does. Interval numbers are rebased to one
 /// contiguous stream. Returns total intervals written.
 std::uint64_t merge_traces(const std::vector<std::string>& inputs,
-                           const std::string& output,
-                           const corpus_write_options& options = {});
+                           const std::string& output);
 
 /// Splits `input` into `parts` files "<stem>.partK.trc" (K = 0-based,
 /// `stem` = `input` minus a trailing ".trc"), cutting only at frame
 /// boundaries and balancing interval counts. `parts` must not exceed
 /// the file's frame count. Returns the part paths.
 std::vector<std::string> split_trace(const std::string& input,
-                                     std::size_t parts,
-                                     const corpus_write_options& options = {});
+                                     std::size_t parts);
 
 /// All .trc files directly under `dir`, sorted by name.
 [[nodiscard]] std::vector<std::string> list_corpus_files(

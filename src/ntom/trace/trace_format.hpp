@@ -3,48 +3,38 @@
 // observed-path planes — persisted so a corpus recorded once replays
 // across every estimator, grid, and bench.
 //
-// Two versions share the magic and header layout (all integers
-// little-endian; full specification in docs/trace_format.md):
+// The layout (all integers little-endian; full specification in
+// docs/trace_format.md):
 //
-//   header   magic "NTOMTRC1", u32 version (1 or 2), u32 flags (bit0 =
-//            truth plane, bit1 = observed-path mask plane, v2 only),
-//            u64 intervals / paths / links, length-prefixed provenance
-//            string, length-prefixed embedded topology (io/topology_io
-//            text format), u32 CRC32 over everything before it.
+//   header   magic "NTOMTRC1", u32 version (2), u32 flags (bit0 = truth
+//            plane, bit1 = observed-path mask plane), u64 intervals /
+//            paths / links, length-prefixed provenance string,
+//            length-prefixed embedded topology (io/topology_io text
+//            format), u32 CRC32 over everything before it.
 //
-//   v1 frame "FRME", u64 first_interval, u64 count, then `count`
-//            interval records — the packed congested-path row words
-//            followed by the truth row words (when present) — and a
-//            u32 CRC32 over the frame header fields and payload.
-//
-//   v2 frame "FRME", u64 first_interval, u64 count, then one SECTION
+//   frame    "FRME", u64 first_interval, u64 count, then one SECTION
 //            PER PLANE (observations, then truth when flagged, then
 //            mask when flagged): u8 codec id, u32 encoded length, the
-//            encoded payload (trace/codec.hpp — the writer negotiates
-//            the smallest codec per plane per frame). The mask plane is
-//            a single 1 x paths row: the chunk's observed_paths, with
-//            every bit set when the chunk was fully observed. A u32
-//            CRC32 over the header fields and all plane sections closes
-//            the frame.
+//            encoded payload (trace/codec.hpp — the writer stores each
+//            plane under the smallest codec, per plane per frame). The
+//            mask plane is a single 1 x paths row: the chunk's
+//            observed_paths, with every bit set when the chunk was
+//            fully observed. A u32 CRC32 over the header fields and all
+//            plane sections closes the frame.
 //
-//   index    v2 only: "CIDX", u64 entry count (= frame count), then
-//            one {u64 file offset, u64 first_interval, u64 count} per
-//            frame, u32 CRC32 over count + entries. Lets readers seek
+//   index    "CIDX", u64 entry count (= frame count), then one {u64
+//            file offset, u64 first_interval, u64 count} per frame, u32
+//            CRC32 over count + entries. Required: readers seek
 //            straight to an interval range (sharded corpus replay)
-//            without walking frames. Optional: index offset 0 in the
-//            trailer means "no index".
+//            through it.
 //
-//   trailer  v1: "TRLR", u64 total frames, u64 total intervals, u32
-//            CRC32 over the two totals (24 bytes).
-//            v2: "TRLR", u64 total frames, u64 total intervals, u64
-//            index offset (0 = none), u32 CRC32 over the three totals
-//            (32 bytes).
+//   trailer  "TRLR", u64 total frames, u64 total intervals, u64 index
+//            offset, u32 CRC32 over the three totals (32 bytes).
 //            Anything after the trailer is an error.
 //
-// Forward compatibility: readers reject versions above
-// trace_format_version and flag bits outside the version's flag mask
-// (an old reader must never silently misinterpret a newer file).
-// Backward compatibility: version-1 files keep reading unchanged.
+// Readers reject any other version and flag bits outside
+// trace_flag_mask (an old reader must never silently misinterpret a
+// newer file).
 #pragma once
 
 #include <cstdint>
@@ -64,27 +54,24 @@ class trace_error : public std::runtime_error {
 inline constexpr char trace_magic[8] = {'N', 'T', 'O', 'M',
                                         'T', 'R', 'C', '1'};
 
-/// Version the writer emits. The reader accepts 1 and 2.
+/// The one version the writer emits and the reader accepts.
 inline constexpr std::uint32_t trace_format_version = 2;
-inline constexpr std::uint32_t trace_format_version_v1 = 1;
 
-/// Header flag bits. Bits outside the version's flag mask are reserved
-/// for future versions and rejected by this reader.
+/// Header flag bits. Bits outside trace_flag_mask are reserved for
+/// future versions and rejected by this reader.
 inline constexpr std::uint32_t trace_flag_has_truth = 1U << 0;
-/// v2 only: every frame carries an observed-path mask plane (probe-
-/// budget captures).
+/// Every frame carries an observed-path mask plane (probe-budget
+/// captures).
 inline constexpr std::uint32_t trace_flag_has_mask = 1U << 1;
-inline constexpr std::uint32_t trace_flag_mask_v1 = trace_flag_has_truth;
-inline constexpr std::uint32_t trace_flag_mask_v2 =
+inline constexpr std::uint32_t trace_flag_mask =
     trace_flag_has_truth | trace_flag_has_mask;
 
 inline constexpr char trace_frame_magic[4] = {'F', 'R', 'M', 'E'};
 inline constexpr char trace_index_magic[4] = {'C', 'I', 'D', 'X'};
 inline constexpr char trace_trailer_magic[4] = {'T', 'R', 'L', 'R'};
 
-/// On-disk trailer sizes (magic + totals + CRC32).
-inline constexpr std::size_t trace_trailer_bytes_v1 = 4 + 16 + 4;
-inline constexpr std::size_t trace_trailer_bytes_v2 = 4 + 24 + 4;
+/// On-disk trailer size (magic + totals + CRC32).
+inline constexpr std::size_t trace_trailer_bytes = 4 + 24 + 4;
 
 /// Per-frame index entry: {u64 offset, u64 first_interval, u64 count}.
 inline constexpr std::size_t trace_index_entry_bytes = 24;

@@ -29,15 +29,6 @@ namespace {
 constexpr std::uint32_t max_provenance_bytes = 1U << 20;
 constexpr std::uint32_t max_topology_bytes = 1U << 30;
 
-std::size_t trailer_bytes_for(std::uint32_t version) {
-  return version >= 2 ? trace_trailer_bytes_v2 : trace_trailer_bytes_v1;
-}
-
-std::uint64_t tail_mask(std::size_t cols) {
-  return (cols % 64 == 0) ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << (cols % 64)) - 1;
-}
-
 }  // namespace
 
 /// A decoded frame: both matrices always count x dims (truth zeroed for
@@ -144,15 +135,13 @@ trace_reader::trace_reader(std::string path)
     throw trace_error("trace: bad magic (not an ntom trace file): " + path_);
   }
   const unsigned char* scalars = view_crc(4 + 4 + 8 + 8 + 8, "header");
-  version_ = get_u32(scalars);
-  if (version_ < trace_format_version_v1 || version_ > trace_format_version) {
+  const std::uint32_t version = get_u32(scalars);
+  if (version != trace_format_version) {
     throw trace_error("trace: unsupported format version " +
-                      std::to_string(version_));
+                      std::to_string(version));
   }
   const std::uint32_t flags = get_u32(scalars + 4);
-  const std::uint32_t flag_mask =
-      version_ >= 2 ? trace_flag_mask_v2 : trace_flag_mask_v1;
-  if ((flags & ~flag_mask) != 0) {
+  if ((flags & ~trace_flag_mask) != 0) {
     throw trace_error("trace: unknown header flags (newer writer?)");
   }
   has_truth_ = (flags & trace_flag_has_truth) != 0;
@@ -200,7 +189,7 @@ trace_reader::trace_reader(std::string path)
   data_offset_ = cur.pos();
 
   // Trailer check up front: truncation fails at open, not mid-replay.
-  const std::size_t tb = trailer_bytes_for(version_);
+  constexpr std::size_t tb = trace_trailer_bytes;
   if (size_ < data_offset_ + tb) {
     throw trace_error("trace: file too short for a trailer (truncated?)");
   }
@@ -215,95 +204,82 @@ trace_reader::trace_reader(std::string path)
   if (get_u32(totals + totals_len) != crc32(totals, totals_len)) {
     throw trace_error("trace: trailer CRC mismatch");
   }
-  frames_ = get_u64(totals);
+  const std::uint64_t frames = get_u64(totals);
   if (get_u64(totals + 8) != intervals_) {
     throw trace_error("trace: trailer interval count disagrees with header");
   }
-  if (version_ >= 2) index_offset_ = get_u64(totals + 16);
+  index_offset_ = get_u64(totals + 16);
 
   // Size accounting: a crafted header declaring a huge interval count
   // must fail here, not as an overflowed allocation in a downstream
-  // consumer sized from intervals(). v1 payloads are raw, so the bound
-  // is exact; v2 payloads are compressed, so the bound is the decode
-  // expansion cap.
+  // consumer sized from intervals(). Payloads are compressed, so the
+  // bound is the decode expansion cap.
   const std::size_t row_bytes =
       8 * (word_stride(topo_->num_paths()) +
            (has_truth_ ? word_stride(topo_->num_links()) : 0));
   const std::uint64_t payload = size_ - data_offset_ - tb;
-  if (frames_ > intervals_) {
+  const auto decoded = static_cast<unsigned __int128>(intervals_) * row_bytes;
+  const auto cap = static_cast<unsigned __int128>(payload)
+                   << trace_max_expansion_log2;
+  // Every frame costs at least magic + head + CRC on disk.
+  if (frames > intervals_ || decoded > cap ||
+      (frames > 0 && frames > payload / 24)) {
     throw trace_error(
         "trace: header interval count exceeds the file's payload");
   }
-  if (version_ == 1) {
-    if (row_bytes != 0 && intervals_ > payload / row_bytes) {
-      throw trace_error(
-          "trace: header interval count exceeds the file's payload");
-    }
-  } else {
-    const auto decoded =
-        static_cast<unsigned __int128>(intervals_) * row_bytes;
-    const auto cap = static_cast<unsigned __int128>(payload)
-                     << trace_max_expansion_log2;
-    // Every frame costs at least magic + head + CRC on disk.
-    if (decoded > cap || (frames_ > 0 && frames_ > payload / 24)) {
-      throw trace_error(
-          "trace: header interval count exceeds the file's payload");
-    }
-  }
 
-  // The CIDX index (v2; offset 0 = absent). Strict layout: the index
-  // must exactly fill the span between its offset and the trailer.
-  if (version_ >= 2 && index_offset_ != 0) {
-    if (index_offset_ < data_offset_ || index_offset_ > size_ - tb) {
-      throw trace_error("trace: index offset out of range");
+  // The CIDX index, which every file carries (offset 0, the old "no
+  // index" value, lies inside the header and is rejected here). Strict
+  // layout: the index must exactly fill the span between its offset and
+  // the trailer.
+  if (index_offset_ < data_offset_ || index_offset_ > size_ - tb) {
+    throw trace_error("trace: index offset out of range");
+  }
+  cur.seek(index_offset_);
+  const unsigned char* im = cur.view(4, "index magic");
+  if (std::memcmp(im, trace_index_magic, sizeof(trace_index_magic)) != 0) {
+    throw trace_error("trace: bad index magic (corrupted file)");
+  }
+  crc32_accumulator icrc;
+  const unsigned char* nb = cur.view(8, "index entry count");
+  icrc.update(nb, 8);
+  const std::uint64_t n = get_u64(nb);
+  if (n != frames) {
+    throw trace_error("trace: index entry count disagrees with the trailer");
+  }
+  const std::uint64_t body = (size_ - tb) - index_offset_;
+  if (body < 16 || (body - 16) / trace_index_entry_bytes < n ||
+      16 + n * trace_index_entry_bytes != body) {
+    throw trace_error("trace: index size disagrees with its entry count");
+  }
+  index_.reserve(static_cast<std::size_t>(n));
+  std::uint64_t running = 0;
+  std::uint64_t prev_offset = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const unsigned char* e = cur.view(trace_index_entry_bytes, "index");
+    icrc.update(e, trace_index_entry_bytes);
+    trace_frame_entry entry;
+    entry.offset = get_u64(e);
+    entry.first_interval = get_u64(e + 8);
+    entry.count = get_u64(e + 16);
+    if (entry.offset < data_offset_ || entry.offset >= index_offset_ ||
+        (i > 0 && entry.offset <= prev_offset)) {
+      throw trace_error("trace: index frame offsets are out of range");
     }
-    cur.seek(index_offset_);
-    const unsigned char* im = cur.view(4, "index magic");
-    if (std::memcmp(im, trace_index_magic, sizeof(trace_index_magic)) != 0) {
-      throw trace_error("trace: bad index magic (corrupted file)");
-    }
-    crc32_accumulator icrc;
-    const unsigned char* nb = cur.view(8, "index entry count");
-    icrc.update(nb, 8);
-    const std::uint64_t n = get_u64(nb);
-    if (n != frames_) {
-      throw trace_error("trace: index entry count disagrees with the trailer");
-    }
-    const std::uint64_t body = (size_ - tb) - index_offset_;
-    if (body < 16 || (body - 16) / trace_index_entry_bytes < n ||
-        16 + n * trace_index_entry_bytes != body) {
-      throw trace_error("trace: index size disagrees with its entry count");
-    }
-    index_.reserve(static_cast<std::size_t>(n));
-    std::uint64_t running = 0;
-    std::uint64_t prev_offset = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const unsigned char* e = cur.view(trace_index_entry_bytes, "index");
-      icrc.update(e, trace_index_entry_bytes);
-      trace_frame_entry entry;
-      entry.offset = get_u64(e);
-      entry.first_interval = get_u64(e + 8);
-      entry.count = get_u64(e + 16);
-      if (entry.offset < data_offset_ || entry.offset >= index_offset_ ||
-          (i > 0 && entry.offset <= prev_offset)) {
-        throw trace_error("trace: index frame offsets are out of range");
-      }
-      if (entry.first_interval != running || entry.count == 0 ||
-          entry.count > intervals_ - running) {
-        throw trace_error("trace: index intervals are not contiguous");
-      }
-      running += entry.count;
-      prev_offset = entry.offset;
-      index_.push_back(entry);
-    }
-    if (running != intervals_) {
+    if (entry.first_interval != running || entry.count == 0 ||
+        entry.count > intervals_ - running) {
       throw trace_error("trace: index intervals are not contiguous");
     }
-    const unsigned char* ic = cur.view(4, "index CRC");
-    if (get_u32(ic) != icrc.value()) {
-      throw trace_error("trace: index CRC mismatch (corrupted file)");
-    }
-    has_index_ = true;
+    running += entry.count;
+    prev_offset = entry.offset;
+    index_.push_back(entry);
+  }
+  if (running != intervals_) {
+    throw trace_error("trace: index intervals are not contiguous");
+  }
+  const unsigned char* ic = cur.view(4, "index CRC");
+  if (get_u32(ic) != icrc.value()) {
+    throw trace_error("trace: index CRC mismatch (corrupted file)");
   }
 }
 
@@ -337,101 +313,56 @@ void trace_reader::parse_frame(cursor& c, std::uint64_t expected_first,
     out->mask = bitvec{};
   }
 
-  if (version_ == 1) {
-    const std::size_t stride_p = word_stride(paths);
-    const std::size_t stride_l = has_truth_ ? word_stride(links) : 0;
-    const std::size_t row_bytes = 8 * (stride_p + stride_l);
-    const std::size_t payload_len =
-        static_cast<std::size_t>(count) * row_bytes;
-    const unsigned char* payload = c.view(payload_len, "frame payload");
-    crc.update(payload, payload_len);
-    if (out != nullptr) {
-      out->obs = bit_matrix(static_cast<std::size_t>(count), paths);
-      out->truth = bit_matrix(static_cast<std::size_t>(count), links);
-      const std::uint64_t obs_tail = tail_mask(paths);
-      const std::uint64_t truth_tail = tail_mask(links);
-      const unsigned char* row = payload;
-      for (std::uint64_t i = 0; i < count; ++i, row += row_bytes) {
-        std::uint64_t* obs = out->obs.row_words(static_cast<std::size_t>(i));
-        for (std::size_t w = 0; w < stride_p; ++w) {
-          obs[w] = get_u64(row + 8 * w);
-        }
-        if (stride_p > 0) obs[stride_p - 1] &= obs_tail;
-        if (has_truth_) {
-          std::uint64_t* truth =
-              out->truth.row_words(static_cast<std::size_t>(i));
-          const unsigned char* src = row + 8 * stride_p;
-          for (std::size_t w = 0; w < stride_l; ++w) {
-            truth[w] = get_u64(src + 8 * w);
-          }
-          if (stride_l > 0) truth[stride_l - 1] &= truth_tail;
-        }
-      }
+  // Plane sections: observations, truth (flagged), mask (flagged).
+  const bool present[3] = {true, has_truth_, has_mask_};
+  if (out != nullptr && !has_truth_) {
+    // The chunk contract wants a (zeroed) truth matrix even when the
+    // file stores none.
+    out->truth = bit_matrix(static_cast<std::size_t>(count), links);
+  }
+  for (int p = 0; p < 3; ++p) {
+    if (!present[p]) continue;
+    const std::size_t rows = (p == 2) ? 1 : static_cast<std::size_t>(count);
+    const std::size_t cols = (p == 1) ? links : paths;
+    const unsigned char* ph = c.view(5, "plane header");
+    crc.update(ph, 5);
+    const std::uint8_t codec = ph[0];
+    const std::uint32_t enc_len = get_u32(ph + 1);
+    if (codec >= trace_codec::codec_count) {
+      throw trace_error("trace: unknown plane codec id " +
+                        std::to_string(codec));
     }
+    const std::uint64_t decoded_bytes =
+        8 * static_cast<std::uint64_t>(rows) * word_stride(cols);
+    // Expansion cap BEFORE allocating the decode target: a few
+    // hostile payload bytes must not declare a huge plane.
+    const auto cap = static_cast<unsigned __int128>(enc_len + 8)
+                     << trace_max_expansion_log2;
+    if (static_cast<unsigned __int128>(decoded_bytes) > cap) {
+      throw trace_error("trace: plane expands beyond the decode cap");
+    }
+    const unsigned char* payload = c.view(enc_len, "plane payload");
+    crc.update(payload, enc_len);
     if (stat != nullptr) {
-      stat->planes[stat->num_planes++] = {trace_codec::codec_raw,
-                                          count * 8 * stride_p,
-                                          count * 8 * stride_p};
-      if (has_truth_) {
-        stat->planes[stat->num_planes++] = {trace_codec::codec_raw,
-                                            count * 8 * stride_l,
-                                            count * 8 * stride_l};
-      }
+      stat->planes[stat->num_planes++] = {codec, enc_len, decoded_bytes};
     }
-  } else {
-    // Plane sections: observations, truth (flagged), mask (flagged).
-    const bool present[3] = {true, has_truth_, has_mask_};
     if (out != nullptr) {
-      // The chunk contract wants a (zeroed) truth matrix even when the
-      // file stores none.
-      if (!has_truth_) {
-        out->truth = bit_matrix(static_cast<std::size_t>(count), links);
-      }
-    }
-    for (int p = 0; p < 3; ++p) {
-      if (!present[p]) continue;
-      const std::size_t rows = (p == 2) ? 1 : static_cast<std::size_t>(count);
-      const std::size_t cols = (p == 1) ? links : paths;
-      const unsigned char* ph = c.view(5, "plane header");
-      crc.update(ph, 5);
-      const std::uint8_t codec = ph[0];
-      const std::uint32_t enc_len = get_u32(ph + 1);
-      if (codec >= trace_codec::codec_count) {
-        throw trace_error("trace: unknown plane codec id " +
-                          std::to_string(codec));
-      }
-      const std::uint64_t decoded_bytes =
-          8 * static_cast<std::uint64_t>(rows) * word_stride(cols);
-      // Expansion cap BEFORE allocating the decode target: a few
-      // hostile payload bytes must not declare a huge plane.
-      const auto cap = static_cast<unsigned __int128>(enc_len + 8)
-                       << trace_max_expansion_log2;
-      if (static_cast<unsigned __int128>(decoded_bytes) > cap) {
-        throw trace_error("trace: plane expands beyond the decode cap");
-      }
-      const unsigned char* payload = c.view(enc_len, "plane payload");
-      crc.update(payload, enc_len);
-      if (stat != nullptr) {
-        stat->planes[stat->num_planes++] = {codec, enc_len, decoded_bytes};
-      }
-      if (out != nullptr) {
-        bit_matrix target(rows, cols);
-        trace_codec::decode(codec, payload, enc_len, target);
-        if (p == 0) {
-          out->obs = std::move(target);
-        } else if (p == 1) {
-          out->truth = std::move(target);
+      bit_matrix target(rows, cols);
+      trace_codec::decode(codec, payload, enc_len, target);
+      if (p == 0) {
+        out->obs = std::move(target);
+      } else if (p == 1) {
+        out->truth = std::move(target);
+      } else {
+        // Normalize: an all-ones mask row is the fully-observed
+        // sentinel (empty bitvec) downstream.
+        if (target.count_row(0) == paths) {
+          out->mask = bitvec{};
         } else {
-          // Normalize: an all-ones mask row is the fully-observed
-          // sentinel (empty bitvec) downstream.
-          if (target.count_row(0) == paths) {
-            out->mask = bitvec{};
-          } else {
-            bitvec mask(paths);
-            std::memcpy(mask.word_data(), target.row_words(0),
-                        8 * word_stride(paths));
-            out->mask = std::move(mask);
-          }
+          bitvec mask(paths);
+          std::memcpy(mask.word_data(), target.row_words(0),
+                      8 * word_stride(paths));
+          out->mask = std::move(mask);
         }
       }
     }
@@ -446,60 +377,20 @@ void trace_reader::parse_frame(cursor& c, std::uint64_t expected_first,
 
 std::uint64_t trace_reader::locate_frame(cursor& c,
                                          std::uint64_t target) const {
-  if (has_index_) {
-    // Last entry with first_interval <= target. Entry 0 starts at
-    // interval 0, so the iterator never lands on begin().
-    auto it = std::upper_bound(
-        index_.begin(), index_.end(), target,
-        [](std::uint64_t t, const trace_frame_entry& e) {
-          return t < e.first_interval;
-        });
-    --it;
-    c.seek(it->offset);
-    return it->first_interval;
-  }
-  // No index: walk frame headers, seeking past payloads unverified
-  // (a later full pass still verifies everything).
-  c.seek(data_offset_);
-  const std::size_t row_bytes =
-      8 * (word_stride(topo_->num_paths()) +
-           (has_truth_ ? word_stride(topo_->num_links()) : 0));
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::uint64_t at = c.pos();
-    const unsigned char* fm =
-        c.view(sizeof(trace_frame_magic), "frame header");
-    if (std::memcmp(fm, trace_frame_magic, sizeof(trace_frame_magic)) != 0) {
-      throw trace_error("trace: bad frame magic (corrupted file)");
-    }
-    const unsigned char* head = c.view(16, "frame header");
-    const std::uint64_t first = get_u64(head);
-    const std::uint64_t count = get_u64(head + 8);
-    if (count == 0 || first != seen || count > intervals_ - seen) {
-      throw trace_error("trace: frame intervals are not contiguous");
-    }
-    if (target < first + count) {
-      c.seek(at);
-      return first;
-    }
-    seen += count;
-    if (version_ == 1) {
-      c.seek(c.pos() + count * row_bytes + 4);
-    } else {
-      const int planes = 1 + (has_truth_ ? 1 : 0) + (has_mask_ ? 1 : 0);
-      for (int p = 0; p < planes; ++p) {
-        const unsigned char* ph = c.view(5, "plane header");
-        c.seek(c.pos() + get_u32(ph + 1));
-      }
-      c.seek(c.pos() + 4);
-    }
-  }
+  // Last entry with first_interval <= target. Entry 0 starts at
+  // interval 0, so the iterator never lands on begin().
+  auto it = std::upper_bound(
+      index_.begin(), index_.end(), target,
+      [](std::uint64_t t, const trace_frame_entry& e) {
+        return t < e.first_interval;
+      });
+  --it;
+  c.seek(it->offset);
+  return it->first_interval;
 }
 
 void trace_reader::check_frames_end(const cursor& c) const {
-  const std::uint64_t frames_end =
-      has_index_ ? index_offset_ : size_ - trailer_bytes_for(version_);
-  if (c.pos() != frames_end) {
+  if (c.pos() != index_offset_) {
     throw trace_error("trace: trailing garbage after the last frame");
   }
 }
@@ -643,7 +534,7 @@ void trace_reader::stream_frames(
   cur.seek(data_offset_);
   std::uint64_t seen = 0;
   measurement_chunk chunk;
-  for (std::uint64_t f = 0; f < frames_; ++f) {
+  for (std::size_t f = 0; f < index_.size(); ++f) {
     decoded_frame df;
     parse_frame(cur, seen, intervals_ - seen, &df, nullptr);
     seen += df.count;
@@ -666,16 +557,13 @@ void trace_reader::scan_frames(
   cursor cur(*mapping_);
   cur.seek(data_offset_);
   std::uint64_t seen = 0;
-  for (std::uint64_t f = 0; f < frames_; ++f) {
+  for (const trace_frame_entry& e : index_) {
     trace_frame_stat stat;
     parse_frame(cur, seen, intervals_ - seen, nullptr, &stat);
-    if (has_index_) {
-      const trace_frame_entry& e = index_[static_cast<std::size_t>(f)];
-      if (e.offset != stat.offset || e.first_interval != stat.first_interval ||
-          e.count != stat.count) {
-        throw trace_error(
-            "trace: index entry disagrees with the frame it points to");
-      }
+    if (e.offset != stat.offset || e.first_interval != stat.first_interval ||
+        e.count != stat.count) {
+      throw trace_error(
+          "trace: index entry disagrees with the frame it points to");
     }
     seen += stat.count;
     fn(stat);

@@ -11,14 +11,15 @@
 // size — merging intervals across mask boundaries would change what
 // downstream counters observe.
 //
-// Both format versions are read: v1 interleaved frames unchanged, and
-// v2 plane-major frames with per-plane codec negotiation (trace/codec),
-// an optional mask plane, and the CIDX frame index. The file is mapped
-// read-only with mmap and parsed in place, which saves the read() copy
-// of buffered I/O (planes are still decoded into the chunk matrices).
-// The CIDX index backs stream_range(), which seeks straight to an
-// interval range so a corpus directory can shard one file across
-// run_grid workers.
+// The reader reads one format: version 2 (trace_format.hpp), plane-
+// major frames whose planes carry a codec id each (trace/codec), an
+// optional mask plane, and the CIDX frame index, which every file
+// carries. Any other version, and a file without an index, fails at
+// open. The file is mapped read-only with mmap and parsed in place,
+// which saves the read() copy of buffered I/O (planes are still decoded
+// into the chunk matrices). The index backs stream_range(), which seeks
+// straight to an interval range so a corpus directory can shard one
+// file across run_grid workers.
 //
 // Construction validates the header, the embedded topology, the trailer,
 // and the index (so truncation fails fast); every stream() pass
@@ -81,17 +82,10 @@ class trace_reader final : public measurement_source {
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
-  /// Format version of the file (1 or 2).
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
-
   /// Frames in the file (the capture's chunk count).
-  [[nodiscard]] std::uint64_t frames() const noexcept { return frames_; }
+  [[nodiscard]] std::uint64_t frames() const noexcept { return index_.size(); }
 
-  /// Whether the file carries a CIDX frame index (v2 writers always
-  /// emit one; stream_range seeks through it instead of scanning).
-  [[nodiscard]] bool has_index() const noexcept { return has_index_; }
-
-  /// The loaded index entries (empty without an index).
+  /// The loaded CIDX index, one entry per frame in file order.
   [[nodiscard]] const std::vector<trace_frame_entry>& index() const noexcept {
     return index_;
   }
@@ -109,8 +103,8 @@ class trace_reader final : public measurement_source {
 
   /// Replays intervals [first, first + count) only, re-based to start
   /// at 0 — the sink sees a dataset of `count` intervals. Seeks through
-  /// the index when present (sharded corpus replay); frames outside the
-  /// range are skipped unverified. Throws trace_error when the range
+  /// the index (sharded corpus replay); frames outside the range are
+  /// skipped unverified. Throws trace_error when the range
   /// does not fit the dataset.
   void stream_range(measurement_sink& sink, std::size_t chunk_intervals,
                     std::uint64_t first, std::uint64_t count) const;
@@ -134,7 +128,7 @@ class trace_reader final : public measurement_source {
   struct mapping;
   struct decoded_frame;
 
-  /// Parses the frame at the cursor (either version). Contiguity is
+  /// Parses the frame at the cursor. Contiguity is
   /// checked against `expected_first` / `remaining`; planes are decoded
   /// into `out` when non-null; codec stats recorded into `stat` when
   /// non-null; the frame CRC is always verified.
@@ -142,8 +136,8 @@ class trace_reader final : public measurement_source {
                    std::uint64_t remaining, decoded_frame* out,
                    trace_frame_stat* stat) const;
 
-  /// Positions the cursor at the first frame whose range contains
-  /// `target` and returns that frame's first interval.
+  /// Positions the cursor, through the index, at the frame whose range
+  /// contains `target` and returns that frame's first interval.
   std::uint64_t locate_frame(cursor& c, std::uint64_t target) const;
 
   /// Shared replay core of stream() / stream_range().
@@ -152,19 +146,16 @@ class trace_reader final : public measurement_source {
                    bool full_pass) const;
 
   /// After a full sequential pass: the cursor must sit exactly where
-  /// the frame region ends (index or trailer) — anything else is
-  /// trailing garbage.
+  /// the frame region ends (at the index) — anything else is trailing
+  /// garbage.
   void check_frames_end(const cursor& c) const;
 
   std::string path_;
   std::shared_ptr<const topology> topo_;
   std::size_t intervals_ = 0;
-  std::uint32_t version_ = 0;
   bool has_truth_ = false;
   bool has_mask_ = false;
-  bool has_index_ = false;
   std::string provenance_;
-  std::uint64_t frames_ = 0;
   std::uint64_t size_ = 0;
   std::uint64_t data_offset_ = 0;
   std::uint64_t index_offset_ = 0;

@@ -87,8 +87,7 @@ void trace_writer::append_plane_section(std::vector<unsigned char>& frame,
                                         const bit_matrix& plane) {
   const std::size_t at = frame.size();
   frame.resize(at + 5);  // u8 codec id + u32 encoded length, patched below
-  const std::uint8_t id =
-      trace_codec::encode_best(plane, frame, options_.compress);
+  const std::uint8_t id = trace_codec::encode_best(plane, frame);
   const std::size_t encoded = frame.size() - at - 5;
   if (encoded > 0xFFFFFFFFu) {
     throw trace_error("trace_writer: plane section exceeds 4 GiB");

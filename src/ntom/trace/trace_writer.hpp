@@ -3,8 +3,8 @@
 // The writer is just another measurement_sink, so capture composes with
 // fanout_sink — one live pass can fit streaming estimators, feed the
 // materialized store, AND record the dataset. Each consumed chunk
-// becomes one v2 frame (plane sections with per-plane codec
-// negotiation — trace/codec.hpp); the reader re-chunks to any
+// becomes one frame (plane sections, each stored under its smallest
+// codec — trace/codec.hpp); the reader re-chunks to any
 // granularity on replay, so the capture chunk size never matters
 // downstream (except for masked captures, which replay at capture
 // granularity — the mask is per chunk). Frame offsets are accumulated
@@ -37,11 +37,6 @@ struct trace_writer_options {
   /// must never silently drop the mask. Fully-observed chunks store an
   /// all-ones mask row (which the RLE codec reduces to a few bytes).
   bool store_mask = false;
-
-  /// Per-plane codec negotiation (trace/codec.hpp): store each plane
-  /// under whichever codec is smallest. Disable to force every plane
-  /// raw — larger files that decode without any codec work.
-  bool compress = true;
 
   /// Free-form origin string embedded in the header (capture config,
   /// import source) — surfaced by trace_reader::provenance().
@@ -94,8 +89,8 @@ class trace_writer final : public measurement_sink {
   void write_raw(const void* data, std::size_t len);
 
   /// Appends one plane section (u8 codec id, u32 encoded length,
-  /// payload) to the frame under construction, negotiating the codec
-  /// when options_.compress is set.
+  /// payload) to the frame under construction, under the plane's
+  /// smallest codec.
   void append_plane_section(std::vector<unsigned char>& frame,
                             const bit_matrix& plane);
 

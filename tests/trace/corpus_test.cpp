@@ -1,8 +1,9 @@
 // Corpus tooling and v2 format features end to end: stat/merge/split/
 // manifest (trace/corpus.hpp), range and sharded replay, masked
 // (probe-budget) capture -> replay bit-identity
-// at every capture granularity, hand-built version-1 files still
-// reading, and a corrupted CIDX entry failing loudly.
+// at every capture granularity, a hand-built version-1 file and an
+// index-less file failing at open, and a corrupted CIDX entry failing
+// loudly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -121,10 +122,8 @@ TEST(CorpusTest, StatReportsSizesAndCodecs) {
   capture(small_config(60), path, 16);
 
   const corpus_file_stat stat = stat_trace_file(path);
-  EXPECT_EQ(stat.version, 2u);
   EXPECT_TRUE(stat.has_truth);
   EXPECT_FALSE(stat.has_mask);
-  EXPECT_TRUE(stat.has_index);
   EXPECT_EQ(stat.intervals, 60u);
   EXPECT_EQ(stat.frames, 4u);
   EXPECT_EQ(stat.file_bytes, std::filesystem::file_size(path));
@@ -384,10 +383,11 @@ TEST(CorpusTest, MaskedCaptureReplaysBitIdenticallyAtEveryGranularity) {
   }
 }
 
-TEST(CorpusTest, VersionOneFilesStillRead) {
-  // Hand-built v1 file (the v2 writer no longer emits one): header,
-  // two raw interleaved-row frames, 24-byte trailer — the layout the
-  // seed shipped. It must replay, range, and stat unchanged.
+TEST(CorpusTest, VersionOneFilesFailAtOpen) {
+  // Hand-built v1 file: header, two raw interleaved-row frames, 24-byte
+  // trailer — the layout of the first format version, which no writer
+  // emits any more. Its CRCs are all valid; the reader reads version 2
+  // only, so the file must fail at open.
   const run_config config = small_config(3);
   const run_artifacts arts = prepare_topology(config);
   const std::size_t paths = arts.topo().num_paths();
@@ -459,36 +459,25 @@ TEST(CorpusTest, VersionOneFilesStillRead) {
   const std::string path = temp_path("handmade_v1.trc");
   write_bytes(path, bytes);
 
-  const trace_reader reader(path);
-  EXPECT_EQ(reader.version(), 1u);
-  EXPECT_FALSE(reader.has_index());
-  EXPECT_TRUE(reader.has_truth());
-  EXPECT_FALSE(reader.has_mask());
-  EXPECT_EQ(reader.intervals(), 3u);
-  EXPECT_EQ(reader.frames(), 2u);
-  EXPECT_EQ(reader.provenance(), "v1-test");
+  EXPECT_THROW(trace_reader reader(path), trace_error);
+  EXPECT_THROW((void)stat_trace_file(path), trace_error);
+  std::remove(path.c_str());
+}
 
-  const collect_sink rows = collect_all(reader, 2);
-  ASSERT_EQ(rows.obs.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(rows.obs[i].count(), 1u);
-    EXPECT_TRUE(rows.obs[i].test(i % paths));
-    EXPECT_EQ(rows.truth[i].count(), 1u);
-    EXPECT_TRUE(rows.truth[i].test((2 * i) % links));
-  }
-
-  // Range replay walks v1 frames sequentially (no index to seek by).
-  collect_sink window;
-  reader.stream_range(window, 4, 1, 2);
-  ASSERT_EQ(window.obs.size(), 2u);
-  EXPECT_TRUE(window.obs[0] == rows.obs[1]);
-  EXPECT_TRUE(window.obs[1] == rows.obs[2]);
-
-  const corpus_file_stat stat = stat_trace_file(path);
-  EXPECT_EQ(stat.version, 1u);
-  EXPECT_EQ(stat.frames, 2u);
-  EXPECT_FALSE(stat.has_index);
-  EXPECT_EQ(stat.by_codec[trace_codec::codec_raw].sections, 4u);
+TEST(CorpusTest, IndexlessFilesFailAtOpen) {
+  // A writer-made file whose trailer index offset reads 0 (with the
+  // trailer CRC re-sealed, so only the missing index is wrong): every
+  // file carries its CIDX index, so this one must fail at open.
+  const std::string path = temp_path("indexless.trc");
+  capture(small_config(60), path, 16);
+  std::vector<unsigned char> bytes = read_bytes(path);
+  // Trailer: "TRLR", u64 frames, u64 intervals, u64 index offset, CRC.
+  const std::size_t totals_at = bytes.size() - trace_trailer_bytes + 4;
+  ASSERT_NE(get_u64_at(bytes, totals_at + 16), 0u);
+  put_u64_at(bytes, totals_at + 16, 0);
+  put_u32_at(bytes, bytes.size() - 4, crc32(bytes.data() + totals_at, 24));
+  write_bytes(path, bytes);
+  EXPECT_THROW(trace_reader reader(path), trace_error);
   std::remove(path.c_str());
 }
 

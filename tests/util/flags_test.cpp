@@ -63,8 +63,8 @@ TEST(FlagsTest, BoolRejectsUnrecognizedValue) {
   EXPECT_THROW((void)make({"--a="}).get_bool("a", false), flag_error);
   // A bare boolean before a positional takes it as its value: that
   // must fail instead of dropping the positional and reading false.
-  const auto f = make({"merge", "--no-compress", "a.trc", "b.trc"});
-  EXPECT_THROW((void)f.get_bool("no-compress", false), flag_error);
+  const auto f = make({"capture", "--no-truth", "a.trc"});
+  EXPECT_THROW((void)f.get_bool("no-truth", false), flag_error);
 }
 
 TEST(FlagsTest, PositionalArgumentsCollected) {
