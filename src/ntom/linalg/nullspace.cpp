@@ -1,5 +1,6 @@
 #include "ntom/linalg/nullspace.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -61,8 +62,25 @@ bool row_increases_rank(const std::vector<double>& r, const matrix& n,
 
 bool row_increases_rank(const std::vector<std::size_t>& row_indices,
                         const matrix& n, double tol) {
-  if (n.cols() == 0) return false;
-  return row_nullspace_product(row_indices, n) > tol;
+  // The products of column_products, a stack block of columns at a
+  // time: each r . N_j sums the same entries in the same order, so the
+  // answer equals row_nullspace_product(...) > tol without a heap
+  // buffer, and the first column above tol ends the test.
+  constexpr std::size_t block = 64;
+  double rn[block];
+  for (std::size_t j0 = 0; j0 < n.cols(); j0 += block) {
+    const std::size_t bn = std::min(block, n.cols() - j0);
+    std::fill(rn, rn + bn, 0.0);
+    for (const std::size_t i : row_indices) {
+      assert(i < n.rows());
+      const double* row = n.row_ptr(i) + j0;
+      for (std::size_t j = 0; j < bn; ++j) rn[j] += row[j];
+    }
+    for (std::size_t j = 0; j < bn; ++j) {
+      if (std::abs(rn[j]) > tol) return true;
+    }
+  }
+  return false;
 }
 
 matrix null_space_update(matrix n, const std::vector<double>& r, double tol) {

@@ -33,7 +33,9 @@ namespace ntom {
 [[nodiscard]] double row_nullspace_product(
     const std::vector<std::size_t>& row_indices, const matrix& n);
 
-/// Sparse 0/1 row counterpart of row_increases_rank.
+/// Sparse 0/1 row counterpart of row_increases_rank. Allocates nothing
+/// and stops at the first column above tol (Algorithm 1 runs it per
+/// usable candidate); same answer as row_nullspace_product(...) > tol.
 [[nodiscard]] bool row_increases_rank(
     const std::vector<std::size_t>& row_indices, const matrix& n,
     double tol = 1e-9);

@@ -49,20 +49,20 @@ correlation_heuristic_result solve_correlation_heuristic(
     const correlation_heuristic_params& params) {
   const bitvec potcong = potentially_congested_links(t, always_good_paths);
   subset_catalog catalog = subset_catalog::build(t, potcong, params.limits);
-  equation_builder builder(t, catalog, potcong);
+  const equation_builder builder(t, catalog, potcong);
+  equation_row_scratch scratch;
 
   sparse_matrix a(catalog.size());
   std::vector<double> b;
   for (std::size_t i = 0; i < path_sets.size(); ++i) {
-    const auto row = builder.row(path_sets[i]);
-    if (!row || row->empty()) continue;
+    if (!builder.row(path_sets[i], scratch) || scratch.row.empty()) continue;
     const std::size_t count = counts[i];
     if (count == 0) continue;  // no finite log-probability.
     // sqrt(count) weighting, as in correlation_complete.cpp.
     const double weight = std::sqrt(static_cast<double>(count));
     const double logp = std::log(static_cast<double>(count) /
                                  static_cast<double>(observed_intervals[i]));
-    a.append_row(*row, weight);
+    a.append_row(scratch.row, weight);
     b.push_back(logp * weight);
   }
 

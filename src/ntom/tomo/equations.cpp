@@ -7,48 +7,59 @@ namespace ntom {
 equation_builder::equation_builder(const topology& t,
                                    const subset_catalog& catalog,
                                    const bitvec& potcong)
-    : topo_(&t),
-      catalog_(&catalog),
-      potcong_(potcong),
-      slot_of_as_(t.num_ases(), static_cast<std::size_t>(-1)) {}
+    : topo_(&t), catalog_(&catalog), potcong_(potcong) {}
 
-std::optional<std::vector<std::size_t>> equation_builder::row(
-    const bitvec& path_set) const {
-  bitvec links = topo_->links_of_paths(path_set);
+bool equation_builder::row(const bitvec& path_set,
+                           equation_row_scratch& scratch) const {
+  constexpr std::size_t unseen = static_cast<std::size_t>(-1);
+  const std::size_t num_links = topo_->num_links();
+  if (scratch.links.size() != num_links) scratch.links = bitvec(num_links);
+  if (scratch.slot_of_as.size() < topo_->num_ases()) {
+    scratch.slot_of_as.assign(topo_->num_ases(), unseen);
+  }
+
+  // Links(P) ∩ potcong, in the reused buffer.
+  bitvec& links = scratch.links;
+  links.clear();
+  path_set.for_each([&](std::size_t p) {
+    links |= topo_->get_path(static_cast<path_id>(p)).link_set();
+  });
   links &= potcong_;
 
   // Group the touched links by correlation set (= AS) in one pass: the
-  // persistent per-AS slot table replaces the former per-link linear
-  // scan over the groups seen so far (O(k^2) across k touched ASes).
-  // Only the slots touched by this row are reset afterwards.
-  constexpr std::size_t unseen = static_cast<std::size_t>(-1);
+  // per-AS slot table replaces a per-link scan over the groups seen so
+  // far (O(k^2) across k touched ASes). Only the slots touched by this
+  // row are reset afterwards.
   std::size_t num_groups = 0;
   links.for_each([&](std::size_t le) {
     const as_id a = topo_->link(static_cast<link_id>(le)).as_number;
-    if (slot_of_as_[a] == unseen) {
-      slot_of_as_[a] = num_groups;
-      touched_as_.push_back(a);
-      if (num_groups == groups_.size()) {
-        groups_.emplace_back(topo_->num_links());
+    std::size_t& slot = scratch.slot_of_as[a];
+    if (slot == unseen) {
+      slot = num_groups;
+      scratch.touched_as.push_back(a);
+      if (num_groups == scratch.groups.size()) {
+        scratch.groups.emplace_back(num_links);
+      } else if (scratch.groups[num_groups].size() != num_links) {
+        scratch.groups[num_groups] = bitvec(num_links);
       } else {
-        groups_[num_groups].clear();
+        scratch.groups[num_groups].clear();
       }
       ++num_groups;
     }
-    groups_[slot_of_as_[a]].set(le);
+    scratch.groups[slot].set(le);
   });
-  for (const as_id a : touched_as_) slot_of_as_[a] = unseen;
-  touched_as_.clear();
+  for (const as_id a : scratch.touched_as) scratch.slot_of_as[a] = unseen;
+  scratch.touched_as.clear();
 
-  std::vector<std::size_t> sparse;
-  sparse.reserve(num_groups);
+  std::vector<std::size_t>& sparse = scratch.row;
+  sparse.clear();
   for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::size_t idx = catalog_->find(groups_[g]);
-    if (idx == subset_catalog::npos) return std::nullopt;
+    const std::size_t idx = catalog_->find(scratch.groups[g]);
+    if (idx == subset_catalog::npos) return false;
     sparse.push_back(idx);
   }
   std::sort(sparse.begin(), sparse.end());
-  return sparse;
+  return true;
 }
 
 std::vector<double> equation_builder::dense_row(

@@ -9,7 +9,6 @@
 // knob); inexpressible path sets are skipped by Algorithm 1.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "ntom/corr/subsets.hpp"
@@ -18,21 +17,36 @@
 
 namespace ntom {
 
-/// Builds Eq. 1 rows against a fixed catalog Ê.
-///
-/// Not thread-safe: row() reuses internal scratch buffers. The batch
-/// engine constructs one builder per run (= per worker), never shared.
+/// Caller-owned buffers for equation_builder::row. `row` is the output;
+/// the rest is working storage. row() sizes every buffer on first use
+/// and afterwards only overwrites it, so a caller that keeps one
+/// scratch across calls builds rows without touching the heap (once
+/// `groups` has reached the most ASes a row touches). One scratch per
+/// thread; the builder itself holds no mutable state.
+struct equation_row_scratch {
+  /// Sparse Row(P, Ê): ascending catalog indices. Valid after row()
+  /// returned true; empty when P touches no potentially congested link.
+  std::vector<std::size_t> row;
+
+  bitvec links;                        ///< Links(P) ∩ potcong.
+  std::vector<bitvec> groups;          ///< links of P per touched AS.
+  std::vector<std::size_t> slot_of_as; ///< group of AS a; npos between calls.
+  std::vector<as_id> touched_as;       ///< ASes whose slot to reset.
+};
+
+/// Builds Eq. 1 rows against a fixed catalog Ê. Immutable after
+/// construction, so one builder may serve several threads, each with its
+/// own equation_row_scratch.
 class equation_builder {
  public:
   equation_builder(const topology& t, const subset_catalog& catalog,
                    const bitvec& potcong);
 
-  /// Sparse Row(P, Ê): ascending catalog indices of the unknowns
-  /// appearing in the equation for `path_set`. nullopt when some
-  /// intersection Links(P) ∩ C is not in the catalog. An empty result
-  /// means the path set touches no potentially congested link.
-  [[nodiscard]] std::optional<std::vector<std::size_t>> row(
-      const bitvec& path_set) const;
+  /// Writes Row(P, Ê) for `path_set` into `scratch.row` and returns
+  /// true; returns false (scratch.row unspecified) when some
+  /// intersection Links(P) ∩ C is not in the catalog.
+  [[nodiscard]] bool row(const bitvec& path_set,
+                         equation_row_scratch& scratch) const;
 
   /// Dense 0/1 vector of length catalog.size() for a sparse row.
   [[nodiscard]] std::vector<double> dense_row(
@@ -42,13 +56,6 @@ class equation_builder {
   const topology* topo_;
   const subset_catalog* catalog_;
   bitvec potcong_;
-
-  /// Scratch for row(): slot_of_as_[a] = group index of AS a in the
-  /// row being built (npos between calls); touched_as_ lists the ASes
-  /// to reset. Avoids an O(num_ases) clear per row.
-  mutable std::vector<std::size_t> slot_of_as_;
-  mutable std::vector<as_id> touched_as_;
-  mutable std::vector<bitvec> groups_;
 };
 
 }  // namespace ntom

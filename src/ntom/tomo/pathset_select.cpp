@@ -1,11 +1,11 @@
 #include "ntom/tomo/pathset_select.hpp"
 
 #include <algorithm>
+#include <map>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 #include "ntom/corr/correlation.hpp"
 #include "ntom/linalg/nullspace.hpp"
@@ -54,6 +54,70 @@ void order_by_weight_descending(const std::vector<std::size_t>& weights,
   }
 }
 
+/// The set of path sets step 3 has examined, open-addressed over their
+/// packed words. All keys share one universe, so they sit end to end in
+/// one arena (entry e at words [e*w, (e+1)*w)). Each slot packs the
+/// upper 32 bits of the key's finalized hash (the tag, which also picks
+/// the home slot) with entry index + 1 (0 = empty): a probe compares
+/// tags before words, and growth re-places slots without rehashing.
+class pathset_table {
+ public:
+  explicit pathset_table(std::size_t words)
+      : words_(words), slots_(initial_slots, 0) {}
+
+  /// Adds `pset`; false if an equal path set is already in the table.
+  bool insert(const bitvec& pset) {
+    const std::uint64_t tag = finalize(pset.hash()) >> 32;
+    const std::uint64_t* key = pset.word_data();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = tag & mask;
+    for (; slots_[s] != 0; s = (s + 1) & mask) {
+      if ((slots_[s] >> 32) != tag) continue;
+      const std::uint64_t* entry =
+          arena_.data() + (static_cast<std::uint32_t>(slots_[s]) - 1) * words_;
+      if (std::equal(key, key + words_, entry)) return false;
+    }
+    arena_.insert(arena_.end(), key, key + words_);
+    ++size_;
+    slots_[s] = (tag << 32) | size_;
+    if (2 * size_ > slots_.size()) grow();
+    return true;
+  }
+
+ private:
+  static constexpr std::size_t initial_slots = 1024;
+
+  /// bitvec::hash is FNV-1a over whole words, so its low bits depend
+  /// only on the words' low bits; the murmur3 finalizer spreads every
+  /// input bit over the tag.
+  static std::uint64_t finalize(std::uint64_t h) noexcept {
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+  }
+
+  /// Doubles the slot table (load stays at most 1/2).
+  void grow() {
+    std::vector<std::uint64_t> old(slots_.size() * 2, 0);
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const std::uint64_t slot : old) {
+      if (slot == 0) continue;
+      std::size_t s = (slot >> 32) & mask;
+      while (slots_[s] != 0) s = (s + 1) & mask;
+      slots_[s] = slot;
+    }
+  }
+
+  std::size_t words_;
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> arena_;
+  std::vector<std::uint64_t> slots_;
+};
+
 }  // namespace
 
 pathset_selection select_path_sets(const topology& t,
@@ -88,19 +152,32 @@ pathset_selection select_path_sets(const topology& t,
     candidates[i] = std::move(paths);
   }
 
+  // Subsets with equal candidate lists walk the same path sets in the
+  // same order. list_of[i] numbers subset i's list; frontier[g] is how
+  // far the furthest walk over list g has gone, so every mask below it
+  // is already in `seen`.
+  std::vector<std::size_t> list_of(n1);
+  std::map<std::vector<std::size_t>, std::size_t> list_ids;
+  for (std::size_t i = 0; i < n1; ++i) {
+    list_of[i] =
+        list_ids.try_emplace(candidate_indices[i], list_ids.size())
+            .first->second;
+  }
+  std::vector<std::size_t> frontier(list_ids.size(), 0);
+
   // Every path set examined so far. Accepted or rejected, a path set
   // is examined once: a rejected row never adds rank to a smaller null
   // space, and an accepted one is already in the system.
-  std::unordered_set<bitvec, bitvec_hash> seen;
+  pathset_table seen(bitvec(t.num_paths()).num_words());
+  equation_row_scratch scratch;
 
-  auto try_accept = [&](const bitvec& pset)
-      -> std::optional<std::vector<std::size_t>> {
+  // True when `pset` is new, usable and gives a nonempty row, which is
+  // then in scratch.row.
+  auto examine = [&](const bitvec& pset) {
     ++out.candidates_examined;
-    if (pset.empty() || !seen.insert(pset).second) return std::nullopt;
-    if (usable && !usable(pset)) return std::nullopt;
-    auto row = builder.row(pset);
-    if (!row || row->empty()) return std::nullopt;
-    return row;
+    if (pset.empty() || !seen.insert(pset)) return false;
+    if (usable && !usable(pset)) return false;
+    return builder.row(pset, scratch) && !scratch.row.empty();
   };
 
   // ---- Step 1: seed equations, one per correlation subset. Rows stay
@@ -109,11 +186,10 @@ pathset_selection select_path_sets(const topology& t,
   sparse_matrix system(n1);
   for (std::size_t i = 0; i < n1; ++i) {
     const bitvec& pset = candidates[i];
-    auto row = try_accept(pset);
-    if (!row) continue;
+    if (!examine(pset)) continue;
     out.path_sets.push_back(pset);
-    out.rows.push_back(*row);
-    system.append_row(*row);
+    out.rows.push_back(scratch.row);
+    system.append_row(scratch.row);
   }
   out.seed_equations = out.path_sets.size();
 
@@ -127,6 +203,7 @@ pathset_selection select_path_sets(const topology& t,
   std::vector<std::size_t> cursor(n1, 0);
   std::vector<std::size_t> order(n1);
   std::iota(order.begin(), order.end(), 0);
+  bitvec pset(t.num_paths());  // the candidate, rebuilt per mask.
   while (nsp.cols() > 0) {
     bool found = false;
 
@@ -145,21 +222,30 @@ pathset_selection select_path_sets(const topology& t,
       const auto& masks = masks_by_popcount(paths.size());
       const std::size_t limit =
           std::min<std::size_t>(masks.size(), params.max_candidates_per_subset);
-      for (std::size_t& m = cursor[i]; m < limit && !found; ++m) {
-        bitvec pset(t.num_paths());
-        for (std::size_t b = 0; b < paths.size(); ++b) {
-          if (masks[m] & (1u << b)) pset.set(paths[b]);
+      // Masks below the list's frontier would each be examined and
+      // found in `seen`: count them and skip ahead.
+      std::size_t& m = cursor[i];
+      std::size_t& reached = frontier[list_of[i]];
+      if (m < reached) {
+        out.candidates_examined += reached - m;
+        m = reached;
+      }
+      for (; m < limit && !found; ++m) {
+        pset.clear();
+        for (std::uint32_t bits = masks[m]; bits != 0; bits &= bits - 1) {
+          pset.set(paths[static_cast<std::size_t>(__builtin_ctz(bits))]);
         }
-        auto row = try_accept(pset);
-        if (!row) continue;
-        if (row_increases_rank(*row, nsp, params.rank_tolerance)) {
+        if (!examine(pset)) continue;
+        if (row_increases_rank(scratch.row, nsp, params.rank_tolerance)) {
           out.path_sets.push_back(pset);
-          out.rows.push_back(*row);
+          out.rows.push_back(scratch.row);
           ++out.added_equations;
-          nsp = null_space_update(std::move(nsp), *row, params.rank_tolerance);
+          nsp = null_space_update(std::move(nsp), scratch.row,
+                                  params.rank_tolerance);
           found = true;
         }
       }
+      reached = m;
       if (found) break;
     }
     if (!found) break;  // r = 0 in the paper's termination condition.

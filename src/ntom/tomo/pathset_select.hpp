@@ -24,6 +24,24 @@
 // rows the restarting walk did (tests/tomo/pathset_select_reference
 // keeps the restarting walk as the oracle).
 //
+// The walk's data structures, none of which allocates per candidate:
+//   - one path-set buffer, cleared and refilled from each mask's bits;
+//   - `seen`, the path sets examined so far: an open-addressed table
+//     whose keys (packed path-set words, all of one width) sit end to
+//     end in one arena, with a power-of-two slot array holding each
+//     key's finalized hash tag and arena index; each candidate is
+//     hashed once;
+//   - a frontier per distinct candidate list: subsets with equal lists
+//     walk the same path sets in the same order, so a walk starts at
+//     the furthest mask any of them reached (the skipped masks are all
+//     in `seen` and still count as examined);
+//   - one equation_row_scratch for the link union, AS groups and row,
+//     and a rank test that sums r·N in a stack block.
+// `seen` and the frontiers only save work: a candidate met again keeps
+// its first verdict without a second test (an accepted row is already
+// in the system; a rejected one never adds rank later), and every mask
+// a frontier skips still counts in candidates_examined.
+//
 // The `usable` predicate lets the caller reject path sets that cannot
 // produce a finite measured log-probability (empirical count 0).
 #pragma once

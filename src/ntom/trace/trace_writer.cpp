@@ -1,6 +1,7 @@
 #include "ntom/trace/trace_writer.hpp"
 
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <utility>
 
@@ -17,6 +18,15 @@ using trace_wire::word_stride;
 
 trace_writer::trace_writer(std::string path, trace_writer_options options)
     : path_(std::move(path)), options_(std::move(options)) {
+  // An existing regular file is replaced, not truncated in place: a
+  // reader that still maps the old capture keeps reading it, and the
+  // close does not wait for the truncated file's writeback. Anything
+  // else (a device such as /dev/full, a FIFO, a symlink) is opened as is.
+  std::error_code ec;
+  if (std::filesystem::is_regular_file(
+          std::filesystem::symlink_status(path_, ec))) {
+    std::filesystem::remove(path_, ec);
+  }
   out_ = std::fopen(path_.c_str(), "wb");
   if (out_ == nullptr) throw trace_error("trace_writer: cannot open " + path_);
   stream_buffer_.resize(256 * 1024);

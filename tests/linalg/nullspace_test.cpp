@@ -38,6 +38,29 @@ TEST(RowNullspaceProductTest, EmptyNullSpaceNeverIncreases) {
   EXPECT_FALSE(row_increases_rank(std::vector<double>{1.0, 2.0, 3.0}, n));
 }
 
+TEST(RowNullspaceProductTest, SparseTestSeesEveryColumnBlock) {
+  // The sparse rank test sums r.N a stack block of columns at a time.
+  // With a single column of N above the tolerance, wherever it sits
+  // (block edges included), the test must agree with the full product.
+  for (const std::size_t cols : {1u, 63u, 64u, 65u, 129u, 200u}) {
+    for (std::size_t live = 0; live < cols; ++live) {
+      matrix n(5, cols);
+      for (std::size_t i = 0; i < 5; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) n(i, j) = 1e-12;
+      }
+      n(1, live) = 0.5;
+      n(3, live) = -0.25;
+      for (const std::vector<std::size_t>& row :
+           {std::vector<std::size_t>{1}, std::vector<std::size_t>{0, 2, 4},
+            std::vector<std::size_t>{1, 3}}) {
+        const bool want = row_nullspace_product(row, n) > 1e-9;
+        EXPECT_EQ(row_increases_rank(row, n, 1e-9), want)
+            << cols << " columns, live column " << live;
+      }
+    }
+  }
+}
+
 TEST(NullSpaceUpdateTest, ShrinksDimensionByOne) {
   const matrix a{{1, 1, 0}};
   matrix n = null_space_basis(a);

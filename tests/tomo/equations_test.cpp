@@ -30,14 +30,15 @@ TEST(EquationsTest, SinglePathRowMatchesFig2b) {
   // Eq. for {p1}: P(Yp1=0) = P(Xe1=0) P(Xe2=0) — unknowns {e1}, {e2}.
   fixture f;
   equation_builder builder(f.t, f.catalog, f.potcong);
-  const auto row = builder.row(paths(f.t, {toy_p1}));
-  ASSERT_TRUE(row.has_value());
-  ASSERT_EQ(row->size(), 2u);
+  equation_row_scratch s;
+  ASSERT_TRUE(builder.row(paths(f.t, {toy_p1}), s));
+  const auto& row = s.row;
+  ASSERT_EQ(row.size(), 2u);
   bitvec e1(f.t.num_links()), e2(f.t.num_links());
   e1.set(toy_e1);
   e2.set(toy_e2);
-  EXPECT_EQ(f.catalog.find(e1), (*row)[0]);
-  EXPECT_EQ(f.catalog.find(e2), (*row)[1]);
+  EXPECT_EQ(f.catalog.find(e1), row[0]);
+  EXPECT_EQ(f.catalog.find(e2), row[1]);
 }
 
 TEST(EquationsTest, PairRowUsesJointUnknown) {
@@ -45,39 +46,40 @@ TEST(EquationsTest, PairRowUsesJointUnknown) {
   // subset {e2,e3} appears, not the singletons (Fig. 2(b), eq. 3).
   fixture f;
   equation_builder builder(f.t, f.catalog, f.potcong);
-  const auto row = builder.row(paths(f.t, {toy_p1, toy_p2}));
-  ASSERT_TRUE(row.has_value());
-  ASSERT_EQ(row->size(), 2u);
+  equation_row_scratch s;
+  ASSERT_TRUE(builder.row(paths(f.t, {toy_p1, toy_p2}), s));
+  const auto& row = s.row;
+  ASSERT_EQ(row.size(), 2u);
   bitvec e1(f.t.num_links()), e23(f.t.num_links());
   e1.set(toy_e1);
   e23.set(toy_e2);
   e23.set(toy_e3);
-  EXPECT_EQ(f.catalog.find(e1), (*row)[0]);
-  EXPECT_EQ(f.catalog.find(e23), (*row)[1]);
+  EXPECT_EQ(f.catalog.find(e1), row[0]);
+  EXPECT_EQ(f.catalog.find(e23), row[1]);
 }
 
 TEST(EquationsTest, AllPathsRowMatchesFig2b) {
   // Eq. for {p1,p2,p3}: P = P(Xe1=0) P(Xe4=0) P(Xe2=0,Xe3=0).
   fixture f;
   equation_builder builder(f.t, f.catalog, f.potcong);
-  const auto row = builder.row(paths(f.t, {toy_p1, toy_p2, toy_p3}));
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(row->size(), 3u);
+  equation_row_scratch s;
+  ASSERT_TRUE(builder.row(paths(f.t, {toy_p1, toy_p2, toy_p3}), s));
+  EXPECT_EQ(s.row.size(), 3u);
 }
 
 TEST(EquationsTest, OneUnknownPerCorrelationSet) {
   fixture f;
   equation_builder builder(f.t, f.catalog, f.potcong);
   // Any path set: its row has at most one unknown per AS.
+  equation_row_scratch s;
   for (std::uint32_t mask = 1; mask < 8; ++mask) {
     bitvec pset(f.t.num_paths());
     for (int b = 0; b < 3; ++b) {
       if (mask & (1u << b)) pset.set(static_cast<path_id>(b));
     }
-    const auto row = builder.row(pset);
-    ASSERT_TRUE(row.has_value());
+    ASSERT_TRUE(builder.row(pset, s));
     std::vector<bool> seen_as(f.t.num_ases(), false);
-    for (const auto idx : *row) {
+    for (const auto idx : s.row) {
       const as_id a = f.catalog.subset_as(idx);
       EXPECT_FALSE(seen_as[a]) << "two unknowns from AS " << a;
       seen_as[a] = true;
@@ -92,20 +94,21 @@ TEST(EquationsTest, AlwaysGoodLinksDropOut) {
   potcong.reset(toy_e2);
   const subset_catalog catalog = subset_catalog::build(f.t, potcong);
   equation_builder builder(f.t, catalog, potcong);
-  const auto row = builder.row(paths(f.t, {toy_p1}));
-  ASSERT_TRUE(row.has_value());
-  ASSERT_EQ(row->size(), 1u);
+  equation_row_scratch s;
+  ASSERT_TRUE(builder.row(paths(f.t, {toy_p1}), s));
+  const auto& row = s.row;
+  ASSERT_EQ(row.size(), 1u);
   bitvec e1(f.t.num_links());
   e1.set(toy_e1);
-  EXPECT_EQ(catalog.find(e1), (*row)[0]);
+  EXPECT_EQ(catalog.find(e1), row[0]);
 }
 
 TEST(EquationsTest, EmptyPathSetYieldsEmptyRow) {
   fixture f;
   equation_builder builder(f.t, f.catalog, f.potcong);
-  const auto row = builder.row(bitvec(f.t.num_paths()));
-  ASSERT_TRUE(row.has_value());
-  EXPECT_TRUE(row->empty());
+  equation_row_scratch s;
+  ASSERT_TRUE(builder.row(bitvec(f.t.num_paths()), s));
+  EXPECT_TRUE(s.row.empty());
 }
 
 TEST(EquationsTest, CatalogMissYieldsNullopt) {
@@ -115,21 +118,50 @@ TEST(EquationsTest, CatalogMissYieldsNullopt) {
   limits.max_subset_size = 1;
   const subset_catalog capped = subset_catalog::build(f.t, f.potcong, limits);
   equation_builder builder(f.t, capped, f.potcong);
-  EXPECT_FALSE(builder.row(paths(f.t, {toy_p1, toy_p2})).has_value());
+  equation_row_scratch s;
+  EXPECT_FALSE(builder.row(paths(f.t, {toy_p1, toy_p2}), s));
   // Single-path rows remain expressible.
-  EXPECT_TRUE(builder.row(paths(f.t, {toy_p1})).has_value());
+  EXPECT_TRUE(builder.row(paths(f.t, {toy_p1}), s));
 }
 
 TEST(EquationsTest, DenseRowLayout) {
   fixture f;
   equation_builder builder(f.t, f.catalog, f.potcong);
-  const auto row = builder.row(paths(f.t, {toy_p1}));
-  const auto dense = builder.dense_row(*row);
+  equation_row_scratch s;
+  ASSERT_TRUE(builder.row(paths(f.t, {toy_p1}), s));
+  const auto& row = s.row;
+  const auto dense = builder.dense_row(row);
   EXPECT_EQ(dense.size(), f.catalog.size());
   double sum = 0.0;
   for (const double x : dense) sum += x;
-  EXPECT_DOUBLE_EQ(sum, static_cast<double>(row->size()));
-  for (const auto idx : *row) EXPECT_EQ(dense[idx], 1.0);
+  EXPECT_DOUBLE_EQ(sum, static_cast<double>(row.size()));
+  for (const auto idx : row) EXPECT_EQ(dense[idx], 1.0);
+}
+
+TEST(EquationsTest, ReusedScratchMatchesFreshScratch) {
+  // One scratch carried through every path set (a catalog miss among
+  // them) and across two builders gives the rows a fresh scratch gives.
+  fixture f;
+  subset_limits limits;
+  limits.max_subset_size = 1;
+  const subset_catalog capped = subset_catalog::build(f.t, f.potcong, limits);
+  const equation_builder full(f.t, f.catalog, f.potcong);
+  const equation_builder singles(f.t, capped, f.potcong);
+  equation_row_scratch reused;
+  for (const equation_builder* builder : {&full, &singles, &full}) {
+    for (std::uint32_t mask = 0; mask < 8; ++mask) {
+      bitvec pset(f.t.num_paths());
+      for (int b = 0; b < 3; ++b) {
+        if (mask & (1u << b)) pset.set(static_cast<path_id>(b));
+      }
+      equation_row_scratch fresh;
+      const bool want = builder->row(pset, fresh);
+      ASSERT_EQ(builder->row(pset, reused), want) << "mask " << mask;
+      if (want) {
+        EXPECT_EQ(reused.row, fresh.row) << "mask " << mask;
+      }
+    }
+  }
 }
 
 }  // namespace

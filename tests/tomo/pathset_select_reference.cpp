@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <unordered_set>
@@ -115,6 +116,29 @@ matrix null_space_update_by_columns(matrix n,
   return updated;
 }
 
+/// Row(P, Ê) from its definition, independent of equation_builder:
+/// Links(P) ∩ potcong split by AS, each part looked up in the catalog;
+/// nullopt on a catalog miss.
+std::optional<std::vector<std::size_t>> row_of(const topology& t,
+                                               const subset_catalog& catalog,
+                                               const bitvec& potcong,
+                                               const bitvec& pset) {
+  const bitvec links = t.links_of_paths(pset) & potcong;
+  std::map<as_id, bitvec> parts;
+  links.for_each([&](std::size_t e) {
+    const as_id a = t.link(static_cast<link_id>(e)).as_number;
+    parts.try_emplace(a, t.num_links()).first->second.set(e);
+  });
+  std::vector<std::size_t> row;
+  for (const auto& [a, part] : parts) {
+    const std::size_t idx = catalog.find(part);
+    if (idx == subset_catalog::npos) return std::nullopt;
+    row.push_back(idx);
+  }
+  std::sort(row.begin(), row.end());
+  return row;
+}
+
 }  // namespace
 
 pathset_selection select_path_sets(const topology& t,
@@ -122,7 +146,6 @@ pathset_selection select_path_sets(const topology& t,
                                    const bitvec& potcong,
                                    const pathset_selection_params& params,
                                    const pathset_predicate& usable) {
-  equation_builder builder(t, catalog, potcong);
   pathset_selection out;
   const std::size_t n1 = catalog.size();
 
@@ -154,7 +177,7 @@ pathset_selection select_path_sets(const topology& t,
       rejected.insert(pset);
       return std::nullopt;
     }
-    auto row = builder.row(pset);
+    auto row = row_of(t, catalog, potcong, pset);
     if (!row || row->empty()) {
       rejected.insert(pset);
       return std::nullopt;

@@ -1,7 +1,8 @@
 // Test oracle for Algorithm 1: the selection loop that restarts every
 // subset's candidate walk from its first mask after each accepted
 // equation, with the row-major null-space arithmetic it was written
-// against. The library's select_path_sets (tomo/pathset_select.cpp)
+// against, a node-based seen set, and rows built from their definition
+// rather than by equation_builder. The library's select_path_sets (tomo/pathset_select.cpp)
 // resumes each walk instead and must reproduce this oracle's path sets,
 // rows, counters and final null space exactly (==), while examining
 // fewer candidates.

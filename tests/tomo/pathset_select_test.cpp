@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "ntom/corr/correlation.hpp"
 #include "ntom/linalg/qr.hpp"
+#include "ntom/sim/monitor.hpp"
+#include "ntom/sim/scenario.hpp"
+#include "ntom/tomo/correlation_complete.hpp"
 #include "ntom/topogen/brite.hpp"
 #include "ntom/topogen/sparse.hpp"
 #include "ntom/topogen/toy.hpp"
@@ -135,12 +140,12 @@ TEST(PathsetSelectTest, RowsAreConsistentWithPathSets) {
   const bitvec potcong = full_potcong(t);
   const subset_catalog catalog = subset_catalog::build(t, potcong);
   const equation_builder builder(t, catalog, potcong);
+  equation_row_scratch scratch;
   const auto sel = select_path_sets(t, catalog, potcong);
   ASSERT_EQ(sel.path_sets.size(), sel.rows.size());
   for (std::size_t i = 0; i < sel.path_sets.size(); ++i) {
-    const auto row = builder.row(sel.path_sets[i]);
-    ASSERT_TRUE(row.has_value());
-    EXPECT_EQ(*row, sel.rows[i]);
+    ASSERT_TRUE(builder.row(sel.path_sets[i], scratch));
+    EXPECT_EQ(scratch.row, sel.rows[i]);
   }
 }
 
@@ -238,6 +243,74 @@ TEST_P(PathsetOracleTest, ResumedWalkEqualsRestartingOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathsetOracleTest,
                          ::testing::Values<std::uint64_t>(3, 11, 29, 47));
+
+TEST(PathsetOracleTest, BenchmarkNetworkWithCountThreshold) {
+  // The fig3_brite network (brite,n=36,hosts=180,paths=450) under random
+  // congestion at T=300, with the predicate compute_correlation_complete
+  // builds. The work counters are pinned: they are deterministic, and a
+  // change that walks differently shows here before it shows in a time.
+  brite_params p;
+  p.num_ases = 36;
+  p.num_destination_hosts = 180;
+  p.num_paths = 450;
+  p.seed = 42;
+  const topology t = generate_brite(p);
+  scenario_params sp;
+  sp.seed = 8;
+  const congestion_model model = make_scenario(t, "random_congestion", sp);
+  sim_params sim;
+  sim.intervals = 300;
+  const experiment_data data = run_experiment(t, model, sim);
+  const path_observations obs(data);
+  const bitvec potcong =
+      potentially_congested_links(t, obs.always_good_paths());
+  const subset_catalog catalog = subset_catalog::build(t, potcong);
+  const std::size_t min_count =
+      correlation_complete_params{}.min_all_good_count;
+  const pathset_predicate usable = [&](const bitvec& pset) {
+    return obs.count_all_good(pset) >= min_count;
+  };
+
+  const auto got = select_path_sets(t, catalog, potcong, {}, usable);
+  const auto want =
+      testing_oracle::select_path_sets(t, catalog, potcong, {}, usable);
+  expect_same_selection(got, want);
+  EXPECT_EQ(got.seed_equations, 131u);
+  EXPECT_EQ(got.added_equations, 12u);
+  EXPECT_EQ(got.candidates_examined, 145545u);
+}
+
+TEST(PathsetConcurrencyTest, ThreadsWithDifferentListLengthsMatchSerial) {
+  // Grid cells run Algorithm 1 on worker threads at once. Each thread
+  // caps its candidate lists at another length, so the threads fill
+  // distinct entries of the shared mask cache concurrently (this process
+  // has not filled any yet); the results must equal serial runs made
+  // afterwards.
+  const topology t = small_brite(7);
+  const bitvec potcong = t.covered_links();
+  const subset_catalog catalog = subset_catalog::build(t, potcong);
+  const std::vector<std::size_t> caps = {3, 5, 7, 9, 11, 13};
+  auto run = [&](std::size_t cap) {
+    pathset_selection_params params;
+    params.max_subset_paths = cap;
+    params.max_candidates_per_subset = 256;
+    return select_path_sets(t, catalog, potcong, params);
+  };
+
+  std::vector<pathset_selection> parallel(caps.size());
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < caps.size(); ++k) {
+    threads.emplace_back([&, k] { parallel[k] = run(caps[k]); });
+  }
+  for (auto& th : threads) th.join();
+
+  for (std::size_t k = 0; k < caps.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "cap " << caps[k]);
+    const pathset_selection serial = run(caps[k]);
+    expect_same_selection(parallel[k], serial);
+    EXPECT_EQ(parallel[k].candidates_examined, serial.candidates_examined);
+  }
+}
 
 TEST(PathsetSelectTest, CandidatesExaminedBoundedByOneWalkPerSubset) {
   const topology t = small_brite(5);

@@ -464,6 +464,29 @@ TEST(TraceWriterTest, WriteFailureSurfacesAsTraceError) {
   EXPECT_THROW(capture(small_config(40), "/dev/full", 8), trace_error);
 }
 
+TEST(TraceWriterTest, CaptureOverExistingFileEqualsFreshCapture) {
+  const std::string fresh = temp_path("overwrite_fresh.trc");
+  const std::string reused = temp_path("overwrite_reused.trc");
+  std::remove(fresh.c_str());
+  capture(small_config(40), fresh, 8);
+
+  // A longer capture sits at the reused path, and a reader maps it
+  // while the shorter capture is written over it.
+  capture(small_config(200), reused, 8);
+  const trace_reader old_reader(reused);
+  capture(small_config(40), reused, 8);
+
+  const std::vector<char> want = file_bytes(fresh);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(file_bytes(reused), want);
+  // The old capture is replaced, not truncated under its reader.
+  EXPECT_EQ(old_reader.intervals(), 200u);
+  null_replay(old_reader);
+  EXPECT_EQ(trace_reader(reused).intervals(), 40u);
+  std::remove(fresh.c_str());
+  std::remove(reused.c_str());
+}
+
 TEST(TraceWriterTest, AbandonedCaptureFailsToOpen) {
   // Destroying a writer without end() must not throw; the file simply
   // has no trailer.
