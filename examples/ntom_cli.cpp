@@ -77,7 +77,9 @@
 #include "ntom/io/results_io.hpp"
 #include "ntom/io/topology_io.hpp"
 #include "ntom/service/service.hpp"
+#include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
+#include "ntom/tomo/correlation_complete.hpp"
 #include "ntom/topogen/registry.hpp"
 #include "ntom/trace/corpus.hpp"
 #include "ntom/trace/imperfection.hpp"

@@ -1,7 +1,6 @@
 #include "ntom/analysis/peer_report.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ntom {
 
@@ -29,46 +28,6 @@ std::vector<peer_summary> build_peer_report(
                      return x.worst_congestion > y.worst_congestion;
                    });
   return report;
-}
-
-experiment_data slice_experiment(const experiment_data& data,
-                                 std::size_t begin, std::size_t end) {
-  assert(begin <= end && end <= data.intervals);
-  experiment_data out;
-  out.intervals = end - begin;
-  out.path_good = data.path_good.column_slice(begin, end);
-  out.true_links = data.true_links.row_slice(begin, end);
-  out.always_good_paths = out.path_good.full_rows();
-  out.ever_congested_links = out.true_links.or_of_rows();
-  return out;
-}
-
-std::vector<double> peer_congestion_trend(
-    const topology& t, const experiment_data& data, as_id peer,
-    std::size_t windows, const correlation_complete_params& params) {
-  assert(windows > 0);
-  std::vector<double> trend;
-  trend.reserve(windows);
-  const std::size_t width = data.intervals / windows;
-  for (std::size_t w = 0; w < windows; ++w) {
-    const std::size_t begin = w * width;
-    const std::size_t end =
-        (w + 1 == windows) ? data.intervals : begin + width;
-    const experiment_data window = slice_experiment(data, begin, end);
-    const auto result = compute_correlation_complete(t, window, params);
-    const link_estimates links = result.estimates.to_link_estimates();
-
-    double mean = 0.0;
-    std::size_t count = 0;
-    bitvec in_as = t.links_in_as(peer);
-    in_as &= t.covered_links();
-    in_as.for_each([&](std::size_t e) {
-      mean += links.congestion[e];
-      ++count;
-    });
-    trend.push_back(count ? mean / static_cast<double>(count) : 0.0);
-  }
-  return trend;
 }
 
 }  // namespace ntom

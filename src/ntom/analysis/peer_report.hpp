@@ -4,17 +4,15 @@
 //   "how frequently is the peer congested, and how does its congestion
 //    level change over the course of a day or week?"
 //
-// A peer report aggregates per-link congestion probabilities per AS and
-// ranks peers; the windowed variant recomputes estimates over slices of
-// the experiment to expose trends (diurnal load, incident windows)
-// without any stationarity assumption.
+// A peer report aggregates one fit's per-link congestion probabilities
+// per AS and ranks peers; built from fits of successive interval
+// windows, it shows how a peer's congestion changes over the day.
 #pragma once
 
 #include <vector>
 
 #include "ntom/graph/topology.hpp"
-#include "ntom/sim/packet_sim.hpp"
-#include "ntom/tomo/correlation_complete.hpp"
+#include "ntom/tomo/estimates.hpp"
 
 namespace ntom {
 
@@ -31,20 +29,5 @@ struct peer_summary {
 /// skipped). Sorted by worst_congestion descending.
 [[nodiscard]] std::vector<peer_summary> build_peer_report(
     const topology& t, const probability_estimates& estimates);
-
-/// Congestion trend for one peer: the experiment is cut into
-/// `windows` equal slices and Probability Computation runs per slice.
-/// Entry w is the mean link congestion of the peer in window w.
-/// This is the operator's "congestion level over the day" view.
-[[nodiscard]] std::vector<double> peer_congestion_trend(
-    const topology& t, const experiment_data& data, as_id peer,
-    std::size_t windows,
-    const correlation_complete_params& params = {});
-
-/// Slices an experiment: keeps only intervals [begin, end) and
-/// recomputes the derived fields. Used by the windowed analyses.
-[[nodiscard]] experiment_data slice_experiment(const experiment_data& data,
-                                               std::size_t begin,
-                                               std::size_t end);
 
 }  // namespace ntom

@@ -13,12 +13,6 @@ bitvec potentially_congested_links(const topology& t,
   return out;
 }
 
-bitvec correlation_set_of(const topology& t, link_id e, const bitvec& potcong) {
-  bitvec out = t.links_in_as(t.link(e).as_number);
-  out &= potcong;
-  return out;
-}
-
 bitvec subset_complement(const topology& t, const bitvec& subset,
                          as_id as_number, const bitvec& potcong) {
   bitvec out = t.links_in_as(as_number);

@@ -23,11 +23,6 @@ namespace ntom {
 [[nodiscard]] bitvec potentially_congested_links(const topology& t,
                                                  const bitvec& always_good_paths);
 
-/// The correlation set of link e restricted to potentially congested
-/// links: C(e) ∩ potcong.
-[[nodiscard]] bitvec correlation_set_of(const topology& t, link_id e,
-                                        const bitvec& potcong);
-
 /// Complement Ē = (C ∩ potcong) \ E of a correlation subset E within its
 /// correlation set (always-good links excluded; they are good w.p. 1 and
 /// cannot distinguish path sets).

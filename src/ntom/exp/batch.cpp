@@ -30,11 +30,6 @@ run_config derive_run_seeds(run_config config, std::uint64_t base_seed,
   return config;
 }
 
-run_config derive_run_seeds(run_config config, std::uint64_t base_seed,
-                            std::size_t index) {
-  return derive_run_seeds(std::move(config), base_seed, index, index);
-}
-
 void batch_report::add(run_result result) {
   const auto at = std::upper_bound(
       runs_.begin(), runs_.end(), result.index,

@@ -133,11 +133,6 @@ class batch_report {
                                           std::size_t index,
                                           std::size_t topo_group);
 
-/// Shorthand: topology stream keyed by the run index too.
-[[nodiscard]] run_config derive_run_seeds(run_config config,
-                                          std::uint64_t base_seed,
-                                          std::size_t index);
-
 /// Expands inference_metrics into the engine's measurement rows.
 [[nodiscard]] std::vector<measurement> inference_measurements(
     const std::string& series, const inference_metrics& metrics);

@@ -64,11 +64,6 @@ std::shared_ptr<const topology> topology_cache::get(const topology_spec& s,
   return sl->topo;
 }
 
-std::size_t topology_cache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
-}
-
 batch_report run_grid(const std::vector<run_spec>& specs,
                       const cell_evaluator& eval, const batch_params& params,
                       grid_stats* stats) {

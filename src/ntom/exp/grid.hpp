@@ -46,7 +46,6 @@ class topology_cache {
 
   [[nodiscard]] std::size_t hits() const noexcept { return hits_.load(); }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_.load(); }
-  [[nodiscard]] std::size_t size() const;
 
  private:
   struct slot {
@@ -54,7 +53,7 @@ class topology_cache {
     std::shared_ptr<const topology> topo;
   };
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::unordered_map<std::string, std::unique_ptr<slot>> slots_;
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};

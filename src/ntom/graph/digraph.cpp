@@ -33,40 +33,6 @@ bool digraph::has_edge(std::uint32_t u, std::uint32_t v) const noexcept {
   return false;
 }
 
-std::optional<std::vector<std::uint32_t>> digraph::shortest_path(
-    std::uint32_t u, std::uint32_t v) const {
-  assert(u < adjacency_.size() && v < adjacency_.size());
-  if (u == v) return std::vector<std::uint32_t>{};
-
-  constexpr std::uint32_t unset = 0xffffffffu;
-  std::vector<std::uint32_t> parent_edge(adjacency_.size(), unset);
-  std::vector<bool> visited(adjacency_.size(), false);
-  std::deque<std::uint32_t> queue{u};
-  visited[u] = true;
-
-  while (!queue.empty()) {
-    const std::uint32_t cur = queue.front();
-    queue.pop_front();
-    for (const auto& oe : adjacency_[cur]) {
-      if (visited[oe.to]) continue;
-      visited[oe.to] = true;
-      parent_edge[oe.to] = oe.edge_id;
-      if (oe.to == v) {
-        std::vector<std::uint32_t> path;
-        std::uint32_t at = v;
-        while (at != u) {
-          const std::uint32_t eid = parent_edge[at];
-          path.push_back(eid);
-          at = edges_[eid].from;
-        }
-        return std::vector<std::uint32_t>(path.rbegin(), path.rend());
-      }
-      queue.push_back(oe.to);
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<std::vector<std::uint32_t>> digraph::shortest_path_random(
     std::uint32_t u, std::uint32_t v, rng& tiebreak) const {
   assert(u < adjacency_.size() && v < adjacency_.size());
@@ -104,33 +70,6 @@ std::optional<std::vector<std::uint32_t>> digraph::shortest_path_random(
     }
   }
   return std::nullopt;
-}
-
-std::vector<bool> digraph::reachable_from(std::uint32_t u) const {
-  std::vector<bool> visited(adjacency_.size(), false);
-  std::deque<std::uint32_t> queue{u};
-  visited[u] = true;
-  while (!queue.empty()) {
-    const std::uint32_t cur = queue.front();
-    queue.pop_front();
-    for (const auto& oe : adjacency_[cur]) {
-      if (!visited[oe.to]) {
-        visited[oe.to] = true;
-        queue.push_back(oe.to);
-      }
-    }
-  }
-  return visited;
-}
-
-std::vector<std::uint32_t> edge_path_vertices(
-    const digraph& g, const std::vector<std::uint32_t>& edge_ids) {
-  std::vector<std::uint32_t> vertices;
-  if (edge_ids.empty()) return vertices;
-  vertices.reserve(edge_ids.size() + 1);
-  vertices.push_back(g.edge(edge_ids.front()).from);
-  for (const auto id : edge_ids) vertices.push_back(g.edge(id).to);
-  return vertices;
 }
 
 }  // namespace ntom

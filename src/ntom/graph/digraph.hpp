@@ -1,6 +1,6 @@
 // Directed graph used by the topology generators for the router-level
-// substrate: adjacency storage, BFS / weighted shortest paths, and
-// connectivity queries. AS-level structures live in topology.hpp.
+// substrate: adjacency storage and BFS shortest paths with randomized
+// tie-breaking. AS-level structures live in topology.hpp.
 #pragma once
 
 #include <cstdint>
@@ -42,44 +42,26 @@ class digraph {
     return edges_[id];
   }
 
-  /// Outgoing (neighbor, edge id) pairs of u.
-  struct out_edge {
-    std::uint32_t to = 0;
-    std::uint32_t edge_id = 0;
-  };
-  [[nodiscard]] const std::vector<out_edge>& out_edges(std::uint32_t u) const noexcept {
-    return adjacency_[u];
-  }
-
-  [[nodiscard]] std::size_t out_degree(std::uint32_t u) const noexcept {
-    return adjacency_[u].size();
-  }
-
   /// True if there is already an edge u -> v (linear in out-degree).
   [[nodiscard]] bool has_edge(std::uint32_t u, std::uint32_t v) const noexcept;
 
   /// BFS shortest path u -> v as the sequence of edge ids; std::nullopt
-  /// if v is unreachable. Deterministic (prefers lower vertex ids).
-  [[nodiscard]] std::optional<std::vector<std::uint32_t>> shortest_path(
-      std::uint32_t u, std::uint32_t v) const;
-
-  /// Like shortest_path, but ties between equal-length routes are
-  /// broken pseudo-randomly using `tiebreak`. Used by the topology
-  /// generators to spread paths across parallel links (ECMP-style load
-  /// balancing); the returned path is still a shortest path.
+  /// if v is unreachable. Ties between equal-length routes are broken
+  /// pseudo-randomly using `tiebreak`, which the topology generators
+  /// use to spread paths across parallel links (ECMP-style load
+  /// balancing); the returned path is always a shortest path.
   [[nodiscard]] std::optional<std::vector<std::uint32_t>> shortest_path_random(
       std::uint32_t u, std::uint32_t v, rng& tiebreak) const;
 
-  /// Vertices reachable from u (including u).
-  [[nodiscard]] std::vector<bool> reachable_from(std::uint32_t u) const;
-
  private:
+  /// Outgoing (neighbor, edge id) pair.
+  struct out_edge {
+    std::uint32_t to = 0;
+    std::uint32_t edge_id = 0;
+  };
+
   std::vector<digraph_edge> edges_;
   std::vector<std::vector<out_edge>> adjacency_;
 };
-
-/// Expands a path given as edge ids into the visited vertex sequence.
-[[nodiscard]] std::vector<std::uint32_t> edge_path_vertices(
-    const digraph& g, const std::vector<std::uint32_t>& edge_ids);
 
 }  // namespace ntom

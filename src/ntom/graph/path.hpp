@@ -35,10 +35,6 @@ class path {
   /// Bit-set of traversed links over the link universe.
   [[nodiscard]] const bitvec& link_set() const noexcept { return link_set_; }
 
-  [[nodiscard]] bool traverses(link_id e) const noexcept {
-    return link_set_.test(e);
-  }
-
  private:
   std::vector<link_id> links_;
   bitvec link_set_;

@@ -77,15 +77,6 @@ bitvec topology::links_of_paths(const bitvec& paths) const {
   return out;
 }
 
-bool topology::links_share_router_link(link_id a, link_id b) const {
-  const auto& ra = links_[a].router_links;
-  const auto& rb = links_[b].router_links;
-  for (const router_link_id r : ra) {
-    if (std::find(rb.begin(), rb.end(), r) != rb.end()) return true;
-  }
-  return false;
-}
-
 std::string topology::describe() const {
   std::ostringstream ss;
   ss << "|E*|=" << num_links() << " |P*|=" << num_paths()

@@ -95,10 +95,6 @@ class topology {
     return links_by_router_link_[r];
   }
 
-  /// True if links a and b share at least one router-level link (are
-  /// structurally correlated).
-  [[nodiscard]] bool links_share_router_link(link_id a, link_id b) const;
-
   /// Summary string for logs: "|E|=…, |P|=…, ASes=…, router links=…".
   [[nodiscard]] std::string describe() const;
 

@@ -31,7 +31,7 @@
 // return an empty set when nothing is congested, and an explaining set
 // whenever the candidates can explain the observation. On an
 // unexplainable observation (see observation.hpp) they return their
-// pick among the candidates, which explains_observation rejects.
+// pick among the candidates, which cannot explain it.
 #pragma once
 
 #include "ntom/infer/observation.hpp"
@@ -58,12 +58,5 @@ inline constexpr double map_probability_floor = 1e-6;
                                     const interval_observation& obs,
                                     const probability_estimates& estimates,
                                     const link_estimates& marginals);
-
-/// Exact (exponential) MAP by enumerating subsets of the candidate
-/// links, for testing on tiny instances. `max_candidates` guards
-/// against misuse.
-[[nodiscard]] bitvec map_exact_independent(
-    const topology& t, const interval_observation& obs,
-    const std::vector<double>& congestion_prob, std::size_t max_candidates = 20);
 
 }  // namespace ntom

@@ -49,16 +49,4 @@ interval_observation make_observation(const topology& t,
   return obs;
 }
 
-bool explains_observation(const topology& t, const interval_observation& obs,
-                          const bitvec& solution) {
-  if (!solution.is_subset_of(obs.candidate_links)) return false;
-  bool all_covered = true;
-  obs.congested_paths.for_each([&](std::size_t p) {
-    if (!t.get_path(static_cast<path_id>(p)).link_set().intersects(solution)) {
-      all_covered = false;
-    }
-  });
-  return all_covered;
-}
-
 }  // namespace ntom

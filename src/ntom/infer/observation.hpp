@@ -17,9 +17,10 @@
 // bit for bit (the oracle in tests/infer/observation_test.cpp checks
 // all four).
 //
-// An observation can be unexplainable: under probing noise a congested
-// path may have all of its links on good paths, leaving it no
-// candidate. No solution passes explains_observation then; the
+// A solution explains an observation when it uses only candidate links
+// and covers every congested path. An observation can be unexplainable:
+// under probing noise a congested path may have all of its links on
+// good paths, leaving it no candidate, so no solution explains it; the
 // inference algorithms return what they pick among the candidates for
 // the paths that can be explained.
 #pragma once
@@ -48,11 +49,5 @@ struct interval_observation {
 [[nodiscard]] interval_observation make_observation(
     const topology& t, const bitvec& congested_paths,
     const bitvec& observed_paths);
-
-/// True if `solution` explains the observation: it covers every
-/// congested path and uses only candidate links.
-[[nodiscard]] bool explains_observation(const topology& t,
-                                        const interval_observation& obs,
-                                        const bitvec& solution);
 
 }  // namespace ntom

@@ -24,7 +24,7 @@ namespace ntom {
 /// ties are broken toward the lower link id. Empty when nothing is
 /// congested. On an unexplainable observation (a congested path with no
 /// candidate link, see observation.hpp) it covers the paths that can be
-/// covered and returns that set, which explains_observation rejects.
+/// covered and returns that set, which does not explain the observation.
 [[nodiscard]] bitvec infer_sparsity(const topology& t,
                                     const interval_observation& obs);
 

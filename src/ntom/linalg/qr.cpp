@@ -193,9 +193,12 @@ qr_decomposition factorize_rows(const matrix& a, double rel_tol,
     max_diag = std::max(max_diag, std::abs(out.r(k, k)));
   }
   out.tolerance = rel_tol * std::max(max_diag, 1.0);
+  // The leading run of diagonals above the tolerance: a skipped
+  // reflector midway ends it, so R11 is nonsingular by construction.
   out.rank = 0;
-  for (std::size_t k = 0; k < steps; ++k) {
-    if (std::abs(out.r(k, k)) > out.tolerance) ++out.rank;
+  while (out.rank < steps &&
+         std::abs(out.r(out.rank, out.rank)) > out.tolerance) {
+    ++out.rank;
   }
   return out;
 }
@@ -206,11 +209,6 @@ qr_decomposition qr_factorize_apply(const matrix& a, std::vector<double>& rhs,
                                     double rel_tol) {
   assert(rhs.size() == a.rows());
   return factorize_rows(a, rel_tol, &rhs);
-}
-
-std::size_t matrix_rank(const matrix& a, double rel_tol) {
-  if (a.empty()) return 0;
-  return factorize_rows(a, rel_tol, nullptr).rank;
 }
 
 matrix null_space_basis(const qr_decomposition& f) {

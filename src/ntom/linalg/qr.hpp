@@ -34,7 +34,9 @@ namespace ntom {
 struct qr_decomposition {
   matrix r;                      ///< m x n upper-triangular factor.
   std::vector<std::size_t> perm; ///< perm[j] = original column of pivoted col j.
-  std::size_t rank = 0;          ///< numerical rank at the given tolerance.
+  /// Numerical rank: the leading run of |R(k, k)| above `tolerance`,
+  /// so the leading rank x rank block of R is nonsingular.
+  std::size_t rank = 0;
   double tolerance = 0.0;        ///< absolute diagonal threshold used.
 };
 
@@ -47,9 +49,6 @@ struct qr_decomposition {
 [[nodiscard]] qr_decomposition qr_factorize_apply(const matrix& a,
                                                   std::vector<double>& rhs,
                                                   double rel_tol = 1e-10);
-
-/// Numerical rank of A (the rank of its factorization).
-[[nodiscard]] std::size_t matrix_rank(const matrix& a, double rel_tol = 1e-10);
 
 /// Orthonormal basis of the null space of A, returned as an n x k matrix
 /// whose columns satisfy A * col ~ 0. k = n - rank(A); k == 0 yields an

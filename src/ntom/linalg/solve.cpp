@@ -7,20 +7,6 @@
 
 namespace ntom {
 
-std::vector<double> solve_upper_triangular(const matrix& r,
-                                           const std::vector<double>& b) {
-  assert(r.rows() == r.cols() && b.size() == r.rows());
-  const std::size_t n = r.rows();
-  std::vector<double> x(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    double s = b[i];
-    for (std::size_t j = i + 1; j < n; ++j) s -= r(i, j) * x[j];
-    assert(r(i, i) != 0.0);
-    x[i] = s / r(i, i);
-  }
-  return x;
-}
-
 lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
                                  double rel_tol) {
   assert(b.size() == a.rows());

@@ -37,9 +37,4 @@ struct lstsq_result {
                                                const std::vector<double>& b,
                                                double rel_tol = 1e-10);
 
-/// Solves upper-triangular R x = b by back substitution. R must be
-/// square with nonzero diagonal.
-[[nodiscard]] std::vector<double> solve_upper_triangular(
-    const matrix& r, const std::vector<double>& b);
-
 }  // namespace ntom

@@ -16,50 +16,6 @@ void sparse_matrix::append_row(const std::vector<std::size_t>& indices,
   row_start_.push_back(col_.size());
 }
 
-void sparse_matrix::append_row(const std::vector<std::size_t>& indices,
-                               const std::vector<double>& values) {
-  assert(indices.size() == values.size());
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    assert(indices[k] < cols_);
-    col_.push_back(indices[k]);
-    val_.push_back(values[k]);
-  }
-  row_start_.push_back(col_.size());
-}
-
-sparse_matrix::row_view sparse_matrix::row(std::size_t r) const noexcept {
-  const std::size_t begin = row_start_[r];
-  return {col_.data() + begin, val_.data() + begin, row_start_[r + 1] - begin};
-}
-
-std::vector<double> sparse_matrix::multiply(
-    const std::vector<double>& x) const {
-  assert(x.size() == cols_);
-  std::vector<double> out(rows(), 0.0);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    double sum = 0.0;
-    for (std::size_t k = row_start_[r]; k < row_start_[r + 1]; ++k) {
-      sum += val_[k] * x[col_[k]];
-    }
-    out[r] = sum;
-  }
-  return out;
-}
-
-std::vector<double> sparse_matrix::transpose_multiply(
-    const std::vector<double>& y) const {
-  assert(y.size() == rows());
-  std::vector<double> out(cols_, 0.0);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    const double yr = y[r];
-    if (yr == 0.0) continue;
-    for (std::size_t k = row_start_[r]; k < row_start_[r + 1]; ++k) {
-      out[col_[k]] += yr * val_[k];
-    }
-  }
-  return out;
-}
-
 matrix sparse_matrix::to_dense() const {
   matrix out(rows(), cols_);
   for (std::size_t r = 0; r < rows(); ++r) {

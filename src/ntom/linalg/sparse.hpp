@@ -29,32 +29,9 @@ class sparse_matrix {
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] bool empty() const noexcept { return rows() == 0 || cols_ == 0; }
 
-  /// Stored entries (including explicit zeros, if any were appended).
-  [[nodiscard]] std::size_t nnz() const noexcept { return col_.size(); }
-
   /// Appends a row whose entries at `indices` (ascending, < cols()) all
   /// share `value` — the shape of a weighted 0/1 equation row.
   void append_row(const std::vector<std::size_t>& indices, double value = 1.0);
-
-  /// Appends a general row from parallel index/value arrays.
-  void append_row(const std::vector<std::size_t>& indices,
-                  const std::vector<double>& values);
-
-  /// Read-only view of one row's entries.
-  struct row_view {
-    const std::size_t* index;
-    const double* value;
-    std::size_t nnz;
-  };
-  [[nodiscard]] row_view row(std::size_t r) const noexcept;
-
-  /// this * x. x.size() must equal cols().
-  [[nodiscard]] std::vector<double> multiply(
-      const std::vector<double>& x) const;
-
-  /// this^T * y. y.size() must equal rows().
-  [[nodiscard]] std::vector<double> transpose_multiply(
-      const std::vector<double>& y) const;
 
   /// Dense image (rows() x cols()); the solver's staging step.
   [[nodiscard]] matrix to_dense() const;

@@ -157,11 +157,6 @@ std::unique_ptr<probe_policy> make_probe_policy(const probe_policy_spec& s) {
   return probe_policy_registry().resolve(s).factory.make(s);
 }
 
-std::string probe_policy_label(const probe_policy_spec& s) {
-  if (s.has("label")) return s.get_string("label");
-  return probe_policy_registry().at(s.name()).display;
-}
-
 void probe_policy_sink::begin(const topology& t, std::size_t intervals) {
   num_paths_ = t.num_paths();
   policy_->begin(t, intervals);

@@ -76,10 +76,6 @@ struct probe_policy_plugin {
 [[nodiscard]] std::unique_ptr<probe_policy> make_probe_policy(
     const probe_policy_spec& s);
 
-/// Series label: the spec's `label` option if present, else the
-/// registered display name.
-[[nodiscard]] std::string probe_policy_label(const probe_policy_spec& s);
-
 /// The shared `frac` option: probe budget as a fraction of paths.
 /// Throws spec_error unless in (0, 1].
 [[nodiscard]] double probe_policy_frac(const spec& s, double fallback);

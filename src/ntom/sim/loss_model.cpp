@@ -12,8 +12,4 @@ double path_congestion_threshold(std::size_t d, double f) {
   return 1.0 - std::pow(1.0 - f, static_cast<double>(d));
 }
 
-bool link_loss_is_congested(double loss, double f) noexcept {
-  return loss > f;
-}
-
 }  // namespace ntom

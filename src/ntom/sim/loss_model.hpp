@@ -24,8 +24,4 @@ inline constexpr double default_loss_threshold = 0.01;
 [[nodiscard]] double path_congestion_threshold(
     std::size_t d, double f = default_loss_threshold);
 
-/// True if a link with this loss rate is congested per the model.
-[[nodiscard]] bool link_loss_is_congested(
-    double loss, double f = default_loss_threshold) noexcept;
-
 }  // namespace ntom

@@ -13,12 +13,6 @@ std::size_t path_observations::count_all_good(const bitvec& path_set) const {
   return good_matrix().and_count(path_set);
 }
 
-double path_observations::empirical_all_good(const bitvec& path_set) const {
-  if (intervals() == 0) return 0.0;
-  return static_cast<double>(count_all_good(path_set)) /
-         static_cast<double>(intervals());
-}
-
 std::optional<double> path_observations::log_empirical_all_good(
     const bitvec& path_set) const {
   const std::size_t count = count_all_good(path_set);

@@ -32,11 +32,9 @@ class path_observations {
   /// Number of intervals where every path in `path_set` was good.
   [[nodiscard]] std::size_t count_all_good(const bitvec& path_set) const;
 
-  /// Empirical P(all paths in `path_set` good) = count / T.
-  [[nodiscard]] double empirical_all_good(const bitvec& path_set) const;
-
-  /// log of the empirical probability; nullopt when the count is 0
-  /// (no finite logarithm — Eq. 1 cannot use this path set).
+  /// log of the empirical P(all paths in `path_set` good) = count / T;
+  /// nullopt when the count is 0 (no finite logarithm — Eq. 1 cannot
+  /// use this path set).
   [[nodiscard]] std::optional<double> log_empirical_all_good(
       const bitvec& path_set) const;
 

@@ -62,11 +62,4 @@ bool equation_builder::row(const bitvec& path_set,
   return true;
 }
 
-std::vector<double> equation_builder::dense_row(
-    const std::vector<std::size_t>& sparse) const {
-  std::vector<double> dense(catalog_->size(), 0.0);
-  for (const std::size_t i : sparse) dense[i] = 1.0;
-  return dense;
-}
-
 }  // namespace ntom

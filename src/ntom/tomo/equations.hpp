@@ -48,10 +48,6 @@ class equation_builder {
   [[nodiscard]] bool row(const bitvec& path_set,
                          equation_row_scratch& scratch) const;
 
-  /// Dense 0/1 vector of length catalog.size() for a sparse row.
-  [[nodiscard]] std::vector<double> dense_row(
-      const std::vector<std::size_t>& sparse) const;
-
  private:
   const topology* topo_;
   const subset_catalog* catalog_;

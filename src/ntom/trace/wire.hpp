@@ -26,18 +26,6 @@ inline void put_u64(unsigned char* out, std::uint64_t v) {
   }
 }
 
-/// Encodes one word little-endian. On LE hosts the constant-size
-/// memcpy compiles to a single store — the per-row interleave pack of
-/// trace_writer::consume leans on this (a runtime-length memcpy there
-/// costs a library call per 8 bytes).
-inline void put_word(unsigned char* out, std::uint64_t w) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, &w, 8);
-  } else {
-    put_u64(out, w);
-  }
-}
-
 /// Encodes `n` words little-endian. On LE hosts this is a straight
 /// memcpy — the bulk row-packing path of trace_writer::consume.
 inline void put_words(unsigned char* out, const std::uint64_t* words,

@@ -77,12 +77,6 @@ std::size_t rng::uniform_index(std::size_t n) noexcept {
   return static_cast<std::size_t>(m >> 64);
 }
 
-std::int64_t rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(
-                  uniform_index(static_cast<std::size_t>(span)));
-}
-
 bool rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -42,9 +42,6 @@ class rng {
   /// Uniform integer in [0, n). Requires n > 0.
   [[nodiscard]] std::size_t uniform_index(std::size_t n) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// True with probability p (p outside [0,1] is clamped).
   [[nodiscard]] bool bernoulli(double p) noexcept;
 

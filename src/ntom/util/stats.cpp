@@ -46,21 +46,4 @@ double empirical_cdf::quantile(double q) const noexcept {
   return sorted_[rank == 0 ? 0 : rank - 1];
 }
 
-double mean_absolute_error(const std::vector<double>& a,
-                           const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  if (a.empty()) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::abs(a[i] - b[i]);
-  return sum / static_cast<double>(a.size());
-}
-
-std::vector<double> absolute_errors(const std::vector<double>& a,
-                                    const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = std::abs(a[i] - b[i]);
-  return out;
-}
-
 }  // namespace ntom

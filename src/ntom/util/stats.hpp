@@ -1,6 +1,6 @@
 // Small statistics helpers shared by the experiment harness and benches:
-// running mean/variance, absolute-error aggregation, and empirical CDFs
-// (Fig. 4(c) is a CDF of per-link absolute errors).
+// running mean/variance and empirical CDFs (Fig. 4(c) is a CDF of
+// per-link absolute errors).
 #pragma once
 
 #include <cstddef>
@@ -43,20 +43,8 @@ class empirical_cdf {
   /// q in [0,1]; nearest-rank quantile. Requires a non-empty sample.
   [[nodiscard]] double quantile(double q) const noexcept;
 
-  [[nodiscard]] const std::vector<double>& sorted_samples() const noexcept {
-    return sorted_;
-  }
-
  private:
   std::vector<double> sorted_;
 };
-
-/// Mean of |a[i] - b[i]|; the Fig. 4 error metric. Requires equal sizes.
-[[nodiscard]] double mean_absolute_error(const std::vector<double>& a,
-                                         const std::vector<double>& b);
-
-/// Element-wise |a[i] - b[i]|.
-[[nodiscard]] std::vector<double> absolute_errors(const std::vector<double>& a,
-                                                  const std::vector<double>& b);
 
 }  // namespace ntom

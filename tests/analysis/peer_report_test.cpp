@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ntom/sim/packet_sim.hpp"
+#include "ntom/tomo/correlation_complete.hpp"
 #include "ntom/topogen/toy.hpp"
 
 namespace ntom {
@@ -49,73 +51,6 @@ TEST(PeerReportTest, CountsMonitoredAndEstimatedLinks) {
     EXPECT_GT(row.monitored_links, 0u);
     EXPECT_LE(row.estimated_links, row.monitored_links);
   }
-}
-
-TEST(SliceExperimentTest, PreservesWindow) {
-  const topology t = make_toy(toy_case::case1);
-  const auto model = toy_model(t, {{0, 0.5}});
-  sim_params sim;
-  sim.intervals = 100;
-  sim.oracle_monitor = true;
-  const auto data = run_experiment(t, model, sim);
-
-  const auto window = slice_experiment(data, 20, 60);
-  EXPECT_EQ(window.intervals, 40u);
-  EXPECT_EQ(window.path_good.cols(), 40u);
-  EXPECT_EQ(window.true_links.rows(), 40u);
-  for (std::size_t i = 0; i < 40; ++i) {
-    EXPECT_EQ(window.congested_paths_at(i), data.congested_paths_at(20 + i));
-    EXPECT_EQ(window.true_links_at(i), data.true_links_at(20 + i));
-    for (path_id p = 0; p < t.num_paths(); ++p) {
-      EXPECT_EQ(window.path_good.test(p, i), data.path_good.test(p, 20 + i));
-    }
-  }
-}
-
-TEST(SliceExperimentTest, RecomputesAlwaysGood) {
-  // A path congested only in the second half is always-good in a
-  // first-half slice.
-  const topology t = make_toy(toy_case::case1);
-  congestion_model model;
-  model.phase_q.assign(2, std::vector<double>(t.num_router_links(), 0.0));
-  model.phase_q[1][0] = 1.0;  // e1 congested only in phase 2.
-  model.phase_length = 50;
-  model.congestable_links = bitvec(t.num_links());
-
-  sim_params sim;
-  sim.intervals = 100;
-  sim.oracle_monitor = true;
-  const auto data = run_experiment(t, model, sim);
-  EXPECT_FALSE(data.always_good_paths.test(toy_p1));
-
-  const auto first_half = slice_experiment(data, 0, 50);
-  EXPECT_TRUE(first_half.always_good_paths.test(toy_p1));
-  EXPECT_FALSE(first_half.ever_congested_links.test(toy_e1));
-
-  const auto second_half = slice_experiment(data, 50, 100);
-  EXPECT_FALSE(second_half.always_good_paths.test(toy_p1));
-  EXPECT_TRUE(second_half.ever_congested_links.test(toy_e1));
-}
-
-TEST(PeerTrendTest, DetectsLoadShift) {
-  // Peer AS 1 quiet in the first half, hot in the second.
-  const topology t = make_toy(toy_case::case1);
-  congestion_model model;
-  model.phase_q.assign(2, std::vector<double>(t.num_router_links(), 0.0));
-  model.phase_q[0][4] = 0.05;
-  model.phase_q[1][4] = 0.7;
-  model.phase_length = 400;
-  model.congestable_links = bitvec(t.num_links());
-
-  sim_params sim;
-  sim.intervals = 800;
-  sim.oracle_monitor = true;
-  const auto data = run_experiment(t, model, sim);
-
-  const auto trend = peer_congestion_trend(t, data, /*peer=*/1, /*windows=*/2);
-  ASSERT_EQ(trend.size(), 2u);
-  EXPECT_LT(trend[0], 0.2);
-  EXPECT_GT(trend[1], 0.5);
 }
 
 }  // namespace

@@ -49,7 +49,9 @@ TEST(CorrelationSetOfTest, RestrictedToPotcong) {
   const topology t = make_toy(toy_case::case1);
   bitvec potcong(t.num_links());
   potcong.set(toy_e2);  // e3 not potentially congested.
-  const bitvec cset = correlation_set_of(t, toy_e2, potcong);
+  // C(e2) ∩ potcong: the complement of the empty subset in e2's AS.
+  const bitvec cset = subset_complement(t, bitvec(t.num_links()),
+                                        t.link(toy_e2).as_number, potcong);
   EXPECT_EQ(cset.to_indices(), (std::vector<std::size_t>{toy_e2}));
 }
 

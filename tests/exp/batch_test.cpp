@@ -53,17 +53,17 @@ std::vector<run_spec> tiny_specs(std::size_t count) {
 }
 
 TEST(DeriveRunSeedsTest, PureFunctionOfBaseSeedAndIndex) {
-  const run_config a = derive_run_seeds(tiny_config(), 99, 3);
-  const run_config b = derive_run_seeds(tiny_config(), 99, 3);
+  const run_config a = derive_run_seeds(tiny_config(), 99, 3, 3);
+  const run_config b = derive_run_seeds(tiny_config(), 99, 3, 3);
   EXPECT_EQ(a.topo_seed, b.topo_seed);
   EXPECT_EQ(a.scenario_opts.seed, b.scenario_opts.seed);
   EXPECT_EQ(a.sim.seed, b.sim.seed);
 }
 
 TEST(DeriveRunSeedsTest, DistinctAcrossIndicesAndSeeds) {
-  const run_config a = derive_run_seeds(tiny_config(), 99, 0);
-  const run_config b = derive_run_seeds(tiny_config(), 99, 1);
-  const run_config c = derive_run_seeds(tiny_config(), 100, 0);
+  const run_config a = derive_run_seeds(tiny_config(), 99, 0, 0);
+  const run_config b = derive_run_seeds(tiny_config(), 99, 1, 1);
+  const run_config c = derive_run_seeds(tiny_config(), 100, 0, 0);
   EXPECT_NE(a.sim.seed, b.sim.seed);
   EXPECT_NE(a.sim.seed, c.sim.seed);
   EXPECT_NE(a.topo_seed, a.sim.seed);  // streams differ within a run.

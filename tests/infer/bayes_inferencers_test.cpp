@@ -9,11 +9,13 @@
 #include "ntom/exp/runner.hpp"
 #include "ntom/infer/observation.hpp"
 #include "ntom/topogen/toy.hpp"
+#include "map_reference.hpp"
 
 namespace ntom {
 namespace {
 
 using namespace topogen;
+using testing_oracle::explains_observation;
 
 congestion_model toy_model(const topology& t,
                            std::vector<std::pair<std::size_t, double>> qs) {

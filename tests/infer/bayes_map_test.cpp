@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "ntom/topogen/toy.hpp"
+#include "map_reference.hpp"
 
 namespace ntom {
 namespace {
 
 using namespace topogen;
+using testing_oracle::explains_observation;
 
 bitvec paths(const topology& t, std::initializer_list<path_id> ids) {
   bitvec b(t.num_paths());
@@ -45,7 +47,7 @@ TEST(MapIndependentTest, MatchesExactEnumerationOnToy) {
       continue;  // inconsistent observation: no valid explanation.
     }
     const bitvec greedy = map_independent(t, obs, p);
-    const bitvec exact = map_exact_independent(t, obs, p);
+    const bitvec exact = testing_oracle::map_exact_independent(t, obs, p);
     EXPECT_TRUE(explains_observation(t, obs, greedy));
     // Greedy should match the exact MAP on this tiny instance.
     EXPECT_EQ(greedy, exact) << "observation mask " << mask;
@@ -114,7 +116,8 @@ TEST(MapExactTest, RefusesOversizedInstances) {
   const topology t = make_toy(toy_case::case1);
   const auto obs = make_observation(t, paths(t, {toy_p1, toy_p2, toy_p3}));
   std::vector<double> p(t.num_links(), 0.2);
-  const bitvec sol = map_exact_independent(t, obs, p, /*max_candidates=*/2);
+  const bitvec sol =
+      testing_oracle::map_exact_independent(t, obs, p, /*max_candidates=*/2);
   EXPECT_TRUE(sol.empty());
 }
 

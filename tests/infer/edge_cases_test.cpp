@@ -8,11 +8,13 @@
 #include "ntom/infer/sparsity.hpp"
 #include "ntom/topogen/brite.hpp"
 #include "ntom/topogen/toy.hpp"
+#include "map_reference.hpp"
 
 namespace ntom {
 namespace {
 
 using namespace topogen;
+using testing_oracle::explains_observation;
 
 /// One probability assignment: P(X_e = 1) per link, all 0 or 1.
 struct extreme_probabilities {

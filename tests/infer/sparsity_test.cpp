@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "ntom/topogen/toy.hpp"
+#include "map_reference.hpp"
 
 namespace ntom {
 namespace {
 
 using namespace topogen;
+using testing_oracle::explains_observation;
 
 bitvec paths(const topology& t, std::initializer_list<path_id> ids) {
   bitvec b(t.num_paths());

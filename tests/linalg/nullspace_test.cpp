@@ -4,6 +4,7 @@
 
 #include "ntom/linalg/qr.hpp"
 #include "ntom/util/rng.hpp"
+#include "dense_ops.hpp"
 
 namespace ntom {
 namespace {
@@ -68,7 +69,7 @@ TEST(NullSpaceUpdateTest, ShrinksDimensionByOne) {
   n = null_space_update(n, std::vector<double>{0.0, 0.0, 1.0});
   EXPECT_EQ(n.cols(), 1u);
   // Remaining basis is orthogonal to both constraints.
-  const auto x = n.get_col(0);
+  const auto x = testing_dense::column(n, 0);
   EXPECT_NEAR(x[0] + x[1], 0.0, 1e-9);
   EXPECT_NEAR(x[2], 0.0, 1e-9);
 }
@@ -118,9 +119,9 @@ TEST_P(NullSpaceUpdatePropertyTest, MatchesRecomputedNullSpace) {
     for (auto& x : row) x = r.bernoulli(0.3) ? 1.0 : 0.0;
 
     const bool increases = row_increases_rank(row, n, 1e-9);
-    const std::size_t rank_before = matrix_rank(a);
+    const std::size_t rank_before = testing_dense::rank(a);
     a.append_row(row);
-    const std::size_t rank_after = matrix_rank(a);
+    const std::size_t rank_after = testing_dense::rank(a);
     EXPECT_EQ(increases, rank_after > rank_before)
         << "row_increases_rank disagrees with QR rank";
 
@@ -131,11 +132,11 @@ TEST_P(NullSpaceUpdatePropertyTest, MatchesRecomputedNullSpace) {
     // Same subspace: every incremental basis vector must be killed by A
     // (A x = 0) — this pins the span without comparing bases directly.
     for (std::size_t j = 0; j < n.cols(); ++j) {
-      const auto x = n.get_col(j);
-      const double scale = norm2(x);
+      const auto x = testing_dense::column(n, j);
+      const double scale = testing_dense::norm2(x);
       ASSERT_GT(scale, 1e-12);
-      const auto ax = a.multiply(x);
-      EXPECT_LT(norm2(ax) / scale, 1e-6)
+      const auto ax = testing_dense::multiply(a, x);
+      EXPECT_LT(testing_dense::norm2(ax) / scale, 1e-6)
           << "incremental basis escaped the true null space";
     }
   }

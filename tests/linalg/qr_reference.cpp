@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "dense_ops.hpp"
+
 namespace ntom::testing_oracle {
 
 namespace {
@@ -39,7 +41,7 @@ void factorize_core(const matrix& a, double rel_tol, matrix* q,
       if (col_norm2[j] > col_norm2[pivot]) pivot = j;
     }
     if (pivot != k) {
-      out.r.swap_columns(k, pivot);
+      testing_dense::swap_columns(out.r, k, pivot);
       std::swap(col_norm2[k], col_norm2[pivot]);
       std::swap(out.perm[k], out.perm[pivot]);
     }
@@ -97,9 +99,11 @@ void factorize_core(const matrix& a, double rel_tol, matrix* q,
     max_diag = std::max(max_diag, std::abs(out.r(k, k)));
   }
   out.tolerance = rel_tol * std::max(max_diag, 1.0);
+  // Rank: the leading run of diagonals above the tolerance.
   out.rank = 0;
-  for (std::size_t k = 0; k < steps; ++k) {
-    if (std::abs(out.r(k, k)) > out.tolerance) ++out.rank;
+  while (out.rank < steps &&
+         std::abs(out.r(out.rank, out.rank)) > out.tolerance) {
+    ++out.rank;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "ntom/linalg/qr.hpp"
 #include "ntom/linalg/solve.hpp"
 #include "ntom/util/rng.hpp"
+#include "dense_ops.hpp"
 
 namespace ntom {
 namespace {
@@ -33,24 +34,9 @@ TEST(SparseMatrixTest, AppendUniformRow) {
   m.append_row({1, 2, 3});
   EXPECT_EQ(m.rows(), 3u);
   EXPECT_EQ(m.cols(), 4u);
-  EXPECT_EQ(m.nnz(), 5u);
-
-  const auto view = m.row(0);
-  ASSERT_EQ(view.nnz, 2u);
-  EXPECT_EQ(view.index[0], 0u);
-  EXPECT_EQ(view.index[1], 2u);
-  EXPECT_DOUBLE_EQ(view.value[0], 3.0);
-  EXPECT_EQ(m.row(1).nnz, 0u);
-  EXPECT_DOUBLE_EQ(m.row(2).value[2], 1.0);
-}
-
-TEST(SparseMatrixTest, AppendGeneralRow) {
-  sparse_matrix m(3);
-  m.append_row({0, 2}, {1.5, -2.0});
-  const auto view = m.row(0);
-  ASSERT_EQ(view.nnz, 2u);
-  EXPECT_DOUBLE_EQ(view.value[0], 1.5);
-  EXPECT_DOUBLE_EQ(view.value[1], -2.0);
+  EXPECT_EQ(m.to_dense(), (matrix{{3.0, 0.0, 3.0, 0.0},
+                                  {0.0, 0.0, 0.0, 0.0},
+                                  {0.0, 1.0, 1.0, 1.0}}));
 }
 
 TEST(SparseMatrixTest, ToDenseMatchesEntries) {
@@ -59,20 +45,6 @@ TEST(SparseMatrixTest, ToDenseMatchesEntries) {
   m.append_row({0, 2}, 1.0);
   const matrix d = m.to_dense();
   EXPECT_EQ(d, (matrix{{0.0, 2.0, 0.0}, {1.0, 0.0, 1.0}}));
-}
-
-TEST(SparseMatrixTest, MultiplyMatchesDense) {
-  const sparse_matrix m = random_sparse(7, 5, 0.4, 21);
-  const matrix d = m.to_dense();
-  const std::vector<double> x = {1.0, -2.0, 0.5, 3.0, 0.0};
-  EXPECT_EQ(m.multiply(x), d.multiply(x));
-}
-
-TEST(SparseMatrixTest, TransposeMultiplyMatchesDense) {
-  const sparse_matrix m = random_sparse(6, 4, 0.4, 22);
-  const matrix d = m.to_dense();
-  const std::vector<double> y = {1.0, 0.0, 2.0, -1.0, 0.5, 4.0};
-  EXPECT_EQ(m.transpose_multiply(y), d.left_multiply(y));
 }
 
 TEST(SparseSolveTest, MatchesDenseLeastSquaresBitForBit) {
@@ -91,7 +63,7 @@ TEST(SparseSolveTest, MatchesDenseLeastSquaresBitForBit) {
   // Equal x, so equal residuals ||A x - b||.
   const matrix d = a.to_dense();
   const auto residual = [&](const std::vector<double>& x) {
-    const std::vector<double> ax = d.multiply(x);
+    const std::vector<double> ax = testing_dense::multiply(d, x);
     double res = 0.0;
     for (std::size_t i = 0; i < b.size(); ++i) {
       res += (ax[i] - b[i]) * (ax[i] - b[i]);

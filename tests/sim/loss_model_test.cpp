@@ -13,7 +13,6 @@ TEST(LossModelTest, GoodLossStaysBelowThreshold) {
     const double loss = sample_link_loss(r, false);
     EXPECT_GE(loss, 0.0);
     EXPECT_LE(loss, default_loss_threshold);
-    EXPECT_FALSE(link_loss_is_congested(loss));
   }
 }
 
@@ -53,12 +52,6 @@ TEST(PathThresholdTest, ComposesAcrossLinks) {
 
 TEST(PathThresholdTest, ZeroLinksZeroThreshold) {
   EXPECT_DOUBLE_EQ(path_congestion_threshold(0), 0.0);
-}
-
-TEST(LossClassifierTest, BoundaryIsGood) {
-  EXPECT_FALSE(link_loss_is_congested(default_loss_threshold));
-  EXPECT_TRUE(link_loss_is_congested(default_loss_threshold + 1e-9));
-  EXPECT_FALSE(link_loss_is_congested(0.0));
 }
 
 }  // namespace

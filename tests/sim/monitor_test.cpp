@@ -31,7 +31,7 @@ TEST(PathObservationsTest, SinglePathCounts) {
   bitvec p0(3);
   p0.set(0);
   EXPECT_EQ(obs.count_all_good(p0), 3u);
-  EXPECT_DOUBLE_EQ(obs.empirical_all_good(p0), 0.75);
+  EXPECT_NEAR(*obs.log_empirical_all_good(p0), std::log(0.75), 1e-12);
 }
 
 TEST(PathObservationsTest, JointCounts) {
@@ -42,14 +42,14 @@ TEST(PathObservationsTest, JointCounts) {
   p01.set(1);
   // Both good in intervals 0 and 3.
   EXPECT_EQ(obs.count_all_good(p01), 2u);
-  EXPECT_DOUBLE_EQ(obs.empirical_all_good(p01), 0.5);
+  EXPECT_NEAR(*obs.log_empirical_all_good(p01), std::log(0.5), 1e-12);
 }
 
 TEST(PathObservationsTest, EmptySetVacuouslyGood) {
   const auto data = make_data();
   const path_observations obs(data);
   EXPECT_EQ(obs.count_all_good(bitvec(3)), 4u);
-  EXPECT_DOUBLE_EQ(obs.empirical_all_good(bitvec(3)), 1.0);
+  EXPECT_EQ(*obs.log_empirical_all_good(bitvec(3)), 0.0);
 }
 
 TEST(PathObservationsTest, LogOfPositiveCount) {

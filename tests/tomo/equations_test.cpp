@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ntom/linalg/sparse.hpp"
 #include "ntom/topogen/toy.hpp"
 
 namespace ntom {
@@ -125,17 +126,21 @@ TEST(EquationsTest, CatalogMissYieldsNullopt) {
 }
 
 TEST(EquationsTest, DenseRowLayout) {
+  // A row staged as the estimators stage it: a 0/1 row over the catalog
+  // with ones exactly at the row's subset indices.
   fixture f;
   equation_builder builder(f.t, f.catalog, f.potcong);
   equation_row_scratch s;
   ASSERT_TRUE(builder.row(paths(f.t, {toy_p1}), s));
   const auto& row = s.row;
-  const auto dense = builder.dense_row(row);
-  EXPECT_EQ(dense.size(), f.catalog.size());
+  sparse_matrix system(f.catalog.size());
+  system.append_row(row);
+  const matrix dense = system.to_dense();
+  ASSERT_EQ(dense.cols(), f.catalog.size());
   double sum = 0.0;
-  for (const double x : dense) sum += x;
+  for (std::size_t c = 0; c < dense.cols(); ++c) sum += dense(0, c);
   EXPECT_DOUBLE_EQ(sum, static_cast<double>(row.size()));
-  for (const auto idx : row) EXPECT_EQ(dense[idx], 1.0);
+  for (const auto idx : row) EXPECT_EQ(dense(0, idx), 1.0);
 }
 
 TEST(EquationsTest, ReusedScratchMatchesFreshScratch) {

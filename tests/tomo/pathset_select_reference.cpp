@@ -95,7 +95,7 @@ matrix null_space_update_by_columns(matrix n,
     if (std::abs(rn[j]) > std::abs(rn[pivot])) pivot = j;
   }
   if (std::abs(rn[pivot]) <= tol) return n;
-  n.swap_columns(0, pivot);
+  for (std::size_t i = 0; i < rows; ++i) std::swap(n(i, 0), n(i, pivot));
   std::swap(rn[0], rn[pivot]);
   matrix updated(rows, p - 1);
   const double inv = 1.0 / rn[0];

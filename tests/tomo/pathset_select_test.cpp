@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "ntom/corr/correlation.hpp"
-#include "ntom/linalg/qr.hpp"
+#include "ntom/linalg/solve.hpp"
 #include "ntom/sim/monitor.hpp"
 #include "ntom/sim/scenario.hpp"
 #include "ntom/tomo/correlation_complete.hpp"
@@ -27,14 +27,10 @@ bitvec full_potcong(const topology& t) {
   return b;
 }
 
-matrix selection_matrix(const pathset_selection& sel, std::size_t n1) {
-  matrix m;
-  for (const auto& sparse : sel.rows) {
-    std::vector<double> dense(n1, 0.0);
-    for (const auto i : sparse) dense[i] = 1.0;
-    m.append_row(dense);
-  }
-  return m;
+std::size_t selection_rank(const pathset_selection& sel, std::size_t n1) {
+  sparse_matrix m(n1);
+  for (const auto& row : sel.rows) m.append_row(row);
+  return solve_least_squares(m, std::vector<double>(m.rows(), 0.0)).rank;
 }
 
 TEST(PathsetSelectTest, ToyCase1FullRank) {
@@ -50,8 +46,7 @@ TEST(PathsetSelectTest, ToyCase1FullRank) {
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     EXPECT_TRUE(sel.identifiable.test(i)) << "subset " << i;
   }
-  const matrix m = selection_matrix(sel, catalog.size());
-  EXPECT_EQ(matrix_rank(m), 5u);
+  EXPECT_EQ(selection_rank(sel, catalog.size()), 5u);
 }
 
 TEST(PathsetSelectTest, ToyCase1SeedPathSetsMatchPaper) {
@@ -98,6 +93,64 @@ TEST(PathsetSelectTest, ToyCase2DetectsUnidentifiable) {
   EXPECT_FALSE(sel.identifiable.test(catalog.find(e23)));
 }
 
+// Condition 1 (Identifiability, §2): no two links are traversed by
+// exactly the same set of paths. Algorithm 1's identifiable set is where
+// the library decides it: links that violate it get no identifiable
+// probability, and links no path traverses are not unknowns at all.
+
+/// Algorithm 1 over the covered links of `t`; `identifiable(e)` reads
+/// whether link e's own probability came out identifiable.
+struct covered_selection {
+  explicit covered_selection(const topology& t)
+      : catalog(subset_catalog::build(t, t.covered_links())),
+        sel(select_path_sets(t, catalog, t.covered_links())) {}
+
+  [[nodiscard]] bool identifiable(link_id e) const {
+    const std::size_t i = catalog.singleton_of(e);
+    return i != subset_catalog::npos && sel.identifiable.test(i);
+  }
+
+  subset_catalog catalog;
+  pathset_selection sel;
+};
+
+TEST(IdentifiabilityTest, ToyTopologySatisfiesCondition1) {
+  // In Fig. 1 all four links have distinct path coverages.
+  const topology t = make_toy(toy_case::case1);
+  const covered_selection s(t);
+  for (link_id e = 0; e < t.num_links(); ++e) {
+    EXPECT_TRUE(s.identifiable(e)) << "link " << e;
+  }
+}
+
+TEST(IdentifiabilityTest, DetectsIndistinguishableLinks) {
+  // Two independent links in series on a single path share the same
+  // coverage: only their sum is measured.
+  topology t(2);
+  t.add_link({.as_number = 0, .router_links = {0}, .edge = false});
+  t.add_link({.as_number = 1, .router_links = {1}, .edge = false});
+  t.add_path({0, 1});
+  t.finalize();
+  const covered_selection s(t);
+  EXPECT_FALSE(s.identifiable(0));
+  EXPECT_FALSE(s.identifiable(1));
+}
+
+TEST(IdentifiabilityTest, UncoveredLinksIgnored) {
+  // Links 1 and 2 are on no path.
+  topology t(3);
+  t.add_link({.as_number = 0, .router_links = {0}, .edge = false});
+  t.add_link({.as_number = 0, .router_links = {1}, .edge = false});
+  t.add_link({.as_number = 0, .router_links = {2}, .edge = false});
+  t.add_path({0});
+  t.finalize();
+  // The two uncovered links have identical (empty) coverage but do not
+  // make the covered link unidentifiable: they are not unknowns.
+  const covered_selection s(t);
+  EXPECT_TRUE(s.identifiable(0));
+  EXPECT_EQ(s.catalog.size(), 1u);
+}
+
 TEST(PathsetSelectTest, UsablePredicateFiltersPathSets) {
   const topology t = make_toy(toy_case::case1);
   const bitvec potcong = full_potcong(t);
@@ -130,8 +183,8 @@ TEST(PathsetSelectTest, HammingOrderingDoesNotChangeRank) {
 
   const auto a = select_path_sets(t, catalog, potcong, sorted);
   const auto b = select_path_sets(t, catalog, potcong, unsorted);
-  const auto rank_a = matrix_rank(selection_matrix(a, catalog.size()));
-  const auto rank_b = matrix_rank(selection_matrix(b, catalog.size()));
+  const auto rank_a = selection_rank(a, catalog.size());
+  const auto rank_b = selection_rank(b, catalog.size());
   EXPECT_EQ(rank_a, rank_b);
 }
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "ntom/graph/conditions.hpp"
+#include "topology_checks.hpp"
 
 namespace ntom {
 namespace {
+
+using testing_checks::measure_sparsity;
+using testing_checks::paths_well_formed;
 
 TEST(BriteTest, DeterministicInSeed) {
   topogen::brite_params p;

@@ -4,13 +4,14 @@
 
 #include <string>
 
-#include "ntom/graph/conditions.hpp"
 #include "ntom/topogen/registry.hpp"
 #include "ntom/util/spec.hpp"
+#include "topology_checks.hpp"
 
 namespace ntom {
 namespace {
 
+using testing_checks::paths_well_formed;
 using topogen::import_itz;
 using topogen::import_itz_text;
 using topogen::itz_params;

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "ntom/graph/conditions.hpp"
+#include <optional>
+#include <vector>
+
+#include "topology_checks.hpp"
 
 namespace ntom {
 namespace {
 
+using testing_checks::paths_well_formed;
 using topogen::project_to_as_level;
 using topogen::router_network;
 
@@ -34,9 +38,17 @@ router_network make_line_network() {
   return net;
 }
 
+/// The BFS route u -> v; every route in these networks is the only
+/// shortest one, so the tie-break stream does not matter.
+std::optional<std::vector<std::uint32_t>> bfs_route(
+    const router_network& net, std::uint32_t u, std::uint32_t v) {
+  rng tiebreak(1);
+  return net.graph.shortest_path_random(u, v, tiebreak);
+}
+
 TEST(ProjectTest, LineNetworkSegments) {
   router_network net = make_line_network();
-  const auto route = net.graph.shortest_path(4, 5);  // h0 -> h1.
+  const auto route = bfs_route(net, 4, 5);  // h0 -> h1.
   ASSERT_TRUE(route.has_value());
   const topology t = project_to_as_level(net, {*route});
 
@@ -50,7 +62,7 @@ TEST(ProjectTest, LineNetworkSegments) {
 
 TEST(ProjectTest, InterDomainLinkOwnedByDownstreamAs) {
   router_network net = make_line_network();
-  const auto route = net.graph.shortest_path(4, 5);
+  const auto route = bfs_route(net, 4, 5);
   const topology t = project_to_as_level(net, {*route});
   // Path link order: AS0 segment, inter-domain, AS1 segment.
   const auto& links = t.get_path(0).links();
@@ -61,7 +73,7 @@ TEST(ProjectTest, InterDomainLinkOwnedByDownstreamAs) {
 
 TEST(ProjectTest, HostAdjacentSegmentsAreEdgeLinks) {
   router_network net = make_line_network();
-  const auto route = net.graph.shortest_path(4, 5);
+  const auto route = bfs_route(net, 4, 5);
   const topology t = project_to_as_level(net, {*route});
   const auto& links = t.get_path(0).links();
   EXPECT_TRUE(t.link(links[0]).edge);    // contains h0 attachment.
@@ -78,8 +90,8 @@ TEST(ProjectTest, SharedSegmentsMergeIntoOneLink) {
   net.is_host.push_back(true);
   net.graph.add_bidirectional_edge(h2, 1);  // second vantage at r1.
 
-  const auto route1 = net.graph.shortest_path(4, 5);
-  const auto route2 = net.graph.shortest_path(6, 5);
+  const auto route1 = bfs_route(net, 4, 5);
+  const auto route2 = bfs_route(net, 6, 5);
   ASSERT_TRUE(route1 && route2);
   const topology t = project_to_as_level(net, {*route1, *route2});
 
@@ -99,7 +111,7 @@ TEST(ProjectTest, SharedSegmentsMergeIntoOneLink) {
 
 TEST(ProjectTest, RouterLinksRecordedPerSegment) {
   router_network net = make_line_network();
-  const auto route = net.graph.shortest_path(4, 5);
+  const auto route = bfs_route(net, 4, 5);
   const topology t = project_to_as_level(net, {*route});
   const auto& links = t.get_path(0).links();
   // AS0 segment rides on 2 router links (h0->r0, r0->r1).
@@ -118,7 +130,7 @@ TEST(ProjectTest, EmptyPathsSkipped) {
 
 TEST(ProjectTest, SingleAsPathYieldsOneLink) {
   router_network net = make_line_network();
-  const auto route = net.graph.shortest_path(4, 1);  // h0 -> r1, all AS0.
+  const auto route = bfs_route(net, 4, 1);  // h0 -> r1, all AS0.
   ASSERT_TRUE(route.has_value());
   const topology t = project_to_as_level(net, {*route});
   EXPECT_EQ(t.num_links(), 1u);

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "ntom/graph/conditions.hpp"
 #include "ntom/topogen/brite.hpp"
+#include "topology_checks.hpp"
 
 namespace ntom {
 namespace {
+
+using testing_checks::measure_sparsity;
+using testing_checks::paths_well_formed;
 
 TEST(SparseTest, DeterministicInSeed) {
   topogen::sparse_params p;

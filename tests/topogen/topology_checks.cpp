@@ -1,30 +1,6 @@
-#include "ntom/graph/conditions.hpp"
+#include "topology_checks.hpp"
 
-#include <unordered_map>
-
-namespace ntom {
-
-identifiability_report check_identifiability(const topology& t) {
-  identifiability_report report;
-  // Bucket links by the hash of their path coverage; compare within
-  // buckets only, so the check is ~linear for distinct coverages.
-  std::unordered_map<std::size_t, std::vector<link_id>> buckets;
-  for (link_id e = 0; e < t.num_links(); ++e) {
-    if (!t.covered_links().test(e)) continue;
-    buckets[t.paths_through(e).hash()].push_back(e);
-  }
-  for (const auto& [_, bucket] : buckets) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      for (std::size_t j = i + 1; j < bucket.size(); ++j) {
-        if (t.paths_through(bucket[i]) == t.paths_through(bucket[j])) {
-          report.holds = false;
-          report.violating_pairs.emplace_back(bucket[i], bucket[j]);
-        }
-      }
-    }
-  }
-  return report;
-}
+namespace ntom::testing_checks {
 
 bool paths_well_formed(const topology& t) {
   for (path_id p = 0; p < t.num_paths(); ++p) {
@@ -44,8 +20,10 @@ sparsity_report measure_sparsity(const topology& t) {
   report.covered_links = t.covered_links().count();
 
   double paths_per_link = 0.0;
-  t.covered_links().for_each(
-      [&](std::size_t e) { paths_per_link += static_cast<double>(t.paths_through(static_cast<link_id>(e)).count()); });
+  t.covered_links().for_each([&](std::size_t e) {
+    paths_per_link += static_cast<double>(
+        t.paths_through(static_cast<link_id>(e)).count());
+  });
   if (report.covered_links > 0) {
     report.mean_paths_per_link =
         paths_per_link / static_cast<double>(report.covered_links);
@@ -77,4 +55,4 @@ sparsity_report measure_sparsity(const topology& t) {
   return report;
 }
 
-}  // namespace ntom
+}  // namespace ntom::testing_checks

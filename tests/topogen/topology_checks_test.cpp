@@ -1,4 +1,4 @@
-#include "ntom/graph/conditions.hpp"
+#include "topology_checks.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,39 +9,8 @@
 namespace ntom {
 namespace {
 
-TEST(IdentifiabilityTest, ToyTopologySatisfiesCondition1) {
-  // In Fig. 1 all four links have distinct path coverages.
-  const topology t = topogen::make_toy(topogen::toy_case::case1);
-  const auto report = check_identifiability(t);
-  EXPECT_TRUE(report.holds);
-  EXPECT_TRUE(report.violating_pairs.empty());
-}
-
-TEST(IdentifiabilityTest, DetectsIndistinguishableLinks) {
-  // Two links in series on a single path share the same coverage.
-  topology t(2);
-  t.add_link({.as_number = 0, .router_links = {0}, .edge = false});
-  t.add_link({.as_number = 0, .router_links = {1}, .edge = false});
-  t.add_path({0, 1});
-  t.finalize();
-  const auto report = check_identifiability(t);
-  EXPECT_FALSE(report.holds);
-  ASSERT_EQ(report.violating_pairs.size(), 1u);
-  EXPECT_EQ(report.violating_pairs[0].first, 0u);
-  EXPECT_EQ(report.violating_pairs[0].second, 1u);
-}
-
-TEST(IdentifiabilityTest, UncoveredLinksIgnored) {
-  topology t(3);
-  t.add_link({.as_number = 0, .router_links = {0}, .edge = false});
-  t.add_link({.as_number = 0, .router_links = {1}, .edge = false});  // uncovered
-  t.add_link({.as_number = 0, .router_links = {2}, .edge = false});  // uncovered
-  t.add_path({0});
-  t.finalize();
-  // The two uncovered links have identical (empty) coverage but are not
-  // violations — they are unobservable.
-  EXPECT_TRUE(check_identifiability(t).holds);
-}
+using testing_checks::measure_sparsity;
+using testing_checks::paths_well_formed;
 
 TEST(WellFormedTest, ToyPathsAreWellFormed) {
   EXPECT_TRUE(paths_well_formed(topogen::make_toy(topogen::toy_case::case1)));

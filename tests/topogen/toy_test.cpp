@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace ntom {
 namespace {
 
 using namespace topogen;
+
+/// True if links a and b ride on a common router-level link (are
+/// structurally correlated).
+bool share_router_link(const topology& t, link_id a, link_id b) {
+  const auto& rb = t.link(b).router_links;
+  for (const router_link_id r : t.link(a).router_links) {
+    if (std::find(rb.begin(), rb.end(), r) != rb.end()) return true;
+  }
+  return false;
+}
 
 TEST(ToyTest, PathsMatchFigure1) {
   const topology t = make_toy(toy_case::case1);
@@ -31,12 +43,12 @@ TEST(ToyTest, Case2CorrelationSets) {
 
 TEST(ToyTest, SharedRouterLinksEncodeCorrelation) {
   const topology c1 = make_toy(toy_case::case1);
-  EXPECT_TRUE(c1.links_share_router_link(toy_e2, toy_e3));
-  EXPECT_FALSE(c1.links_share_router_link(toy_e1, toy_e4));
+  EXPECT_TRUE(share_router_link(c1, toy_e2, toy_e3));
+  EXPECT_FALSE(share_router_link(c1, toy_e1, toy_e4));
 
   const topology c2 = make_toy(toy_case::case2);
-  EXPECT_TRUE(c2.links_share_router_link(toy_e2, toy_e3));
-  EXPECT_TRUE(c2.links_share_router_link(toy_e1, toy_e4));
+  EXPECT_TRUE(share_router_link(c2, toy_e2, toy_e3));
+  EXPECT_TRUE(share_router_link(c2, toy_e1, toy_e4));
 }
 
 TEST(ToyTest, PathsAreIdenticalAcrossCases) {

@@ -313,6 +313,28 @@ TEST(TracePipelineTest, ImporterEndToEnd) {
   std::remove(trc_path.c_str());
 }
 
+TEST(LossClassifierTest, BoundaryIsGood) {
+  // A loss exactly at the threshold is good; only a loss above it marks
+  // the path congested.
+  std::istringstream in(
+      "ntom-path-loss 1\n"
+      "paths 3 intervals 1\n"
+      "0.05 0.0500001 0.0\n");
+  const std::string trc_path = temp_path("boundary.trc");
+  import_options options;
+  options.loss_threshold = 0.05;
+  EXPECT_EQ(import_path_loss(in, trc_path, options).congested_observations,
+            1u);
+
+  run_config replay;
+  replay.scenario = trace_spec(trc_path);
+  const run_artifacts run = prepare_run(replay);
+  EXPECT_FALSE(run.data.congested_paths_at(0).test(0));
+  EXPECT_TRUE(run.data.congested_paths_at(0).test(1));
+  EXPECT_FALSE(run.data.congested_paths_at(0).test(2));
+  std::remove(trc_path.c_str());
+}
+
 TEST(TracePipelineTest, ImporterRejectsMalformedInput) {
   const std::string out = temp_path("bad_import.trc");
   const auto import_text = [&](const std::string& text) {

@@ -61,20 +61,6 @@ TEST(RngTest, UniformIndexCoversRange) {
   EXPECT_EQ(*seen.rbegin(), 9u);
 }
 
-TEST(RngTest, UniformIntInclusiveBounds) {
-  rng r(5);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto x = r.uniform_int(-3, 3);
-    EXPECT_GE(x, -3);
-    EXPECT_LE(x, 3);
-    saw_lo |= x == -3;
-    saw_hi |= x == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, BernoulliEdgeCases) {
   rng r(9);
   for (int i = 0; i < 100; ++i) {

@@ -83,18 +83,5 @@ TEST(EmpiricalCdfTest, CdfIsMonotone) {
   }
 }
 
-TEST(ErrorMetricsTest, MeanAbsoluteError) {
-  EXPECT_DOUBLE_EQ(mean_absolute_error({1.0, 2.0}, {1.5, 1.0}), 0.75);
-  EXPECT_DOUBLE_EQ(mean_absolute_error({}, {}), 0.0);
-}
-
-TEST(ErrorMetricsTest, AbsoluteErrorsElementwise) {
-  const auto errs = absolute_errors({1.0, -2.0, 3.0}, {0.0, 2.0, 3.0});
-  ASSERT_EQ(errs.size(), 3u);
-  EXPECT_DOUBLE_EQ(errs[0], 1.0);
-  EXPECT_DOUBLE_EQ(errs[1], 4.0);
-  EXPECT_DOUBLE_EQ(errs[2], 0.0);
-}
-
 }  // namespace
 }  // namespace ntom
