@@ -4,10 +4,15 @@
 // only the time to reach it. bm_select_counted runs Algorithm 1 as
 // Corr-complete and Bayes-Corr do (count-threshold predicate on
 // simulated data) on the fig3_brite network and reports the
-// deterministic candidates_examined counter next to the time.
+// deterministic candidates_examined and rank_tests counters next to the
+// time. bm_map_correlated fits Corr-complete once on the same network
+// and times Bayes-Corr's per-interval MAP (map_correlated) over its 300
+// intervals, reporting the links it marks congested as a counter.
 #include <benchmark/benchmark.h>
 
 #include "ntom/corr/correlation.hpp"
+#include "ntom/infer/bayes_map.hpp"
+#include "ntom/infer/observation.hpp"
 #include "ntom/sim/monitor.hpp"
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/sim/scenario.hpp"
@@ -110,16 +115,41 @@ void bm_select_counted(benchmark::State& state) {
     return obs.count_all_good(pset) >= min_count;
   };
   std::size_t examined = 0;
+  std::size_t rank_tests = 0;
   for (auto _ : state) {
     const ntom::pathset_selection sel =
         ntom::select_path_sets(f.topo, f.catalog, f.potcong, {}, usable);
     examined = sel.candidates_examined;
+    rank_tests = sel.rank_tests;
     benchmark::DoNotOptimize(sel);
   }
   state.counters["candidates_examined"] =
       static_cast<double>(examined);
+  state.counters["rank_tests"] = static_cast<double>(rank_tests);
 }
 BENCHMARK(bm_select_counted)->Unit(benchmark::kMillisecond);
+
+void bm_map_correlated(benchmark::State& state) {
+  const counted_fixture f = make_counted_fixture();
+  const ntom::correlation_complete_result fit =
+      ntom::compute_correlation_complete(f.topo, f.data);
+  const ntom::link_estimates marginals = fit.estimates.to_link_estimates();
+  std::vector<ntom::interval_observation> intervals;
+  for (std::size_t i = 0; i < f.data.intervals; ++i) {
+    intervals.push_back(
+        ntom::make_observation(f.topo, f.data.congested_paths_at(i)));
+  }
+  std::size_t marked = 0;
+  for (auto _ : state) {
+    marked = 0;
+    for (const ntom::interval_observation& obs : intervals) {
+      marked += ntom::map_correlated(f.topo, obs, fit.estimates, marginals)
+                    .count();
+    }
+  }
+  state.counters["congested_links"] = static_cast<double>(marked);
+}
+BENCHMARK(bm_map_correlated)->Unit(benchmark::kMillisecond);
 
 void bm_catalog_build(benchmark::State& state) {
   const fixture f = make_fixture(state.range(0) == 1);

@@ -7,19 +7,17 @@ namespace ntom {
 
 namespace {
 
-/// Iterates all subsets B of `members` (given as indices), calling
-/// fn(B_bitvec, |B|). Universe sizes come from `universe`.
+/// Iterates all subsets B of `set`, calling fn(B_bitvec, |B|) over a
+/// `universe`-bit universe. False if fn stopped the walk or `set` has
+/// more than max_joint_members members (then fn is never called).
 template <typename Fn>
 bool for_each_subset(const bitvec& set, std::size_t universe, Fn&& fn) {
-  // Member gather without the to_indices() heap allocation: subset
-  // sizes are capped upstream, so a small stack buffer always fits.
-  std::size_t members[64];
-  std::size_t k = 0;
-  set.for_each_set([&](std::size_t i) {
-    if (k < 64) members[k] = i;
-    ++k;
-  });
-  // 2^k subsets; callers keep k small (subset sizes are capped upstream).
+  const std::size_t k = set.count();
+  if (k > max_joint_members) return false;
+  // Member gather without the to_indices() heap allocation.
+  std::size_t members[max_joint_members];
+  std::size_t gathered = 0;
+  set.for_each_set([&](std::size_t i) { members[gathered++] = i; });
   for (std::size_t mask = 0; mask < (std::size_t{1} << k); ++mask) {
     bitvec b(universe);
     std::size_t bits = 0;

@@ -12,8 +12,15 @@
 //
 // Both sums need g on subsets that may be outside the identifiable
 // family, so the query interface is optional-valued.
+//
+// Each sum has 2^|S| terms. Above max_joint_members members in S both
+// functions return nullopt without evaluating g: the subset catalog
+// stops at 4 links per subset by default and the MAP search at 12, so
+// only a caller-built set or a raised subset_limits::max_subset_size
+// gets there.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <optional>
 
@@ -26,14 +33,20 @@ namespace ntom {
 using good_probability_fn =
     std::function<std::optional<double>(const bitvec&)>;
 
+/// Most members of S the inclusion-exclusion sums enumerate: 2^16 =
+/// 65536 evaluations of g.
+inline constexpr std::size_t max_joint_members = 16;
+
 /// P(all links in `congested_set` congested). Empty set yields 1.
-/// Returns nullopt if any required g(B) is unavailable. The result is
-/// clamped to [0, 1] to absorb estimation noise.
+/// Returns nullopt if any required g(B) is unavailable or the set has
+/// more than max_joint_members links. The result is clamped to [0, 1]
+/// to absorb estimation noise.
 [[nodiscard]] std::optional<double> set_congestion_probability(
     const bitvec& congested_set, const good_probability_fn& g);
 
 /// P(all of S congested AND all of R good), S and R disjoint subsets of
-/// one correlation set. Returns nullopt if some g(B ∪ R) is unavailable.
+/// one correlation set. Returns nullopt if some g(B ∪ R) is unavailable
+/// or S has more than max_joint_members links.
 [[nodiscard]] std::optional<double> exact_state_probability(
     const bitvec& congested, const bitvec& good, const good_probability_fn& g);
 

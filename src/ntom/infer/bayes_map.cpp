@@ -108,11 +108,14 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
   // candidate links. Group moves are essential: for a strongly
   // correlated pair, flipping one member alone can have probability ~0
   // while flipping the pair together is cheap (the paper's {e2,e3}).
+  constexpr std::size_t stale = static_cast<std::size_t>(-1);
   struct move {
     bitvec links;  ///< links to flip congested (within one AS).
     bitvec local;  ///< the same links as a mask over the AS's local index.
     bitvec paths;  ///< paths through any of `links`, computed once.
     as_id as = 0;
+    double delta = 0.0;          ///< delta_of(*this) at AS version...
+    std::size_t version = stale; ///< ...`version` (stale: never scored).
   };
   auto local_mask = [&](as_id a, const bitvec& links) {
     bitvec local(local_links[a].size());
@@ -140,16 +143,19 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
   }
 
   // The solution, and its part in each AS as a local mask (every link
-  // of the solution is a candidate: only moves add to it).
+  // of the solution is a candidate: only moves add to it). as_version[a]
+  // counts the changes to AS a's part.
   bitvec solution(t.num_links());
   std::vector<bitvec> solution_by_as;
   solution_by_as.reserve(t.num_ases());
   for (const std::vector<link_id>& links : local_links) {
     solution_by_as.emplace_back(links.size());
   }
+  std::vector<std::size_t> as_version(t.num_ases(), 0);
   auto apply = [&](const move& m) {
     solution |= m.links;
     solution_by_as[m.as] |= m.local;
+    ++as_version[m.as];
   };
 
   // State log-probabilities of this interval, keyed by (AS, local mask
@@ -200,6 +206,18 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
     return delta;
   };
 
+  // delta_of(m) reads nothing but m and solution_by_as[m.as], so a
+  // move's delta is recomputed only when its AS changed since the move
+  // was last scored; the cached value is exactly what a recomputation
+  // would return.
+  auto score = [&](move& m) {
+    if (m.version != as_version[m.as]) {
+      m.delta = delta_of(m);
+      m.version = as_version[m.as];
+    }
+    return m.delta;
+  };
+
   auto is_noop = [&](const move& m) {
     return m.local.is_subset_of(solution_by_as[m.as]);
   };
@@ -210,11 +228,11 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
     bool changed = true;
     while (changed) {
       changed = false;
-      for (const move& m : moves) {
+      for (move& m : moves) {
         if (is_noop(m)) continue;
         // Small positive threshold: with noisy estimates a spurious
         // hair-positive delta must not flood the solution.
-        if (delta_of(m) > 0.1) {
+        if (score(m) > 0.1) {
           apply(m);
           if (uncovered) uncovered->subtract(m.paths);
           changed = true;
@@ -233,19 +251,19 @@ bitvec map_correlated(const topology& t, const interval_observation& obs,
   // probability loss) coverage per covered path first. The solution
   // only grows and the uncovered set only shrinks, so a move that is a
   // no-op or covers nothing stays so and leaves the live list.
-  std::vector<const move*> live;
+  std::vector<move*> live;
   live.reserve(moves.size());
-  for (const move& m : moves) live.push_back(&m);
+  for (move& m : moves) live.push_back(&m);
   while (!uncovered.empty()) {
     const move* best = nullptr;
     double best_ratio = -1.0;
     std::size_t kept = 0;
-    for (const move* m : live) {
+    for (move* m : live) {
       if (is_noop(*m)) continue;
       const std::size_t cover = m->paths.and_count(uncovered);
       if (cover == 0) continue;
       live[kept++] = m;
-      const double cost = std::max(-delta_of(*m), 1e-12);
+      const double cost = std::max(-score(*m), 1e-12);
       const double ratio = static_cast<double>(cover) / cost;
       if (ratio > best_ratio) {
         best_ratio = ratio;

@@ -20,11 +20,17 @@
 // Cost per interval: the independence greedy computes each candidate's
 // log((1-p)/p) once per call and scores a candidate by one fused
 // AND+popcount against the uncovered paths per round. The correlation
-// greedy computes each move's path coverage once per call, scores it by
-// one AND+popcount per round, and evaluates score deltas in two reused
-// scratch sets. Both return the same solutions, bit for bit, as scoring
-// by materialized cover sets; the output digests in
-// tests/infer/bayes_inferencers_test.cpp pin them.
+// greedy computes each move's path coverage once per call and counts
+// its cover by one AND+popcount per round. A move's score delta depends
+// only on the move and on the solution's part in the move's AS, so each
+// AS carries a version that every applied move bumps, and each move
+// keeps its last delta with the version it was computed at: the delta
+// is recomputed only after its AS changed. (Without the cache, 97% of
+// the deltas at paper scale were recomputations of an unchanged value.)
+// Both greedies return the same solutions, bit for bit, as scoring by
+// materialized cover sets and recomputing every delta; the output
+// digests in tests/infer/bayes_inferencers_test.cpp and the uncached
+// greedy in tests/infer/map_reference.hpp pin them.
 //
 // Probabilities are clamped to [floor, 1 - floor] first, so exactly 0
 // and 1 give finite logs. With probabilities in [0, 1], both greedies
@@ -53,7 +59,10 @@ inline constexpr double map_probability_floor = 1e-6;
 /// (computed once per fit, not per interval). Each state probability
 /// is computed once per call: a memo keyed by (AS, congested set) lives
 /// for this one interval, so the function stays reentrant and the
-/// memo never outlives the estimates it was filled from.
+/// memo never outlives the estimates it was filled from. With the
+/// per-move delta cache about half of the memo's lookups still hit
+/// (the before-state every move of one AS version shares), and dropping
+/// the memo made bench/micro_pathset's bm_map_correlated 12% slower.
 [[nodiscard]] bitvec map_correlated(const topology& t,
                                     const interval_observation& obs,
                                     const probability_estimates& estimates,

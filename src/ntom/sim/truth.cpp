@@ -1,6 +1,8 @@
 #include "ntom/sim/truth.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "ntom/corr/joint.hpp"
@@ -75,6 +77,12 @@ double ground_truth::link_congestion_probability(link_id e) const {
 }
 
 double ground_truth::set_congestion_probability(const bitvec& links) const {
+  if (links.count() > max_joint_members) {
+    throw std::invalid_argument(
+        "ground_truth::set_congestion_probability: " +
+        std::to_string(links.count()) + " links exceed max_joint_members (" +
+        std::to_string(max_joint_members) + ")");
+  }
   double total = 0.0;
   for (std::size_t k = 0; k < model_.num_phases(); ++k) {
     const auto per_phase = ntom::set_congestion_probability(

@@ -38,6 +38,8 @@ class ground_truth {
 
   /// P(all links in `links` congested), phase-averaged (the paper's
   /// congestion probability of a set; inclusion-exclusion per phase).
+  /// Throws std::invalid_argument if `links` has more than
+  /// max_joint_members (corr/joint.hpp) links.
   [[nodiscard]] double set_congestion_probability(const bitvec& links) const;
 
   /// Per-phase variant of good_probability (used by tests).

@@ -9,22 +9,30 @@ equation_builder::equation_builder(const topology& t,
                                    const bitvec& potcong)
     : topo_(&t), catalog_(&catalog), potcong_(potcong) {}
 
-bool equation_builder::row(const bitvec& path_set,
-                           equation_row_scratch& scratch) const {
-  constexpr std::size_t unseen = static_cast<std::size_t>(-1);
+void equation_builder::link_union(const bitvec& path_set,
+                                  bitvec& links) const {
   const std::size_t num_links = topo_->num_links();
-  if (scratch.links.size() != num_links) scratch.links = bitvec(num_links);
-  if (scratch.slot_of_as.size() < topo_->num_ases()) {
-    scratch.slot_of_as.assign(topo_->num_ases(), unseen);
-  }
-
-  // Links(P) ∩ potcong, in the reused buffer.
-  bitvec& links = scratch.links;
+  if (links.size() != num_links) links = bitvec(num_links);
   links.clear();
   path_set.for_each([&](std::size_t p) {
     links |= topo_->get_path(static_cast<path_id>(p)).link_set();
   });
   links &= potcong_;
+}
+
+bool equation_builder::row(const bitvec& path_set,
+                           equation_row_scratch& scratch) const {
+  link_union(path_set, scratch.links);
+  return row_of_links(scratch.links, scratch);
+}
+
+bool equation_builder::row_of_links(const bitvec& links,
+                                    equation_row_scratch& scratch) const {
+  constexpr std::size_t unseen = static_cast<std::size_t>(-1);
+  const std::size_t num_links = topo_->num_links();
+  if (scratch.slot_of_as.size() < topo_->num_ases()) {
+    scratch.slot_of_as.assign(topo_->num_ases(), unseen);
+  }
 
   // Group the touched links by correlation set (= AS) in one pass: the
   // per-AS slot table replaces a per-link scan over the groups seen so

@@ -37,14 +37,31 @@ struct equation_row_scratch {
 /// Builds Eq. 1 rows against a fixed catalog Ê. Immutable after
 /// construction, so one builder may serve several threads, each with its
 /// own equation_row_scratch.
+///
+/// A row is built in two steps: the link union Links(P) ∩ potcong of
+/// the path set, then the row of that union. The second step reads
+/// nothing but the union, so path sets with equal unions have equal
+/// rows (or are all catalog misses); Algorithm 1 memoizes rows by union
+/// on that ground (see pathset_select.hpp).
 class equation_builder {
  public:
   equation_builder(const topology& t, const subset_catalog& catalog,
                    const bitvec& potcong);
 
-  /// Writes Row(P, Ê) for `path_set` into `scratch.row` and returns
-  /// true; returns false (scratch.row unspecified) when some
-  /// intersection Links(P) ∩ C is not in the catalog.
+  /// Writes Links(P) ∩ potcong for path set `path_set` into `links`,
+  /// which is sized to the link universe on first use and afterwards
+  /// only overwritten.
+  void link_union(const bitvec& path_set, bitvec& links) const;
+
+  /// Writes the row of link union `links` (a link_union output) into
+  /// `scratch.row` and returns true; returns false (scratch.row
+  /// unspecified) when some intersection `links` ∩ C is not in the
+  /// catalog. `links` may be scratch.links.
+  [[nodiscard]] bool row_of_links(const bitvec& links,
+                                  equation_row_scratch& scratch) const;
+
+  /// Row(P, Ê) for `path_set`: link_union into scratch.links, then
+  /// row_of_links.
   [[nodiscard]] bool row(const bitvec& path_set,
                          equation_row_scratch& scratch) const;
 

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "ntom/corr/correlation.hpp"
 #include "ntom/linalg/nullspace.hpp"
@@ -54,34 +55,39 @@ void order_by_weight_descending(const std::vector<std::size_t>& weights,
   }
 }
 
-/// The set of path sets step 3 has examined, open-addressed over their
-/// packed words. All keys share one universe, so they sit end to end in
-/// one arena (entry e at words [e*w, (e+1)*w)). Each slot packs the
-/// upper 32 bits of the key's finalized hash (the tag, which also picks
-/// the home slot) with entry index + 1 (0 = empty): a probe compares
-/// tags before words, and growth re-places slots without rehashing.
+/// A set of equal-width bit-sets (path sets or link unions),
+/// open-addressed over their packed words. All keys share one universe,
+/// so they sit end to end in one arena (entry e at words
+/// [e*w, (e+1)*w)); entries are numbered 0, 1, ... in insertion order,
+/// so a caller can keep per-entry data in side arrays. Each slot packs
+/// the upper 32 bits of the key's finalized hash (the tag, which also
+/// picks the home slot) with entry index + 1 (0 = empty): a probe
+/// compares tags before words, and growth re-places slots without
+/// rehashing.
 class pathset_table {
  public:
   explicit pathset_table(std::size_t words)
       : words_(words), slots_(initial_slots, 0) {}
 
-  /// Adds `pset`; false if an equal path set is already in the table.
-  bool insert(const bitvec& pset) {
-    const std::uint64_t tag = finalize(pset.hash()) >> 32;
-    const std::uint64_t* key = pset.word_data();
+  /// The entry index of `key`, added as the next entry if it is not in
+  /// the table yet; `second` is true when it was added.
+  std::pair<std::size_t, bool> find_or_insert(const bitvec& key) {
+    const std::uint64_t tag = finalize(key.hash()) >> 32;
+    const std::uint64_t* data = key.word_data();
     const std::size_t mask = slots_.size() - 1;
     std::size_t s = tag & mask;
     for (; slots_[s] != 0; s = (s + 1) & mask) {
       if ((slots_[s] >> 32) != tag) continue;
-      const std::uint64_t* entry =
-          arena_.data() + (static_cast<std::uint32_t>(slots_[s]) - 1) * words_;
-      if (std::equal(key, key + words_, entry)) return false;
+      const std::size_t entry = static_cast<std::uint32_t>(slots_[s]) - 1;
+      if (std::equal(data, data + words_, arena_.data() + entry * words_)) {
+        return {entry, false};
+      }
     }
-    arena_.insert(arena_.end(), key, key + words_);
+    arena_.insert(arena_.end(), data, data + words_);
     ++size_;
     slots_[s] = (tag << 32) | size_;
     if (2 * size_ > slots_.size()) grow();
-    return true;
+    return {size_ - 1, true};
   }
 
  private:
@@ -169,15 +175,42 @@ pathset_selection select_path_sets(const topology& t,
   // is examined once: a rejected row never adds rank to a smaller null
   // space, and an accepted one is already in the system.
   pathset_table seen(bitvec(t.num_paths()).num_words());
+
+  // The row memo, by link union Links(P) ∩ potcong: the row of a union
+  // (or its catalog miss) is a pure function of the union, and many
+  // path sets share one. Side arrays per union entry: its row, and the
+  // null-space epoch in which the rank test last rejected that row
+  // (`never`; `no_row` for a catalog miss or an empty row). The epoch
+  // moves on with every null_space_update, so a row rejected in the
+  // current epoch would be rejected again by the same test against the
+  // same N and is skipped.
+  constexpr std::size_t never = 0;
+  constexpr std::size_t no_row = static_cast<std::size_t>(-1);
+  std::size_t epoch = 1;
+  pathset_table unions(bitvec(t.num_links()).num_words());
+  std::vector<std::vector<std::size_t>> union_row;
+  std::vector<std::size_t> rejected_in;
   equation_row_scratch scratch;
 
-  // True when `pset` is new, usable and gives a nonempty row, which is
-  // then in scratch.row.
+  // The union entry of `pset` when it is new, has a row not rejected
+  // in this epoch, and is usable; npos otherwise. usable and the rank
+  // test are pure, so skipping them for a known outcome keeps every
+  // result; every candidate still counts as examined.
+  constexpr std::size_t npos = static_cast<std::size_t>(-1);
   auto examine = [&](const bitvec& pset) {
     ++out.candidates_examined;
-    if (pset.empty() || !seen.insert(pset)) return false;
-    if (usable && !usable(pset)) return false;
-    return builder.row(pset, scratch) && !scratch.row.empty();
+    if (pset.empty() || !seen.find_or_insert(pset).second) return npos;
+    builder.link_union(pset, scratch.links);
+    const auto [u, added] = unions.find_or_insert(scratch.links);
+    if (added) {
+      const bool ok = builder.row_of_links(scratch.links, scratch) &&
+                      !scratch.row.empty();
+      union_row.emplace_back(ok ? scratch.row : std::vector<std::size_t>());
+      rejected_in.push_back(ok ? never : no_row);
+    }
+    if (rejected_in[u] == no_row || rejected_in[u] == epoch) return npos;
+    if (usable && !usable(pset)) return npos;
+    return u;
   };
 
   // ---- Step 1: seed equations, one per correlation subset. Rows stay
@@ -186,10 +219,11 @@ pathset_selection select_path_sets(const topology& t,
   sparse_matrix system(n1);
   for (std::size_t i = 0; i < n1; ++i) {
     const bitvec& pset = candidates[i];
-    if (!examine(pset)) continue;
+    const std::size_t u = examine(pset);
+    if (u == npos) continue;
     out.path_sets.push_back(pset);
-    out.rows.push_back(scratch.row);
-    system.append_row(scratch.row);
+    out.rows.push_back(union_row[u]);
+    system.append_row(union_row[u]);
   }
   out.seed_equations = out.path_sets.size();
 
@@ -235,14 +269,19 @@ pathset_selection select_path_sets(const topology& t,
         for (std::uint32_t bits = masks[m]; bits != 0; bits &= bits - 1) {
           pset.set(paths[static_cast<std::size_t>(__builtin_ctz(bits))]);
         }
-        if (!examine(pset)) continue;
-        if (row_increases_rank(scratch.row, nsp, params.rank_tolerance)) {
+        const std::size_t u = examine(pset);
+        if (u == npos) continue;
+        ++out.rank_tests;
+        if (row_increases_rank(union_row[u], nsp, params.rank_tolerance)) {
           out.path_sets.push_back(pset);
-          out.rows.push_back(scratch.row);
+          out.rows.push_back(union_row[u]);
           ++out.added_equations;
-          nsp = null_space_update(std::move(nsp), scratch.row,
+          nsp = null_space_update(std::move(nsp), union_row[u],
                                   params.rank_tolerance);
+          ++epoch;
           found = true;
+        } else {
+          rejected_in[u] = epoch;
         }
       }
       reached = m;

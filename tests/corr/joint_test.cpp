@@ -160,5 +160,60 @@ TEST_P(JointPropertyTest, InclusionExclusionMatchesDirect) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, JointPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 25));
 
+/// g of independent links, each congested with probability `p`:
+/// g(B) = (1 - p)^|B|. Counts its calls in `calls`.
+good_probability_fn independent_links(double p, std::size_t& calls) {
+  return [p, &calls](const bitvec& b) -> std::optional<double> {
+    ++calls;
+    return std::pow(1.0 - p, static_cast<double>(b.count()));
+  };
+}
+
+bitvec first_links(std::size_t universe, std::size_t members) {
+  bitvec set(universe);
+  for (std::size_t i = 0; i < members; ++i) set.set(i);
+  return set;
+}
+
+TEST(JointMemberCapTest, AtTheCapEnumeratesEverySubset) {
+  std::size_t calls = 0;
+  const bitvec set = first_links(80, max_joint_members);
+  const auto p = set_congestion_probability(set, independent_links(0.5, calls));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_NEAR(*p, std::pow(0.5, static_cast<double>(max_joint_members)),
+              1e-12);
+  // Every nonempty subset once; g(∅) = 1 is not asked for.
+  EXPECT_EQ(calls, (std::size_t{1} << max_joint_members) - 1);
+}
+
+TEST(JointMemberCapTest, OverTheCapIsNulloptWithoutEvaluating) {
+  // One over the cap, and 65 members: past the 64-entry member buffer
+  // and the width of a 64-bit mask shift the enumeration once had.
+  for (const std::size_t members : {max_joint_members + 1, std::size_t{65}}) {
+    std::size_t calls = 0;
+    const bitvec set = first_links(80, members);
+    EXPECT_FALSE(
+        set_congestion_probability(set, independent_links(0.5, calls)))
+        << members;
+    EXPECT_FALSE(exact_state_probability(set, bitvec(80),
+                                         independent_links(0.5, calls)))
+        << members;
+    EXPECT_EQ(calls, 0u) << members;
+  }
+}
+
+TEST(JointMemberCapTest, CapCountsOnlyTheCongestedSet) {
+  // The good set R joins every term but is not enumerated.
+  std::size_t calls = 0;
+  const bitvec congested = first_links(80, 2);
+  bitvec good(80);
+  for (std::size_t i = 10; i < 10 + 2 * max_joint_members; ++i) good.set(i);
+  const auto p =
+      exact_state_probability(congested, good, independent_links(0.5, calls));
+  ASSERT_TRUE(p.has_value());
+  EXPECT_NEAR(*p, std::pow(0.5, 2.0 + 2.0 * max_joint_members), 1e-12);
+  EXPECT_EQ(calls, 4u);  // B ∪ R for each of the 4 subsets B.
+}
+
 }  // namespace
 }  // namespace ntom

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ntom/exp/runner.hpp"
+#include "ntom/tomo/correlation_complete.hpp"
 #include "ntom/topogen/toy.hpp"
 #include "map_reference.hpp"
 
@@ -127,6 +129,56 @@ TEST(MapIndependentTest, EmptyObservationEmptySolution) {
   const std::vector<double> p(t.num_links(), 0.3);
   EXPECT_TRUE(map_independent(t, obs, p).empty());
 }
+
+/// map_correlated against the uncached greedy it replaced, on a seeded
+/// random Brite network under each Fig. 3 scenario, fully observed and
+/// with every third path unprobed: every interval's solution must be
+/// identical. The fallback count shows that marginal scoring, the
+/// other branch of a move's delta, is exercised too.
+class MapCorrelatedOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MapCorrelatedOracleTest, MatchesUncachedGreedy) {
+  for (const char* scenario :
+       {"random_congestion", "no_independence", "no_stationarity"}) {
+    run_config config;
+    config.topo = "brite";
+    config.topo_seed = GetParam();
+    config.scenario = scenario;
+    config.scenario_opts.seed = GetParam() + 100;
+    config.sim.intervals = 300;
+    const run_artifacts run = prepare_run(config);
+    const topology& t = run.topo();
+    const experiment_data& data = run.data;
+    bitvec masked(t.num_paths());
+    for (path_id p = 0; p < t.num_paths(); ++p) {
+      if (p % 3 != 0) masked.set(p);
+    }
+    const correlation_complete_result fit =
+        compute_correlation_complete(t, data);
+    const link_estimates marginals = fit.estimates.to_link_estimates();
+
+    std::size_t fallbacks = 0;
+    std::size_t congested_intervals = 0;
+    for (const bitvec& observed : {bitvec(), masked}) {
+      for (std::size_t i = 0; i < data.intervals; ++i) {
+        bitvec congested = data.congested_paths_at(i);
+        if (!observed.empty()) congested &= observed;
+        if (!congested.empty()) ++congested_intervals;
+        const auto obs = make_observation(t, congested, observed);
+        const bitvec got = map_correlated(t, obs, fit.estimates, marginals);
+        const bitvec want = testing_oracle::map_correlated(
+            t, obs, fit.estimates, marginals, &fallbacks);
+        ASSERT_EQ(got, want) << scenario << " interval " << i
+                             << (observed.empty() ? "" : " masked");
+      }
+    }
+    EXPECT_GT(congested_intervals, 0u) << scenario;
+    EXPECT_GT(fallbacks, 0u) << scenario;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MapCorrelatedOracleTest,
+                         ::testing::Values<std::uint64_t>(3, 10, 12));
 
 }  // namespace
 }  // namespace ntom

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "ntom/corr/joint.hpp"
 #include "ntom/sim/packet_sim.hpp"
+#include "ntom/topogen/brite.hpp"
 #include "ntom/topogen/toy.hpp"
 
 namespace ntom {
@@ -125,6 +129,27 @@ TEST(GroundTruthTest, EmpiricalFrequenciesConverge) {
   pair.set(toy_e3);
   EXPECT_NEAR(static_cast<double>(joint23) / data.intervals,
               truth.set_congestion_probability(pair), 0.02);
+}
+
+TEST(GroundTruthTest, SetCongestionAboveMemberCapThrows) {
+  const topology t = generate_brite({});
+  ASSERT_GT(t.num_links(), 65u);
+  congestion_model m;
+  m.phase_q.assign(1, std::vector<double>(t.num_router_links(), 0.1));
+  const ground_truth truth(t, m, 100);
+  for (const std::size_t members : {max_joint_members + 1, std::size_t{65}}) {
+    bitvec links(t.num_links());
+    for (std::size_t e = 0; e < members; ++e) links.set(e);
+    EXPECT_THROW((void)truth.set_congestion_probability(links),
+                 std::invalid_argument)
+        << members;
+  }
+  bitvec pair(t.num_links());
+  pair.set(0);
+  pair.set(1);
+  const double p = truth.set_congestion_probability(pair);
+  EXPECT_GE(p, 0.0);
+  EXPECT_LE(p, 1.0);
 }
 
 }  // namespace

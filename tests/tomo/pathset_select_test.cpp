@@ -331,6 +331,7 @@ TEST(PathsetOracleTest, BenchmarkNetworkWithCountThreshold) {
   EXPECT_EQ(got.seed_equations, 131u);
   EXPECT_EQ(got.added_equations, 12u);
   EXPECT_EQ(got.candidates_examined, 145545u);
+  EXPECT_EQ(got.rank_tests, 190u);
 }
 
 TEST(PathsetConcurrencyTest, ThreadsWithDifferentListLengthsMatchSerial) {
