@@ -132,32 +132,36 @@ bool identity_sweep() {
       ok &= dst == ref_or;
     }
   }
-  // xoshiro256++ lane counts: final states and per-lane counts against
-  // the scalar rung, at probe counts around the sampler's 256 limit.
+  // xoshiro256++ lane counts: final states and per-run counts against
+  // the scalar rung, at probe counts around the sampler's 256 limit and
+  // one to three runs per lane.
   {
     constexpr std::size_t L = simd::xoshiro_lanes;
+    constexpr std::size_t kSegments = 3;
     ntom::rng r(66);
     for (const std::size_t steps : {0u, 1u, 7u, 200u, 256u, 1000u}) {
+      const std::size_t segments = 1 + steps % kSegments;
       std::uint64_t state0[4 * L];
       for (auto& w : state0) w = r.next_u64();
-      std::uint64_t limit[L];
-      for (std::size_t j = 0; j < L; ++j) {
+      std::uint64_t limit[kSegments * L];
+      for (std::size_t j = 0; j < kSegments * L; ++j) {
         limit[j] = j == 0 ? 0 : j == 1 ? std::uint64_t{1} << 53
                                        : r.next_u64() >> (11 + j % 3);
       }
       simd::set_level(simd::level::scalar);
       std::uint64_t ref_state[4 * L];
-      std::uint64_t ref_counts[L];
+      std::uint64_t ref_counts[kSegments * L];
       std::copy(state0, state0 + 4 * L, ref_state);
-      simd::xoshiro_count_below(ref_state, limit, steps, ref_counts);
+      simd::xoshiro_count_below(ref_state, limit, steps, segments,
+                                ref_counts);
       for (const simd::level l : simd::available_levels()) {
         simd::set_level(l);
         std::uint64_t state[4 * L];
-        std::uint64_t counts[L];
+        std::uint64_t counts[kSegments * L];
         std::copy(state0, state0 + 4 * L, state);
-        simd::xoshiro_count_below(state, limit, steps, counts);
+        simd::xoshiro_count_below(state, limit, steps, segments, counts);
         ok &= std::equal(state, state + 4 * L, ref_state);
-        ok &= std::equal(counts, counts + L, ref_counts);
+        ok &= std::equal(counts, counts + segments * L, ref_counts);
       }
     }
   }

@@ -62,41 +62,46 @@ void bm_run_experiment_oracle(benchmark::State& state) {
 }
 BENCHMARK(bm_run_experiment_oracle)->Arg(50)->Arg(200);
 
-/// One interval's path survival rates, sized like a default Brite run
-/// (240 paths); all lie in (0, 1), so every path consumes draws.
-std::vector<double> survival_rates() {
+/// One interval's path survival rates for `paths` paths (a default
+/// Brite run has 240); all lie in (0, 1), so every path consumes draws.
+std::vector<double> survival_rates(std::size_t paths) {
   ntom::rng r(9);
-  std::vector<double> p(240);
+  std::vector<double> p(paths);
   for (double& x : p) x = r.uniform(0.6, 1.0);
   return p;
 }
 
-// The per-path rng::binomial loop binomial_batch replaces; items are
-// Bernoulli draws, so items/s converts to ns per draw.
+constexpr std::size_t kPackets = 200;
+
+// The per-path rng::binomial loop binomial_batch replaces, over
+// state.range(0) paths of 200 packets; items are Bernoulli draws, so
+// items/s converts to ns per draw.
 void bm_binomial_loop(benchmark::State& state) {
-  const auto packets = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> p = survival_rates();
+  const std::vector<double> p =
+      survival_rates(static_cast<std::size_t>(state.range(0)));
   std::vector<std::size_t> out(p.size());
   ntom::rng r(11);
   for (auto _ : state) {
     for (std::size_t i = 0; i < p.size(); ++i) {
-      out[i] = r.binomial(packets, p[i]);
+      out[i] = r.binomial(kPackets, p[i]);
     }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(p.size() * packets));
+                          static_cast<std::int64_t>(p.size() * kPackets));
 }
-BENCHMARK(bm_binomial_loop)->Arg(200);
+BENCHMARK(bm_binomial_loop)->Arg(240);
 
 // The same counts through the lane-parallel sampler at the active
-// dispatch level (NTOM_SIMD picks another).
+// dispatch level (NTOM_SIMD picks another), built for the path count
+// as run_experiment_streaming builds it: 240 paths is the default
+// Brite network, 450 about fig3_brite's.
 void bm_binomial_batch(benchmark::State& state) {
-  const auto packets = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> p = survival_rates();
+  const std::vector<double> p =
+      survival_rates(static_cast<std::size_t>(state.range(0)));
   std::vector<std::size_t> out(p.size());
-  const ntom::binomial_batch batch(packets);
+  ntom::binomial_batch batch(kPackets, p.size());
   ntom::rng r(11);
   for (auto _ : state) {
     batch.draw(r, p.data(), p.size(), out.data());
@@ -104,9 +109,9 @@ void bm_binomial_batch(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(p.size() * packets));
+                          static_cast<std::int64_t>(p.size() * kPackets));
 }
-BENCHMARK(bm_binomial_batch)->Arg(200);
+BENCHMARK(bm_binomial_batch)->Arg(240)->Arg(450)->Arg(600);
 
 }  // namespace
 

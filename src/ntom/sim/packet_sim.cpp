@@ -68,7 +68,7 @@ void run_experiment_streaming(const topology& t, const congestion_model& model,
           path_congestion_threshold(t.get_path(p).length(),
                                     params.loss_threshold);
     }
-    probes.emplace(params.packets_per_path);
+    probes.emplace(params.packets_per_path, t.num_paths());
     survive.resize(t.num_paths());
     delivered.resize(t.num_paths());
   }

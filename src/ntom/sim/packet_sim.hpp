@@ -17,8 +17,9 @@
 // chunks, so a materialized run feeds the same consumers.
 //
 // Probes are drawn per interval for all paths at once through
-// binomial_batch (util/rng.hpp): eight paths per call of the dispatched
-// xoshiro lane kernel, with exactly the counts and generator state of a
+// binomial_batch (util/rng.hpp), sized by the path count: each of the
+// dispatched xoshiro kernel's sixteen lanes draws one segment of
+// consecutive paths, with exactly the counts and generator state of a
 // per-path rng::binomial loop, so the stream is the same at every SIMD
 // level. The per-path congestion limit margin * (1-(1-f)^d) is computed
 // once per stream.

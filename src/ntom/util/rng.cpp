@@ -1,5 +1,6 @@
 #include "ntom/util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ntom/util/simd/simd.hpp"
@@ -110,14 +111,32 @@ double rng::normal() noexcept {
 
 rng rng::split() noexcept { return rng{next_u64()}; }
 
-rng_jump::rng_jump(std::size_t steps) : table_(32 * 256) {
-  std::array<std::array<std::uint64_t, 4>, 256> column;
-  for (std::size_t i = 0; i < 256; ++i) {
-    std::array<std::uint64_t, 4> s{};
-    s[i / 64] = std::uint64_t{1} << (i % 64);
+rng_jump::rng_jump(std::size_t steps) {
+  column_set column = unit_columns();
+  for (auto& s : column) {
     for (std::size_t k = 0; k < steps; ++k) step(s);
-    column[i] = s;
   }
+  fill(column);
+}
+
+rng_jump::rng_jump(const rng_jump& base, std::size_t times) {
+  column_set column = unit_columns();
+  for (auto& s : column) {
+    for (std::size_t k = 0; k < times; ++k) base.apply(s);
+  }
+  fill(column);
+}
+
+rng_jump::column_set rng_jump::unit_columns() noexcept {
+  column_set column{};
+  for (std::size_t i = 0; i < 256; ++i) {
+    column[i][i / 64] = std::uint64_t{1} << (i % 64);
+  }
+  return column;
+}
+
+void rng_jump::fill(const column_set& column) {
+  table_.resize(32 * 256);
   // Row (b, v) is the XOR of the columns of the bits set in byte value v
   // at state byte b (state bits 8b .. 8b+7); each row extends the row
   // without v's lowest set bit.
@@ -143,38 +162,60 @@ void rng_jump::apply(std::array<std::uint64_t, 4>& state) const noexcept {
   state = out;
 }
 
-binomial_batch::binomial_batch(std::size_t trials) : trials_(trials) {
-  if (trials >= 1 && trials <= max_exact_trials) jump_.emplace(trials);
+binomial_batch::binomial_batch(std::size_t trials, std::size_t paths)
+    : trials_(trials),
+      segment_(std::max<std::size_t>(
+          1, (paths + simd::xoshiro_lanes - 1) / simd::xoshiro_lanes)) {
+  if (trials < 1 || trials > max_exact_trials) return;
+  jump_.emplace(rng_jump(trials), segment_);
+  const std::size_t slots = simd::xoshiro_lanes * segment_;
+  limit_.resize(slots);
+  counts_.resize(slots);
+  path_.resize(slots);
 }
 
 void binomial_batch::draw(rng& r, const double* p, std::size_t count,
-                          std::size_t* out) const {
+                          std::size_t* out) {
   if (!jump_) {
     for (std::size_t i = 0; i < count; ++i) out[i] = r.binomial(trials_, p[i]);
     return;
   }
-  // Lanes in SoA layout: state[L * w + j] is word w of lane j.
   constexpr std::size_t L = simd::xoshiro_lanes;
+  const std::size_t G = segment_;
+  // Lanes in SoA layout: state[L * w + j] is word w of lane j.
   std::uint64_t state[4 * L];
-  std::uint64_t limit[L];
-  std::uint64_t counts[L];
-  std::size_t lane_path[L];
-  std::size_t lanes = 0;
   std::array<std::uint64_t, 4> next = r.state_;
-  // Lane j starts j jumps past `next`; afterwards the last used lane's
-  // state is the start of the following path. Unused lanes rerun the
-  // last start with limit 0 and are ignored.
-  const auto run_lanes = [&] {
+  // Live paths fill lane 0's G segments, then lane 1's, and so on:
+  // segment g of lane j is slot L * g + j.
+  std::size_t lane = 0, seg = 0;
+  // Lane j starts j jumps past `next`. The last used lane's `last`
+  // paths end the round, so its state after them is the start of the
+  // following path; the lanes before it run their remaining segments
+  // after that state is taken. Counts of unused slots are ignored, so
+  // their limits are whatever an earlier round left, and unused lanes
+  // rerun the last used lane's start.
+  const auto run_round = [&] {
+    const std::size_t lanes = seg > 0 ? lane + 1 : lane;
+    const std::size_t last = seg > 0 ? seg : G;
     std::array<std::uint64_t, 4> s = next;
     for (std::size_t j = 0; j < L; ++j) {
       if (j > 0 && j < lanes) jump_->apply(s);
-      if (j >= lanes) limit[j] = 0;
       for (std::size_t w = 0; w < 4; ++w) state[L * w + j] = s[w];
     }
-    simd::xoshiro_count_below(state, limit, trials_, counts);
-    for (std::size_t j = 0; j < lanes; ++j) out[lane_path[j]] = counts[j];
+    simd::xoshiro_count_below(state, limit_.data(), trials_, last,
+                              counts_.data());
     for (std::size_t w = 0; w < 4; ++w) next[w] = state[L * w + lanes - 1];
-    lanes = 0;
+    if (last < G && lanes > 1) {
+      simd::xoshiro_count_below(state, limit_.data() + L * last, trials_,
+                                G - last, counts_.data() + L * last);
+    }
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::size_t segments = j + 1 < lanes ? G : last;
+      for (std::size_t g = 0; g < segments; ++g) {
+        out[path_[L * g + j]] = counts_[L * g + j];
+      }
+    }
+    lane = seg = 0;
   };
   for (std::size_t i = 0; i < count; ++i) {
     // The same tests, in the same order, as rng::binomial.
@@ -183,12 +224,16 @@ void binomial_batch::draw(rng& r, const double* p, std::size_t count,
     } else if (p[i] >= 1.0) {
       out[i] = trials_;
     } else {
-      limit[lanes] = uniform_limit(p[i]);
-      lane_path[lanes] = i;
-      if (++lanes == L) run_lanes();
+      const std::size_t slot = L * seg + lane;
+      limit_[slot] = uniform_limit(p[i]);
+      path_[slot] = i;
+      if (++seg == G) {
+        seg = 0;
+        if (++lane == L) run_round();
+      }
     }
   }
-  if (lanes > 0) run_lanes();
+  if (lane > 0 || seg > 0) run_round();
   r.state_ = next;
 }
 

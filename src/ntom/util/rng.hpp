@@ -6,9 +6,10 @@
 // through splitmix64; both are small, fast, and well understood.
 //
 // The probe simulation draws one Bernoulli per packet, so it samples
-// through binomial_batch: all of an interval's paths at once, eight
-// generator lanes at a time, with exactly the counts and the final
-// state of the per-path rng::binomial loop (docs/simd_kernels.md).
+// through binomial_batch: all of an interval's paths at once, sixteen
+// generator lanes each drawing one segment of consecutive paths, with
+// exactly the counts and the final state of the per-path rng::binomial
+// loop (docs/simd_kernels.md).
 #pragma once
 
 #include <array>
@@ -86,15 +87,26 @@ class rng {
 /// fixed 256x256 bit matrix; column i is the unit state e_i stepped n
 /// times. The matrix is stored as 32 x 256 rows of 256 bits, one row per
 /// (state byte, byte value), so a jump is 32 row loads XORed together.
-/// Building it takes 256 * steps generator steps; the table is 256 KiB.
+/// The table is 256 KiB.
 class rng_jump {
  public:
+  /// A jump of `steps` draws; building it takes 256 * steps generator
+  /// steps.
   explicit rng_jump(std::size_t steps);
 
-  /// Advances a raw xoshiro256 state by the constructor's step count.
+  /// A jump of `times` applications of `base`, built by applying `base`
+  /// to each unit state `times` times.
+  rng_jump(const rng_jump& base, std::size_t times);
+
+  /// Advances a raw xoshiro256 state by the jump's step count.
   void apply(std::array<std::uint64_t, 4>& state) const noexcept;
 
  private:
+  /// Column i is the image of the unit state e_i.
+  using column_set = std::array<std::array<std::uint64_t, 4>, 256>;
+  [[nodiscard]] static column_set unit_columns() noexcept;
+  void fill(const column_set& column);
+
   std::vector<std::array<std::uint64_t, 4>> table_;
 };
 
@@ -104,23 +116,33 @@ class rng_jump {
 /// in exactly the state that loop would.
 ///
 /// For 1 <= trials <= 256, each path with 0 < p < 1 (or a NaN p)
-/// consumes `trials` draws, so its start state is a jump of `trials`
-/// from the previous such path's. Eight paths run per call of the
-/// dispatched simd::xoshiro_count_below kernel, each counting the draws
-/// whose top 53 bits fall below ceil(p * 2^53), which is exactly
-/// uniform() < p. Other trial counts call rng::binomial per path.
+/// consumes `trials` draws; call these the live paths. With
+/// L = simd::xoshiro_lanes and G = ceil(paths / L) from the
+/// constructor, lane j draws live paths [jG, (j+1)G) one after another,
+/// so its start state is j jumps of G * trials draws past the batch's.
+/// One call of the dispatched simd::xoshiro_count_below kernel then
+/// counts, per path, the draws whose top 53 bits fall below
+/// ceil(p * 2^53), which is exactly uniform() < p. More than L * G live
+/// paths run in further rounds of the same shape. Other trial counts
+/// call rng::binomial per path.
 class binomial_batch {
  public:
-  /// Builds the jump table when 1 <= trials <= 256.
-  explicit binomial_batch(std::size_t trials);
+  /// Sizes the segments for `paths` paths per draw() and builds the
+  /// jump table when 1 <= trials <= 256.
+  binomial_batch(std::size_t trials, std::size_t paths);
 
-  /// out[i] = r.binomial(trials, p[i]) for i in [0, count).
-  void draw(rng& r, const double* p, std::size_t count,
-            std::size_t* out) const;
+  /// out[i] = r.binomial(trials, p[i]) for i in [0, count), at any
+  /// count.
+  void draw(rng& r, const double* p, std::size_t count, std::size_t* out);
 
  private:
   std::size_t trials_;
-  std::optional<rng_jump> jump_;
+  std::size_t segment_;  ///< G: live paths per lane and round.
+  std::optional<rng_jump> jump_;  ///< G * trials draws.
+  // One round's kernel operands, slot L * g + j for path g of lane j.
+  std::vector<std::uint64_t> limit_;
+  std::vector<std::uint64_t> counts_;
+  std::vector<std::size_t> path_;
 };
 
 }  // namespace ntom

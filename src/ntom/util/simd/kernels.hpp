@@ -27,7 +27,7 @@ struct kernel_table {
   void (*reflect_rows)(double* const*, std::size_t, const double*,
                        const double*, const double*, double*, std::size_t);
   void (*xoshiro_count_below)(std::uint64_t*, const std::uint64_t*,
-                              std::size_t, std::uint64_t*);
+                              std::size_t, std::size_t, std::uint64_t*);
 };
 
 /// Always available: the portable SWAR reference.

@@ -4,8 +4,8 @@
 // nibble-lookup popcount; the ones/twos/fours/eights residues are
 // folded in after the main loop with their binary weights. The QR row
 // walk is a 4-lane multiply-then-add loop blocked over four rows, and
-// the xoshiro count kernel steps eight generators as two interleaved
-// groups of four 64-bit lanes.
+// the xoshiro count kernel steps its sixteen generators eight at a
+// time, as two interleaved groups of four 64-bit lanes.
 //
 // Compiled with -mavx2 (set per-file by CMakeLists.txt); selected at
 // runtime only when cpuid reports AVX2, so the rest of the library
@@ -159,16 +159,21 @@ inline __m256i rotl_lanes(__m256i x, int k) noexcept {
                          _mm256_srli_epi64(x, 64 - k));
 }
 
-/// Four xoshiro256++ generators, one per 64-bit lane, with their limits
-/// and running counts. Lane stride in memory is simd::xoshiro_lanes.
+/// Four xoshiro256++ generators, one per 64-bit lane, and the running
+/// count of one run. Lane stride in memory is simd::xoshiro_lanes.
 struct xoshiro4 {
   __m256i s0, s1, s2, s3, limit, count;
 
-  static xoshiro4 load(const std::uint64_t* state,
-                       const std::uint64_t* limit) noexcept {
+  static xoshiro4 load(const std::uint64_t* state) noexcept {
     constexpr std::size_t L = xoshiro_lanes;
+    const __m256i zero = _mm256_setzero_si256();
     return {loadu(state),         loadu(state + L), loadu(state + 2 * L),
-            loadu(state + 3 * L), loadu(limit),     _mm256_setzero_si256()};
+            loadu(state + 3 * L), zero,             zero};
+  }
+
+  void begin(const std::uint64_t* lim) noexcept {
+    limit = loadu(lim);
+    count = _mm256_setzero_si256();
   }
 
   void step() noexcept {
@@ -186,32 +191,43 @@ struct xoshiro4 {
     s3 = rotl_lanes(s3, 45);
   }
 
-  void store(std::uint64_t* state, std::uint64_t* counts) const noexcept {
+  void store(std::uint64_t* state) const noexcept {
     constexpr std::size_t L = xoshiro_lanes;
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(state), s0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + L), s1);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + 2 * L), s2);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + 3 * L), s3);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts), count);
   }
 };
 
-// Eight generators as two independent groups of four lanes, stepped in
-// one loop so the two dependency chains overlap. AVX2 has only a signed
-// 64-bit compare; x >> 11 is below 2^53 and a limit is at most 2^53, so
-// both are non-negative as signed values.
+// Sixteen generators, eight at a time as two independent groups of four
+// lanes stepped in one loop so the two dependency chains overlap; each
+// group stays in registers from one run to the next. AVX2 has only a
+// signed 64-bit compare; x >> 11 is below 2^53 and a limit is at most
+// 2^53, so both are non-negative as signed values.
 void xoshiro_count_below_avx2(std::uint64_t* state,
                               const std::uint64_t* limit, std::size_t steps,
-                              std::uint64_t* counts) {
-  static_assert(xoshiro_lanes == 8);
-  xoshiro4 lo = xoshiro4::load(state, limit);
-  xoshiro4 hi = xoshiro4::load(state + 4, limit + 4);
-  for (std::size_t k = 0; k < steps; ++k) {
-    lo.step();
-    hi.step();
+                              std::size_t segments, std::uint64_t* counts) {
+  constexpr std::size_t L = xoshiro_lanes;
+  static_assert(L % 8 == 0);
+  for (std::size_t half = 0; half < L; half += 8) {
+    xoshiro4 lo = xoshiro4::load(state + half);
+    xoshiro4 hi = xoshiro4::load(state + half + 4);
+    for (std::size_t g = 0; g < segments; ++g) {
+      lo.begin(limit + L * g + half);
+      hi.begin(limit + L * g + half + 4);
+      for (std::size_t k = 0; k < steps; ++k) {
+        lo.step();
+        hi.step();
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts + L * g + half),
+                          lo.count);
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(counts + L * g + half + 4), hi.count);
+    }
+    lo.store(state + half);
+    hi.store(state + half + 4);
   }
-  lo.store(state, counts);
-  hi.store(state + 4, counts + 4);
 }
 
 // QR row walk (simd::reflect_rows), `Block` rows at a time: per 4-lane

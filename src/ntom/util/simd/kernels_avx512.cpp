@@ -2,8 +2,9 @@
 // lanes per cycle, so the kernels are plain vertical accumulate loops —
 // four independent 512-bit accumulators hide the add latency, the AND
 // fusion folds into the loads, and the tail falls back to scalar
-// POPCNT. The xoshiro count kernel holds its eight generators in one
-// 512-bit vector per state word, with native rotates (VPROLQ) and an
+// POPCNT. The xoshiro count kernel holds its sixteen generators in two
+// 512-bit vectors per state word, stepped in one loop so the two
+// dependency chains overlap, with native rotates (VPROLQ) and an
 // unsigned compare into a mask (VPCMPUQ). The QR row walk is an 8-lane
 // multiply-then-add loop blocked over four rows, with a masked tail.
 //
@@ -111,24 +112,29 @@ void or_accumulate_avx512(std::uint64_t* dst, const std::uint64_t* src,
   for (; w < n; ++w) dst[w] |= src[w];
 }
 
-// Eight lanes per vector, so one vector per state word.
-void xoshiro_count_below_avx512(std::uint64_t* state,
-                                const std::uint64_t* limit, std::size_t steps,
-                                std::uint64_t* counts) {
-  static_assert(xoshiro_lanes == 8);
-  __m512i s0 = loadu(state);
-  __m512i s1 = loadu(state + 8);
-  __m512i s2 = loadu(state + 16);
-  __m512i s3 = loadu(state + 24);
-  const __m512i lim = loadu(limit);
-  const __m512i one = _mm512_set1_epi64(1);
-  __m512i count = _mm512_setzero_si512();
-  for (std::size_t k = 0; k < steps; ++k) {
+/// Eight xoshiro256++ generators, one per 64-bit lane, and the running
+/// count of one run. Lane stride in memory is simd::xoshiro_lanes.
+struct xoshiro8 {
+  __m512i s0, s1, s2, s3, limit, count;
+
+  static xoshiro8 load(const std::uint64_t* state) noexcept {
+    constexpr std::size_t L = xoshiro_lanes;
+    const __m512i zero = _mm512_setzero_si512();
+    return {loadu(state), loadu(state + L), loadu(state + 2 * L),
+            loadu(state + 3 * L), zero, zero};
+  }
+
+  void begin(const std::uint64_t* lim) noexcept {
+    limit = loadu(lim);
+    count = _mm512_setzero_si512();
+  }
+
+  void step() noexcept {
     const __m512i out =
         _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
     const __mmask8 below =
-        _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), lim);
-    count = _mm512_mask_add_epi64(count, below, count, one);
+        _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), limit);
+    count = _mm512_mask_add_epi64(count, below, count, _mm512_set1_epi64(1));
     const __m512i t = _mm512_slli_epi64(s1, 17);
     s2 = _mm512_xor_si512(s2, s0);
     s3 = _mm512_xor_si512(s3, s1);
@@ -137,11 +143,37 @@ void xoshiro_count_below_avx512(std::uint64_t* state,
     s2 = _mm512_xor_si512(s2, t);
     s3 = _mm512_rol_epi64(s3, 45);
   }
-  _mm512_storeu_si512(state, s0);
-  _mm512_storeu_si512(state + 8, s1);
-  _mm512_storeu_si512(state + 16, s2);
-  _mm512_storeu_si512(state + 24, s3);
-  _mm512_storeu_si512(counts, count);
+
+  void store(std::uint64_t* state) const noexcept {
+    constexpr std::size_t L = xoshiro_lanes;
+    _mm512_storeu_si512(state, s0);
+    _mm512_storeu_si512(state + L, s1);
+    _mm512_storeu_si512(state + 2 * L, s2);
+    _mm512_storeu_si512(state + 3 * L, s3);
+  }
+};
+
+// Sixteen generators as two independent 8-lane vectors, stepped in one
+// loop; both stay in registers from one run to the next.
+void xoshiro_count_below_avx512(std::uint64_t* state,
+                                const std::uint64_t* limit, std::size_t steps,
+                                std::size_t segments, std::uint64_t* counts) {
+  constexpr std::size_t L = xoshiro_lanes;
+  static_assert(L == 16);
+  xoshiro8 lo = xoshiro8::load(state);
+  xoshiro8 hi = xoshiro8::load(state + 8);
+  for (std::size_t g = 0; g < segments; ++g) {
+    lo.begin(limit + L * g);
+    hi.begin(limit + L * g + 8);
+    for (std::size_t k = 0; k < steps; ++k) {
+      lo.step();
+      hi.step();
+    }
+    _mm512_storeu_si512(counts + L * g, lo.count);
+    _mm512_storeu_si512(counts + L * g + 8, hi.count);
+  }
+  lo.store(state);
+  hi.store(state + 8);
 }
 
 // QR row walk (simd::reflect_rows), `Block` rows at a time: per 8-lane

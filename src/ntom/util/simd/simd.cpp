@@ -79,7 +79,7 @@ void plain_reflect_rows(double* const* rows, std::size_t count,
 // vector rungs. Matches rng::next_u64 and rng::uniform() < p.
 void plain_xoshiro_count_below(std::uint64_t* state,
                                const std::uint64_t* limit, std::size_t steps,
-                               std::uint64_t* counts) {
+                               std::size_t segments, std::uint64_t* counts) {
   const auto rotl = [](std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   };
@@ -87,22 +87,25 @@ void plain_xoshiro_count_below(std::uint64_t* state,
   for (std::size_t j = 0; j < L; ++j) {
     std::uint64_t s0 = state[j], s1 = state[L + j], s2 = state[2 * L + j],
                   s3 = state[3 * L + j];
-    std::uint64_t count = 0;
-    for (std::size_t k = 0; k < steps; ++k) {
-      count += ((rotl(s0 + s3, 23) + s0) >> 11) < limit[j] ? 1 : 0;
-      const std::uint64_t t = s1 << 17;
-      s2 ^= s0;
-      s3 ^= s1;
-      s1 ^= s2;
-      s0 ^= s3;
-      s2 ^= t;
-      s3 = rotl(s3, 45);
+    for (std::size_t g = 0; g < segments; ++g) {
+      const std::uint64_t lim = limit[L * g + j];
+      std::uint64_t count = 0;
+      for (std::size_t k = 0; k < steps; ++k) {
+        count += ((rotl(s0 + s3, 23) + s0) >> 11) < lim ? 1 : 0;
+        const std::uint64_t t = s1 << 17;
+        s2 ^= s0;
+        s3 ^= s1;
+        s1 ^= s2;
+        s0 ^= s3;
+        s2 ^= t;
+        s3 = rotl(s3, 45);
+      }
+      counts[L * g + j] = count;
     }
     state[j] = s0;
     state[L + j] = s1;
     state[2 * L + j] = s2;
     state[3 * L + j] = s3;
-    counts[j] = count;
   }
 }
 
@@ -389,8 +392,9 @@ void reflect_rows(double* const* rows, std::size_t count, const double* a,
 }
 
 void xoshiro_count_below(std::uint64_t* state, const std::uint64_t* limit,
-                         std::size_t steps, std::uint64_t* counts) noexcept {
-  active_table()->xoshiro_count_below(state, limit, steps, counts);
+                         std::size_t steps, std::size_t segments,
+                         std::uint64_t* counts) noexcept {
+  active_table()->xoshiro_count_below(state, limit, steps, segments, counts);
 }
 
 crc32_fold_fn crc32_fold() noexcept {

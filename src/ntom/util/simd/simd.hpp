@@ -103,19 +103,22 @@ void reflect_rows(double* const* rows, std::size_t count, const double* a,
                   std::size_t n) noexcept;
 
 /// Generators advanced side by side by xoshiro_count_below.
-inline constexpr std::size_t xoshiro_lanes = 8;
+inline constexpr std::size_t xoshiro_lanes = 16;
 
-/// Advances xoshiro_lanes xoshiro256++ generators by `steps` draws each
-/// and counts, per lane, the draws whose top 53 bits (x >> 11) are below
-/// that lane's limit — with limit = ceil(p * 2^53) that is the count of
-/// uniform() < p. `state` holds the lanes in SoA layout
-/// (state[xoshiro_lanes * w + j] is word w of lane j) and is advanced in
-/// place; `limit` (each at most 2^53) and `counts` have one entry per
-/// lane. Every level gives the same counts and states as the scalar
-/// loop. The batched binomial sampler's kernel (util/rng.hpp
-/// binomial_batch).
+/// Advances xoshiro_lanes xoshiro256++ generators by `segments` runs of
+/// `steps` draws each and counts, per lane and run, the draws whose top
+/// 53 bits (x >> 11) are below that run's limit: with
+/// limit = ceil(p * 2^53) that is the count of uniform() < p. `state`
+/// holds the lanes in SoA layout (state[xoshiro_lanes * w + j] is word
+/// w of lane j) and is advanced in place, by steps * segments draws per
+/// lane. `limit` (each at most 2^53) and `counts` hold xoshiro_lanes
+/// entries per run: entry xoshiro_lanes * g + j is run g of lane j, and
+/// lane j draws its runs in order g = 0, 1, ... Every level gives the
+/// same counts and states as the scalar loop. The batched binomial
+/// sampler's kernel (util/rng.hpp binomial_batch).
 void xoshiro_count_below(std::uint64_t* state, const std::uint64_t* limit,
-                         std::size_t steps, std::uint64_t* counts) noexcept;
+                         std::size_t steps, std::size_t segments,
+                         std::uint64_t* counts) noexcept;
 
 /// CLMUL-folded CRC-32 core used by ntom::crc32 for bulk input:
 /// advances the raw (pre-conditioned) CRC register over `len` bytes,

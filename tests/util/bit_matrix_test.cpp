@@ -66,11 +66,10 @@ TEST(BitMatrixTest, SetRowMatchesRowCopy) {
 }
 
 TEST(BitMatrixTest, TransposeMatchesNaive) {
-  for (const auto [rows, cols] : {std::pair<std::size_t, std::size_t>{5, 9},
-                                  {64, 64},
-                                  {65, 127},
-                                  {130, 3},
-                                  {1, 200}}) {
+  using extent = std::pair<std::size_t, std::size_t>;
+  for (const auto& [rows, cols] :
+       {extent{5, 9}, extent{64, 64}, extent{65, 127}, extent{130, 3},
+        extent{1, 200}}) {
     const bit_matrix m = random_matrix(rows, cols, rows * 1000 + cols);
     const bit_matrix t = m.transposed();
     ASSERT_EQ(t.rows(), cols);
@@ -151,11 +150,10 @@ TEST(BitMatrixTest, RowAndColumnSlices) {
   for (std::size_t r = 0; r < 5; ++r) {
     EXPECT_EQ(rows.row_copy(r), m.row_copy(3 + r));
   }
-  for (const auto [begin, end] : {std::pair<std::size_t, std::size_t>{0, 137},
-                                  {1, 66},
-                                  {64, 128},
-                                  {70, 71},
-                                  {130, 137}}) {
+  using range = std::pair<std::size_t, std::size_t>;
+  for (const auto& [begin, end] :
+       {range{0, 137}, range{1, 66}, range{64, 128}, range{70, 71},
+        range{130, 137}}) {
     const bit_matrix cols = m.column_slice(begin, end);
     ASSERT_EQ(cols.cols(), end - begin);
     for (std::size_t r = 0; r < m.rows(); ++r) {

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ntom/util/simd/simd.hpp"
@@ -174,9 +175,9 @@ TEST(RngTest, JumpAheadEqualsSteps) {
     s[2] ^= t;
     s[3] = (s[3] << 45) | (s[3] >> 19);
   };
-  for (const std::size_t n : {1u, 63u, 64u, 200u, 256u}) {
-    const rng_jump jump(n);
-    rng words(53 + n);
+  const auto check = [&](const rng_jump& jump, std::size_t n,
+                         std::uint64_t seed) {
+    rng words(seed);
     for (int trial = 0; trial < 8; ++trial) {
       std::array<std::uint64_t, 4> jumped;
       for (auto& w : jumped) w = words.next_u64();
@@ -185,11 +186,21 @@ TEST(RngTest, JumpAheadEqualsSteps) {
       for (std::size_t k = 0; k < n; ++k) step(stepped);
       EXPECT_EQ(jumped, stepped) << "n=" << n << " trial=" << trial;
     }
+  };
+  for (const std::size_t n : {1u, 63u, 64u, 200u, 256u}) {
+    check(rng_jump(n), n, 53 + n);
+  }
+  // The segment jumps binomial_batch composes: G times `trials` draws.
+  const std::pair<std::size_t, std::size_t> composed[] = {
+      {1, 1}, {200, 1}, {200, 2}, {7, 38}, {200, 15}, {256, 38}};
+  for (const auto& [trials, times] : composed) {
+    check(rng_jump(rng_jump(trials), times), trials * times, 71 + times);
   }
 }
 
 TEST(RngTest, BinomialBatchMatchesSequential) {
   namespace simd = ntom::simd;
+  constexpr std::size_t L = simd::xoshiro_lanes;
   const simd::level saved = simd::active_level();
   // Non-consuming (<= 0, >= 1), consuming (0 < p < 1, the extremes
   // included) and NaN, which consumes its draws and never succeeds.
@@ -204,38 +215,74 @@ TEST(RngTest, BinomialBatchMatchesSequential) {
                              0.5};
   constexpr std::size_t kSpecials = std::size(specials);
   rng pick(59);
+  // Counts and the next 8 next_u64() values against a sequential
+  // binomial() loop from the same seed, at every level.
+  const auto check = [&](binomial_batch& batch, std::size_t n,
+                         std::size_t paths, const std::vector<double>& p) {
+    const std::size_t len = p.size();
+    const std::uint64_t seed = 1000 * n + 7 * paths + len;
+    rng sequential(seed);
+    std::vector<std::size_t> expected(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      expected[i] = sequential.binomial(n, p[i]);
+    }
+    std::uint64_t expected_next[8];
+    for (auto& x : expected_next) x = sequential.next_u64();
+
+    for (const simd::level l : simd::available_levels()) {
+      ASSERT_TRUE(simd::set_level(l));
+      rng r(seed);
+      std::vector<std::size_t> got(len, 12345);
+      batch.draw(r, p.data(), len, got.data());
+      EXPECT_EQ(got, expected) << "level=" << simd::level_name(l)
+                               << " n=" << n << " paths=" << paths
+                               << " len=" << len;
+      for (const std::uint64_t x : expected_next) {
+        ASSERT_EQ(r.next_u64(), x)
+            << "level=" << simd::level_name(l) << " n=" << n
+            << " paths=" << paths << " len=" << len;
+      }
+    }
+  };
+  const auto mixed = [&](std::size_t len) {
+    std::vector<double> p(len);
+    for (double& x : p) {
+      const std::size_t k = pick.uniform_index(kSpecials + 3);
+      x = k < kSpecials ? specials[k] : pick.uniform();
+    }
+    return p;
+  };
+  const auto all_live = [&](std::size_t len) {
+    std::vector<double> p(len);
+    for (double& x : p) x = pick.uniform();
+    return p;
+  };
   for (const std::size_t n :
        {0u, 1u, 2u, 7u, 64u, 200u, 256u, 257u, 300u, 1000u}) {
-    const binomial_batch batch(n);
-    // Lengths 0..67 cover every ragged group of simd::xoshiro_lanes lanes.
-    for (std::size_t len = 0; len <= 67; ++len) {
-      std::vector<double> p(len);
-      for (double& x : p) {
-        const std::size_t k = pick.uniform_index(kSpecials + 3);
-        x = k < kSpecials ? specials[k] : pick.uniform();
+    // One path per lane (G = 1): lengths 0..67 cover several rounds and
+    // every ragged round.
+    {
+      binomial_batch batch(n, 0);
+      for (std::size_t len = 0; len <= 67; ++len) {
+        check(batch, n, 0, mixed(len));
       }
-      const std::uint64_t seed = 1000 * n + len;
-      rng sequential(seed);
-      std::vector<std::size_t> expected(len);
-      for (std::size_t i = 0; i < len; ++i) {
-        expected[i] = sequential.binomial(n, p[i]);
+    }
+    // Segments of G = 3, 7 and 32 paths per lane: rounds of 48, 112 and
+    // 512 live paths, ragged last segments and lanes, several rounds,
+    // and live counts far below the built count.
+    for (const std::size_t paths : {40u, 100u, 500u}) {
+      binomial_batch batch(n, paths);
+      const std::size_t round = L * ((paths + L - 1) / L);
+      for (std::size_t len = 0; len <= 40; ++len) {
+        check(batch, n, paths, mixed(len));
       }
-      std::uint64_t expected_next[8];
-      for (auto& x : expected_next) x = sequential.next_u64();
-
-      for (const simd::level l : simd::available_levels()) {
-        ASSERT_TRUE(simd::set_level(l));
-        rng r(seed);
-        std::vector<std::size_t> got(len, 12345);
-        batch.draw(r, p.data(), len, got.data());
-        EXPECT_EQ(got, expected)
-            << "level=" << simd::level_name(l) << " n=" << n
-            << " len=" << len;
-        for (const std::uint64_t x : expected_next) {
-          ASSERT_EQ(r.next_u64(), x)
-              << "level=" << simd::level_name(l) << " n=" << n
-              << " len=" << len;
-        }
+      for (const std::size_t len :
+           {paths - 1, paths, paths + 1, 2 * paths + 5, 3 * round + 2}) {
+        check(batch, n, paths, mixed(len));
+      }
+      for (const std::size_t len :
+           {round - 1, round, round + 1, 2 * round, 2 * round + 3}) {
+        check(batch, n, paths, all_live(len));
       }
     }
   }

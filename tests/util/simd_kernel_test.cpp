@@ -280,37 +280,43 @@ TEST(SimdKernel, ReflectRowsMatchesReferenceAcrossLevels) {
 TEST(SimdKernel, XoshiroCountBelowMatchesReferenceAcrossLevels) {
   level_guard guard;
   constexpr std::size_t L = simd::xoshiro_lanes;
+  constexpr std::size_t kMaxSegments = 5;
   rng r(777);
   for (const std::size_t steps : {0u, 1u, 2u, 7u, 64u, 200u, 256u, 1000u}) {
     for (std::size_t trial = 0; trial < 8; ++trial) {
+      // Zero, one and several runs per lane.
+      const std::size_t segments = trial % (kMaxSegments + 1);
       std::uint64_t state0[4 * L];
       for (auto& w : state0) w = r.next_u64();
       // Limits at the edges of the 53-bit range and inside it.
       const std::uint64_t edges[] = {0, 1, std::uint64_t{1} << 52,
                                      std::uint64_t{1} << 53};
-      std::uint64_t limit[L];
-      for (std::size_t j = 0; j < L; ++j) {
+      std::uint64_t limit[kMaxSegments * L];
+      for (std::size_t j = 0; j < kMaxSegments * L; ++j) {
         limit[j] = (trial + j) % 3 == 0 ? edges[(trial + j) % 4]
                                         : r.next_u64() >> 11;
       }
 
       ASSERT_TRUE(simd::set_level(simd::level::scalar));
       std::uint64_t ref_state[4 * L];
-      std::uint64_t ref_counts[L];
+      std::uint64_t ref_counts[kMaxSegments * L] = {};
       std::memcpy(ref_state, state0, sizeof(state0));
-      simd::xoshiro_count_below(ref_state, limit, steps, ref_counts);
+      simd::xoshiro_count_below(ref_state, limit, steps, segments,
+                                ref_counts);
       for (const std::uint64_t c : ref_counts) EXPECT_LE(c, steps);
 
       for (const simd::level l : simd::available_levels()) {
         ASSERT_TRUE(simd::set_level(l));
         std::uint64_t state[4 * L];
-        std::uint64_t counts[L];
+        std::uint64_t counts[kMaxSegments * L] = {};
         std::memcpy(state, state0, sizeof(state0));
-        simd::xoshiro_count_below(state, limit, steps, counts);
+        simd::xoshiro_count_below(state, limit, steps, segments, counts);
         EXPECT_EQ(std::memcmp(state, ref_state, sizeof(state)), 0)
-            << "level=" << simd::level_name(l) << " steps=" << steps;
+            << "level=" << simd::level_name(l) << " steps=" << steps
+            << " segments=" << segments;
         EXPECT_EQ(std::memcmp(counts, ref_counts, sizeof(counts)), 0)
-            << "level=" << simd::level_name(l) << " steps=" << steps;
+            << "level=" << simd::level_name(l) << " steps=" << steps
+            << " segments=" << segments;
       }
     }
   }
