@@ -82,8 +82,9 @@ class experiment {
   experiment& measure_link_error(bool on);
 
   /// Streamed execution, grouped (mirrors run_config::stream): every
-  /// run re-simulates the interval stream on each pass instead of
-  /// replaying a materialized observation store — O(chunk) memory per
+  /// run simulates the interval stream per pass instead of replaying a
+  /// materialized observation store (a captured run scores from its
+  /// capture instead of simulating again) — O(chunk) memory per
   /// in-flight run, so T can reach 10^6 (store-bound fits such as
   /// bayes-corr still collect a private store). Bit-identical
   /// aggregates to the materialized mode for the same seeds.

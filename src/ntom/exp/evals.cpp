@@ -10,6 +10,7 @@
 #include "ntom/corr/correlation.hpp"
 #include "ntom/part/hier_infer.hpp"
 #include "ntom/sim/monitor.hpp"
+#include "ntom/trace/trace_reader.hpp"
 #include "ntom/trace/trace_writer.hpp"
 
 namespace ntom {
@@ -140,6 +141,12 @@ void estimator_cells::eval_groups(std::size_t first, std::size_t last,
   // without a ground-truth plane scores observation-only instead (the
   // truth matrices would be all-zero).
   const bool truthless = !run.has_truth();
+  // A capture the fit pass just closed holds the exact post-policy
+  // stream (mask plane included), so the score pass reads it back
+  // instead of re-simulating, and applies no policy again. Only a
+  // truthful run whose capture dropped the truth plane re-streams.
+  const bool score_from_capture = record && !config.capture.path.empty() &&
+                                  (truthless || config.capture.truth);
   std::vector<std::optional<inference_metrics>> boolean_metrics(specs.size());
   std::vector<std::optional<observation_metrics>> obs_metrics(specs.size());
   std::vector<std::size_t> boolean_index;
@@ -169,7 +176,12 @@ void estimator_cells::eval_groups(std::size_t first, std::size_t last,
         fanout.add(&truth_scorers.back());
       }
     }
-    stream_experiment(run, config, fanout);
+    if (score_from_capture) {
+      trace_reader(config.capture.path)
+          .stream(fanout, config.stream.chunk_intervals);
+    } else {
+      stream_experiment(run, config, fanout);
+    }
     for (std::size_t b = 0; b < boolean_index.size(); ++b) {
       if (truthless) {
         obs_metrics[boolean_index[b]] = obs_scorers[b].result();

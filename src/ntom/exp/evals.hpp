@@ -35,10 +35,12 @@ struct estimator_eval_options {
 /// first member; every member still emits only the rows its own
 /// capabilities call for (Independence never emits detection rows).
 ///
-/// Every evaluation is two passes of the run's interval stream
-/// (stream_experiment): one fits each distinct model through the chunk
-/// protocol, one scores the Boolean ones. Sharding: a materialized run
-/// splits into one cell per distinct fit (each cell replays the shared
+/// Every evaluation is two passes of the run's interval stream: one
+/// fits each distinct model through the chunk protocol, one scores the
+/// Boolean ones. The fit pass is stream_experiment; so is the score
+/// pass, unless the fit pass recorded the run's capture, which the
+/// score pass then reads back. Sharding: a materialized run splits
+/// into one cell per distinct fit (each cell replays the shared
 /// store), so a heavyweight fit no longer serializes its run's
 /// siblings. Streamed runs stay one cell — their whole point is fitting
 /// every model from one simulation pass. A run's rows always follow the
@@ -84,7 +86,7 @@ class estimator_cells final : public cell_evaluator {
   /// Fits and scores groups_[first, last) on one prepared run, writing
   /// each member's rows to its slot of `shared.rows`. `first_shard`
   /// marks the evaluation that records a capture no materialize pass
-  /// did.
+  /// did; that evaluation scores from its capture.
   void eval_groups(std::size_t first, std::size_t last,
                    const run_config& config, const run_artifacts& run,
                    run_state& shared, bool first_shard) const;

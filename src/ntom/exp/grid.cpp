@@ -3,6 +3,7 @@
 #include <chrono>
 #include <deque>
 #include <exception>
+#include <filesystem>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -94,6 +95,22 @@ batch_report run_grid(const std::vector<run_spec>& specs,
     slot->shard_seconds.assign(slot->shards, 0.0);
     slot->remaining.store(slot->shards);
     slots.push_back(std::move(slot));
+  }
+  // One capture file per run: a shared path would let one run's capture
+  // overwrite the other's, and a streamed run scores from its own file.
+  std::unordered_map<std::string, std::size_t> capture_owner;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const std::string& path = slots[i]->config.capture.path;
+    if (path.empty()) continue;
+    const auto [owner, fresh] = capture_owner.emplace(
+        std::filesystem::path(path).lexically_normal().string(), i);
+    if (!fresh) {
+      const run_slot& first = *slots[owner->second];
+      throw spec_error("run_grid: runs " + std::to_string(first.index) +
+                       " ('" + first.label + "') and " + std::to_string(i) +
+                       " ('" + slots[i]->label +
+                       "') both capture to '" + path + "'");
+    }
   }
 
   struct cell {

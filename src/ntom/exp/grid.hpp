@@ -104,7 +104,9 @@ class cell_evaluator {
 /// Runs every spec through the work-stealing cell scheduler and returns
 /// the aggregated report (bit-identical to the serial loop). Exceptions
 /// thrown by prepare or eval propagate to the caller after all workers
-/// drain. `stats` (optional) receives the execution counters.
+/// drain. `stats` (optional) receives the execution counters. Two runs
+/// with the same non-empty capture.path throw spec_error, naming both,
+/// before any cell runs.
 [[nodiscard]] batch_report run_grid(const std::vector<run_spec>& specs,
                                     const cell_evaluator& eval,
                                     const batch_params& params = {},

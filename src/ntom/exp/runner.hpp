@@ -13,9 +13,11 @@
 //   * the materialized store — prepare_run simulates once into the
 //     columnar experiment_data, and every later pass replays it
 //     (replay_experiment);
-//   * the origin — prepare_topology skips the simulation, and every
+//   * the origin — prepare_topology skips the simulation, and each
 //     pass re-simulates (or re-reads a replayed dataset), holding
-//     O(chunk) memory.
+//     O(chunk) memory. An evaluator's score pass reads the run's
+//     capture back instead when its fit pass just recorded one
+//     (capture_options).
 // `run_config::stream.enabled` picks between the two: memory against
 // recompute. Same seed -> bit-identical results either way, at any
 // chunk size.
@@ -41,8 +43,9 @@ namespace ntom {
 /// experiment::with_streaming builder.
 struct stream_options {
   /// Streamed execution: the batch engine skips materialization, so
-  /// every evaluator pass re-simulates the interval stream instead of
-  /// replaying a stored copy.
+  /// the evaluator's fit pass simulates the interval stream instead of
+  /// replaying a stored copy (and its score pass re-simulates unless
+  /// it can read the run's capture, see capture_options).
   ///
   /// A switch of its own, not a corner of chunk_intervals, because
   /// both settings earn their keep. A run fanned out to many estimator
@@ -77,8 +80,12 @@ struct capture_options {
   /// When non-empty, the run's measurement stream is also recorded to
   /// this .trc file (trace/trace_writer), exactly once: during
   /// materialization when prepare_run fills the store, else riding the
-  /// evaluator's fit pass. Capture is passive: results are
-  /// bit-identical with it on.
+  /// evaluator's fit pass. In the latter case the score pass reads the
+  /// closed file back (trace_reader) instead of simulating again; the
+  /// file holds the post-policy stream, so no policy is applied twice.
+  /// A truthful run whose capture drops truth (`truth = false`) still
+  /// re-simulates to score. Either way results are bit-identical with
+  /// capture on, and run_grid rejects two runs sharing one path.
   std::string path;
 
   /// Include the ground-truth plane in the capture (disable to publish

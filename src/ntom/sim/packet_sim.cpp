@@ -51,24 +51,52 @@ void run_experiment_streaming(const topology& t, const congestion_model& model,
 
   sink.begin(t, params.intervals);
 
-  std::vector<double> link_loss(t.num_links(), 0.0);
   measurement_chunk chunk;
 
-  // Probing state, set up once per stream: the per-path congestion limit
-  // and the batched sampler (its jump table) for packets_per_path.
-  std::vector<double> path_limit;
+  // Probing state, set up once per stream: the batched sampler (its
+  // jump table) for packets_per_path, the covered links in ascending
+  // order (the loss draw order), a flat path -> link hop table, and
+  // per path the delivered-count cutoff below which it is congested.
+  std::vector<link_id> covered;
+  std::vector<std::size_t> hop_begin;
+  std::vector<link_id> hops;
+  std::vector<std::size_t> cut;
   std::optional<binomial_batch> probes;
+  std::vector<double> keep;
   std::vector<double> survive;
   std::vector<std::size_t> delivered;
   if (!params.oracle_monitor) {
-    path_limit.resize(t.num_paths());
+    t.covered_links().for_each(
+        [&](std::size_t e) { covered.push_back(static_cast<link_id>(e)); });
+    hop_begin.reserve(t.num_paths() + 1);
+    hop_begin.push_back(0);
     for (path_id p = 0; p < t.num_paths(); ++p) {
-      path_limit[p] =
+      const std::vector<link_id>& links = t.get_path(p).links();
+      hops.insert(hops.end(), links.begin(), links.end());
+      hop_begin.push_back(hops.size());
+    }
+    // A path is congested when its observed loss 1 - d/packets exceeds
+    // margin * (1-(1-f)^len). That test is monotone in the delivered
+    // count d, so it holds exactly for d < cut[p]; evaluating it at
+    // every d keeps the decision bit for bit.
+    const std::size_t packets = params.packets_per_path;
+    cut.assign(t.num_paths(), 0);
+    for (path_id p = 0; p < t.num_paths(); ++p) {
+      const double limit =
           params.threshold_margin *
           path_congestion_threshold(t.get_path(p).length(),
                                     params.loss_threshold);
+      for (std::size_t d = 0; d <= packets; ++d) {
+        const double observed_loss =
+            1.0 - static_cast<double>(d) / static_cast<double>(packets);
+        if (observed_loss > limit) {
+          assert(d == cut[p]);
+          ++cut[p];
+        }
+      }
     }
-    probes.emplace(params.packets_per_path, t.num_paths());
+    probes.emplace(packets, t.num_paths());
+    keep.assign(t.num_links(), 1.0);
     survive.resize(t.num_paths());
     delivered.resize(t.num_paths());
   }
@@ -99,23 +127,22 @@ void run_experiment_streaming(const topology& t, const congestion_model& model,
       }
 
       // Loss rates are drawn only for links on monitored paths; others
-      // never carry probes.
-      t.covered_links().for_each([&](std::size_t e) {
-        link_loss[e] = sample_link_loss(loss_rand, congested.test(e),
-                                        params.loss_threshold);
-      });
+      // never carry probes. Each stores its survival 1 - loss once.
+      for (const link_id e : covered) {
+        keep[e] = 1.0 - sample_link_loss(loss_rand, congested.test(e),
+                                         params.loss_threshold);
+      }
       for (path_id p = 0; p < t.num_paths(); ++p) {
         double s = 1.0;
-        for (const link_id e : t.get_path(p).links()) s *= 1.0 - link_loss[e];
+        for (std::size_t h = hop_begin[p]; h < hop_begin[p + 1]; ++h) {
+          s *= keep[hops[h]];
+        }
         survive[p] = s;
       }
       probes->draw(packet_rand, survive.data(), t.num_paths(),
                    delivered.data());
       for (path_id p = 0; p < t.num_paths(); ++p) {
-        const double observed_loss =
-            1.0 - static_cast<double>(delivered[p]) /
-                      static_cast<double>(params.packets_per_path);
-        if (observed_loss > path_limit[p]) chunk.congested_paths.set(i, p);
+        if (delivered[p] < cut[p]) chunk.congested_paths.set(i, p);
       }
     }
     sink.consume(chunk);

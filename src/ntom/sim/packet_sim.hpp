@@ -21,8 +21,11 @@
 // dispatched xoshiro kernel's sixteen lanes draws one segment of
 // consecutive paths, with exactly the counts and generator state of a
 // per-path rng::binomial loop, so the stream is the same at every SIMD
-// level. The per-path congestion limit margin * (1-(1-f)^d) is computed
-// once per stream.
+// level. Per stream, the simulator builds a flat path -> link hop table,
+// the covered-link list and, per path, the delivered-probe cutoff below
+// which observed loss exceeds margin * (1-(1-f)^d) (the exact floating
+// comparison, evaluated at every count); per interval, each covered
+// link's survival 1 - loss is stored once, not once per hop.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -307,6 +308,40 @@ TEST(GridSchedulerTest, EvalExceptionsPropagate) {
                std::runtime_error);
   EXPECT_THROW((void)run_grid(exp.specs(), eval, {.threads = 1}),
                std::runtime_error);
+}
+
+TEST(GridSchedulerTest, SharedCapturePathIsRejectedBeforeAnyCell) {
+  struct counting_eval final : cell_evaluator {
+    mutable std::atomic<int> cells{0};
+    [[nodiscard]] std::vector<measurement> eval_cell(
+        const run_config&, const run_artifacts&, void* /*run_state*/,
+        std::size_t /*shard*/) const override {
+      cells.fetch_add(1);
+      return {};
+    }
+  };
+  std::vector<run_spec> specs = small_grid(true).specs();
+  std::size_t other = 1;
+  while (other < specs.size() && specs[other].label == specs[0].label) {
+    ++other;
+  }
+  ASSERT_LT(other, specs.size());
+  const std::string path = ::testing::TempDir() + "/shared_capture.trc";
+  specs[0].config.capture.path = path;
+  specs[other].config.capture.path = path;
+
+  for (const std::size_t threads : {1u, 4u}) {
+    const counting_eval eval;
+    try {
+      (void)run_grid(specs, eval, {.threads = threads});
+      ADD_FAILURE() << "a shared capture path must throw";
+    } catch (const spec_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(specs[0].label), std::string::npos) << what;
+      EXPECT_NE(what.find(specs[other].label), std::string::npos) << what;
+    }
+    EXPECT_EQ(eval.cells.load(), 0);
+  }
 }
 
 TEST(GridSchedulerTest, EmptySpecsYieldEmptyReport) {

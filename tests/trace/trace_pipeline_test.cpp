@@ -119,6 +119,85 @@ TEST(TracePipelineTest, StreamedFitPassCaptures) {
   std::remove(path.c_str());
 }
 
+/// Evaluates `config` streamed twice, without a capture and with one
+/// at `name`, and demands `==` rows. With a capture the score pass
+/// reads the file the fit pass just closed (or, for a truthful run
+/// whose capture drops truth, re-streams); either way the rows must
+/// not move.
+void expect_capture_keeps_rows(const estimator_cells& cells, run_config config,
+                               const std::string& name) {
+  config.stream.enabled = true;
+  config.capture.path.clear();
+  const auto plain = cells.eval_all(config, prepare_topology(config));
+  ASSERT_FALSE(plain.empty());
+
+  const std::string path = temp_path(name);
+  config.capture.path = path;
+  const auto captured = cells.eval_all(config, prepare_topology(config));
+  ASSERT_EQ(plain.size(), captured.size()) << name;
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i].series, captured[i].series) << name;
+    EXPECT_EQ(plain[i].metric, captured[i].metric) << name;
+    EXPECT_EQ(plain[i].value, captured[i].value)
+        << name << ": " << plain[i].series << "/" << plain[i].metric;
+  }
+  // The capture is complete and holds the run's stream.
+  EXPECT_GT(trace_reader(path).intervals(), 0u) << name;
+  std::remove(path.c_str());
+}
+
+TEST(TracePipelineTest, StreamedScoreFromCaptureMatchesResimulation) {
+  const estimator_cells cells(
+      kEstimators, {.boolean_metrics = true, .link_error_metrics = true});
+
+  // A truth capture, at several chunk sizes (T=300 spans two default
+  // chunks).
+  for (const std::size_t chunk : {1ul, 7ul, default_chunk_intervals}) {
+    run_config config = base_config(300);
+    config.stream.chunk_intervals = chunk;
+    expect_capture_keeps_rows(cells, config,
+                              "score_truth_" + std::to_string(chunk) + ".trc");
+  }
+
+  // A truthful run whose capture drops truth: the re-streaming fallback.
+  run_config no_truth = base_config(300);
+  no_truth.stream.chunk_intervals = 7;
+  no_truth.capture.truth = false;
+  expect_capture_keeps_rows(cells, no_truth, "score_no_truth.trc");
+
+  // A probe-budget policy: the capture stores the mask plane, and the
+  // score pass must not mask again.
+  const estimator_cells streaming_cells(
+      {"sparsity", "bayes-indep"},
+      {.boolean_metrics = true, .link_error_metrics = true});
+  for (const std::size_t chunk : {1ul, 7ul, default_chunk_intervals}) {
+    run_config masked = base_config(300);
+    masked.stream.chunk_intervals = chunk;
+    masked.plan.policy = "uniform,frac=0.5";
+    expect_capture_keeps_rows(
+        streaming_cells, masked,
+        "score_masked_" + std::to_string(chunk) + ".trc");
+  }
+
+  // Replayed sources captured again, with and without a truth plane
+  // (the truth-less one scores observation-only from the capture).
+  for (const bool truth : {true, false}) {
+    run_config origin = base_config(300);
+    origin.capture.truth = truth;
+    const std::string source = temp_path("score_source.trc");
+    origin.capture.path = source;
+    (void)prepare_run(origin);
+
+    run_config replay;
+    replay.scenario = trace_spec(source);
+    replay.stream.chunk_intervals = 7;
+    expect_capture_keeps_rows(cells, replay,
+                              truth ? "score_recapture_truth.trc"
+                                    : "score_recapture_no_truth.trc");
+    std::remove(source.c_str());
+  }
+}
+
 TEST(TracePipelineTest, CorpusRidesTheFacadeAndGrid) {
   // Capture a 2-scenario x 2-replica corpus through the facade (grid
   // scheduler, capture riding each run), replay every file as a trace
