@@ -1,5 +1,6 @@
 #include "ntom/api/estimator.hpp"
 
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string_view>
@@ -308,9 +309,11 @@ class bayes_correlation_estimator final
   }
 
   void fit(const topology& t, const experiment_data& data) override {
+    map_tables_.reset();  // it refers to the fit being replaced.
     correlation_complete_estimator::fit(t, data);
     topo_ = &t;
     marginals_ = result_->estimates.to_link_estimates();
+    map_tables_.emplace(t, result_->estimates, marginals_);
   }
 
   [[nodiscard]] bitvec infer(const bitvec& congested_paths) const override {
@@ -319,9 +322,12 @@ class bayes_correlation_estimator final
 
   [[nodiscard]] bitvec infer(const bitvec& congested_paths,
                              const bitvec& observed_paths) const override {
-    return map_correlated(
-        *topo_, make_observation(*topo_, congested_paths, observed_paths),
-        result_->estimates, marginals_);
+    const interval_observation obs =
+        make_observation(*topo_, congested_paths, observed_paths);
+    bitvec solution;
+    const std::lock_guard<std::mutex> lock(map_mutex_);
+    map_correlated(obs, *map_tables_, solution);
+    return solution;
   }
 
   [[nodiscard]] link_estimates links() const override { return marginals_; }
@@ -331,6 +337,10 @@ class bayes_correlation_estimator final
   /// links(), computed once at fit time: the MAP search's fallback
   /// scoring reads it on every interval.
   link_estimates marginals_;
+  /// The MAP search's per-fit tables. infer() writes to them, so
+  /// concurrent infer() calls take turns.
+  mutable std::mutex map_mutex_;
+  mutable std::optional<map_correlated_tables> map_tables_;
 };
 
 // --------------------------------------------------------- registration

@@ -16,6 +16,8 @@ void run_config::reconcile() {
         scenario_opts.phase_length;
     scenario_opts.num_phases = std::max<std::size_t>(needed, 1);
   }
+  // 0 means unset; a stationary run draws one phase.
+  scenario_opts.num_phases = std::max<std::size_t>(scenario_opts.num_phases, 1);
   // Probe-budget policy: a scenario-spec `policy='...'` option (the
   // registry's universal key) overrides the config field, so grid arms
   // can carry their policy inside one spec string.

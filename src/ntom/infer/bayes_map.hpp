@@ -20,8 +20,10 @@
 // Cost per interval: the independence greedy computes each candidate's
 // log((1-p)/p) once per call and scores a candidate by one fused
 // AND+popcount against the uncovered paths per round. The correlation
-// greedy computes each move's path coverage once per call and counts
-// its cover by one AND+popcount per round. A move's score delta depends
+// greedy takes its group moves (with their path coverage) and its AS
+// state log-probabilities from tables built once per fit (see
+// map_correlated_tables), and counts a move's cover by one
+// AND+popcount per round. A move's score delta depends
 // only on the move and on the solution's part in the move's AS, so each
 // AS carries a version that every applied move bumps, and each move
 // keeps its last delta with the version it was computed at: the delta
@@ -40,6 +42,8 @@
 // pick among the candidates, which cannot explain it.
 #pragma once
 
+#include <memory>
+
 #include "ntom/infer/observation.hpp"
 #include "ntom/tomo/estimates.hpp"
 
@@ -53,19 +57,58 @@ inline constexpr double map_probability_floor = 1e-6;
                                      const interval_observation& obs,
                                      const std::vector<double>& congestion_prob);
 
-/// Greedy MAP with correlation-aware scoring backed by subset estimates.
-/// Falls back to marginal scoring for links whose joint probabilities
-/// are not identifiable; `marginals` must be estimates.to_link_estimates()
-/// (computed once per fit, not per interval). Each state probability
-/// is computed once per call: a memo keyed by (AS, congested set) lives
-/// for this one interval, so the function stays reentrant and the
-/// memo never outlives the estimates it was filled from. With the
-/// per-move delta cache about half of the memo's lookups still hit
-/// (the before-state every move of one AS version shares), and dropping
-/// the memo made bench/micro_pathset's bm_map_correlated 12% slower.
-[[nodiscard]] bitvec map_correlated(const topology& t,
-                                    const interval_observation& obs,
-                                    const probability_estimates& estimates,
-                                    const link_estimates& marginals);
+/// The per-fit inputs of map_correlated, and the scratch it reuses.
+///
+/// Built once per fit from the topology, the subset estimates and
+/// their marginals (`marginals` must be estimates.to_link_estimates());
+/// it keeps references to all three, which must outlive it. It holds
+///  * the group moves: every catalog subset of two or more links, with
+///    its AS, its links as a mask over the AS's links and the paths
+///    through any of them;
+///  * a state table: the log-probability of an AS state, or "the joint
+///    estimates cannot express it", keyed by the AS's candidate set and
+///    congested set as masks over the AS's links (ascending link ids,
+///    fixed by the topology). It fills on first use; an entry is a pure
+///    function of the estimates and the key, so a hit returns exactly
+///    what a recomputation would. At max_states entries the table
+///    clears itself, which changes no result;
+///  * the per-interval scratch (candidate masks, moves, solution parts,
+///    live list), so that once the state table holds an interval's
+///    states, map_correlated allocates nothing.
+///
+/// map_correlated writes to the tables, so one tables object serves one
+/// call at a time: concurrent callers need their own or a lock (the
+/// Bayes-Corr estimator holds its tables behind a mutex).
+class map_correlated_tables {
+ public:
+  map_correlated_tables(const topology& t,
+                        const probability_estimates& estimates,
+                        const link_estimates& marginals);
+  ~map_correlated_tables();
+
+  /// Most states the table holds before it clears itself.
+  static constexpr std::size_t max_states = std::size_t{1} << 16;
+
+  /// Work counters since construction: state lookups, and the lookups
+  /// that missed and computed the state's log-probability.
+  [[nodiscard]] std::size_t state_lookups() const noexcept;
+  [[nodiscard]] std::size_t state_evaluations() const noexcept;
+
+ private:
+  struct impl;
+  std::unique_ptr<impl> impl_;
+
+  friend void map_correlated(const interval_observation& obs,
+                             map_correlated_tables& tables,
+                             bitvec& solution);
+};
+
+/// Greedy MAP with correlation-aware scoring backed by the subset
+/// estimates `tables` was built from. Falls back to marginal scoring
+/// for links whose joint probabilities are not identifiable. Writes the
+/// chosen links to `solution`, which is resized to the link universe
+/// and otherwise reused.
+void map_correlated(const interval_observation& obs,
+                    map_correlated_tables& tables, bitvec& solution);
 
 }  // namespace ntom

@@ -473,6 +473,12 @@ void register_builtins(registry<scenario_plugin>& reg) {
          return p;
        },
        [](const topology& t, const scenario_params& p, const spec& s) {
+         if (p.num_phases == 0) {
+           // Built as one phase, it would silently equal its base.
+           throw spec_error(
+               "scenario 'no_stationarity': num_phases is unset; "
+               "run_config::reconcile sets it from the run's intervals");
+         }
          const std::string base = s.get_string("base", "no_independence");
          const auto& entry = scenario_registry().at(base);
          if (entry.name == "no_stationarity") {

@@ -55,8 +55,9 @@ struct scenario_params {
   bool nonstationary = false;          ///< redraw probabilities per phase.
   std::size_t phase_length = 50;       ///< intervals per phase ("every few
                                        ///  time intervals").
-  std::size_t num_phases = 1;          ///< phases to pre-draw when
-                                       ///  nonstationary (cover T/phase_length).
+  /// Phases to pre-draw when nonstationary (cover T/phase_length); 0
+  /// means unset, which run_config::reconcile fills.
+  std::size_t num_phases = 0;
   std::uint64_t seed = 11;
 };
 

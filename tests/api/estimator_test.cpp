@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "ntom/exp/runner.hpp"
@@ -107,10 +108,46 @@ TEST(EstimatorEquivalence, BayesCorrMatchesDirectCall) {
   const correlation_complete_result step1 =
       compute_correlation_complete(run.topo(), run.data);
   const link_estimates marginals = step1.estimates.to_link_estimates();
+  map_correlated_tables tables(run.topo(), step1.estimates, marginals);
   expect_infer_matches(*est, [&](const interval_observation& obs) {
-    return map_correlated(run.topo(), obs, step1.estimates, marginals);
+    bitvec solution;
+    map_correlated(obs, tables, solution);
+    return solution;
   });
   expect_links_equal(est->links(), marginals);
+}
+
+/// Four threads call infer() on one fitted Bayes-Corr estimator over
+/// the same intervals, fully observed and every other path masked. The
+/// threads share the estimator's MAP tables and fill them from empty,
+/// so their calls take turns; each thread's solutions must equal those
+/// of serial calls on another estimator fitted to the same data.
+TEST(MapConcurrencyTest, ConcurrentInferMatchesSerial) {
+  const run_artifacts& run = seeded_run();
+  bitvec every_other(run.topo().num_paths());
+  for (path_id p = 0; p < run.topo().num_paths(); p += 2) every_other.set(p);
+  auto infer_all = [&](const estimator& est) {
+    std::vector<bitvec> out;
+    for (const bitvec& observed : {bitvec(), every_other}) {
+      for (std::size_t t = 0; t < run.data.intervals; ++t) {
+        bitvec congested = run.data.congested_paths_at(t);
+        if (!observed.empty()) congested &= observed;
+        out.push_back(est.infer(congested, observed));
+      }
+    }
+    return out;
+  };
+  const std::vector<bitvec> serial = infer_all(*fitted("bayes-corr"));
+  const auto shared = fitted("bayes-corr");
+  std::vector<std::vector<bitvec>> parallel(4);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < parallel.size(); ++k) {
+    threads.emplace_back([&, k] { parallel[k] = infer_all(*shared); });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t k = 0; k < parallel.size(); ++k) {
+    EXPECT_EQ(parallel[k], serial) << "thread " << k;
+  }
 }
 
 TEST(EstimatorEquivalence, IndependenceMatchesDirectCall) {

@@ -56,6 +56,19 @@ TEST(RunnerTest, ReconcileComputesPhases) {
   EXPECT_EQ(c.scenario_opts.num_phases, 6u);  // ceil(40/7).
 }
 
+TEST(RunnerTest, ReconcileSetsAtLeastOnePhase) {
+  // scenario_params leaves num_phases unset (0); every reconciled
+  // config has a count the scenario builders accept.
+  run_config c = small_config();
+  ASSERT_EQ(c.scenario_opts.num_phases, 0u);
+  c.reconcile();
+  EXPECT_EQ(c.scenario_opts.num_phases, 1u);
+  c.scenario = "no_stationarity";
+  c.sim.intervals = 120;
+  c.reconcile();
+  EXPECT_EQ(c.scenario_opts.num_phases, 3u);  // ceil(120/50).
+}
+
 TEST(RunnerTest, ReconcileResolvesSpecOptionsAndIsIdempotent) {
   run_config c = small_config();
   c.scenario = "random_congestion,nonstationary,phase_length=8,fraction=0.2";

@@ -52,9 +52,12 @@ std::vector<std::pair<const char*, bitvec>> solve_all(
     const topology& t, const interval_observation& obs,
     const std::vector<double>& p, const probability_estimates& est,
     const link_estimates& marginals) {
+  map_correlated_tables tables(t, est, marginals);
+  bitvec bayes_corr;
+  map_correlated(obs, tables, bayes_corr);
   return {{"sparsity", infer_sparsity(t, obs)},
           {"bayes-indep", map_independent(t, obs, p)},
-          {"bayes-corr", map_correlated(t, obs, est, marginals)}};
+          {"bayes-corr", bayes_corr}};
 }
 
 /// Every path congested, none congested, and the same two cases under

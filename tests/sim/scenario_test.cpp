@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ntom/sim/truth.hpp"
 #include "ntom/topogen/brite.hpp"
 
@@ -99,8 +101,8 @@ TEST(ScenarioTest, SpecOptionsOverrideParams) {
   sp.seed = 3;
   const auto model =
       make_scenario(t, "random_congestion,nonstationary,phase_length=20", sp);
-  // The spec turned nonstationarity on; num_phases stays at the params'
-  // default 1 phase but the phase length must come from the spec.
+  // The spec turned nonstationarity on; num_phases stays unset (one
+  // phase) but the phase length must come from the spec.
   EXPECT_EQ(model.phase_length, 20u);
 
   const auto fat = make_scenario(t, "random_congestion,fraction=0.3", sp);
@@ -131,6 +133,25 @@ TEST(ScenarioTest, NoStationarityLayersOnBaseScenario) {
   const auto random_direct = make_scenario(t, "random_congestion", base);
   EXPECT_EQ(random_base.phase_q, random_direct.phase_q);
   EXPECT_EQ(random_base.congestable_links, random_direct.congestable_links);
+}
+
+TEST(ScenarioTest, NoStationarityRejectsUnsetPhaseCount) {
+  // With num_phases unset it would build one phase and equal its base;
+  // the error names where the count comes from.
+  const topology t = test_topology();
+  scenario_params sp;
+  sp.seed = 3;
+  ASSERT_EQ(sp.num_phases, 0u);
+  try {
+    (void)make_scenario(t, "no_stationarity", sp);
+    FAIL() << "expected spec_error";
+  } catch (const spec_error& e) {
+    EXPECT_NE(std::string(e.what()).find("run_config::reconcile"),
+              std::string::npos)
+        << e.what();
+  }
+  // A stationary scenario builds its one phase as before.
+  EXPECT_EQ(make_scenario(t, "no_independence", sp).num_phases(), 1u);
 }
 
 TEST(ScenarioTest, ApplyScenarioSpecIsIdempotent) {
@@ -376,6 +397,7 @@ TEST(ScenarioTest, ProbabilitiesAreValid) {
                            "no_independence", "no_stationarity"}) {
     scenario_params sp;
     sp.seed = 11;
+    sp.num_phases = 3;  // no_stationarity needs a count; others ignore it.
     const auto model = make_scenario(t, name, sp);
     for (const auto& phase : model.phase_q) {
       for (const double q : phase) {
