@@ -3,10 +3,9 @@
 // Phase 1 — equivalence (small Brite, the gated headline): fit the
 // streaming Independence estimator monolithically and through the
 // partitioned adapter (bicomp cells, agreement-weighted merge at the
-// cut links) on the same interval stream, and through partition_cells
-// on the work-stealing grid. Gated cells: the mean absolute
-// partitioned-vs-monolithic estimate delta over commonly-determined
-// links, the cell count, and the exact adapter-vs-grid bit identity.
+// cut links) on the same interval stream. Gated cells: the mean
+// absolute partitioned-vs-monolithic estimate delta over
+// commonly-determined links, and the cell count.
 //
 // Phase 2 — scale (>100k links): a federation of independent Brite
 // regions merged into one topology, partitioned by connected
@@ -21,7 +20,7 @@
 //
 //   ./micro_part                      # defaults: gated-baseline shape
 //   ./micro_part --regions=8          # smaller scale phase (ungated)
-//   ./micro_part --json --threads=4
+//   ./micro_part --json
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "ntom/api/estimator.hpp"
-#include "ntom/exp/grid.hpp"
 #include "ntom/exp/report.hpp"
 #include "ntom/exp/runner.hpp"
 #include "ntom/part/hier_infer.hpp"
@@ -129,7 +127,6 @@ bool estimates_identical(const ntom::link_estimates& a,
 int run(const ntom::flags& opts) {
   using namespace ntom;
   const auto intervals = opts.get_size("intervals", 240);
-  const auto threads = opts.get_size("threads", 4);
   constexpr std::size_t kDefaultRegions = 1120;
   const auto regions = opts.get_size("regions", kDefaultRegions);
   const auto scale_intervals = opts.get_size("scale-intervals", 16);
@@ -204,21 +201,6 @@ int run(const ntom::flags& opts) {
   }
   const double mean_delta = common > 0 ? delta_sum / common : 0.0;
 
-  // The same plan driven as grid cells: per-cell fits spread over the
-  // work-stealing scheduler, merged() must equal the adapter exactly.
-  partition_cells grid_eval(plan, "independence");
-  run_spec grid_spec;
-  grid_spec.label = "equivalence";
-  grid_spec.config = config;
-  batch_params grid_params;
-  grid_params.threads = threads;
-  grid_params.derive_seeds = false;
-  grid_stats stats;
-  const auto grid_t0 = clock_type::now();
-  (void)run_grid({grid_spec}, grid_eval, grid_params, &stats);
-  const double grid_seconds = seconds_since(grid_t0);
-  const bool grid_identical = estimates_identical(grid_eval.merged(), part_est);
-
   table_printer equiv_table(
       {"Fit", "Seconds", "MeanDelta", "MaxDelta", "Determined"});
   equiv_table.add_row({"monolithic", format_fixed(mono_seconds), "-", "-",
@@ -226,9 +208,6 @@ int run(const ntom::flags& opts) {
   equiv_table.add_row({"partitioned", format_fixed(part_seconds),
                        format_fixed(mean_delta, 6), format_fixed(delta_max, 6),
                        std::to_string(part_est.estimated.count())});
-  equiv_table.add_row({"grid-cells", format_fixed(grid_seconds),
-                       grid_identical ? "exact" : "DIVERGED", "-",
-                       std::to_string(grid_eval.merged().estimated.count())});
   equiv_table.print(std::cout);
   std::printf("  straddling paths excluded      %zu\n",
               plan->straddling_paths);
@@ -246,11 +225,8 @@ int run(const ntom::flags& opts) {
   row.measurements.push_back(
       {"equivalence", "straddling_path_count",
        static_cast<double>(plan->straddling_paths)});
-  row.measurements.push_back(
-      {"equivalence", "grid_identical", grid_identical ? 1.0 : 0.0});
   row.measurements.push_back({"equivalence", "mono_seconds", mono_seconds});
   row.measurements.push_back({"equivalence", "part_seconds", part_seconds});
-  row.measurements.push_back({"equivalence", "grid_seconds", grid_seconds});
 
   // ------------------------------------------------------------------
   // Phase 2: the >100k-link federation.
@@ -393,17 +369,11 @@ int run(const ntom::flags& opts) {
       report, opts, "micro_part",
       {{"intervals", std::to_string(intervals)},
        {"regions", std::to_string(regions)},
-       {"scale_intervals", std::to_string(scale_intervals)},
-       {"threads", std::to_string(threads)}});
+       {"scale_intervals", std::to_string(scale_intervals)}});
 
   // Self-checks: the bench is its own regression harness even without
   // the JSON gate.
   int rc = 0;
-  if (!grid_identical) {
-    std::fprintf(stderr,
-                 "micro_part: grid-cell merge diverged from the adapter\n");
-    rc = 1;
-  }
   if (!chunk_identical) {
     std::fprintf(stderr,
                  "micro_part: partitioned fit changed with the chunk size\n");
@@ -429,7 +399,6 @@ int run(const ntom::flags& opts) {
 
 int main(int argc, char** argv) {
   return ntom::run_cli(argc, argv,
-                       {"intervals", "threads", "regions", "scale-intervals",
-                        "json"},
+                       {"intervals", "regions", "scale-intervals", "json"},
                        run);
 }

@@ -4,68 +4,20 @@
 #include <cassert>
 #include <cmath>
 
+#include "ntom/linalg/qr.hpp"
+
 namespace ntom {
 
-namespace {
-
-/// r . N per column, r given densely.
-std::vector<double> column_products(const std::vector<double>& r,
-                                    const matrix& n) {
-  assert(r.size() == n.rows());
-  std::vector<double> rn(n.cols(), 0.0);
-  for (std::size_t j = 0; j < n.cols(); ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < n.rows(); ++i) s += r[i] * n(i, j);
-    rn[j] = s;
-  }
-  return rn;
-}
-
-/// r . N per column for a 0/1 row with ones at `row_indices`: each
-/// product is a sum of nnz entries of N instead of a length-n dot.
-std::vector<double> column_products(const std::vector<std::size_t>& row_indices,
-                                    const matrix& n) {
-  std::vector<double> rn(n.cols(), 0.0);
-  for (const std::size_t i : row_indices) {
-    assert(i < n.rows());
-    const double* row = n.row_ptr(i);
-    for (std::size_t j = 0; j < n.cols(); ++j) rn[j] += row[j];
-  }
-  return rn;
-}
-
-double max_abs_of(const std::vector<double>& xs) noexcept {
-  double best = 0.0;
-  for (const double x : xs) best = std::max(best, std::abs(x));
-  return best;
-}
-
-matrix apply_null_space_update(matrix n, std::vector<double> rn, double tol);
-
-}  // namespace
-
-double row_nullspace_product(const std::vector<double>& r,
-                             const matrix& n) {
-  return max_abs_of(column_products(r, n));
-}
-
-double row_nullspace_product(const std::vector<std::size_t>& row_indices,
-                             const matrix& n) {
-  return max_abs_of(column_products(row_indices, n));
-}
-
-bool row_increases_rank(const std::vector<double>& r, const matrix& n,
-                        double tol) {
-  if (n.cols() == 0) return false;
-  return row_nullspace_product(r, n) > tol;
+matrix null_space_basis(const sparse_matrix& a) {
+  return null_space_basis(a.to_dense());
 }
 
 bool row_increases_rank(const std::vector<std::size_t>& row_indices,
-                        const matrix& n, double tol) {
-  // The products of column_products, a stack block of columns at a
-  // time: each r . N_j sums the same entries in the same order, so the
-  // answer equals row_nullspace_product(...) > tol without a heap
-  // buffer, and the first column above tol ends the test.
+                        const matrix& n) {
+  // r . N a stack block of columns at a time, each product summing the
+  // rows of `row_indices` in ascending order (as null_space_update
+  // does): no heap buffer, and the first column above the threshold
+  // ends the test.
   constexpr std::size_t block = 64;
   double rn[block];
   for (std::size_t j0 = 0; j0 < n.cols(); j0 += block) {
@@ -77,36 +29,33 @@ bool row_increases_rank(const std::vector<std::size_t>& row_indices,
       for (std::size_t j = 0; j < bn; ++j) rn[j] += row[j];
     }
     for (std::size_t j = 0; j < bn; ++j) {
-      if (std::abs(rn[j]) > tol) return true;
+      if (std::abs(rn[j]) > null_space_tol) return true;
     }
   }
   return false;
 }
 
-matrix null_space_update(matrix n, const std::vector<double>& r, double tol) {
-  assert(r.size() == n.rows());
-  std::vector<double> rn = column_products(r, n);
-  return apply_null_space_update(std::move(n), std::move(rn), tol);
-}
-
-matrix null_space_update(matrix n, const std::vector<std::size_t>& row_indices,
-                         double tol) {
-  std::vector<double> rn = column_products(row_indices, n);
-  return apply_null_space_update(std::move(n), std::move(rn), tol);
-}
-
-namespace {
-
-matrix apply_null_space_update(matrix n, std::vector<double> rn, double tol) {
+matrix null_space_update(matrix n,
+                         const std::vector<std::size_t>& row_indices) {
   const std::size_t rows = n.rows();
   const std::size_t p = n.cols();
   if (p == 0) return n;
+
+  // r . N per column: each product is a sum of nnz entries of N instead
+  // of a length-n dot.
+  std::vector<double> rn(p, 0.0);
+  for (const std::size_t i : row_indices) {
+    assert(i < rows);
+    const double* row = n.row_ptr(i);
+    for (std::size_t j = 0; j < p; ++j) rn[j] += row[j];
+  }
 
   std::size_t pivot = 0;
   for (std::size_t j = 1; j < p; ++j) {
     if (std::abs(rn[j]) > std::abs(rn[pivot])) pivot = j;
   }
-  if (std::abs(rn[pivot]) <= tol) return n;  // r adds no rank; N unchanged.
+  // r adds no rank; N unchanged.
+  if (std::abs(rn[pivot]) <= null_space_tol) return n;
   std::swap(rn[0], rn[pivot]);
 
   // N' columns: N_j - N_1 * (r.N_j) / (r.N_1), for j = 2..p, after the
@@ -139,32 +88,30 @@ matrix apply_null_space_update(matrix n, std::vector<double> rn, double tol) {
   for (std::size_t i = 0; i < rows; ++i) {
     double* row = n.row_ptr(i);
     for (std::size_t j = 0; j + 1 < p; ++j) {
-      if (norm[j] > tol) row[j] /= norm[j];
+      if (norm[j] > null_space_tol) row[j] /= norm[j];
     }
   }
   return n;
 }
 
-}  // namespace
-
-std::vector<std::size_t> row_hamming_weights(const matrix& n, double tol) {
+std::vector<std::size_t> row_hamming_weights(const matrix& n) {
   std::vector<std::size_t> weights(n.rows(), 0);
   for (std::size_t i = 0; i < n.rows(); ++i) {
     std::size_t w = 0;
     for (std::size_t j = 0; j < n.cols(); ++j) {
-      if (std::abs(n(i, j)) > tol) ++w;
+      if (std::abs(n(i, j)) > null_space_tol) ++w;
     }
     weights[i] = w;
   }
   return weights;
 }
 
-bitvec identifiable_coordinates(const matrix& n, double tol) {
+bitvec identifiable_coordinates(const matrix& n) {
   bitvec out(n.rows());
   for (std::size_t i = 0; i < n.rows(); ++i) {
     bool clean = true;
     for (std::size_t j = 0; j < n.cols(); ++j) {
-      if (std::abs(n(i, j)) > tol) {
+      if (std::abs(n(i, j)) > identifiable_tol) {
         clean = false;
         break;
       }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "ntom/linalg/nullspace.hpp"
 #include "ntom/util/simd/simd.hpp"
 
 namespace ntom {
@@ -76,8 +77,7 @@ void gather(matrix& r, std::size_t c, std::size_t p, const reflector* prev,
 
 /// Q-free pivoted Householder QR in row order (contract in qr.hpp). When
 /// `rhs` is non-null, also applies the reflectors to it: rhs <- Q^T rhs.
-qr_decomposition factorize_rows(const matrix& a, double rel_tol,
-                                std::vector<double>* rhs) {
+qr_decomposition factorize_rows(const matrix& a, std::vector<double>* rhs) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   qr_decomposition out;
@@ -192,7 +192,7 @@ qr_decomposition factorize_rows(const matrix& a, double rel_tol,
   for (std::size_t k = 0; k < steps; ++k) {
     max_diag = std::max(max_diag, std::abs(out.r(k, k)));
   }
-  out.tolerance = rel_tol * std::max(max_diag, 1.0);
+  out.tolerance = rank_rel_tol * std::max(max_diag, 1.0);
   // The leading run of diagonals above the tolerance: a skipped
   // reflector midway ends it, so R11 is nonsingular by construction.
   out.rank = 0;
@@ -205,10 +205,10 @@ qr_decomposition factorize_rows(const matrix& a, double rel_tol,
 
 }  // namespace
 
-qr_decomposition qr_factorize_apply(const matrix& a, std::vector<double>& rhs,
-                                    double rel_tol) {
+qr_decomposition qr_factorize_apply(const matrix& a,
+                                    std::vector<double>& rhs) {
   assert(rhs.size() == a.rows());
-  return factorize_rows(a, rel_tol, &rhs);
+  return factorize_rows(a, &rhs);
 }
 
 matrix null_space_basis(const qr_decomposition& f) {
@@ -258,10 +258,9 @@ matrix null_space_basis(const qr_decomposition& f) {
   return vt.transposed();
 }
 
-matrix null_space_basis(const matrix& a, double rel_tol) {
-  const std::size_t n = a.cols();
-  if (a.rows() == 0) return matrix::identity(n);
-  return null_space_basis(factorize_rows(a, rel_tol, nullptr));
+matrix null_space_basis(const matrix& a) {
+  if (a.rows() == 0) return matrix::identity(a.cols());
+  return null_space_basis(factorize_rows(a, nullptr));
 }
 
 }  // namespace ntom

@@ -18,12 +18,18 @@
 // the diagonal may differ from it only in the sign of an exact zero.
 // The cost is one pass over the touched rows per reflector, where a dot
 // pass and an update pass took two.
+//
+// These dense forms are linalg's own: the library outside linalg/
+// reaches them only through the CSR entry points (solve.hpp,
+// nullspace.hpp), which stage the dense image once. Tests and benches
+// include this header for the kernel and its oracles.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "ntom/linalg/matrix.hpp"
+#include "ntom/linalg/solve.hpp"
 
 namespace ntom {
 
@@ -43,21 +49,27 @@ struct qr_decomposition {
 /// Factorizes A and applies the transposed reflector sequence to `rhs`
 /// in place: rhs <- Q^T rhs, all a least-squares solve needs of Q (an
 /// explicit m x m Q would dominate the time and memory of the ~10^4 x
-/// few-hundred systems the estimators stage). `rel_tol` scales the rank
-/// threshold relative to the largest diagonal of R (default suits
-/// well-scaled 0/1 systems). `rhs.size()` must equal `a.rows()`.
+/// few-hundred systems the estimators stage). The rank threshold is
+/// rank_rel_tol (nullspace.hpp) times the largest diagonal of R (or 1).
+/// `rhs.size()` must equal `a.rows()`.
 [[nodiscard]] qr_decomposition qr_factorize_apply(const matrix& a,
-                                                  std::vector<double>& rhs,
-                                                  double rel_tol = 1e-10);
+                                                  std::vector<double>& rhs);
 
 /// Orthonormal basis of the null space of A, returned as an n x k matrix
 /// whose columns satisfy A * col ~ 0. k = n - rank(A); k == 0 yields an
-/// n x 0 matrix.
-[[nodiscard]] matrix null_space_basis(const matrix& a, double rel_tol = 1e-10);
+/// n x 0 matrix, and a matrix with no rows the identity.
+[[nodiscard]] matrix null_space_basis(const matrix& a);
 
 /// Same basis from an existing factorization of A (only R, perm, and
 /// rank are read). Lets one factorization feed both the minimum-norm
 /// solve and the identifiability analysis instead of factorizing twice.
 [[nodiscard]] matrix null_space_basis(const qr_decomposition& f);
+
+/// Minimum-norm least-squares solve of A x = b via column-pivoted QR on A
+/// (complete orthogonal decomposition for the rank-deficient case).
+/// Requires b.size() == a.rows(). The CSR solve (solve.hpp) returns
+/// this on the system's dense image.
+[[nodiscard]] lstsq_result solve_least_squares(const matrix& a,
+                                               const std::vector<double>& b);
 
 }  // namespace ntom

@@ -7,8 +7,8 @@
 
 namespace ntom {
 
-lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
-                                 double rel_tol) {
+lstsq_result solve_least_squares(const matrix& a,
+                                 const std::vector<double>& b) {
   assert(b.size() == a.rows());
   const std::size_t n = a.cols();
   lstsq_result out;
@@ -24,7 +24,7 @@ lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
   // stages — while everything the solve needs from it is this one
   // product.
   std::vector<double> c = b;
-  const qr_decomposition f = qr_factorize_apply(a, c, rel_tol);
+  const qr_decomposition f = qr_factorize_apply(a, c);
   const std::size_t k = f.rank;
   out.rank = k;
 
@@ -60,8 +60,8 @@ lstsq_result solve_least_squares(const matrix& a, const std::vector<double>& b,
 }
 
 lstsq_result solve_least_squares(const sparse_matrix& a,
-                                 const std::vector<double>& b, double rel_tol) {
-  return solve_least_squares(a.to_dense(), b, rel_tol);
+                                 const std::vector<double>& b) {
+  return solve_least_squares(a.to_dense(), b);
 }
 
 }  // namespace ntom

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ntom/exp/runner.hpp"
-#include "ntom/trace/trace_writer.hpp"
 
 namespace ntom {
 
@@ -139,27 +137,6 @@ class partitioned_estimator final : public estimator {
   estimator_caps caps_;
 };
 
-/// measurement_sink forwarding one cell's view of the stream to an
-/// inner sink.
-class cell_split_sink final : public measurement_sink {
- public:
-  cell_split_sink(const partition_cell& cell, measurement_sink& inner)
-      : cell_(&cell), inner_(&inner) {}
-
-  void begin(const topology& t, std::size_t intervals) override {
-    (void)t;  // the inner sink sees the cell's universe, not the parent.
-    inner_->begin(*cell_->topo, intervals);
-  }
-  void consume(const measurement_chunk& chunk) override {
-    inner_->consume(gather_cell_chunk(*cell_, chunk));
-  }
-  void end() override { inner_->end(); }
-
- private:
-  const partition_cell* cell_;
-  measurement_sink* inner_;
-};
-
 }  // namespace
 
 link_estimates merge_cell_estimates(
@@ -237,61 +214,6 @@ std::unique_ptr<estimator> make_partitioned_estimator(
   }
   return std::make_unique<partitioned_estimator>(std::move(spec),
                                                  std::move(plan));
-}
-
-partition_cells::partition_cells(std::shared_ptr<const partition_plan> plan,
-                                 estimator_spec spec)
-    : plan_(std::move(plan)), spec_(std::move(spec)) {
-  if (plan_ == nullptr) {
-    throw std::logic_error("partition_cells: null plan");
-  }
-  (void)estimator_registry().resolve(spec_);  // fail before the grid runs.
-}
-
-std::size_t partition_cells::shards(const run_config& config) const {
-  (void)config;
-  return std::max<std::size_t>(plan_->cells.size(), 1);
-}
-
-std::shared_ptr<void> partition_cells::make_run_state(
-    const run_config& config, const run_artifacts& run) const {
-  (void)config;
-  (void)run;
-  auto state = std::make_shared<partition_run_result>();
-  state->cell_estimates.resize(plan_->cells.size());
-  last_run_ = state;
-  return state;
-}
-
-std::vector<measurement> partition_cells::eval_cell(
-    const run_config& config, const run_artifacts& run, void* run_state,
-    std::size_t shard) const {
-  auto* state = static_cast<partition_run_result*>(run_state);
-  if (plan_->cells.empty()) return {};
-  const partition_cell& cell = plan_->cells[shard];
-  const std::unique_ptr<estimator> est = make_estimator(spec_);
-  estimator_fit_sink fit(*est);
-  cell_split_sink split(cell, fit);
-  fanout_sink pass;
-  pass.add(&split);
-  // A run no materialize pass recorded is captured once, by the first
-  // cell's pass.
-  std::unique_ptr<trace_writer> capture;
-  if (shard == 0 && !run.materialized()) {
-    capture = make_capture_writer(config, run);
-  }
-  if (capture != nullptr) pass.add(capture.get());
-  stream_experiment(run, config, pass);
-  state->cell_estimates[shard] = est->links();
-  return {};
-}
-
-link_estimates partition_cells::merged() const {
-  const std::shared_ptr<partition_run_result> state = last_run_;
-  if (state == nullptr) {
-    throw std::logic_error("partition_cells::merged: no run prepared yet");
-  }
-  return merge_cell_estimates(*plan_, state->cell_estimates);
 }
 
 }  // namespace ntom

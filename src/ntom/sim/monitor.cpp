@@ -1,7 +1,6 @@
 #include "ntom/sim/monitor.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace ntom {
 
@@ -11,14 +10,6 @@ std::size_t path_observations::count_all_good(const bitvec& path_set) const {
   // Singleton fast path: one row popcount — no AND kernel.
   if (members == 1) return good_matrix().count_row(path_set.find_first());
   return good_matrix().and_count(path_set);
-}
-
-std::optional<double> path_observations::log_empirical_all_good(
-    const bitvec& path_set) const {
-  const std::size_t count = count_all_good(path_set);
-  if (count == 0) return std::nullopt;
-  return std::log(static_cast<double>(count) /
-                  static_cast<double>(intervals()));
 }
 
 void pathset_counter::begin(const topology& t, std::size_t) {

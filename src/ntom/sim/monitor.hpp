@@ -12,7 +12,6 @@
 // instead: pathset_counter below keeps O(#path-sets) counters.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "ntom/sim/packet_sim.hpp"
@@ -31,12 +30,6 @@ class path_observations {
 
   /// Number of intervals where every path in `path_set` was good.
   [[nodiscard]] std::size_t count_all_good(const bitvec& path_set) const;
-
-  /// log of the empirical P(all paths in `path_set` good) = count / T;
-  /// nullopt when the count is 0 (no finite logarithm — Eq. 1 cannot
-  /// use this path set).
-  [[nodiscard]] std::optional<double> log_empirical_all_good(
-      const bitvec& path_set) const;
 
   /// Paths that were good in every interval.
   [[nodiscard]] const bitvec& always_good_paths() const noexcept {

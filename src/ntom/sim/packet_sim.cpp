@@ -12,7 +12,6 @@ void materialize_sink::begin(const topology& t, std::size_t intervals) {
   out_->path_good = bit_matrix(t.num_paths(), intervals);
   out_->true_links = bit_matrix(intervals, t.num_links());
   out_->always_good_paths = bitvec(t.num_paths());
-  out_->ever_congested_links = bitvec(t.num_links());
 }
 
 void materialize_sink::consume(const measurement_chunk& chunk) {
@@ -36,7 +35,6 @@ void materialize_sink::consume(const measurement_chunk& chunk) {
 
 void materialize_sink::end() {
   out_->always_good_paths = out_->path_good.full_rows();
-  out_->ever_congested_links = out_->true_links.or_of_rows();
 }
 
 void run_experiment_streaming(const topology& t, const congestion_model& model,

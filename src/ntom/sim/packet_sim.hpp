@@ -72,9 +72,6 @@ struct experiment_data {
   /// Paths observed good in every interval.
   bitvec always_good_paths;
 
-  /// Links truly congested in at least one interval.
-  bitvec ever_congested_links;
-
   [[nodiscard]] std::size_t num_paths() const noexcept {
     return path_good.rows();
   }

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ntom/corr/correlation.hpp"
-#include "ntom/linalg/solve.hpp"
 
 namespace ntom {
 
@@ -22,30 +21,20 @@ correlation_complete_result compute_correlation_complete(
       t, catalog, potcong, params.selection,
       [&](const bitvec& pset) { return obs.count_all_good(pset) >= min_count; });
 
-  // Assemble and solve the log-domain system. Rows are weighted by
-  // sqrt(count): var(log p̂) ≈ (1-p)/(T p) shrinks with the all-good
-  // count, so well-observed equations should dominate the fit (weights
-  // rescale rows; the row space — hence identifiability — is
-  // unchanged).
-  sparse_matrix a(catalog.size());
-  std::vector<double> b;
+  log_system system(catalog.size());
   for (std::size_t i = 0; i < selection.path_sets.size(); ++i) {
-    const auto logp = obs.log_empirical_all_good(selection.path_sets[i]);
-    if (!logp) continue;  // guarded by the predicate; defensive.
-    const double weight = std::sqrt(
-        static_cast<double>(obs.count_all_good(selection.path_sets[i])));
-    a.append_row(selection.rows[i], weight);
-    b.push_back(*logp * weight);
+    system.add(selection.rows[i], obs.count_all_good(selection.path_sets[i]),
+               obs.intervals());
   }
 
   correlation_complete_result result{
       probability_estimates(t, std::move(catalog), potcong)};
-  result.equations_used = b.size();
+  result.equations_used = system.rows();
   result.seed_equations = selection.seed_equations;
   result.added_equations = selection.added_equations;
-  if (b.empty()) return result;
+  if (system.rows() == 0) return result;
 
-  const lstsq_result solution = solve_least_squares(a, b);
+  const lstsq_result solution = system.solve();
   result.system_rank = solution.rank;
 
   for (std::size_t i = 0; i < solution.x.size(); ++i) {

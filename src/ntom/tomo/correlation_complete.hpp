@@ -6,7 +6,8 @@
 // Pipeline: determine the potentially congested links from the
 // observations, enumerate the correlation-subset unknowns Ê, run
 // Algorithm 1 to pick a minimal set of path-set equations, then solve
-// the log-domain least-squares system and exponentiate. Subsets whose
+// the log-domain least-squares system (log_system, equations.hpp) and
+// exponentiate. Subsets whose
 // coordinate is undetermined (Identifiability++ violations, Case 2 of
 // Fig. 1) are flagged not-identifiable rather than given garbage values.
 #pragma once

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ntom/corr/correlation.hpp"
-#include "ntom/linalg/solve.hpp"
 #include "ntom/tomo/equations.hpp"
 #include "ntom/tomo/independence.hpp"
 
@@ -52,26 +51,19 @@ correlation_heuristic_result solve_correlation_heuristic(
   const equation_builder builder(t, catalog, potcong);
   equation_row_scratch scratch;
 
-  sparse_matrix a(catalog.size());
-  std::vector<double> b;
+  log_system system(catalog.size());
   for (std::size_t i = 0; i < path_sets.size(); ++i) {
-    if (!builder.row(path_sets[i], scratch) || scratch.row.empty()) continue;
-    const std::size_t count = counts[i];
-    if (count == 0) continue;  // no finite log-probability.
-    // sqrt(count) weighting, as in correlation_complete.cpp.
-    const double weight = std::sqrt(static_cast<double>(count));
-    const double logp = std::log(static_cast<double>(count) /
-                                 static_cast<double>(observed_intervals[i]));
-    a.append_row(scratch.row, weight);
-    b.push_back(logp * weight);
+    if (builder.row(path_sets[i], scratch)) {
+      system.add(scratch.row, counts[i], observed_intervals[i]);
+    }
   }
 
   correlation_heuristic_result result{
       probability_estimates(t, std::move(catalog), potcong)};
-  result.equations_used = b.size();
-  if (b.empty()) return result;
+  result.equations_used = system.rows();
+  if (system.rows() == 0) return result;
 
-  const lstsq_result solution = solve_least_squares(a, b);
+  const lstsq_result solution = system.solve();
   result.system_rank = solution.rank;
   for (std::size_t i = 0; i < solution.x.size(); ++i) {
     result.estimates.set_good_probability(i, std::exp(solution.x[i]),

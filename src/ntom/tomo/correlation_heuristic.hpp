@@ -39,7 +39,7 @@ struct correlation_heuristic_result {
 /// Assembles and solves the flooded system from measured all-good
 /// counts, with per-equation denominators: the intervals in which the
 /// equation's path set was fully observed (the stream length everywhere
-/// on unmasked streams).
+/// on unmasked streams), through log_system (equations.hpp).
 [[nodiscard]] correlation_heuristic_result solve_correlation_heuristic(
     const topology& t, const std::vector<bitvec>& path_sets,
     const std::vector<std::size_t>& counts,

@@ -1,6 +1,7 @@
 #include "ntom/tomo/equations.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace ntom {
 
@@ -68,6 +69,16 @@ bool equation_builder::row_of_links(const bitvec& links,
   }
   std::sort(sparse.begin(), sparse.end());
   return true;
+}
+
+void log_system::add(const std::vector<std::size_t>& cols, std::size_t count,
+                     std::size_t observed) {
+  if (count == 0 || cols.empty()) return;
+  const double weight = std::sqrt(static_cast<double>(count));
+  const double logp =
+      std::log(static_cast<double>(count) / static_cast<double>(observed));
+  a_.append_row(cols, weight);
+  b_.push_back(logp * weight);
 }
 
 }  // namespace ntom

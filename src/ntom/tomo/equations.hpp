@@ -7,12 +7,16 @@
 // A row is expressible only if every intersection is in the enumerated
 // catalog (size caps can exclude large unions — the paper's resource
 // knob); inexpressible path sets are skipped by Algorithm 1.
+//
+// log_system turns the rows and their measured all-good counts into the
+// weighted least-squares system every Eq. 1 estimator solves.
 #pragma once
 
 #include <vector>
 
 #include "ntom/corr/subsets.hpp"
 #include "ntom/graph/topology.hpp"
+#include "ntom/linalg/solve.hpp"
 #include "ntom/util/bitvec.hpp"
 
 namespace ntom {
@@ -69,6 +73,36 @@ class equation_builder {
   const topology* topo_;
   const subset_catalog* catalog_;
   bitvec potcong_;
+};
+
+/// Eq. 1's log-domain least-squares system, one row per usable path
+/// set. A path set whose paths were all good in `count` of the
+/// `observed` intervals in which it was fully observed gives its row
+/// with target log(count / observed). Rows are weighted by
+/// sqrt(count): var(log p̂) ≈ (1-p)/(T p) shrinks with the all-good
+/// count, so well-observed equations dominate the fit (weights rescale
+/// rows; the row space, hence identifiability, is unchanged).
+class log_system {
+ public:
+  explicit log_system(std::size_t unknowns) : a_(unknowns) {}
+
+  /// Appends the weighted row with ones at `cols` (ascending, < the
+  /// unknown count), unless `count` is 0 (no finite log) or `cols` is
+  /// empty (the path set touches no unknown).
+  void add(const std::vector<std::size_t>& cols, std::size_t count,
+           std::size_t observed);
+
+  /// Rows appended so far.
+  [[nodiscard]] std::size_t rows() const noexcept { return b_.size(); }
+
+  /// The minimum-norm least-squares solution (linalg/solve.hpp).
+  [[nodiscard]] lstsq_result solve() const {
+    return solve_least_squares(a_, b_);
+  }
+
+ private:
+  sparse_matrix a_;
+  std::vector<double> b_;
 };
 
 }  // namespace ntom

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "ntom/corr/correlation.hpp"
-#include "ntom/linalg/solve.hpp"
+#include "ntom/tomo/equations.hpp"
 
 namespace ntom {
 
@@ -54,32 +54,23 @@ independence_result solve_independence(
   });
   const std::size_t n = link_of_col.size();
 
-  sparse_matrix a(n);
-  std::vector<double> b;
+  log_system system(n);
+  std::vector<std::size_t> cols;
   for (std::size_t i = 0; i < path_sets.size(); ++i) {
-    const std::size_t count = counts[i];
-    if (count == 0) continue;  // no finite log-probability.
     bitvec links = t.links_of_paths(path_sets[i]);
     links &= potcong;
-    if (links.empty()) continue;
-    // sqrt(count) weighting: var(log p̂) ≈ (1-p)/(T p) shrinks with the
-    // all-good count, so well-observed equations dominate the fit.
-    const double weight = std::sqrt(static_cast<double>(count));
-    const double logp = std::log(static_cast<double>(count) /
-                                 static_cast<double>(observed_intervals[i]));
-    std::vector<std::size_t> cols;
+    cols.clear();
     links.for_each([&](std::size_t e) { cols.push_back(col_of_link[e]); });
-    a.append_row(cols, weight);
-    b.push_back(logp * weight);
+    system.add(cols, counts[i], observed_intervals[i]);
   }
 
   independence_result result;
   result.links.congestion.assign(t.num_links(), 0.0);
   result.links.estimated = bitvec(t.num_links());
-  result.equations_used = b.size();
-  if (b.empty()) return result;
+  result.equations_used = system.rows();
+  if (system.rows() == 0) return result;
 
-  const lstsq_result solution = solve_least_squares(a, b);
+  const lstsq_result solution = system.solve();
   result.system_rank = solution.rank;
   for (std::size_t c = 0; c < n; ++c) {
     const link_id e = link_of_col[c];

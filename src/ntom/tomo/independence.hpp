@@ -38,9 +38,9 @@ struct independence_result {
 /// counts: `counts[i]` intervals with every path of `path_sets[i]` good,
 /// out of `observed_intervals[i]` in which the set was fully observed
 /// (pathset_counter::observed_intervals(); every entry is the stream
-/// length on unmasked streams). Equations whose set was never fully
-/// observed have count 0 and are skipped like any other unusable
-/// equation.
+/// length on unmasked streams), through log_system (equations.hpp).
+/// Equations whose set was never fully observed have count 0 and are
+/// skipped like any other unusable equation.
 [[nodiscard]] independence_result solve_independence(
     const topology& t, const std::vector<bitvec>& path_sets,
     const std::vector<std::size_t>& counts,

@@ -10,7 +10,6 @@
 
 #include "ntom/corr/correlation.hpp"
 #include "ntom/linalg/nullspace.hpp"
-#include "ntom/linalg/qr.hpp"
 #include "ntom/linalg/sparse.hpp"
 
 namespace ntom {
@@ -213,9 +212,8 @@ pathset_selection select_path_sets(const topology& t,
     return u;
   };
 
-  // ---- Step 1: seed equations, one per correlation subset. Rows stay
-  // sparse (catalog indices); the only dense image is the one the
-  // initial null-space QR needs.
+  // ---- Step 1: seed equations, one per correlation subset, as sparse
+  // rows (catalog indices).
   sparse_matrix system(n1);
   for (std::size_t i = 0; i < n1; ++i) {
     const bitvec& pset = candidates[i];
@@ -228,8 +226,7 @@ pathset_selection select_path_sets(const topology& t,
   out.seed_equations = out.path_sets.size();
 
   // ---- Step 2: initial null space.
-  matrix nsp = system.rows() == 0 ? matrix::identity(n1)
-                                  : null_space_basis(system.to_dense());
+  matrix nsp = null_space_basis(system);
 
   // ---- Step 3: augmentation guided by the null space. cursor[i] is the
   // next mask of subset i's walk; the walk never restarts (see the
@@ -272,12 +269,11 @@ pathset_selection select_path_sets(const topology& t,
         const std::size_t u = examine(pset);
         if (u == npos) continue;
         ++out.rank_tests;
-        if (row_increases_rank(union_row[u], nsp, params.rank_tolerance)) {
+        if (row_increases_rank(union_row[u], nsp)) {
           out.path_sets.push_back(pset);
           out.rows.push_back(union_row[u]);
           ++out.added_equations;
-          nsp = null_space_update(std::move(nsp), union_row[u],
-                                  params.rank_tolerance);
+          nsp = null_space_update(std::move(nsp), union_row[u]);
           ++epoch;
           found = true;
         } else {

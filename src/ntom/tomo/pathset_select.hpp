@@ -91,8 +91,6 @@ struct pathset_selection_params {
   /// Ablation knob: disable the SortByHammingWeight ordering (the
   /// selected system rank must not change; only the search order does).
   bool sort_by_hamming_weight = true;
-
-  double rank_tolerance = 1e-9;
 };
 
 /// Accepts a candidate path set; return false to skip it (e.g., its

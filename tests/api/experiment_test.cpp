@@ -43,6 +43,8 @@ TEST(ExperimentTest, InvalidSpecsFailEagerly) {
   EXPECT_THROW(exp.with_topology("hypercube"), spec_error);
   EXPECT_THROW(exp.with_scenario("random_congestion,surge=2"), spec_error);
   EXPECT_THROW(exp.with_estimator("oracle"), spec_error);
+  // The cell evaluator resolves its list before any run starts.
+  EXPECT_THROW((void)estimator_cells({"no-such-estimator"}), spec_error);
 }
 
 TEST(ExperimentTest, DuplicateGridLabelsThrow) {

@@ -27,16 +27,16 @@ TEST(RowNullspaceProductTest, DetectsRankIncrease) {
   ASSERT_EQ(n.cols(), 1u);
 
   // Row (1, 1) again: no rank increase.
-  EXPECT_FALSE(row_increases_rank(std::vector<double>{1.0, 1.0}, n));
+  EXPECT_FALSE(row_increases_rank({0, 1}, n));
   // Row (1, 0): increases rank.
-  EXPECT_TRUE(row_increases_rank(std::vector<double>{1.0, 0.0}, n));
+  EXPECT_TRUE(row_increases_rank({0}, n));
 }
 
 TEST(RowNullspaceProductTest, EmptyNullSpaceNeverIncreases) {
   const matrix a = matrix::identity(3);
   const matrix n = null_space_basis(a);
   EXPECT_EQ(n.cols(), 0u);
-  EXPECT_FALSE(row_increases_rank(std::vector<double>{1.0, 2.0, 3.0}, n));
+  EXPECT_FALSE(row_increases_rank({0, 1, 2}, n));
 }
 
 TEST(RowNullspaceProductTest, SparseTestSeesEveryColumnBlock) {
@@ -54,8 +54,9 @@ TEST(RowNullspaceProductTest, SparseTestSeesEveryColumnBlock) {
       for (const std::vector<std::size_t>& row :
            {std::vector<std::size_t>{1}, std::vector<std::size_t>{0, 2, 4},
             std::vector<std::size_t>{1, 3}}) {
-        const bool want = row_nullspace_product(row, n) > 1e-9;
-        EXPECT_EQ(row_increases_rank(row, n, 1e-9), want)
+        const bool want =
+            testing_dense::row_nullspace_product(row, n) > null_space_tol;
+        EXPECT_EQ(row_increases_rank(row, n), want)
             << cols << " columns, live column " << live;
       }
     }
@@ -66,7 +67,7 @@ TEST(NullSpaceUpdateTest, ShrinksDimensionByOne) {
   const matrix a{{1, 1, 0}};
   matrix n = null_space_basis(a);
   ASSERT_EQ(n.cols(), 2u);
-  n = null_space_update(n, std::vector<double>{0.0, 0.0, 1.0});
+  n = null_space_update(n, {2});
   EXPECT_EQ(n.cols(), 1u);
   // Remaining basis is orthogonal to both constraints.
   const auto x = testing_dense::column(n, 0);
@@ -77,7 +78,7 @@ TEST(NullSpaceUpdateTest, ShrinksDimensionByOne) {
 TEST(NullSpaceUpdateTest, NoOpWhenRowAddsNoRank) {
   const matrix a{{1, 1, 0}};
   const matrix n = null_space_basis(a);
-  const matrix updated = null_space_update(n, std::vector<double>{2.0, 2.0, 0.0});
+  const matrix updated = null_space_update(n, {0, 1});
   EXPECT_EQ(updated.cols(), n.cols());
 }
 
@@ -114,18 +115,24 @@ TEST_P(NullSpaceUpdatePropertyTest, MatchesRecomputedNullSpace) {
   matrix n = null_space_basis(a);
 
   for (int step = 0; step < 8; ++step) {
-    // Random new row; sometimes dependent, sometimes not.
+    // Random new 0/1 row; sometimes dependent, sometimes not.
     std::vector<double> row(cols, 0.0);
-    for (auto& x : row) x = r.bernoulli(0.3) ? 1.0 : 0.0;
+    std::vector<std::size_t> ones;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (r.bernoulli(0.3)) {
+        row[c] = 1.0;
+        ones.push_back(c);
+      }
+    }
 
-    const bool increases = row_increases_rank(row, n, 1e-9);
+    const bool increases = row_increases_rank(ones, n);
     const std::size_t rank_before = testing_dense::rank(a);
     a.append_row(row);
     const std::size_t rank_after = testing_dense::rank(a);
     EXPECT_EQ(increases, rank_after > rank_before)
         << "row_increases_rank disagrees with QR rank";
 
-    n = null_space_update(n, row, 1e-9);
+    n = null_space_update(n, ones);
     const matrix reference = null_space_basis(a);
     ASSERT_EQ(n.cols(), reference.cols()) << "dimension drift at step " << step;
 

@@ -16,8 +16,8 @@ namespace {
 /// sequence is applied to it in place (rhs <- Q^T rhs). Both consumers
 /// see bit-identical R/perm/rank — the reflector arithmetic on R does
 /// not depend on what Q is used for.
-void factorize_core(const matrix& a, double rel_tol, matrix* q,
-                    std::vector<double>* rhs, qr_decomposition& out) {
+void factorize_core(const matrix& a, matrix* q, std::vector<double>* rhs,
+                    qr_decomposition& out) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   if (q != nullptr) *q = matrix::identity(m);
@@ -98,7 +98,7 @@ void factorize_core(const matrix& a, double rel_tol, matrix* q,
   for (std::size_t k = 0; k < steps; ++k) {
     max_diag = std::max(max_diag, std::abs(out.r(k, k)));
   }
-  out.tolerance = rel_tol * std::max(max_diag, 1.0);
+  out.tolerance = rank_rel_tol * std::max(max_diag, 1.0);
   // Rank: the leading run of diagonals above the tolerance.
   out.rank = 0;
   while (out.rank < steps &&
@@ -109,17 +109,17 @@ void factorize_core(const matrix& a, double rel_tol, matrix* q,
 
 }  // namespace
 
-reference_qr qr_factorize(const matrix& a, double rel_tol) {
+reference_qr qr_factorize(const matrix& a) {
   reference_qr out;
-  factorize_core(a, rel_tol, &out.q, nullptr, out.f);
+  factorize_core(a, &out.q, nullptr, out.f);
   return out;
 }
 
-qr_decomposition qr_factorize_apply(const matrix& a, std::vector<double>& rhs,
-                                    double rel_tol) {
+qr_decomposition qr_factorize_apply(const matrix& a,
+                                    std::vector<double>& rhs) {
   assert(rhs.size() == a.rows());
   qr_decomposition out;
-  factorize_core(a, rel_tol, nullptr, &rhs, out);
+  factorize_core(a, nullptr, &rhs, out);
   return out;
 }
 

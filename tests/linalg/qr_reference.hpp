@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ntom/linalg/matrix.hpp"
+#include "ntom/linalg/nullspace.hpp"
 #include "ntom/linalg/qr.hpp"
 
 namespace ntom::testing_oracle {
@@ -18,14 +19,13 @@ struct reference_qr {
   matrix q;
 };
 
-/// Factorizes A and accumulates the explicit Q.
-[[nodiscard]] reference_qr qr_factorize(const matrix& a,
-                                        double rel_tol = 1e-10);
+/// Factorizes A and accumulates the explicit Q. The rank threshold is
+/// the library's (rank_rel_tol).
+[[nodiscard]] reference_qr qr_factorize(const matrix& a);
 
 /// Factorizes A without Q and applies Q^T to `rhs` in place, as
 /// ntom::qr_factorize_apply does.
 [[nodiscard]] qr_decomposition qr_factorize_apply(const matrix& a,
-                                                  std::vector<double>& rhs,
-                                                  double rel_tol = 1e-10);
+                                                  std::vector<double>& rhs);
 
 }  // namespace ntom::testing_oracle

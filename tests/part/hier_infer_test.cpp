@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "ntom/exp/evals.hpp"
 #include "ntom/exp/runner.hpp"
 #include "ntom/sim/packet_sim.hpp"
 #include "ntom/trace/trace_reader.hpp"
@@ -265,49 +266,11 @@ TEST(PartitionedEstimatorTest, RejectsForeignTopology) {
   EXPECT_THROW(part->fit(other, data), std::logic_error);
 }
 
-TEST(PartitionCellsTest, EvaluatorMergedMatchesAdapter) {
-  // Drive the cell_evaluator the way the grid does — make_run_state,
-  // then eval_cell per shard — and compare the merged estimate against
-  // the in-process adapter on the same materialized run.
-  const topology t = two_islands();
-  auto plan = std::make_shared<const partition_plan>(
-      make_partition(t, {.mode = partition_mode::components}));
-
-  run_config config;
-  config.sim.intervals = 300;
-  config.sim.oracle_monitor = true;
-
-  run_artifacts run;
-  run.topo_ptr = std::make_shared<const topology>(two_islands());
-  run.model = island_model(run.topo(), {{0, 0.3}, {2, 0.4}});
-  run.data = run_experiment(run.topo(), run.model, config.sim);
-
-  const estimator_spec spec = "independence";
-  partition_cells cells(plan, spec);
-  EXPECT_THROW((void)cells.merged(), std::logic_error);
-  EXPECT_EQ(cells.shards(config), plan->cells.size());
-
-  auto state = cells.make_run_state(config, run);
-  for (std::size_t shard = 0; shard < cells.shards(config); ++shard) {
-    const auto rows = cells.eval_cell(config, run, state.get(), shard);
-    EXPECT_TRUE(rows.empty());
-  }
-  const link_estimates grid = cells.merged();
-
-  const auto adapter = make_partitioned_estimator(spec, plan);
-  adapter->fit(run.topo(), run.data);
-  const link_estimates direct = adapter->links();
-  for (link_id e = 0; e < t.num_links(); ++e) {
-    EXPECT_EQ(grid.estimated.test(e), direct.estimated.test(e));
-    EXPECT_DOUBLE_EQ(grid.congestion[e], direct.congestion[e]);
-  }
-}
-
-TEST(PartitionCellsTest, MaskedReplayMatchesAcrossModes) {
+TEST(PartitionedEstimatorTest, MaskedReplayMatchesAcrossModes) {
   // A probe-budget capture replays with its mask, so prepare_run leaves
-  // the store empty; the materialized-mode cells must still stream it
-  // (they used to gather from that empty store and crash), and a
-  // requested capture must still be recorded.
+  // the store empty. Evaluated with run_config::part set, the run must
+  // stream through the partitioned fits in both modes with equal rows,
+  // and a requested capture must still be recorded.
   run_config live;
   live.topo = "brite,n=10,hosts=30,paths=60";
   live.topo_seed = 3;
@@ -325,44 +288,35 @@ TEST(PartitionCellsTest, MaskedReplayMatchesAcrossModes) {
 
   const std::string recapture =
       ::testing::TempDir() + "/hier_masked_recapture.trc";
-  const auto merged = [&](bool streamed) {
+  const estimator_cells cells({"bayes-indep"});
+  const auto rows = [&](bool streamed) {
     run_config replay;
     replay.scenario = spec("trace").with_option("file", live.capture.path);
     replay.stream.enabled = streamed;
-    replay.capture.path = recapture;  // recorded by the first cell's pass.
+    replay.capture.path = recapture;  // recorded by the fit pass.
+    replay.part.mode = partition_mode::bicomp;
+    replay.part.max_cell_links = 24;
     const run_artifacts run =
         streamed ? prepare_topology(replay) : prepare_run(replay);
     EXPECT_FALSE(run.materialized());
-    partition_options options;
-    options.mode = partition_mode::bicomp;
-    options.max_cell_links = 24;
-    auto plan = std::make_shared<const partition_plan>(
-        make_partition(run.topo(), options));
-    EXPECT_GT(plan->cells.size(), 1u);
-    partition_cells cells(plan, "independence");
-    auto state = cells.make_run_state(replay, run);
-    for (std::size_t shard = 0; shard < cells.shards(replay); ++shard) {
-      (void)cells.eval_cell(replay, run, state.get(), shard);
-    }
+    EXPECT_GT(make_partition(run.topo(), replay.part).cells.size(), 1u);
+    const std::vector<measurement> out = cells.eval_all(replay, run);
     const trace_reader recaptured(recapture);
     EXPECT_TRUE(recaptured.has_mask());
     EXPECT_EQ(recaptured.intervals(), live.sim.intervals);
     std::remove(recapture.c_str());
-    return cells.merged();
+    return out;
   };
-  const link_estimates streamed = merged(true);
-  const link_estimates materialized = merged(false);
-  EXPECT_GT(streamed.estimated.count(), 0u);
-  EXPECT_EQ(streamed.estimated, materialized.estimated);
-  EXPECT_EQ(streamed.congestion, materialized.congestion);  // bitwise.
+  const std::vector<measurement> streamed = rows(true);
+  const std::vector<measurement> materialized = rows(false);
+  ASSERT_FALSE(streamed.empty());
+  ASSERT_EQ(streamed.size(), materialized.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].series, materialized[i].series);
+    EXPECT_EQ(streamed[i].metric, materialized[i].metric);
+    EXPECT_EQ(streamed[i].value, materialized[i].value);  // bitwise.
+  }
   std::remove(live.capture.path.c_str());
-}
-
-TEST(PartitionCellsTest, RejectsUnknownEstimatorUpFront) {
-  const topology t = two_islands();
-  auto plan = std::make_shared<const partition_plan>(
-      make_partition(t, {.mode = partition_mode::components}));
-  EXPECT_THROW((partition_cells(plan, "no-such-estimator")), spec_error);
 }
 
 }  // namespace

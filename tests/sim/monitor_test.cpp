@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace ntom {
 namespace {
 
@@ -31,7 +29,6 @@ TEST(PathObservationsTest, SinglePathCounts) {
   bitvec p0(3);
   p0.set(0);
   EXPECT_EQ(obs.count_all_good(p0), 3u);
-  EXPECT_NEAR(*obs.log_empirical_all_good(p0), std::log(0.75), 1e-12);
 }
 
 TEST(PathObservationsTest, JointCounts) {
@@ -42,34 +39,12 @@ TEST(PathObservationsTest, JointCounts) {
   p01.set(1);
   // Both good in intervals 0 and 3.
   EXPECT_EQ(obs.count_all_good(p01), 2u);
-  EXPECT_NEAR(*obs.log_empirical_all_good(p01), std::log(0.5), 1e-12);
 }
 
 TEST(PathObservationsTest, EmptySetVacuouslyGood) {
   const auto data = make_data();
   const path_observations obs(data);
   EXPECT_EQ(obs.count_all_good(bitvec(3)), 4u);
-  EXPECT_EQ(*obs.log_empirical_all_good(bitvec(3)), 0.0);
-}
-
-TEST(PathObservationsTest, LogOfPositiveCount) {
-  const auto data = make_data();
-  const path_observations obs(data);
-  bitvec p1(3);
-  p1.set(1);
-  const auto logp = obs.log_empirical_all_good(p1);
-  ASSERT_TRUE(logp.has_value());
-  EXPECT_NEAR(*logp, std::log(0.5), 1e-12);
-}
-
-TEST(PathObservationsTest, LogOfZeroCountIsNullopt) {
-  experiment_data data;
-  data.intervals = 4;
-  data.path_good = bit_matrix(1, 4);  // never good.
-  const path_observations obs(data);
-  bitvec p0(1);
-  p0.set(0);
-  EXPECT_FALSE(obs.log_empirical_all_good(p0).has_value());
 }
 
 TEST(PathObservationsTest, AlwaysGoodPassthrough) {

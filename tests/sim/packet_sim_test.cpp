@@ -49,7 +49,7 @@ TEST(PacketSimTest, NoCongestionMostlyGoodObservations) {
   // under probing noise. The margin keeps this rare but not zero.
   const std::size_t good = data.path_good.count();
   EXPECT_GE(good, 97 * t.num_paths());  // >= 97% of path-intervals.
-  EXPECT_TRUE(data.ever_congested_links.empty());  // truth is clean.
+  EXPECT_TRUE(data.true_links.or_of_rows().empty());  // truth is clean.
 }
 
 TEST(PacketSimTest, NoCongestionOracleAllGood) {
@@ -97,9 +97,10 @@ TEST(PacketSimTest, EverCongestedTracksTruth) {
   sim_params sim;
   sim.intervals = 200;
   const auto data = run_experiment(t, m, sim);
-  EXPECT_TRUE(data.ever_congested_links.test(toy_e1));
-  EXPECT_FALSE(data.ever_congested_links.test(toy_e2));
-  EXPECT_FALSE(data.ever_congested_links.test(toy_e4));
+  const bitvec ever_congested = data.true_links.or_of_rows();
+  EXPECT_TRUE(ever_congested.test(toy_e1));
+  EXPECT_FALSE(ever_congested.test(toy_e2));
+  EXPECT_FALSE(ever_congested.test(toy_e4));
 }
 
 TEST(PacketSimTest, DeterministicInSeed) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ntom/linalg/sparse.hpp"
+#include "ntom/sim/monitor.hpp"
 #include "ntom/topogen/toy.hpp"
 
 namespace ntom {
@@ -167,6 +170,95 @@ TEST(EquationsTest, ReusedScratchMatchesFreshScratch) {
       }
     }
   }
+}
+
+void expect_same_solution(const lstsq_result& a, const lstsq_result& b) {
+  EXPECT_EQ(a.rank, b.rank);
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_EQ(a.identifiable, b.identifiable);
+}
+
+TEST(LogSystemTest, RowsAndTargetsMatchHandWeightedSystem) {
+  // A full-rank system, so every row's weight and target shows in x.
+  log_system system(3);
+  system.add({0}, 3, 4);
+  system.add({1}, 7, 10);
+  system.add({0, 1, 2}, 1, 4);
+  system.add({1, 2}, 10, 10);
+  EXPECT_EQ(system.rows(), 4u);
+
+  sparse_matrix a(3);
+  std::vector<double> b;
+  const auto row = [&](std::vector<std::size_t> cols, double count,
+                       double observed) {
+    const double weight = std::sqrt(count);
+    a.append_row(cols, weight);
+    b.push_back(std::log(count / observed) * weight);
+  };
+  row({0}, 3, 4);
+  row({1}, 7, 10);
+  row({0, 1, 2}, 1, 4);
+  row({1, 2}, 10, 10);
+  expect_same_solution(system.solve(), solve_least_squares(a, b));
+  EXPECT_EQ(system.solve().rank, 3u);
+}
+
+TEST(LogSystemTest, SkipsZeroCountsAndEmptyRows) {
+  // No finite log for a zero count; no unknown for an empty row. Both
+  // are dropped without a trace: the system equals one built without
+  // them.
+  log_system system(2);
+  system.add({0}, 0, 4);
+  system.add({}, 3, 4);
+  system.add({0, 1}, 2, 4);
+  system.add({1}, 0, 9);
+  EXPECT_EQ(system.rows(), 1u);
+
+  log_system kept(2);
+  kept.add({0, 1}, 2, 4);
+  expect_same_solution(system.solve(), kept.solve());
+}
+
+TEST(LogSystemTest, EmptySystemSolvesToZero) {
+  log_system system(4);
+  system.add({2}, 0, 10);
+  EXPECT_EQ(system.rows(), 0u);
+  const lstsq_result solution = system.solve();
+  EXPECT_EQ(solution.rank, 0u);
+  EXPECT_EQ(solution.x, std::vector<double>(4, 0.0));
+  EXPECT_EQ(solution.identifiable.size(), 4u);
+  EXPECT_EQ(solution.identifiable.count(), 0u);
+}
+
+TEST(LogSystemTest, TargetsAreLogsOfEmpiricalAllGoodFrequencies) {
+  // Counts read off a store (3 paths over 4 intervals): one unknown per
+  // path set, so x is the log of the all-good frequency.
+  experiment_data data;
+  data.intervals = 4;
+  data.path_good = bit_matrix(3, 4);
+  bit_matrix& g = data.path_good;
+  g.set(0, 0); g.set(0, 1); g.set(0, 3);  // p0: 1 1 0 1
+  g.set(1, 0); g.set(1, 3);               // p1: 1 0 0 1
+  const path_observations obs(data);
+  bitvec p0(3), p01(3), p2(3);
+  p0.set(0);
+  p01.set(0);
+  p01.set(1);
+  p2.set(2);  // never good: count 0, no row.
+
+  log_system system(4);
+  system.add({0}, obs.count_all_good(p0), obs.intervals());
+  system.add({1}, obs.count_all_good(p01), obs.intervals());
+  system.add({2}, obs.count_all_good(p2), obs.intervals());
+  system.add({3}, obs.count_all_good(bitvec(3)), obs.intervals());
+  EXPECT_EQ(system.rows(), 3u);
+  const lstsq_result solution = system.solve();
+  EXPECT_NEAR(solution.x[0], std::log(0.75), 1e-12);
+  EXPECT_NEAR(solution.x[1], std::log(0.5), 1e-12);
+  EXPECT_EQ(solution.x[2], 0.0);
+  EXPECT_FALSE(solution.identifiable.test(2));
+  EXPECT_EQ(solution.x[3], 0.0);  // vacuously all good: log 1.
+  EXPECT_TRUE(solution.identifiable.test(3));
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ experiment_data constant_data(const topology& t, std::size_t intervals,
   data.path_good = bit_matrix(t.num_paths(), intervals);
   data.true_links = bit_matrix(intervals, t.num_links());
   data.always_good_paths = bitvec(t.num_paths());
-  data.ever_congested_links = bitvec(t.num_links());
   if (good) {
     for (path_id p = 0; p < t.num_paths(); ++p) {
       for (std::size_t i = 0; i < intervals; ++i) data.path_good.set(p, i);

@@ -234,12 +234,12 @@ pathset_selection select_path_sets(const topology& t,
         }
         auto row = try_accept(pset);
         if (!row) continue;
-        if (increases_rank(*row, nsp, params.rank_tolerance)) {
+        if (increases_rank(*row, nsp, null_space_tol)) {
           accepted.insert(pset);
           out.path_sets.push_back(pset);
           out.rows.push_back(*row);
           ++out.added_equations;
-          nsp = null_space_update_by_columns(nsp, *row, params.rank_tolerance);
+          nsp = null_space_update_by_columns(nsp, *row, null_space_tol);
           found = true;
         } else {
           rejected.insert(pset);
