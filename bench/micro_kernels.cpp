@@ -64,34 +64,24 @@ struct kernel_case {
   const char* name;
   std::size_t bytes_per_word;  // bytes touched per array word
   std::size_t (*run)(const std::uint64_t*, const std::uint64_t*,
-                     const std::uint64_t*, std::uint64_t*, std::size_t);
+                     const std::uint64_t*, std::size_t);
 };
 
 std::size_t run_popcount_words(const std::uint64_t* a, const std::uint64_t*,
-                               const std::uint64_t*, std::uint64_t*,
-                               std::size_t n) {
+                               const std::uint64_t*, std::size_t n) {
   return simd::popcount_words(a, n);
 }
 std::size_t run_popcount_and2(const std::uint64_t* a, const std::uint64_t* b,
-                              const std::uint64_t*, std::uint64_t*,
-                              std::size_t n) {
+                              const std::uint64_t*, std::size_t n) {
   return simd::popcount_and2(a, b, n);
 }
 std::size_t run_popcount_and3(const std::uint64_t* a, const std::uint64_t* b,
-                              const std::uint64_t* c, std::uint64_t*,
-                              std::size_t n) {
+                              const std::uint64_t* c, std::size_t n) {
   return simd::popcount_and3(a, b, c, n);
 }
 std::size_t run_andnot_count(const std::uint64_t* a, const std::uint64_t* b,
-                             const std::uint64_t*, std::uint64_t*,
-                             std::size_t n) {
+                             const std::uint64_t*, std::size_t n) {
   return simd::andnot_count(a, b, n);
-}
-std::size_t run_or_accumulate(const std::uint64_t* a, const std::uint64_t*,
-                              const std::uint64_t*, std::uint64_t* dst,
-                              std::size_t n) {
-  simd::or_accumulate(dst, a, n);
-  return dst[n / 2];
 }
 
 constexpr kernel_case kernel_cases[] = {
@@ -99,7 +89,6 @@ constexpr kernel_case kernel_cases[] = {
     {"popcount_and2", 16, run_popcount_and2},
     {"popcount_and3", 24, run_popcount_and3},
     {"andnot_count", 16, run_andnot_count},
-    {"or_accumulate", 24, run_or_accumulate},  // read dst+src, write dst
 };
 
 /// Every kernel x every level vs the scalar reference on ragged sizes.
@@ -110,7 +99,6 @@ bool identity_sweep() {
     const auto a = random_words(n, 11 + n);
     const auto b = random_words(n, 22 + n);
     const auto c = random_words(n, 33 + n);
-    const auto base = random_words(n, 44 + n);
 
     simd::set_level(simd::level::scalar);
     const std::size_t ref_w = simd::popcount_words(a.data(), n);
@@ -118,8 +106,6 @@ bool identity_sweep() {
     const std::size_t ref_3 =
         simd::popcount_and3(a.data(), b.data(), c.data(), n);
     const std::size_t ref_an = simd::andnot_count(a.data(), b.data(), n);
-    auto ref_or = base;
-    simd::or_accumulate(ref_or.data(), a.data(), n);
 
     for (const simd::level l : simd::available_levels()) {
       simd::set_level(l);
@@ -127,9 +113,6 @@ bool identity_sweep() {
       ok &= simd::popcount_and2(a.data(), b.data(), n) == ref_2;
       ok &= simd::popcount_and3(a.data(), b.data(), c.data(), n) == ref_3;
       ok &= simd::andnot_count(a.data(), b.data(), n) == ref_an;
-      auto dst = base;
-      simd::or_accumulate(dst.data(), a.data(), n);
-      ok &= dst == ref_or;
     }
   }
   // xoshiro256++ lane counts: final states and per-run counts against
@@ -209,7 +192,6 @@ int run(const ntom::flags& opts) {
   const auto a = random_words(words, 1);
   const auto b = random_words(words, 2);
   const auto c = random_words(words, 3);
-  std::vector<std::uint64_t> dst = random_words(words, 4);
 
   const auto levels = simd::available_levels();
   std::printf("micro_kernels: %zu-word arrays (%.1f KiB), detected ISA %s\n\n",
@@ -227,8 +209,7 @@ int run(const ntom::flags& opts) {
     for (const simd::level l : levels) {
       simd::set_level(l);
       const double secs = time_op([&] {
-        g_sink = g_sink + kc.run(a.data(), b.data(), c.data(), dst.data(),
-                                 words);
+        g_sink = g_sink + kc.run(a.data(), b.data(), c.data(), words);
       });
       total_seconds += secs;
       const double gbps =

@@ -6,19 +6,14 @@
 
 namespace ntom {
 
-std::size_t subset_catalog::find(const bitvec& subset) const {
-  const auto it = index_.find(subset);
-  return it == index_.end() ? npos : it->second;
-}
-
 std::size_t subset_catalog::singleton_of(link_id e) const {
-  const auto it = singleton_by_link_.find(e);
-  return it == singleton_by_link_.end() ? npos : it->second;
+  return e < singleton_by_link_.size() ? singleton_by_link_[e] : npos;
 }
 
 subset_catalog subset_catalog::build(const topology& t, const bitvec& potcong,
                                      const subset_limits& limits) {
   subset_catalog catalog;
+  catalog.singleton_by_link_.assign(t.num_links(), npos);
 
   for (as_id a = 0; a < t.num_ases(); ++a) {
     bitvec members = t.links_in_as(a);
@@ -65,13 +60,14 @@ subset_catalog subset_catalog::build(const topology& t, const bitvec& potcong,
                 return x.to_indices() < y.to_indices();
               });
 
+    // Subsets of different ASes are disjoint, so every subset is new
+    // to index_ and its id is its catalog index.
     for (auto& s : ordered) {
       if (s.count() == 1) {
-        const link_id e = static_cast<link_id>(s.find_first());
-        catalog.singleton_by_link_[e] = catalog.subsets_.size();
+        catalog.singleton_by_link_[s.find_first()] = catalog.subsets_.size();
         catalog.singletons_.push_back(catalog.subsets_.size());
       }
-      catalog.index_.emplace(s, catalog.subsets_.size());
+      catalog.index_.find_or_insert(s);
       catalog.subset_as_.push_back(a);
       catalog.subsets_.push_back(std::move(s));
     }

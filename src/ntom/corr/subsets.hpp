@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "ntom/graph/topology.hpp"
 #include "ntom/util/bitvec.hpp"
+#include "ntom/util/intern_table.hpp"
 
 namespace ntom {
 
@@ -42,8 +42,10 @@ class subset_catalog {
   }
 
   /// Index of a subset, or npos if it is not in the catalog.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  [[nodiscard]] std::size_t find(const bitvec& subset) const;
+  static constexpr std::size_t npos = intern_table::npos;
+  [[nodiscard]] std::size_t find(const bitvec& subset) const {
+    return index_.find(subset);
+  }
 
   /// Indices of all singleton subsets, ordered by link id; the per-link
   /// probability outputs (Fig. 4(a)-(c)) read these.
@@ -56,7 +58,9 @@ class subset_catalog {
   [[nodiscard]] std::size_t singleton_of(link_id e) const;
 
   /// Builds Ê for the given potentially congested links. Subsets are
-  /// ordered by AS, then by size, then by link indices (deterministic).
+  /// ordered by AS, then by size, then by link indices. Where an AS's
+  /// family reaches max_subsets_per_as, which subsets it holds depends
+  /// only on path order (see build).
   [[nodiscard]] static subset_catalog build(const topology& t,
                                             const bitvec& potcong,
                                             const subset_limits& limits = {});
@@ -65,8 +69,8 @@ class subset_catalog {
   std::vector<bitvec> subsets_;
   std::vector<as_id> subset_as_;
   std::vector<std::size_t> singletons_;
-  std::unordered_map<bitvec, std::size_t, bitvec_hash> index_;
-  std::unordered_map<link_id, std::size_t> singleton_by_link_;
+  intern_table index_;  ///< subset words -> index (ids follow subsets_).
+  std::vector<std::size_t> singleton_by_link_;  ///< npos: {e} absent.
 };
 
 }  // namespace ntom

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ntom/corr/joint.hpp"
+#include "ntom/util/intern_table.hpp"
 
 namespace ntom {
 
@@ -89,101 +90,6 @@ bitvec map_independent(const topology& t, const interval_observation& obs,
 
 namespace {
 
-/// AS states and their log-probabilities (nullopt: the joint estimates
-/// cannot express the state), keyed by the AS and its candidate and
-/// congested masks. Open addressing over a flat entry list; the key
-/// words of entry k sit at keys_[entries_[k].key]. Lookups allocate
-/// nothing; an insert may grow the arrays, and clear() keeps their
-/// capacity.
-class state_table {
- public:
-  std::size_t size() const noexcept { return entries_.size(); }
-
-  /// The value stored for the key, or nullptr.
-  const std::optional<double>* find(as_id a, const bitvec& candidates,
-                                    const bitvec& congested) const noexcept {
-    if (slots_.empty()) return nullptr;
-    const std::uint64_t h = hash(a, candidates, congested);
-    for (std::size_t s = h & (slots_.size() - 1);;
-         s = (s + 1) & (slots_.size() - 1)) {
-      if (slots_[s] == 0) return nullptr;
-      const entry& e = entries_[slots_[s] - 1];
-      if (e.hash == h && e.as == a && same_key(e, candidates, congested)) {
-        return &e.value;
-      }
-    }
-  }
-
-  /// Adds a key that find() does not hold.
-  void insert(as_id a, const bitvec& candidates, const bitvec& congested,
-              std::optional<double> value) {
-    if (2 * (entries_.size() + 1) > slots_.size()) {
-      rehash(std::max<std::size_t>(1024, 2 * slots_.size()));
-    }
-    const std::uint64_t h = hash(a, candidates, congested);
-    const std::size_t key = keys_.size();
-    keys_.insert(keys_.end(), candidates.word_data(),
-                 candidates.word_data() + candidates.num_words());
-    keys_.insert(keys_.end(), congested.word_data(),
-                 congested.word_data() + congested.num_words());
-    entries_.push_back({h, a, key, value});
-    place(entries_.size() - 1);
-  }
-
-  void clear() noexcept {
-    entries_.clear();
-    keys_.clear();
-    std::fill(slots_.begin(), slots_.end(), 0u);
-  }
-
- private:
-  struct entry {
-    std::uint64_t hash;
-    as_id as;
-    std::size_t key;
-    std::optional<double> value;
-  };
-
-  static std::uint64_t hash(as_id a, const bitvec& candidates,
-                            const bitvec& congested) noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL * (a + 1);
-    auto mix = [&h](std::uint64_t w) {
-      h = (h ^ w) * 0xff51afd7ed558ccdULL;
-      h ^= h >> 32;
-    };
-    for (std::size_t w = 0; w < candidates.num_words(); ++w) {
-      mix(candidates.word(w));
-    }
-    for (std::size_t w = 0; w < congested.num_words(); ++w) {
-      mix(congested.word(w));
-    }
-    return h;
-  }
-
-  bool same_key(const entry& e, const bitvec& candidates,
-                const bitvec& congested) const noexcept {
-    const std::size_t n = candidates.num_words();
-    const std::uint64_t* key = keys_.data() + e.key;
-    return std::equal(key, key + n, candidates.word_data()) &&
-           std::equal(key + n, key + 2 * n, congested.word_data());
-  }
-
-  void place(std::size_t k) noexcept {
-    std::size_t s = entries_[k].hash & (slots_.size() - 1);
-    while (slots_[s] != 0) s = (s + 1) & (slots_.size() - 1);
-    slots_[s] = static_cast<std::uint32_t>(k + 1);
-  }
-
-  void rehash(std::size_t num_slots) {
-    slots_.assign(num_slots, 0u);
-    for (std::size_t k = 0; k < entries_.size(); ++k) place(k);
-  }
-
-  std::vector<entry> entries_;
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> slots_;  ///< entry index + 1; 0 = empty.
-};
-
 constexpr std::size_t stale = static_cast<std::size_t>(-1);
 
 /// One candidate move: flip `local` (a mask over AS `as`'s links)
@@ -222,7 +128,12 @@ struct map_correlated_tables::impl {
   };
   std::vector<group> groups;
 
-  state_table states;
+  // AS states keyed by [AS, candidate mask words, congested mask words]
+  // (state_key is the scratch the key is built in), and each state's
+  // log-probability (nullopt: the joint estimates cannot express it).
+  intern_table states;
+  std::vector<std::optional<double>> state_value;
+  std::vector<std::uint64_t> state_key;
   std::size_t lookups = 0;
   std::size_t evaluations = 0;
 
@@ -242,20 +153,33 @@ struct map_correlated_tables::impl {
   std::optional<double> state_log_probability(as_id a,
                                               const bitvec& congested) {
     ++lookups;
-    if (const auto* hit = states.find(a, candidates[a], congested)) {
-      return *hit;
+    const bitvec& cand = candidates[a];
+    const std::size_t n = cand.num_words();
+    state_key.resize(1 + 2 * n);
+    state_key[0] = a;
+    for (std::size_t w = 0; w < n; ++w) {
+      state_key[1 + w] = cand.word(w);
+      state_key[1 + n + w] = congested.word(w);
+    }
+    if (const std::size_t id = states.find(state_key);
+        id != intern_table::npos) {
+      return state_value[id];
     }
     ++evaluations;
     congested_links.clear();
     good_links.clear();
-    candidates[a].for_each([&](std::size_t i) {
+    cand.for_each([&](std::size_t i) {
       (congested.test(i) ? congested_links : good_links)
           .set(as_links[a][i]);
     });
     const auto value =
         as_state_log_probability(estimates, congested_links, good_links);
-    if (states.size() == max_states) states.clear();
-    states.insert(a, candidates[a], congested, value);
+    if (states.size() == max_states) {
+      states.clear();
+      state_value.clear();
+    }
+    states.find_or_insert(state_key);
+    state_value.push_back(value);
     return value;
   }
 };

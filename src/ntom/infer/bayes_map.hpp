@@ -66,12 +66,14 @@ inline constexpr double map_probability_floor = 1e-6;
 ///    its AS, its links as a mask over the AS's links and the paths
 ///    through any of them;
 ///  * a state table: the log-probability of an AS state, or "the joint
-///    estimates cannot express it", keyed by the AS's candidate set and
-///    congested set as masks over the AS's links (ascending link ids,
-///    fixed by the topology). It fills on first use; an entry is a pure
-///    function of the estimates and the key, so a hit returns exactly
-///    what a recomputation would. At max_states entries the table
-///    clears itself, which changes no result;
+///    estimates cannot express it". An interning table
+///    (util/intern_table.hpp) numbers the states by the key [AS,
+///    candidate set, congested set], the two sets as masks over the
+///    AS's links (ascending link ids, fixed by the topology), and a
+///    side vector holds the values by id. It fills on first use; an
+///    entry is a pure function of the estimates and the key, so a hit
+///    returns exactly what a recomputation would. At max_states
+///    entries the table clears itself, which changes no result;
 ///  * the per-interval scratch (candidate masks, moves, solution parts,
 ///    live list), so that once the state table holds an interval's
 ///    states, map_correlated allocates nothing.

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <unordered_set>
 #include <vector>
 
 #include "ntom/graph/clusters.hpp"
 #include "ntom/trace/trace_scenario.hpp"
-#include "ntom/util/log.hpp"
 
 namespace ntom {
 
@@ -112,7 +112,8 @@ congestion_model build_concentrated(const topology& t,
     for (const link_id e : edges_by_as[a]) pool.push_back(e);
   }
   if (pool.empty()) {
-    NTOM_WARN << "concentrated scenario: no destination edge links";
+    std::fprintf(stderr,
+                 "[WARN] concentrated scenario: no destination edge links\n");
   }
   pool.resize(std::min(pool.size(), std::max<std::size_t>(target, 1)));
   for (const auto r : drivers_for_links(t, pool, rand)) driver_set.insert(r);
@@ -143,8 +144,9 @@ congestion_model build_no_independence(const topology& t,
     for (const link_id e : t.links_on_router_link(r)) marked.set(e);
   }
   if (marked.count() < 2) {
-    NTOM_WARN << "no-independence scenario: topology has no shared "
-                 "router links; model will be empty";
+    std::fprintf(stderr,
+                 "[WARN] no-independence scenario: topology has no shared "
+                 "router links; model will be empty\n");
   }
   return realize_model(t, params, driver_set, rand);
 }
@@ -191,8 +193,10 @@ congestion_model build_srlg(const topology& t, const scenario_params& params,
     model.groups.push_back(std::move(group));
   }
   if (model.groups.empty()) {
-    NTOM_WARN << "srlg scenario: no AS holds " << min_group
-              << "+ covered links; model will be empty";
+    std::fprintf(stderr,
+                 "[WARN] srlg scenario: no AS holds %zu+ covered links; "
+                 "model will be empty\n",
+                 min_group);
   }
   model.phase_group_q.assign(phases,
                              std::vector<double>(model.groups.size(), 0.0));
@@ -289,8 +293,9 @@ congestion_model build_hotspot_drift(const topology& t,
   model.phase_q.assign(phases, std::vector<double>(t.num_router_links(), 0.0));
   model.congestable_links = bitvec(t.num_links());
   if (eligible.empty()) {
-    NTOM_WARN << "hotspot_drift scenario: no AS has covered links; "
-                 "model will be empty";
+    std::fprintf(stderr,
+                 "[WARN] hotspot_drift scenario: no AS has covered links; "
+                 "model will be empty\n");
     return model;
   }
 

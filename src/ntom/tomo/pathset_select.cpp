@@ -1,7 +1,6 @@
 #include "ntom/tomo/pathset_select.hpp"
 
 #include <algorithm>
-#include <map>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -11,6 +10,7 @@
 #include "ntom/corr/correlation.hpp"
 #include "ntom/linalg/nullspace.hpp"
 #include "ntom/linalg/sparse.hpp"
+#include "ntom/util/intern_table.hpp"
 
 namespace ntom {
 
@@ -54,75 +54,6 @@ void order_by_weight_descending(const std::vector<std::size_t>& weights,
   }
 }
 
-/// A set of equal-width bit-sets (path sets or link unions),
-/// open-addressed over their packed words. All keys share one universe,
-/// so they sit end to end in one arena (entry e at words
-/// [e*w, (e+1)*w)); entries are numbered 0, 1, ... in insertion order,
-/// so a caller can keep per-entry data in side arrays. Each slot packs
-/// the upper 32 bits of the key's finalized hash (the tag, which also
-/// picks the home slot) with entry index + 1 (0 = empty): a probe
-/// compares tags before words, and growth re-places slots without
-/// rehashing.
-class pathset_table {
- public:
-  explicit pathset_table(std::size_t words)
-      : words_(words), slots_(initial_slots, 0) {}
-
-  /// The entry index of `key`, added as the next entry if it is not in
-  /// the table yet; `second` is true when it was added.
-  std::pair<std::size_t, bool> find_or_insert(const bitvec& key) {
-    const std::uint64_t tag = finalize(key.hash()) >> 32;
-    const std::uint64_t* data = key.word_data();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t s = tag & mask;
-    for (; slots_[s] != 0; s = (s + 1) & mask) {
-      if ((slots_[s] >> 32) != tag) continue;
-      const std::size_t entry = static_cast<std::uint32_t>(slots_[s]) - 1;
-      if (std::equal(data, data + words_, arena_.data() + entry * words_)) {
-        return {entry, false};
-      }
-    }
-    arena_.insert(arena_.end(), data, data + words_);
-    ++size_;
-    slots_[s] = (tag << 32) | size_;
-    if (2 * size_ > slots_.size()) grow();
-    return {size_ - 1, true};
-  }
-
- private:
-  static constexpr std::size_t initial_slots = 1024;
-
-  /// bitvec::hash is FNV-1a over whole words, so its low bits depend
-  /// only on the words' low bits; the murmur3 finalizer spreads every
-  /// input bit over the tag.
-  static std::uint64_t finalize(std::uint64_t h) noexcept {
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
-  }
-
-  /// Doubles the slot table (load stays at most 1/2).
-  void grow() {
-    std::vector<std::uint64_t> old(slots_.size() * 2, 0);
-    old.swap(slots_);
-    const std::size_t mask = slots_.size() - 1;
-    for (const std::uint64_t slot : old) {
-      if (slot == 0) continue;
-      std::size_t s = (slot >> 32) & mask;
-      while (slots_[s] != 0) s = (s + 1) & mask;
-      slots_[s] = slot;
-    }
-  }
-
-  std::size_t words_;
-  std::size_t size_ = 0;
-  std::vector<std::uint64_t> arena_;
-  std::vector<std::uint64_t> slots_;
-};
-
 }  // namespace
 
 pathset_selection select_path_sets(const topology& t,
@@ -158,22 +89,24 @@ pathset_selection select_path_sets(const topology& t,
   }
 
   // Subsets with equal candidate lists walk the same path sets in the
-  // same order. list_of[i] numbers subset i's list; frontier[g] is how
-  // far the furthest walk over list g has gone, so every mask below it
-  // is already in `seen`.
+  // same order. list_of[i] numbers subset i's list (interned as the set
+  // of its paths: a list is ascending); frontier[g] is how far the
+  // furthest walk over list g has gone, so every mask below it is
+  // already in `seen`.
+  bitvec pset(t.num_paths());  // a candidate or list, rebuilt per use.
   std::vector<std::size_t> list_of(n1);
-  std::map<std::vector<std::size_t>, std::size_t> list_ids;
+  intern_table lists;
   for (std::size_t i = 0; i < n1; ++i) {
-    list_of[i] =
-        list_ids.try_emplace(candidate_indices[i], list_ids.size())
-            .first->second;
+    pset.clear();
+    for (const std::size_t p : candidate_indices[i]) pset.set(p);
+    list_of[i] = lists.find_or_insert(pset).first;
   }
-  std::vector<std::size_t> frontier(list_ids.size(), 0);
+  std::vector<std::size_t> frontier(lists.size(), 0);
 
   // Every path set examined so far. Accepted or rejected, a path set
   // is examined once: a rejected row never adds rank to a smaller null
   // space, and an accepted one is already in the system.
-  pathset_table seen(bitvec(t.num_paths()).num_words());
+  intern_table seen;
 
   // The row memo, by link union Links(P) ∩ potcong: the row of a union
   // (or its catalog miss) is a pure function of the union, and many
@@ -186,20 +119,22 @@ pathset_selection select_path_sets(const topology& t,
   constexpr std::size_t never = 0;
   constexpr std::size_t no_row = static_cast<std::size_t>(-1);
   std::size_t epoch = 1;
-  pathset_table unions(bitvec(t.num_links()).num_words());
+  intern_table unions;
   std::vector<std::vector<std::size_t>> union_row;
   std::vector<std::size_t> rejected_in;
   equation_row_scratch scratch;
 
-  // The union entry of `pset` when it is new, has a row not rejected
-  // in this epoch, and is usable; npos otherwise. usable and the rank
-  // test are pure, so skipping them for a known outcome keeps every
-  // result; every candidate still counts as examined.
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  auto examine = [&](const bitvec& pset) {
+  // The union entry of `candidate` when it is new, has a row not
+  // rejected in this epoch, and is usable; npos otherwise. usable and
+  // the rank test are pure, so skipping them for a known outcome keeps
+  // every result; every candidate still counts as examined.
+  constexpr std::size_t npos = intern_table::npos;
+  auto examine = [&](const bitvec& candidate) {
     ++out.candidates_examined;
-    if (pset.empty() || !seen.find_or_insert(pset).second) return npos;
-    builder.link_union(pset, scratch.links);
+    if (candidate.empty() || !seen.find_or_insert(candidate).second) {
+      return npos;
+    }
+    builder.link_union(candidate, scratch.links);
     const auto [u, added] = unions.find_or_insert(scratch.links);
     if (added) {
       const bool ok = builder.row_of_links(scratch.links, scratch) &&
@@ -208,7 +143,7 @@ pathset_selection select_path_sets(const topology& t,
       rejected_in.push_back(ok ? never : no_row);
     }
     if (rejected_in[u] == no_row || rejected_in[u] == epoch) return npos;
-    if (usable && !usable(pset)) return npos;
+    if (usable && !usable(candidate)) return npos;
     return u;
   };
 
@@ -216,10 +151,9 @@ pathset_selection select_path_sets(const topology& t,
   // rows (catalog indices).
   sparse_matrix system(n1);
   for (std::size_t i = 0; i < n1; ++i) {
-    const bitvec& pset = candidates[i];
-    const std::size_t u = examine(pset);
+    const std::size_t u = examine(candidates[i]);
     if (u == npos) continue;
-    out.path_sets.push_back(pset);
+    out.path_sets.push_back(candidates[i]);
     out.rows.push_back(union_row[u]);
     system.append_row(union_row[u]);
   }
@@ -234,7 +168,6 @@ pathset_selection select_path_sets(const topology& t,
   std::vector<std::size_t> cursor(n1, 0);
   std::vector<std::size_t> order(n1);
   std::iota(order.begin(), order.end(), 0);
-  bitvec pset(t.num_paths());  // the candidate, rebuilt per mask.
   while (nsp.cols() > 0) {
     bool found = false;
 

@@ -26,20 +26,18 @@
 //
 // The walk's data structures, none of which allocates per candidate:
 //   - one path-set buffer, cleared and refilled from each mask's bits;
-//   - `seen`, the path sets examined so far: an open-addressed table
-//     whose keys (packed words, all of one width) sit end to end in one
-//     arena, with a power-of-two slot array holding each key's
-//     finalized hash tag and arena index; each candidate is hashed
-//     once;
+//   - `seen`, the path sets examined so far, interned by their packed
+//     words (util/intern_table.hpp); each candidate is hashed once;
 //   - a frontier per distinct candidate list: subsets with equal lists
 //     walk the same path sets in the same order, so a walk starts at
 //     the furthest mask any of them reached (the skipped masks are all
-//     in `seen` and still count as examined);
-//   - the row memo, a second table of the same type keyed by the link
-//     union Links(P) ∩ potcong (equations.hpp), with each union's row
-//     (or catalog miss) and the null-space epoch in which the rank test
-//     last rejected that row in side arrays. The epoch moves on with
-//     every NullSpaceUpdate;
+//     in `seen` and still count as examined). The lists are numbered
+//     by a third interning table;
+//   - the row memo, a second interning table keyed by the link union
+//     Links(P) ∩ potcong (equations.hpp), with each union's row (or
+//     catalog miss) and the null-space epoch in which the rank test
+//     last rejected that row in side arrays indexed by the union's id.
+//     The epoch moves on with every NullSpaceUpdate;
 //   - one equation_row_scratch for the link union, AS groups and row,
 //     and a rank test that sums r·N in a stack block.
 // Per new candidate the walk builds the link union, looks it up, and

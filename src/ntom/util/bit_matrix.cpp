@@ -125,16 +125,6 @@ bitvec bit_matrix::full_rows() const {
   return out;
 }
 
-bitvec bit_matrix::or_of_rows() const {
-  bitvec out(cols_);
-  // Rows keep bits past cols() zero, so whole-word ORs preserve the
-  // bitvec invariant.
-  for (std::size_t r = 0; r < rows_; ++r) {
-    simd::or_accumulate(out.word_data(), row_words(r), stride_);
-  }
-  return out;
-}
-
 void bit_matrix::flip_all() noexcept {
   const std::uint64_t tail = tail_mask();
   for (std::size_t r = 0; r < rows_; ++r) {

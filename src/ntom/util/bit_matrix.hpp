@@ -5,7 +5,7 @@
 // so the whole experiment's observations live in ONE contiguous word
 // array (row-major, 64-bit words, stride = ceil(cols/64)) instead of a
 // vector of individually heap-allocated bitvecs. Rows are cache-resident
-// views; the fused kernels (and_count, full_rows, or_of_rows) stream the
+// views; the fused kernels (and_count, full_rows) stream the
 // words once without materializing intermediate sets; transpose() flips
 // the orientation in 64x64 blocks for interval-major <-> path-major
 // conversions of streamed chunks.
@@ -80,9 +80,6 @@ class bit_matrix {
   /// Rows whose every column bit is set (bit-set over rows). A matrix
   /// with zero columns reports every row as full.
   [[nodiscard]] bitvec full_rows() const;
-
-  /// OR-reduction over all rows (bit-set over columns).
-  [[nodiscard]] bitvec or_of_rows() const;
 
   /// Complements every bit (column bits beyond cols() stay zero).
   void flip_all() noexcept;

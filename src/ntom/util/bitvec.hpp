@@ -132,7 +132,7 @@ class bitvec {
   [[nodiscard]] const std::uint64_t* word_data() const noexcept {
     return words_.data();
   }
-  /// Mutable packed-word access for bulk kernels (or_accumulate); the
+  /// Mutable packed-word access for bulk copies (trace decoding); the
   /// caller must keep bits past size() zero.
   [[nodiscard]] std::uint64_t* word_data() noexcept { return words_.data(); }
   /// OR-merges a whole word; the caller must keep bits past size() zero.

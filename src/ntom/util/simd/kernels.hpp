@@ -23,7 +23,6 @@ struct kernel_table {
                                const std::uint64_t*, std::size_t);
   std::size_t (*popcount_andnot)(const std::uint64_t*, const std::uint64_t*,
                                  std::size_t);
-  void (*or_accumulate)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*reflect_rows)(double* const*, std::size_t, const double*,
                        const double*, const double*, double*, std::size_t);
   void (*xoshiro_count_below)(std::uint64_t*, const std::uint64_t*,

@@ -142,18 +142,6 @@ std::size_t popcount_andnot_avx2(const std::uint64_t* a,
       [a, b](std::size_t w) { return a[w] & ~b[w]; });
 }
 
-void or_accumulate_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) {
-  std::size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i d = loadu(dst + w);
-    const __m256i s = loadu(src + w);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(d, s));
-  }
-  for (; w < n; ++w) dst[w] |= src[w];
-}
-
 inline __m256i rotl_lanes(__m256i x, int k) noexcept {
   return _mm256_or_si256(_mm256_slli_epi64(x, k),
                          _mm256_srli_epi64(x, 64 - k));
@@ -305,8 +293,7 @@ void reflect_rows_avx2(double* const* rows, std::size_t count,
 
 constexpr kernel_table table = {popcount_words_avx2,  popcount_and2_avx2,
                                 popcount_and3_avx2,   popcount_andnot_avx2,
-                                or_accumulate_avx2,   reflect_rows_avx2,
-                                xoshiro_count_below_avx2};
+                                reflect_rows_avx2,    xoshiro_count_below_avx2};
 
 }  // namespace
 

@@ -102,16 +102,6 @@ std::size_t popcount_andnot_avx512(const std::uint64_t* a,
       [a, b](std::size_t w) { return a[w] & ~b[w]; });
 }
 
-void or_accumulate_avx512(std::uint64_t* dst, const std::uint64_t* src,
-                          std::size_t n) {
-  std::size_t w = 0;
-  for (; w + 8 <= n; w += 8) {
-    _mm512_storeu_si512(dst + w,
-                        _mm512_or_si512(loadu(dst + w), loadu(src + w)));
-  }
-  for (; w < n; ++w) dst[w] |= src[w];
-}
-
 /// Eight xoshiro256++ generators, one per 64-bit lane, and the running
 /// count of one run. Lane stride in memory is simd::xoshiro_lanes.
 struct xoshiro8 {
@@ -241,7 +231,7 @@ void reflect_rows_avx512(double* const* rows, std::size_t count,
 
 constexpr kernel_table table = {popcount_words_avx512, popcount_and2_avx512,
                                 popcount_and3_avx512, popcount_andnot_avx512,
-                                or_accumulate_avx512, reflect_rows_avx512,
+                                reflect_rows_avx512,
                                 xoshiro_count_below_avx512};
 
 }  // namespace

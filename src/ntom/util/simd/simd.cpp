@@ -54,11 +54,6 @@ std::size_t scalar_popcount_andnot(const std::uint64_t* a,
   return total;
 }
 
-void plain_or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
-                         std::size_t n) {
-  for (std::size_t w = 0; w < n; ++w) dst[w] |= src[w];
-}
-
 // One multiply and one add per element and step, each rounded, one
 // row at a time: the reference the vector rungs must match bit for bit.
 void plain_reflect_rows(double* const* rows, std::size_t count,
@@ -277,7 +272,7 @@ namespace detail {
 const kernel_table& scalar_table() noexcept {
   static constexpr kernel_table table = {
       scalar_popcount_words, scalar_popcount_and2, scalar_popcount_and3,
-      scalar_popcount_andnot, plain_or_accumulate, plain_reflect_rows,
+      scalar_popcount_andnot, plain_reflect_rows,
       plain_xoshiro_count_below};
   return table;
 }
@@ -285,7 +280,7 @@ const kernel_table& scalar_table() noexcept {
 const kernel_table& popcnt_table() noexcept {
   static constexpr kernel_table table = {
       hw_popcount_words, hw_popcount_and2, hw_popcount_and3,
-      hw_popcount_andnot, plain_or_accumulate, plain_reflect_rows,
+      hw_popcount_andnot, plain_reflect_rows,
       plain_xoshiro_count_below};
   return table;
 }
@@ -378,11 +373,6 @@ std::size_t popcount_and3(const std::uint64_t* a, const std::uint64_t* b,
 std::size_t andnot_count(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t n) noexcept {
   return active_table()->popcount_andnot(a, b, n);
-}
-
-void or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n) noexcept {
-  active_table()->or_accumulate(dst, src, n);
 }
 
 void reflect_rows(double* const* rows, std::size_t count, const double* a,

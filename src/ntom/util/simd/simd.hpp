@@ -85,10 +85,6 @@ bool set_level(level l) noexcept;
                                        const std::uint64_t* b,
                                        std::size_t n) noexcept;
 
-/// dst[i] |= src[i] for i in [0, n) — the OR-reduction kernel.
-void or_accumulate(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n) noexcept;
-
 /// The row walk of the Householder QR (linalg/qr.cpp). For each row
 /// r = 0 .. count-1 in turn and each j in [0, n):
 ///   when a != nullptr:  rows[r][j] = rows[r][j] + a[r] * x[j]

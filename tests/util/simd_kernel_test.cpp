@@ -157,23 +157,6 @@ TEST(SimdKernel, AndnotCountMatchesReferenceAcrossLevels) {
   }
 }
 
-TEST(SimdKernel, OrAccumulateMatchesReferenceAcrossLevels) {
-  level_guard guard;
-  for (const std::size_t n : kWordSizes) {
-    const auto base = random_words(n, 5000 + n);
-    const auto src = random_words(n, 6000 + n);
-    std::vector<std::uint64_t> expected(n);
-    for (std::size_t w = 0; w < n; ++w) expected[w] = base[w] | src[w];
-    for (const simd::level l : simd::available_levels()) {
-      ASSERT_TRUE(simd::set_level(l));
-      auto dst = base;
-      simd::or_accumulate(dst.data(), src.data(), n);
-      EXPECT_EQ(dst, expected)
-          << "level=" << simd::level_name(l) << " n=" << n;
-    }
-  }
-}
-
 /// Doubles spanning the float kernel's edge cases: signed zeros,
 /// subnormals, and random mantissas at magnitudes 1e-300 .. 1e300.
 std::vector<double> edge_doubles(std::size_t n, rng& r) {
@@ -360,7 +343,6 @@ TEST(SimdKernel, BitMatrixKernelsIdenticalAcrossLevels) {
     const std::size_t ref_triple = m.and_count(triple);
     const std::size_t ref_wide = m.and_count(wide);
     const bitvec ref_full = m.full_rows();
-    const bitvec ref_or = m.or_of_rows();
 
     for (const simd::level l : simd::available_levels()) {
       ASSERT_TRUE(simd::set_level(l));
@@ -370,7 +352,6 @@ TEST(SimdKernel, BitMatrixKernelsIdenticalAcrossLevels) {
       EXPECT_EQ(m.and_count(triple), ref_triple) << simd::level_name(l);
       EXPECT_EQ(m.and_count(wide), ref_wide) << simd::level_name(l);
       EXPECT_EQ(m.full_rows(), ref_full) << simd::level_name(l);
-      EXPECT_EQ(m.or_of_rows(), ref_or) << simd::level_name(l);
     }
   }
 }
