@@ -151,8 +151,4 @@ class bitvec {
   std::vector<std::uint64_t> words_;
 };
 
-struct bitvec_hash {
-  std::size_t operator()(const bitvec& b) const noexcept { return b.hash(); }
-};
-
 }  // namespace ntom

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ntom/topogen/toy.hpp"
 
 namespace ntom {
@@ -13,6 +16,42 @@ bitvec all_links(const topology& t) {
   bitvec b(t.num_links());
   for (link_id e = 0; e < t.num_links(); ++e) b.set(e);
   return b;
+}
+
+/// AS a's family as subset_catalog::build documents it, by linear
+/// search: the base family in path order, then the capped union
+/// closure walking the family in discovery order, then sorted by size
+/// and link indices.
+std::vector<bitvec> insertion_order_family(const topology& t, as_id a,
+                                           const bitvec& potcong,
+                                           const subset_limits& limits) {
+  bitvec members = t.links_in_as(a);
+  members &= potcong;
+  std::vector<bitvec> family;
+  const auto full = [&] {
+    return family.size() >= limits.max_subsets_per_as;
+  };
+  const auto add = [&](const bitvec& s) {
+    if (s.empty() || s.count() > limits.max_subset_size) return;
+    if (std::find(family.begin(), family.end(), s) == family.end()) {
+      family.push_back(s);
+    }
+  };
+  for (path_id p = 0; p < t.num_paths() && !full(); ++p) {
+    add(t.get_path(p).link_set() & members);
+  }
+  for (std::size_t next = 0; next < family.size() && !full(); ++next) {
+    const std::size_t known = family.size();
+    for (std::size_t i = 0; i < known && !full(); ++i) {
+      add(family[next] | family[i]);
+    }
+  }
+  std::sort(family.begin(), family.end(),
+            [](const bitvec& x, const bitvec& y) {
+              if (x.count() != y.count()) return x.count() < y.count();
+              return x.to_indices() < y.to_indices();
+            });
+  return family;
 }
 
 TEST(SubsetCatalogTest, ToyCase1Family) {
@@ -112,6 +151,35 @@ TEST(SubsetCatalogTest, SingletonIndicesConsistent) {
     EXPECT_EQ(cat.subset(i).count(), 1u);
     const auto e = static_cast<link_id>(cat.subset(i).to_indices().front());
     EXPECT_EQ(cat.singleton_of(e), i);
+  }
+}
+
+TEST(SubsetCatalogTest, CappedFamilyFollowsPathOrder) {
+  // One AS of 12 links; paths over each link alone and over each pair
+  // of neighbours. Unions of at most 4 links number far more than the
+  // cap of 96, so the cap decides which subsets survive, and those must
+  // depend only on path order.
+  constexpr std::size_t links = 12;
+  topology t(links);
+  for (std::size_t e = 0; e < links; ++e) {
+    link_info info;
+    info.router_links = {static_cast<router_link_id>(e)};
+    t.add_link(info);
+  }
+  for (link_id e = 0; e < links; ++e) t.add_path({e});
+  for (link_id e = 0; e + 1 < links; ++e) t.add_path({e, e + 1});
+  t.finalize();
+
+  const subset_limits limits;
+  const subset_catalog cat = subset_catalog::build(t, all_links(t), limits);
+  const std::vector<bitvec> expected =
+      insertion_order_family(t, 0, all_links(t), limits);
+  ASSERT_EQ(expected.size(), limits.max_subsets_per_as);
+  ASSERT_EQ(cat.size(), expected.size());
+  for (std::size_t i = 0; i < cat.size(); ++i) {
+    EXPECT_EQ(cat.subset(i), expected[i])
+        << i << ": " << cat.subset(i).to_string() << " vs "
+        << expected[i].to_string();
   }
 }
 

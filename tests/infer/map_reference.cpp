@@ -14,6 +14,11 @@ namespace ntom::testing_oracle {
 
 namespace {
 
+/// Hash for bitvec keys of the unordered containers below.
+struct bitvec_hash {
+  std::size_t operator()(const bitvec& b) const noexcept { return b.hash(); }
+};
+
 double clamp_probability(double p) {
   return std::clamp(p, map_probability_floor, 1.0 - map_probability_floor);
 }

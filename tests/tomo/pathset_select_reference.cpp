@@ -16,6 +16,11 @@ namespace ntom::testing_oracle {
 
 namespace {
 
+/// Hash for bitvec keys of the unordered containers below.
+struct bitvec_hash {
+  std::size_t operator()(const bitvec& b) const noexcept { return b.hash(); }
+};
+
 /// Masks 1..2^k-1 ordered by popcount then value.
 std::vector<std::uint32_t> masks_by_popcount(std::size_t k) {
   std::vector<std::uint32_t> masks((std::uint32_t{1} << k) - 1);
