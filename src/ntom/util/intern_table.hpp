@@ -12,9 +12,10 @@
 // [start_[e], start_[e+1])). Open addressing over a power-of-two slot
 // array kept at most half full: each slot packs the key's 32-bit tag
 // (the upper half of its hash; its low bits pick the home slot) with
-// the entry id + 1 (0 = empty), so a probe compares tags before words
-// and growth re-places slots without rehashing. Lookups allocate
-// nothing, and clear() keeps the capacity.
+// the entry id + 1 (0 = empty, so a table holds fewer than 2^32 - 1
+// keys); a probe compares tags before words, and growth re-places slots
+// without rehashing. Lookups allocate nothing, and clear() keeps the
+// capacity.
 #pragma once
 
 #include <algorithm>

@@ -58,7 +58,8 @@ TEST(PacketSimTest, NoCongestionMostlyGoodObservations) {
   // under probing noise. The margin keeps this rare but not zero.
   const std::size_t good = data.path_good.count();
   EXPECT_GE(good, 97 * t.num_paths());  // >= 97% of path-intervals.
-  EXPECT_TRUE(ever_congested_links(data.true_links).empty());  // truth is clean.
+  // The truth is clean.
+  EXPECT_TRUE(ever_congested_links(data.true_links).empty());
 }
 
 TEST(PacketSimTest, NoCongestionOracleAllGood) {

@@ -51,6 +51,21 @@ TEST(ScenarioTest, ConcentratedPicksEdgeLinks) {
   EXPECT_GE(edge * 5, model.congestable_links.count() * 4);
 }
 
+TEST(ScenarioTest, NoIndependenceWithoutSharedRouterLinksWarns) {
+  topology t(2);
+  t.add_link({.as_number = 0, .router_links = {0}});
+  t.add_link({.as_number = 1, .router_links = {1}});
+  t.add_path({0});
+  t.add_path({1});
+  t.finalize();
+  testing::internal::CaptureStderr();
+  const auto model = make_scenario(t, "no_independence", scenario_params{});
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] no-independence scenario: topology has no shared "
+            "router links; model will be empty\n");
+  EXPECT_TRUE(model.congestable_links.empty());
+}
+
 TEST(ScenarioTest, NoIndependenceEveryLinkHasPartner) {
   const topology t = test_topology();
   scenario_params sp;
